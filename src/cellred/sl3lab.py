@@ -10,8 +10,9 @@ when n . L = 0.  The maps
     tau' : F2 -> F1,  tau'(f)(L) = sum of f over planes through L,
 
 act between the sum-zero function spaces F1, F2 (dimension p^2 + p each).
-Rank and kernel computations run over F_p by fraction-free Gaussian
-elimination on integer matrices reduced mod p.
+Ranks over F_p come from a blocked LU elimination whose bulk steps are
+float64 matrix products on integers that a guard keeps below 2**53, so every
+step is exact.
 
 The principal-series check enumerates the free orbits of the rank-2 Weyl
 group action on weights mod (p-1); each regular residue lifts uniquely into
@@ -38,7 +39,8 @@ class TooLarge(ValueError):
     """Prime exceeds the configured bound."""
 
 
-DEFAULT_PRIME_BOUND = 97
+# p = 61 (n = 3783) peaks near 0.75 GB; the dense n x n matrices grow as p^4
+DEFAULT_PRIME_BOUND = 61
 
 
 def _check_prime(p: int) -> None:
@@ -100,68 +102,89 @@ def build_incidence(p: int, bound: int = DEFAULT_PRIME_BOUND) -> IncidenceSpace:
 # Linear algebra mod p
 # ---------------------------------------------------------------------------
 
-def _row_echelon_mod(
-    M: np.ndarray, p: int, reduce_above: bool = True
-) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form over F_p; returns (reduced matrix, pivot columns).
+# Columns per elimination panel.  A trailing update is one GEMM whose inner
+# dimension is at most this, which sets the exactness bound checked below.
+_PANEL = 128
+_EXACT = 2 ** 53  # float64 represents every integer of smaller magnitude
 
-    Updates touch only rows with a nonzero entry in the pivot column and only
-    columns from the pivot rightwards (entries to the left are already fixed),
-    which keeps the p ~ 100 geometries tractable.  ``reduce_above=False``
-    skips the upward sweep when only the rank is wanted.
+
+def _exactness_guard(bound: int, what: str) -> None:
+    if bound >= _EXACT:
+        raise AssertionError(f"{what} exactness guard tripped")
+
+
+def _reduce(X: np.ndarray, p: int) -> None:
+    """Replace the integer-valued float64 array X by X mod p, in place.
+
+    The quotient floor(X / p) computed in floating point is off by at most one
+    while |X| + p <= 2**53, so one correction on each side makes it exact.
     """
-    A = (M % p).astype(np.int64).copy()
-    rows, cols = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        t = r + int(nz[0])
-        if t != r:
-            A[[r, t]] = A[[t, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        tail = A[:, c:]  # view
-        tail[r] = (tail[r] * inv) % p
-        col = A[:, c] if reduce_above else A[r + 1:, c]
-        hit = np.nonzero(col)[0] if reduce_above else r + 1 + np.nonzero(col)[0]
-        hit = hit[hit != r]
-        if hit.size:
-            tail[hit] = (tail[hit] - np.outer(A[hit, c], tail[r])) % p
-        pivots.append(c)
-        r += 1
-    return A, pivots
+    q = X * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    X -= q
+    np.add(X, p, out=X, where=X < 0)
+    np.subtract(X, p, out=X, where=X >= p)
 
 
 def rank_mod(M: np.ndarray, p: int) -> int:
-    return len(_row_echelon_mod(M, p, reduce_above=False)[1])
+    """Rank of the integer matrix M over F_p.
+
+    Right-looking blocked LU with row pivoting.  Each panel of _PANEL columns
+    is eliminated column by column with its multipliers stored in place; the
+    panel's pivot rows then take one unit-lower triangular solve and the rows
+    below them one GEMM update.  Entries are integers held in float64 and are
+    reduced mod p before they are multiplied, so between reductions none
+    exceeds _PANEL * (p-1)**2 in magnitude.  The guard keeps that plus the p
+    of slack _reduce needs below 2**53, so every step is exact.
+    """
+    _exactness_guard(_PANEL * (p - 1) ** 2 + p, "rank_mod")
+    A = (np.asarray(M) % p).astype(np.float64)
+    rows, cols = A.shape
+    r = 0
+    for c0 in range(0, cols, _PANEL):
+        c1 = min(c0 + _PANEL, cols)
+        r0 = r
+        pivots: list[int] = []
+        for c in range(c0, c1):
+            if r == rows:
+                break
+            col = A[r:, c]
+            _reduce(col, p)
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            t = r + int(nz[0])
+            if t != r:  # columns left of the panel are no longer read
+                A[[r, t], c0:] = A[[t, r], c0:]
+            _reduce(A[r, c + 1:c1], p)
+            mult = A[r + 1:, c]
+            mult *= pow(int(A[r, c]), -1, p)
+            _reduce(mult, p)
+            A[r + 1:, c + 1:c1] -= np.outer(mult, A[r, c + 1:c1])
+            pivots.append(c)
+            r += 1
+        if r == rows or c1 == cols:
+            break
+        if r == r0:
+            continue
+        L = A[r0:r, pivots]  # multipliers below the diagonal
+        U = A[r0:r, c1:]
+        for i in range(1, r - r0):
+            U[i] -= L[i, :i] @ U[:i]
+            _reduce(U[i], p)
+        trailing = A[r:, c1:]
+        trailing -= A[r:, pivots] @ U
+        _reduce(trailing, p)
+    return r
 
 
-def _kernel_from_rref(A: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-int(A[r, fc])) % p
-    return basis
-
-
-def kernel_basis_mod(M: np.ndarray, p: int) -> np.ndarray:
-    """Rows span the null space of M over F_p."""
-    A, pivots = _row_echelon_mod(M, p)
-    return _kernel_from_rref(A, pivots, p)
-
-
-def _same_subspace(A: np.ndarray, B: np.ndarray, p: int) -> bool:
-    ra, rb = rank_mod(A, p), rank_mod(B, p)
-    if ra != rb:
-        return False
-    return rank_mod(np.vstack([A, B]), p) == ra
+def _composite_is_zero(A: np.ndarray, B: np.ndarray, p: int) -> bool:
+    """Whether A @ B vanishes mod p, by one exact float64 GEMM."""
+    _exactness_guard(A.shape[1] * (p - 1) ** 2 + p, "composition")
+    prod = (A % p).astype(np.float64) @ (B % p).astype(np.float64)
+    _reduce(prod, p)
+    return not prod.any()
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +232,28 @@ class KernelReport:
 
 
 def kernel_analysis(maps: TauMaps) -> KernelReport:
-    """Kernel dimensions of tau, tau' and the kernel/image subspace identities."""
+    """Kernel dimensions of tau, tau' and the kernel/image subspace identities.
+
+    Lines and planes share normal forms, so the incidence matrix is symmetric
+    and tau, tau' are the same matrix: one rank serves both.  The columns of
+    tau' are sum-zero functions, so dropping their entry at index 0 gives
+    their F1-basis coordinates and tau @ tau_prime[1:] is tau o tau'.  It
+    vanishes iff im tau' lies in ker tau, and equal dimensions then make the
+    two equal.  By the symmetry, tau' o tau is the same product, so the same
+    two facts decide ker tau' = im tau.
+    """
     p = maps.space.p
-    nm1 = maps.dim_f1
-
-    def expand(vecs: np.ndarray) -> np.ndarray:
-        # basis coordinates -> ambient function values (value at index 0 is
-        # minus the sum, keeping the function sum-zero)
-        lead = (-vecs.sum(axis=1, keepdims=True)) % p
-        return np.hstack([lead, vecs]) % p
-
-    rref_t, piv_t = _row_echelon_mod(maps.tau, p)
-    rref_tp, piv_tp = _row_echelon_mod(maps.tau_prime, p)
-    ker_tau = expand(_kernel_from_rref(rref_t, piv_t, p))
-    ker_tau_p = expand(_kernel_from_rref(rref_tp, piv_tp, p))
-    im_tau = maps.tau.T % p          # spans of columns, rows in ambient F2 coords
-    im_tau_p = maps.tau_prime.T % p
+    if not np.array_equal(maps.tau, maps.tau_prime):
+        raise AssertionError("tau and tau' differ: the incidence is not symmetric")
+    rank = rank_mod(maps.tau, p)
+    composite_zero = _composite_is_zero(maps.tau, maps.tau_prime[1:], p)
     return KernelReport(
         p=p,
-        dim_f1=nm1,
-        dim_ker_tau=nm1 - len(piv_t),
-        dim_ker_tau_prime=nm1 - len(piv_tp),
-        ker_tau_eq_im_tau_prime=_same_subspace(ker_tau, im_tau_p, p),
-        ker_tau_prime_eq_im_tau=_same_subspace(ker_tau_p, im_tau, p),
+        dim_f1=maps.dim_f1,
+        dim_ker_tau=maps.dim_f1 - rank,
+        dim_ker_tau_prime=maps.dim_f2 - rank,
+        ker_tau_eq_im_tau_prime=composite_zero and rank == maps.dim_f1 - rank,
+        ker_tau_prime_eq_im_tau=composite_zero and rank == maps.dim_f2 - rank,
     )
 
 
@@ -239,18 +261,21 @@ def equivariance_spot_check(space: IncidenceSpace, samples: int = 20) -> bool:
     """inc[gP, gL] == inc[P, L] for a deterministic sample of g in GL_3(F_p)."""
     p = space.p
     rng = random.Random(10007 * p)
-    line_index = {v: i for i, v in enumerate(space.lines)}
+    lines = np.array(space.lines, dtype=np.int64)
+    planes = np.array(space.planes, dtype=np.int64)
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    # normalised vector (x, y, z) -> position in space.lines, keyed x p^2 + y p + z
+    line_index = np.zeros(p ** 3, dtype=np.int64)
+    line_index[lines @ (p * p, p, 1)] = np.arange(len(lines))
 
-    def normalise(v):
-        v = [x % p for x in v]
-        for x in v:
-            if x:
-                inv = pow(x, -1, p)
-                return tuple((y * inv) % p for y in v)
-        raise AssertionError("zero vector")
-
-    def matvec(m, v):
-        return tuple(sum(m[i][j] * v[j] for j in range(3)) % p for i in range(3))
+    def image(m, pts):
+        """Positions in space.lines of the normalised images m v of pts."""
+        v = (pts @ np.array(m, dtype=np.int64).T) % p
+        lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+        if not lead.all():
+            raise AssertionError("zero vector")
+        v = (v * inverse[lead][:, None]) % p
+        return line_index[v @ (p * p, p, 1)]
 
     done = 0
     while done < samples:
@@ -275,9 +300,7 @@ def equivariance_spot_check(space: IncidenceSpace, samples: int = 20) -> bool:
         ]
         dinv = pow(det, -1, p)
         minvt = [[(adj[j][i] * dinv) % p for j in range(3)] for i in range(3)]
-        perm_l = [line_index[normalise(matvec(m, v))] for v in space.lines]
-        perm_p = [line_index[normalise(matvec(minvt, v))] for v in space.planes]
-        moved = space.incidence[np.ix_(perm_p, perm_l)]
+        moved = space.incidence[np.ix_(image(minvt, planes), image(m, lines))]
         if not np.array_equal(moved, space.incidence):
             return False
     return True

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from cellred.sl3lab import (
+    _PANEL,
+    _reduce,
+    IncidenceSpace,
     NotPrime,
     PrimeField,
+    TauMaps,
     TooLarge,
     build_incidence,
     equivariance_spot_check,
     kernel_analysis,
-    kernel_basis_mod,
     principal_series_check,
     rank_mod,
     tau_maps,
@@ -23,6 +26,8 @@ def test_prime_checks():
         build_incidence(9)
     with pytest.raises(TooLarge):
         build_incidence(101)
+    with pytest.raises(TooLarge):
+        build_incidence(67)
 
 
 def test_fano_plane():
@@ -43,9 +48,106 @@ def test_point_counts(p, n):
 def test_linear_algebra_mod_p():
     M = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert rank_mod(M, 5) == 2
-    K = kernel_basis_mod(M, 5)
-    assert K.shape[0] == 1
-    assert ((M @ K.T) % 5 == 0).all()
+
+
+def reference_rank(M, p):
+    """Textbook Gaussian elimination over F_p on lists of Python ints."""
+    rows = [[int(x) % p for x in row] for row in M]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i][c:] = [(a - f * b) % p for a, b in zip(rows[i][c:], top[c:])]
+        rank += 1
+    return rank
+
+
+def rank_k_product(rng, p, rows, cols, k, pivot_cols=None):
+    """A rows x cols matrix A @ B mod p of rank exactly k.
+
+    A holds I_k in k random rows and B holds I_k in k columns (random ones,
+    or ``pivot_cols``), so the product contains B's rank-k rows.
+    """
+    A = rng.integers(0, p, (rows, k))
+    A[rng.choice(rows, k, replace=False)] = np.eye(k, dtype=np.int64)
+    B = rng.integers(0, p, (k, cols))
+    if pivot_cols is None:
+        pivot_cols = rng.choice(cols, k, replace=False)
+    B[:, pivot_cols] = np.eye(k, dtype=np.int64)
+    return (A @ B) % p
+
+
+# column counts around one and two panels; rows exceed a panel, so a
+# full-rank matrix needs pivots from more than one panel
+@pytest.mark.parametrize("p", [2, 3, 97])
+@pytest.mark.parametrize("cols", [1, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 3])
+def test_rank_mod_matches_reference_elimination(p, cols):
+    rng = np.random.default_rng(1000 * p + cols)
+    rows = _PANEL + 5
+    full = min(rows, cols)
+    for k in sorted({0, min(5, full), full // 2, full}):
+        X = rank_k_product(rng, p, rows, cols, k)
+        assert rank_mod(X, p) == reference_rank(X, p) == k, (p, cols, k)
+
+
+@pytest.mark.parametrize("p", [2, 97])
+def test_rank_mod_pivot_free_columns_inside_a_panel(p):
+    # every pivot of the first panel sits at its edges; the columns between
+    # them are multiples of column 0, so the rank comes from later panels
+    rng = np.random.default_rng(p)
+    cols, k = 2 * _PANEL + 3, 40
+    pivot_cols = [0, 1, _PANEL - 1] + list(range(_PANEL + 7, _PANEL + 44))
+    X = rank_k_product(rng, p, 60, cols, k, pivot_cols)
+    X[:, 2:_PANEL - 1] = (X[:, :1] * rng.integers(0, p, _PANEL - 3)) % p
+    assert rank_mod(X, p) == reference_rank(X, p) == k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_incidence_p_rank_is_hamadas(p):
+    # Hamada (Hiroshima Math. J. 3, 1973): the point-line incidence matrix of
+    # PG(2, p) has p-rank C(p+1, 2) + 1
+    assert rank_mod(build_incidence(p).incidence, p) == p * (p + 1) // 2 + 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 31, 103, 167, 8388593])
+def test_reduce_is_exact_up_to_the_guard(p):
+    # multiples of p and their neighbours, small ones and ones whose magnitude
+    # is just inside |x| + p <= 2**53; at p = 103 and 167 the float quotient
+    # of some small multiples rounds below the true one
+    top = (2 ** 53 - p) // p - 1
+    q = np.concatenate([np.arange(1, 2000), np.arange(top - 2000, top)])
+    x = np.concatenate([q * p + d for d in (-1, 0, 1)])
+    x = np.concatenate([x, -x])
+    X = x.astype(np.float64)
+    _reduce(X, p)
+    assert (X == x % p).all()
+
+
+def fake_maps(p, tau):
+    """TauMaps with tau' = tau over a stand-in space of tau.shape[0] points."""
+    n = tau.shape[0]
+    pts = tuple((0, 0, i) for i in range(n))
+    space = IncidenceSpace(p=p, lines=pts, planes=pts,
+                           incidence=np.zeros((n, n), dtype=np.int64))
+    return TauMaps(space=space, tau=tau, tau_prime=tau)
+
+
+def test_exactness_guards_raise():
+    with pytest.raises(AssertionError, match="rank_mod exactness guard"):
+        rank_mod(np.eye(2, dtype=np.int64), 2 ** 31 - 1)
+    # p = 8388593 is the largest prime that the elimination guard admits;
+    # tau o tau' with inner dimension 200 would pass 2**53
+    p, n = 8388593, 201
+    zero = np.zeros((n, n - 1), dtype=np.int64)
+    with pytest.raises(AssertionError, match="composition exactness guard"):
+        kernel_analysis(fake_maps(p, zero))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -69,9 +171,52 @@ def test_kernel_dimensions_and_subspace_identities(p):
     assert rep.ker_tau_prime_eq_im_tau
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_kernel_analysis_rejects_a_flipped_incidence_pair(p):
+    sp = build_incidence(p)
+    inc = sp.incidence.copy()
+    inc[0, 1] ^= 1
+    inc[1, 0] ^= 1
+    bad = IncidenceSpace(p=p, lines=sp.lines, planes=sp.planes, incidence=inc)
+    rep = kernel_analysis(tau_maps(bad))
+    want = p * (p + 1) // 2
+    assert not (rep.ker_tau_eq_im_tau_prime and rep.ker_tau_prime_eq_im_tau
+                and rep.dim_ker_tau == rep.dim_ker_tau_prime == want)
+
+
+def test_kernel_analysis_requires_tau_prime_equal_to_tau():
+    maps = tau_maps(build_incidence(3))
+    tp = maps.tau_prime.copy()
+    tp[0, 0] = (tp[0, 0] + 1) % 3
+    with pytest.raises(AssertionError, match="tau and tau' differ"):
+        kernel_analysis(TauMaps(space=maps.space, tau=maps.tau, tau_prime=tp))
+
+
+@pytest.mark.parametrize("nilpotent", [True, False])
+def test_kernel_analysis_decides_identities_by_the_composite(nilpotent):
+    # rank k on a 2k-dimensional space in both cases, so rank tau' = dim ker
+    # tau holds; only whether tau o tau' vanishes tells the cases apart
+    p, k = 5, 3
+    block = np.zeros((2 * k, 2 * k), dtype=np.int64)
+    if nilpotent:
+        block[:k, k:] = np.eye(k, dtype=np.int64)
+    else:
+        block[:k, :k] = np.eye(k, dtype=np.int64)
+    # row 0 makes every column a sum-zero function, as tau_maps does
+    tau = np.vstack([(-block.sum(axis=0)) % p, block])
+    rep = kernel_analysis(fake_maps(p, tau))
+    assert rep.dim_f1 == 2 * k
+    assert rep.dim_ker_tau == rep.dim_ker_tau_prime == k
+    assert rep.ker_tau_eq_im_tau_prime is nilpotent
+    assert rep.ker_tau_prime_eq_im_tau is nilpotent
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_equivariance_sample(p):
-    assert equivariance_spot_check(build_incidence(p), samples=20)
+    sp = build_incidence(p)
+    assert equivariance_spot_check(sp, samples=20)
+    sp.incidence[0, 1] ^= 1  # the sampled g move the flipped entry
+    assert not equivariance_spot_check(sp, samples=20)
 
 
 def test_principal_series_p5_spot_orbit():
