@@ -129,8 +129,13 @@ class TypeContext:
     derived_rows: bool = False
 
 
-@lru_cache(maxsize=None)
 def get_context(ct: CartanType) -> TypeContext:
+    return _context(ct, uniptables.data_dir())
+
+
+@lru_cache(maxsize=None)
+def _context(ct: CartanType, tables_dir: str) -> TypeContext:
+    # cached per data directory: the tables, and all built from them, differ
     g = generate(ct)
     build_root_system(ct)
     tables = uniptables.load_tables(ct)
@@ -340,7 +345,8 @@ def run_checks(ct: CartanType) -> AuditReport:
             results.append(_CHECKS[cid](ctx))
         except Exception as exc:  # a crash is itself a reportable failure
             results.append(CheckResult(
-                cid, _REFS[cid], "fail", f"internal error: {exc}"
+                cid, _REFS[cid], "fail",
+                f"internal error: {type(exc).__name__}: {exc}",
             ))
     return AuditReport(type_name=ct.name, checks=tuple(results))
 

@@ -8,7 +8,8 @@ Subcommands:
 
 Output is deterministic for fixed flags: no timestamps, stable ordering.
 Reports are written atomically when an output path is given.  Exit status is
-0 iff every executed check passed (skips allowed), 2 on usage errors.
+0 iff every executed check passed (skips allowed), 1 if a check failed, and 2
+on usage errors (the message goes to stderr).
 """
 
 from __future__ import annotations
@@ -45,18 +46,11 @@ def _write_output(text: str, path: str | None) -> None:
         raise
 
 
-def _parse_type(name: str) -> CartanType:
-    try:
-        return CartanType.parse(name)
-    except UnsupportedType as exc:
-        raise SystemExit(f"cellred: {exc}") from None
-
-
 def _cmd_audit(args) -> int:
     if args.all:
         types = ALL_TYPES
     elif args.type:
-        types = tuple(_parse_type(t) for t in args.type)
+        types = tuple(CartanType.parse(t) for t in args.type)
     else:
         types = ALL_TYPES
     reports = audit.run_all(types)
@@ -73,10 +67,7 @@ def _cmd_sl3(args) -> int:
     results = []
     ok = True
     for p in primes:
-        try:
-            space = sl3lab.build_incidence(p)
-        except (sl3lab.NotPrime, sl3lab.TooLarge) as exc:
-            raise SystemExit(f"cellred: {exc}") from None
+        space = sl3lab.build_incidence(p)
         maps = sl3lab.tau_maps(space)
         rep = sl3lab.kernel_analysis(maps)
         want = p * (p + 1) // 2
@@ -203,10 +194,7 @@ def _dump_cwe(ct: CartanType) -> dict:
 
 
 def _dump_delta(ct: CartanType) -> dict:
-    try:
-        deltas = weylmod.delta_table(ct)
-    except weylmod.MissingMwData as exc:
-        raise SystemExit(f"cellred: {exc}") from None
+    deltas = weylmod.delta_table(ct)
     duality = weylmod.find_duality(ct, deltas)
     rows = {}
     for word, dp in deltas.items():
@@ -230,7 +218,7 @@ _DUMPERS = {
 
 
 def _cmd_tables(args) -> int:
-    ct = _parse_type(args.type)
+    ct = CartanType.parse(args.type)
     payload = _DUMPERS[args.what](ct)
     _write_output(json.dumps(payload, indent=2), args.output)
     return 0
@@ -271,10 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# raised only by flag values a command cannot serve
+_USAGE_ERRORS = (
+    UnsupportedType, sl3lab.NotPrime, sl3lab.TooLarge, weylmod.MissingMwData,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USAGE_ERRORS as exc:
+        print(f"cellred: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -128,9 +128,6 @@ class WeylGroup:
             if self.length_of_index(self._lmul[wi][i - 1]) < lw
         )
 
-    def right_descent_set(self, w: WeylElt) -> frozenset[int]:
-        return self.left_descent_set(self.inverse(w))
-
     def act_on_weight(self, w: WeylElt, lam: Weight) -> Weight:
         m = self._matrices[self._index[w]]
         return Weight(tuple(
@@ -160,16 +157,6 @@ class WeylGroup:
         for i in w.word:
             reach |= {self._rmul[x][i - 1] for x in reach}
         return frozenset(self.elements[x] for x in reach)
-
-    def bruhat_leq(self, y: WeylElt, w: WeylElt) -> bool:
-        return y in self._bruhat_cache(w)
-
-    def _bruhat_cache(self, w: WeylElt) -> frozenset[WeylElt]:
-        if not hasattr(self, "_bruhat_sets"):
-            self._bruhat_sets: dict[WeylElt, frozenset[WeylElt]] = {}
-        if w not in self._bruhat_sets:
-            self._bruhat_sets[w] = self.bruhat_lower_set(w)
-        return self._bruhat_sets[w]
 
 
 def _reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ...]:

@@ -9,9 +9,11 @@ Z[v, v^-1] (u = v^2, quadratic relation (T_s - u)(T_s + 1) = 0):
 * dihedral B2/G2: the four one-dimensional modules and explicit 2x2
   deformations of the rotation representations.
 
-Every module is verified against the braid and quadratic relations and its
-v = 1 character is matched against the ordinary character table, which is
-itself built from scratch (Murnaghan-Nakayama over cycle types for the
+Modules are held as Laurent arrays (see :mod:`cellred.poly`) of the
+normalised generators Tt_s = v^-1 T_s.  Every module is verified against the
+braid and quadratic relations, and the traces of all Tt_w are computed once;
+their v = 1 values are matched against the ordinary character table, which
+is itself built from scratch (Murnaghan-Nakayama over cycle types for the
 symmetric groups, closed dihedral forms for B2/G2, with row orthogonality
 checked).
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .coxeter import WeylElt, WeylGroup
 from .klcells import KLData, CellPartition, compute_cells
-from .poly import LaurentPoly
+from .poly import check_magnitude, check_window, laurent_matmul, window_offset
 
 
 class ConstructionIncomplete(AssertionError):
@@ -276,41 +278,17 @@ def _check_orthogonality(table: WCharTable) -> None:
 
 @dataclass(eq=False)
 class HModule:
-    """A Hecke module E(u): one matrix over Z[v, v^-1] per generator."""
+    """A Hecke module E(u) and the traces of its standard basis.
+
+    ``gens[s - 1]`` is the matrix of Tt_s = v^-1 T_s, a (dim, dim, 3) Laurent
+    array with offset 1.  ``traces[w]`` is tr(Tt_w, E(u)) = v^(-l(w)) tr(T_w),
+    a Laurent array with offset ``window_offset(nu)``.
+    """
 
     label: str
     dim: int
-    gen_matrices: tuple[tuple[tuple[LaurentPoly, ...], ...], ...]
-
-
-def _lp_matmul(A, B):
-    d = len(A)
-    return tuple(
-        tuple(
-            sum((A[i][k] * B[k][j] for k in range(d)), LaurentPoly.zero())
-            for j in range(d)
-        )
-        for i in range(d)
-    )
-
-
-def _lp_eye(d):
-    one, zero = LaurentPoly.one(), LaurentPoly.zero()
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-
-
-def _lp_is_zero(A) -> bool:
-    return all(x.is_zero for row in A for x in row)
-
-
-def _lp_sub(A, B):
-    return tuple(
-        tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
-def _lp_scale(A, f: LaurentPoly):
-    return tuple(tuple(f * a for a in row) for row in A)
+    gens: np.ndarray
+    traces: np.ndarray
 
 
 def _coxeter_m(g: WeylGroup, i: int, j: int) -> int:
@@ -319,97 +297,104 @@ def _coxeter_m(g: WeylGroup, i: int, j: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}[prod]
 
 
-def _verify_module(g: WeylGroup, mats) -> None:
-    u = LaurentPoly.gen(2)
-    d = len(mats[0])
-    eye = _lp_eye(d)
-    for T in mats:
-        # (T - u)(T + 1) = T^2 + (1 - u) T - u
-        lhs = _lp_matmul(T, T)
-        lhs = _lp_sub(lhs, _lp_scale(T, u - LaurentPoly.one()))
-        lhs = _lp_sub(lhs, _lp_scale(eye, u))
-        if not _lp_is_zero(lhs):
+def _verify_module(g: WeylGroup, gens: np.ndarray) -> None:
+    eye = np.eye(gens.shape[1], dtype=np.int64)
+    for T in gens:
+        # (T - u)(T + 1) = 0, divided by v^2: (Tt - v)(Tt + v^-1) = 0
+        left, right = T.copy(), T.copy()
+        left[:, :, 2] -= eye
+        right[:, :, 0] += eye
+        if laurent_matmul(left, right).any():
             raise ConstructionIncomplete("quadratic relation fails")
     for i in range(1, g.rank + 1):
         for j in range(i + 1, g.rank + 1):
-            m = _coxeter_m(g, i, j)
-            left = right = eye
-            for k in range(m):
-                left = _lp_matmul(left, mats[(i, j)[k % 2] - 1])
-                right = _lp_matmul(right, mats[(j, i)[k % 2] - 1])
-            if not _lp_is_zero(_lp_sub(left, right)):
+            left, right = gens[i - 1], gens[j - 1]
+            for k in range(1, _coxeter_m(g, i, j)):
+                left = laurent_matmul(left, gens[(i, j)[k % 2] - 1])
+                right = laurent_matmul(right, gens[(j, i)[k % 2] - 1])
+            if not np.array_equal(left, right):
                 raise ConstructionIncomplete(f"braid relation fails for ({i},{j})")
 
 
-def _match_label(g: WeylGroup, table: WCharTable, mats, dim: int) -> str:
+def _trace_table(g: WeylGroup, gens: np.ndarray) -> np.ndarray:
+    """tr(Tt_w) for all w: an (n, D) Laurent array, offset ``window_offset(nu)``."""
+    d = gens.shape[1]
+    off = window_offset(g.nu)
+    mats = np.zeros((g.size, d, d, 2 * off + 1), dtype=np.int64)
+    mats[0, np.arange(d), np.arange(d), off] = 1
+    for x in range(1, g.size):
+        i = g.element(x).word[-1]
+        # Tt_x = Tt_{x s_i} Tt_{s_i}; the product has offset off + 1
+        mats[x] = laurent_matmul(mats[g.rmul_index(x, i)], gens[i - 1])[:, :, 1:-1]
+    check_window(mats, "trace")
+    check_magnitude(int(np.abs(mats).max()), "trace")
+    return mats.trace(axis1=1, axis2=2)
+
+
+def _match_label(table: WCharTable, traces: np.ndarray) -> str:
     """Identify the v=1 character of a module among the table rows."""
-    traces = []
-    for c in table.classes:
-        m = _lp_eye(dim)
-        for i in c.rep.word:
-            m = _lp_matmul(m, mats[i - 1])
-        traces.append(sum(m[k][k].at_one() for k in range(dim)))
+    g = table.group
+    chi = [int(traces[g.index(c.rep)].sum()) for c in table.classes]
     for lab, row in zip(table.labels, table.values):
-        if tuple(traces) == row:
+        if tuple(chi) == row:
             return lab
     raise ConstructionIncomplete(
-        f"no irreducible W-character matches v=1 trace {traces}"
+        f"no irreducible W-character matches v=1 trace {chi}"
     )
 
 
-def _cell_module_mats(g: WeylGroup, kl: KLData, cell: list[int]):
-    """c_s action matrices on a left-cell basis, then T_s = v * A_s - 1."""
+def _cell_module_gens(g: WeylGroup, kl: KLData, cell: list[int]) -> np.ndarray:
+    """c_s action matrices A_s on a left-cell basis, then Tt_s = A_s - v^-1."""
     lengths = [g.length_of_index(i) for i in range(g.size)]
     pos = {w: k for k, w in enumerate(cell)}
     d = len(cell)
-    v = LaurentPoly.gen(1)
-    vpvi = LaurentPoly.gen(1) + LaurentPoly.gen(-1)
-    mats = []
+    gens = np.zeros((g.rank, d, d, 3), dtype=np.int64)
     for s in range(1, g.rank + 1):
-        A = [[LaurentPoly.zero() for _ in range(d)] for _ in range(d)]
+        T = gens[s - 1]
         for w in cell:
             col = pos[w]
             sw = g.lmul_index(w, s)
             if lengths[sw] < lengths[w]:
-                A[col][col] = vpvi
+                T[col, col, 0] = T[col, col, 2] = 1  # v + v^-1
             else:
                 if sw in pos:
-                    A[pos[sw]][col] = LaurentPoly.one()
+                    T[pos[sw], col, 1] = 1
                 for z, m in kl._mu_of[w].items():
                     if z in pos and lengths[g.lmul_index(z, s)] < lengths[z]:
-                        A[pos[z]][col] = LaurentPoly.from_int(m)
-        T = tuple(
-            tuple(
-                v * A[i][j] - (LaurentPoly.one() if i == j else LaurentPoly.zero())
-                for j in range(d)
-            )
-            for i in range(d)
+                        T[pos[z], col, 1] = m
+        T[np.arange(d), np.arange(d), 0] -= 1
+    return gens
+
+
+def _dihedral_gens(g: WeylGroup) -> dict[str, np.ndarray]:
+    """Explicit modules for B2/G2: label -> generator arrays.
+
+    Each T_s is given as C + u U with integer matrices (C, U), so that
+    Tt_s = v^-1 C + v U.
+    """
+    def tt(*pairs):
+        return np.array(
+            [np.stack([c, np.zeros_like(c), u], axis=-1) for c, u in np.array(pairs)],
+            dtype=np.int64,
         )
-        mats.append(T)
-    return tuple(mats)
 
-
-def _dihedral_mats(g: WeylGroup):
-    """Explicit modules for B2/G2: label -> generator matrices."""
-    m = g.nu
-    u = LaurentPoly.gen(2)
-    one = LaurentPoly.one()
-    zero = LaurentPoly.zero()
-    mone = -one
+    u, mone = ([[0]], [[1]]), ([[-1]], [[0]])
     out = {
-        "triv": (((u,),), ((u,),)),
-        "sign": (((mone,),), ((mone,),)),
-        "sgn1": (((mone,),), ((u,),)),
-        "sgn2": (((u,),), ((mone,),)),
+        "triv": tt(u, u),
+        "sign": tt(mone, mone),
+        "sgn1": tt(mone, u),
+        "sgn2": tt(u, mone),
     }
     # 2-dimensional deformations: T1 upper, T2 lower triangular, with
     # T2[1][0] = u * (2 + 2cos(2 pi k / m)), an integer for m = 4, 6.
+    m = g.nu
     for k in range(1, m // 2):
         csq = 2 + _DIHEDRAL_COS[m][k % m]
         lab = "refl" if k == 1 else f"refl{k}"
-        T1 = ((mone, one), (zero, u))
-        T2 = ((u, zero), (csq * u, mone))
-        out[lab] = (T1, T2)
+        out[lab] = tt(
+            ([[-1, 1], [0, 0]], [[0, 0], [0, 1]]),    # T1 = ((-1, 1), (0, u))
+            ([[0, 0], [0, -1]], [[1, 0], [csq, 0]]),  # T2 = ((u, 0), (csq u, -1))
+        )
     return out
 
 
@@ -423,27 +408,27 @@ def build_hecke_modules(
         if cells is None:
             cells = compute_cells(kl)
         for tc in cells.two_sided_cells:
-            idx = sorted(g.index(w) for w in tc)
             left = min(
                 (c for c in cells.left_cells if c <= tc),
                 key=lambda c: min(g.index(w) for w in c),
             )
-            basis = sorted(g.index(w) for w in left)
-            mats = _cell_module_mats(g, kl, basis)
-            _verify_module(g, mats)
-            lab = _match_label(g, table, mats, len(basis))
+            gens = _cell_module_gens(g, kl, sorted(g.index(w) for w in left))
+            _verify_module(g, gens)
+            traces = _trace_table(g, gens)
+            lab = _match_label(table, traces)
             if lab in modules:
                 raise ConstructionIncomplete(f"two cells matched label {lab}")
-            modules[lab] = HModule(lab, len(basis), mats)
+            modules[lab] = HModule(lab, len(left), gens, traces)
     else:
-        for lab, mats in _dihedral_mats(g).items():
-            _verify_module(g, mats)
-            found = _match_label(g, table, mats, len(mats[0]))
+        for lab, gens in _dihedral_gens(g).items():
+            _verify_module(g, gens)
+            traces = _trace_table(g, gens)
+            found = _match_label(table, traces)
             if found != lab:
                 raise ConstructionIncomplete(
                     f"dihedral module {lab} matched character {found}"
                 )
-            modules[lab] = HModule(lab, len(mats[0]), mats)
+            modules[lab] = HModule(lab, gens.shape[1], gens, traces)
     if set(modules) != set(table.labels):
         missing = set(table.labels) - set(modules)
         raise ConstructionIncomplete(f"missing modules for {sorted(missing)}")
@@ -473,73 +458,30 @@ class LeadingData:
         return frozenset(w for w, row in self.alpha.items() if row)
 
 
-def trace_table(g: WeylGroup, mod: HModule) -> np.ndarray:
-    """tr(T_w, E(u)) for all w: an (n, D) integer array over exponents 0..2nu of v."""
-    n = g.size
-    D = 2 * g.nu + 1
-    d = mod.dim
-    gens = np.zeros((g.rank, d, d, D), dtype=np.int64)
-    for i, T in enumerate(mod.gen_matrices):
-        for r in range(d):
-            for cidx in range(d):
-                for e, cf in T[r][cidx].coeffs().items():
-                    if not 0 <= e < D:
-                        raise AssertionError("generator matrix exponent out of range")
-                    gens[i, r, cidx, e] = cf
-    mats = np.zeros((n, d, d, D), dtype=np.int64)
-    mats[0, np.arange(d), np.arange(d), 0] = 1
-    for x in range(1, n):
-        i = g.element(x).word[-1]
-        xp = g.rmul_index(x, i)
-        A, B = mats[xp], gens[i - 1]
-        out = np.zeros((d, d, 2 * D - 1), dtype=np.int64)
-        for e in range(D):
-            coef = A[:, :, e]
-            if coef.any():
-                out[:, :, e:e + D] += np.einsum("ik,kjb->ijb", coef, B)
-        if out[:, :, D:].any():
-            raise AssertionError("trace exponent window exceeded")
-        mats[x] = out[:, :, :D]
-    if np.abs(mats).max() >= 2 ** 50:
-        raise AssertionError("trace magnitude guard tripped")
-    return mats.trace(axis1=1, axis2=2)
-
-
 def leading_data(g: WeylGroup, modules: tuple[HModule, ...]) -> LeadingData:
     labels = tuple(m.label for m in modules)
     a_E: dict[str, int] = {}
     c: dict[tuple[WeylElt, str], int] = {}
-    lengths = [g.length_of_index(i) for i in range(g.size)]
+    off = window_offset(g.nu)
+    signs = np.array([(-1) ** g.length_of_index(i) for i in range(g.size)])
     for mod in modules:
-        traces = trace_table(g, mod)
-        a = None
-        for w in range(g.size):
-            row = traces[w]
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            val = int(nz[0]) - lengths[w]  # valuation of v^(-l(w)) tr(T_w)
-            a = val if a is None else min(a, val)
-        if a is None:
+        nz = mod.traces != 0
+        if not nz.any():
             raise LeadingTermMismatch(f"module {mod.label} has zero traces")
-        a = -a
+        # the lowest exponent of any v^(-l(w)) tr(T_w) is -a_E
+        a = off - int(np.argmax(nz, axis=1)[nz.any(axis=1)].min())
         if a < 0:
             raise LeadingTermMismatch(
                 f"module {mod.label}: negative a_E = {a}"
             )
         a_E[mod.label] = a
-        any_c = False
-        for w in range(g.size):
-            e = lengths[w] - a
-            cwe = int(traces[w][e]) if 0 <= e < traces.shape[1] else 0
-            cwe *= (-1) ** lengths[w]
-            if cwe:
-                c[(g.element(w), mod.label)] = cwe
-                any_c = True
-        if not any_c:
+        cwe = mod.traces[:, off - a] * signs
+        if not cwe.any():
             raise LeadingTermMismatch(
                 f"module {mod.label}: c_{{w,E}} vanishes identically"
             )
+        for w in np.nonzero(cwe)[0]:
+            c[(g.element(int(w)), mod.label)] = int(cwe[w])
     alpha: dict[WeylElt, dict[str, int]] = {}
     for w in range(g.size):
         ew = g.element(w)

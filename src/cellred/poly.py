@@ -1,18 +1,22 @@
 """Exact univariate polynomial arithmetic.
 
-Two flavours are used throughout the package:
+Three forms are used throughout the package:
 
 * :class:`LaurentPoly` -- Laurent polynomials in a formal square root ``v``
   (``v**2`` plays the role of the Hecke parameter ``u``), with
   arbitrary-precision integer coefficients.  Working in ``v`` keeps every
   exponent integral; half-integer powers of ``u`` never appear.
 
+* Laurent arrays -- the bulk form of the same data: int64 numpy arrays
+  whose last axis holds the coefficient of ``v**k`` at index ``k + off``,
+  with explicit window and magnitude guards (see :func:`window_offset`).
+
 * :class:`IntPoly` -- dense polynomials in ``t`` with exact rational
   coefficients.  These hold dimension polynomials such as ``t(t+1)(2t+1)/6``
   which take integer values on integers without having integer coefficients.
 
-Both are immutable values; every operation returns a fresh object and all
-arithmetic is exact.
+The two classes are immutable values; every operation returns a fresh object
+and all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+import numpy as np
+
 
 class LeadingTermOfZero(ValueError):
-    """Leading term requested from the zero Laurent polynomial."""
+    """Degree requested from the zero Laurent polynomial."""
 
 
 class ZeroPolynomial(ValueError):
@@ -56,32 +62,20 @@ class LaurentPoly:
                     c[int(k)] = int(a)
         self._c = c
 
-    # -- constructors
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def from_int(cls, n: int) -> "LaurentPoly":
-        return cls({0: n})
-
     @classmethod
     def gen(cls, k: int = 1) -> "LaurentPoly":
         """The monomial ``v**k``."""
         return cls({k: 1})
 
+    @classmethod
+    def from_array(cls, row: np.ndarray, off: int) -> "LaurentPoly":
+        """The polynomial held by one Laurent-array row with offset ``off``."""
+        return cls({k - off: int(c) for k, c in enumerate(row) if c})
+
     # -- inspection
 
     def coeffs(self) -> dict[int, int]:
         return dict(self._c)
-
-    def coefficient(self, k: int) -> int:
-        return self._c.get(k, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -91,20 +85,6 @@ class LaurentPoly:
         if not self._c:
             raise LeadingTermOfZero("zero Laurent polynomial has no degree")
         return max(self._c)
-
-    def valuation(self) -> int:
-        if not self._c:
-            raise LeadingTermOfZero("zero Laurent polynomial has no valuation")
-        return min(self._c)
-
-    def leading_term(self) -> tuple[int, int]:
-        """(exponent, coefficient) of the highest power of v."""
-        d = self.degree()
-        return d, self._c[d]
-
-    def at_one(self) -> int:
-        """Specialisation v = 1."""
-        return sum(self._c.values())
 
     # -- arithmetic
 
@@ -171,24 +151,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by ``v**k``."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e + k: a for e, a in self._c.items()}
-        return out
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a general Laurent polynomial")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- equality / hashing / display
 
     def __eq__(self, other):
@@ -219,6 +181,51 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {mono}" if a > 0 else f"- {mono}")
         return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Laurent arrays: int64 coefficient windows over a stated offset
+# ---------------------------------------------------------------------------
+
+# Every integer a bulk step forms stays below this bound: far inside int64,
+# and inside the 2**53 up to which float64 holds integers exactly.
+MAGNITUDE_GUARD = 2 ** 50
+
+
+def window_offset(nu: int) -> int:
+    """Offset of the window for Laurent data of |v-degree| <= ``nu``.
+
+    The window has width ``2 * off + 1``.  One slot beyond ``nu`` on each
+    side holds a product by ``v + v**-1`` before it cancels; the outermost
+    slot is a guard that :func:`check_window` requires to be zero, which
+    proves that no shift pushed a coefficient out of the window.
+    """
+    return nu + 2
+
+
+def check_window(a: np.ndarray, what: str) -> None:
+    if a[..., 0].any() or a[..., -1].any():
+        raise AssertionError(f"{what} exponent window exceeded")
+
+
+def check_magnitude(bound: int, what: str) -> None:
+    """Raise unless ``bound``, a bound on every integer a step forms, is
+    below :data:`MAGNITUDE_GUARD`."""
+    if bound >= MAGNITUDE_GUARD:
+        raise AssertionError(f"{what} magnitude guard tripped")
+
+
+def laurent_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of matrices with Laurent entries, as a full convolution.
+
+    ``(i, k, Da) x (k, j, Db) -> (i, j, Da + Db - 1)``; the offset of the
+    product is the sum of the offsets of the factors.
+    """
+    da = a.shape[2]
+    out = np.zeros((a.shape[0], b.shape[1], da + b.shape[2] - 1), dtype=np.int64)
+    for e in range(b.shape[2]):
+        out[:, :, e:e + da] += np.einsum("ikf,kj->ijf", a, b[:, :, e])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +533,3 @@ def reverse_at(nu: int, f: IntPoly) -> IntPoly:
         out[nu - k] = f.coefficient(k)
     return IntPoly(out)
 
-
-def lowest_degree(f: IntPoly) -> int:
-    """The c with f in t^c*Q[t] but not t^(c+1)*Q[t]."""
-    return f.lowest_degree()

@@ -228,14 +228,6 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_form_dim(ct: CartanType, lam: Weight) -> int:
-    """The rank-specific product formula, where one exists (not A4)."""
-    form = _CLOSED_FORMS.get(ct.key)
-    if form is None:
-        raise UnsupportedType(f"no closed-form dimension for {ct}")
-    return form(*(n + 1 for n in lam.coords))
-
-
 def _self_test_closed_forms(rs: RootSystem) -> None:
     form = _CLOSED_FORMS.get(rs.type.key)
     if form is None:

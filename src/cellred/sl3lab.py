@@ -48,14 +48,6 @@ def _check_prime(p: int) -> None:
         raise NotPrime(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
-
-    def __post_init__(self):
-        _check_prime(self.p)
-
-
 @dataclass(eq=False)
 class IncidenceSpace:
     """Lines, planes, and the 0/1 incidence matrix (rows planes, cols lines)."""

@@ -30,10 +30,6 @@ class DataIntegrityFailure(ValueError):
     """A shipped table violates one of its declared invariants."""
 
 
-class UnknownLabel(KeyError):
-    """Unipotent character label not present in the tables."""
-
-
 @dataclass(frozen=True)
 class UnipotentChar:
     label: str
@@ -82,13 +78,6 @@ class TypeTables:
     def has_m_w_data(self) -> bool:
         return self.m_w is not None
 
-    @property
-    def j_words(self) -> tuple[str, ...] | None:
-        """The shipped near-involution words (keys of the R table)."""
-        if self.r_alpha is None:
-            return None
-        return tuple(self.r_alpha)
-
     def element(self, word: str) -> WeylElt:
         return self.group.parse_word(word)
 
@@ -97,23 +86,12 @@ class TypeTables:
             return None
         return frozenset(self.element(w) for w in self.r_alpha)
 
-    def labels(self) -> tuple[str, ...] | None:
-        if self.unipotent is None:
-            return None
-        return tuple(u.label for u in self.unipotent)
 
-    def degree_of(self, label: str) -> IntPoly:
-        for u in self.unipotent or ():
-            if u.label == label:
-                return u.degree
-        raise UnknownLabel(label)
-
-
-def _data_dir() -> Path:
+def data_dir() -> str:
+    """The directory tables are read from: ``CELLRED_DATA_DIR`` or the
+    package data."""
     env = os.environ.get("CELLRED_DATA_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "data"
+    return str(Path(env) if env else Path(__file__).parent / "data")
 
 
 def _fail(ct: CartanType, where: str, msg: str, refs: dict | None = None) -> DataIntegrityFailure:
@@ -226,22 +204,7 @@ def _load(ct: CartanType, data_dir: str) -> TypeTables:
 
 def load_tables(ct: CartanType) -> TypeTables:
     """Load and verify the shipped tables for a type (A4: partial)."""
-    return _load(ct, str(_data_dir()))
-
-
-def r_alpha_multiplicity(tables: TypeTables, label: str, w: WeylElt | str) -> int:
-    """The multiplicity of the labelled character in the row of w (0 if absent)."""
-    if tables.r_alpha is None:
-        raise DataIntegrityFailure(f"{tables.type.name} has no R table")
-    known = {lab for row in tables.r_alpha.values() for lab in row}
-    if label not in known:
-        raise UnknownLabel(label)
-    if isinstance(w, str):
-        w = tables.element(w)
-    for word, row in tables.r_alpha.items():
-        if tables.element(word) == w:
-            return row.get(label, 0)
-    return 0
+    return _load(ct, data_dir())
 
 
 def derived_r_alpha(

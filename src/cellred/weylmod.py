@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coxeter import WeylElt, generate
-from .poly import IntPoly, lowest_degree, reverse_at
+from .poly import IntPoly, reverse_at
 from .rootdata import CartanType, RootSystem, build_root_system, weyl_dim
-from .uniptables import DataIntegrityFailure, WeightTemplate, load_tables
+from .uniptables import DataIntegrityFailure, WeightTemplate, data_dir, load_tables
 
 
 class NonDominantTemplate(ValueError):
@@ -78,13 +78,18 @@ class DeltaPoly:
     c: int
 
 
-@lru_cache(maxsize=None)
 def delta_table(ct: CartanType) -> dict[str, DeltaPoly]:
     """Signed template dimensions for every table row, keyed by shipped word.
 
     Each polynomial is checked exactly against the transcribed closed form
     and for integer values and a positive leading coefficient.
     """
+    return _delta_table(ct, data_dir())
+
+
+@lru_cache(maxsize=None)
+def _delta_table(ct: CartanType, tables_dir: str) -> dict[str, DeltaPoly]:
+    # cached per data directory, like the tables it is built from
     tables = load_tables(ct)
     if not tables.has_m_w_data:
         raise MissingMwData(f"{ct.name} ships no weight-template data")
@@ -105,7 +110,7 @@ def delta_table(ct: CartanType) -> dict[str, DeltaPoly]:
         if not pi.is_integer_valued():
             raise DataIntegrityFailure(f"{ct.name} row {word!r}: not integer valued")
         out[word] = DeltaPoly(
-            w=tables.element(word), word=word, pi=pi, c=lowest_degree(pi)
+            w=tables.element(word), word=word, pi=pi, c=pi.lowest_degree()
         )
     return out
 

@@ -11,9 +11,9 @@ import json
 from cellred.audit import get_context
 from cellred.cli import main
 from cellred.coxeter import generate
-from cellred.heckechar import build_hecke_modules, trace_table
+from cellred.heckechar import build_hecke_modules
 from cellred.klcells import is_central
-from cellred.poly import IntPoly, lowest_degree
+from cellred.poly import IntPoly
 from cellred.rootdata import CartanType, Weight, build_root_system, weyl_dim
 from cellred.sl3lab import (
     build_incidence,
@@ -108,7 +108,7 @@ def test_05_a_values():
         ctx = get_context(ct)
         deltas = delta_table(ct)
         for dp in deltas.values():
-            assert lowest_degree(dp.pi) == ctx.kl.a_of(dp.w)
+            assert dp.pi.lowest_degree() == ctx.kl.a_of(dp.w)
     b2 = sorted(dp.c for dp in delta_table(CartanType.parse("B2")).values())
     assert b2 == [0, 1, 1, 1, 1, 4]
     _ok(5, "lowest degrees equal the a-function on every row (B2: 0,1,1,1,1,4)")
@@ -147,9 +147,8 @@ def test_08_hecke_trace_consistency():
         ctx = get_context(CartanType.parse(name))
         mods = build_hecke_modules(ctx.group, ctx.kl, ctx.cells)
         for mod in mods:
-            traces = trace_table(ctx.group, mod)
             for wi, w in enumerate(ctx.group.elements):
-                assert int(traces[wi].sum()) == ctx.chartable.value(mod.label, w)
+                assert int(mod.traces[wi].sum()) == ctx.chartable.value(mod.label, w)
         assert ctx.leading.a_E[ctx.chartable.trivial_label] == 0
         assert ctx.leading.a_E[ctx.chartable.sign_label] == ctx.group.nu
     _ok(8, "v=1 traces equal the character tables; a(trivial)=0, a(sign)=nu")

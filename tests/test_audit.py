@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from cellred import audit, uniptables, weylmod
 from cellred.audit import (
     AuditReport,
     get_context,
@@ -96,3 +98,31 @@ def test_context_reuses_cached_instances():
     c1 = get_context(CartanType.parse("B2"))
     c2 = get_context(CartanType.parse("B2"))
     assert c1 is c2
+
+
+def test_crashing_check_becomes_a_fail_row_naming_the_exception(monkeypatch):
+    def crash(ctx):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(audit._CHECKS, "duality", crash)
+    by_id = {c.id: c for c in run_checks(CartanType.parse("B2")).checks}
+    assert by_id["duality"].status == "fail"
+    assert by_id["duality"].details == "internal error: KeyError: 'boom'"
+    assert by_id["bookkeeping"].status == "pass"
+
+
+def test_caches_are_keyed_by_the_data_directory(monkeypatch, tmp_path):
+    b2 = CartanType.parse("B2")
+    get_context(b2)
+    weylmod.delta_table(b2)
+    shipped = Path(uniptables.__file__).with_name("data")
+    for src in shipped.glob("*.json"):
+        (tmp_path / src.name).write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
+    raw = json.loads((tmp_path / "B2.json").read_text(encoding="utf-8"))
+    raw["duality"]["e"] = "1"  # while "1" still pairs with "2"
+    (tmp_path / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setenv("CELLRED_DATA_DIR", str(tmp_path))
+    with pytest.raises(uniptables.DataIntegrityFailure, match="not involutive"):
+        get_context(b2)
+    with pytest.raises(uniptables.DataIntegrityFailure, match="not involutive"):
+        weylmod.delta_table(b2)

@@ -34,10 +34,16 @@ def test_audit_all(capsys):
     assert skipped == {"bookkeeping", "duality", "a_values", "proximity"}
 
 
+def assert_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cellred: ")
+
+
 def test_audit_unsupported_type_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["audit", "--type", "E8"])
-    assert exc.value.code != 0
+    assert_usage_error(capsys, "audit", "--type", "E8")
+    assert_usage_error(capsys, "audit", "--type", "X9")
 
 
 def test_audit_markdown(capsys):
@@ -84,8 +90,11 @@ def test_sl3_default_primes(capsys):
 
 
 def test_sl3_rejects_composite(capsys):
-    with pytest.raises(SystemExit):
-        main(["sl3", "--p", "6"])
+    assert_usage_error(capsys, "sl3", "--p", "6")
+
+
+def test_sl3_rejects_too_large_prime(capsys):
+    assert_usage_error(capsys, "sl3", "--p", "2", "--p", "67")
 
 
 def test_sl3_orbits_skip_below_five(capsys):
@@ -109,8 +118,7 @@ def test_tables_dump_delta_g2(capsys):
 
 
 def test_tables_dump_delta_a4_fails_cleanly(capsys):
-    with pytest.raises(SystemExit):
-        main(["tables", "dump", "--what", "delta", "--type", "A4"])
+    assert_usage_error(capsys, "tables", "dump", "--what", "delta", "--type", "A4")
 
 
 def test_tables_dump_klpoly(capsys):

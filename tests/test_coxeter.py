@@ -56,7 +56,11 @@ def test_inverse_is_length_preserving_antiautomorphism(ct):
         wi = g.inverse(w)
         assert wi.length == w.length
         assert g.mult(w, wi) == g.identity
-        assert g.left_descent_set(wi) == g.right_descent_set(w)
+        right_descents = {
+            i for i in range(1, g.rank + 1)
+            if g.mult(w, g.generator(i)).length < w.length
+        }
+        assert g.left_descent_set(wi) == right_descents
     for a in g.elements[: min(g.size, 12)]:
         for b in g.elements[: min(g.size, 12)]:
             assert g.inverse(g.mult(a, b)) == g.mult(g.inverse(b), g.inverse(a))
@@ -130,6 +134,6 @@ def test_bruhat_order_basics():
     assert len(lower) == a3.size  # w0 dominates everything
     s2 = a3.parse_word("2")
     w = a3.parse_word("2132")
-    assert a3.bruhat_leq(s2, w)
-    assert not a3.bruhat_leq(w, s2)
-    assert a3.bruhat_leq(a3.identity, s2)
+    assert s2 in a3.bruhat_lower_set(w)
+    assert w not in a3.bruhat_lower_set(s2)
+    assert a3.identity in a3.bruhat_lower_set(s2)

@@ -2,9 +2,11 @@ from functools import lru_cache
 
 import pytest
 
+from cellred import heckechar, poly
 from cellred.audit import get_context
 from cellred.coxeter import generate
-from cellred.heckechar import build_hecke_modules, trace_table, w_character_table
+from cellred.heckechar import build_hecke_modules, w_character_table
+from cellred.poly import LaurentPoly
 from cellred.rootdata import CartanType
 
 from conftest import TYPE_NAMES
@@ -79,18 +81,18 @@ def test_modules_verified_and_complete(name):
 def test_one_dim_modules_forced():
     _, mod_list = modules_for("B2")
     mods = {m.label: m for m in mod_list}
-    u = mods["triv"].gen_matrices[0][0][0]
-    assert u.coeffs() == {2: 1}  # T_s acts by u on the trivial module
-    assert mods["sign"].gen_matrices[1][0][0].coeffs() == {0: -1}
+    # T_s acts by u on the trivial module and by -1 on the sign module;
+    # the arrays hold Tt_s = v^-1 T_s with offset 1
+    assert LaurentPoly.from_array(mods["triv"].gens[0, 0, 0], 1) == LaurentPoly({1: 1})
+    assert LaurentPoly.from_array(mods["sign"].gens[1, 0, 0], 1) == LaurentPoly({-1: -1})
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
 def test_v1_specialisation_matches_characters(name):
     c, mods = modules_for(name)
     for mod in mods:
-        traces = trace_table(c.group, mod)
         for wi, w in enumerate(c.group.elements):
-            assert int(traces[wi].sum()) == c.chartable.value(mod.label, w)
+            assert int(mod.traces[wi].sum()) == c.chartable.value(mod.label, w)
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
@@ -159,3 +161,41 @@ def test_a4_row_support_is_flagged_derived(ctx):
     # the derived rows must use every W-character label at least once
     used = {lab for lab in c.unip_rows}
     assert used == set(c.leading.labels)
+
+
+def _b2_with(monkeypatch, label, gen, slot, value):
+    """B2 modules with one entry of one generator array replaced."""
+    dihedral = heckechar._dihedral_gens
+
+    def patched(g):
+        out = dihedral(g)
+        out[label][(gen,) + slot] = value
+        return out
+
+    monkeypatch.setattr(heckechar, "_dihedral_gens", patched)
+    c = get_context(CartanType.parse("B2"))
+    return lambda: build_hecke_modules(c.group, c.kl, c.cells)
+
+
+def test_quadratic_relation_guard_raises(monkeypatch):
+    build = _b2_with(monkeypatch, "triv", 0, (0, 0, 2), 2)  # T_1 = 2u
+    with pytest.raises(heckechar.ConstructionIncomplete, match="quadratic relation fails"):
+        build()
+
+
+def test_braid_relation_guard_raises(monkeypatch):
+    # T_2[1][0] = 3u keeps the quadratic relation but breaks (T1 T2)^2 = (T2 T1)^2
+    build = _b2_with(monkeypatch, "refl", 1, (1, 0, 2), 3)
+    with pytest.raises(heckechar.ConstructionIncomplete, match="braid relation fails"):
+        build()
+
+
+def test_trace_guards_raise(monkeypatch):
+    c = get_context(CartanType.parse("B2"))
+    monkeypatch.setattr(heckechar, "window_offset", lambda nu: nu)
+    with pytest.raises(AssertionError, match="trace exponent window exceeded"):
+        build_hecke_modules(c.group, c.kl, c.cells)
+    monkeypatch.undo()
+    monkeypatch.setattr(poly, "MAGNITUDE_GUARD", 2)  # tr(Tt_e) = dim reaches 2
+    with pytest.raises(AssertionError, match="trace magnitude guard tripped"):
+        build_hecke_modules(c.group, c.kl, c.cells)

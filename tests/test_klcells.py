@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cellred import klcells, poly
 from cellred.coxeter import generate
 from cellred.klcells import GroupTooLarge, compute_kl, is_central
 from cellred.poly import LaurentPoly
@@ -44,7 +45,7 @@ def test_kl_degree_bound_and_constant_term(name, ctx):
             gap = w.length - y.length
             assert gap >= 1
             assert 2 * (len(coeffs) - 1) <= gap - 1  # degree bound
-        assert g.bruhat_leq(y, w)
+        assert y in g.bruhat_lower_set(w)
     # P is defined exactly on Bruhat pairs
     for w in g.elements:
         lower = g.bruhat_lower_set(w)
@@ -248,11 +249,9 @@ def test_h_structure_constants_small():
     g = generate(CartanType.parse("A1"))
     kl = compute_kl(g)
     e, s = g.identity, g.parse_word("1")
-    assert kl.h_entry(s, s, s) == LaurentPoly({1: 1, -1: 1})  # v + v^-1
-    assert kl.h_entry(e, s, s) == LaurentPoly.one()
-    assert kl.h_entry(s, s, e).is_zero
-    row = kl.h_row(s, s)
-    assert set(row) == {s}
+    assert kl.h_row(s, s) == {s: LaurentPoly({1: 1, -1: 1})}  # v + v^-1
+    assert kl.h_row(e, s) == {s: LaurentPoly({0: 1})}
+    assert kl.h_row(s, e) == {s: LaurentPoly({0: 1})}
 
 
 @pytest.mark.parametrize("name", ("A2", "B2", "G2", "A3"))
@@ -278,10 +277,10 @@ def test_h_matches_direct_canonical_product(name, ctx):
         for y, f in vec.items():
             sy = g.element(g.lmul_index(g.index(y), i))
             if lengths[sy] > lengths[y]:
-                out[sy] = out.get(sy, LaurentPoly.zero()) + f
+                out[sy] = out.get(sy, LaurentPoly()) + f
             else:
-                out[sy] = out.get(sy, LaurentPoly.zero()) + f
-                out[y] = out.get(y, LaurentPoly.zero()) + (
+                out[sy] = out.get(sy, LaurentPoly()) + f
+                out[y] = out.get(y, LaurentPoly()) + (
                     LaurentPoly.gen(1) - LaurentPoly.gen(-1)
                 ) * f
         return {k: v for k, v in out.items() if not v.is_zero}
@@ -306,10 +305,77 @@ def test_h_matches_direct_canonical_product(name, ctx):
                 for i in reversed(u.word):
                     vec = tt_mult_by_gen(vec, i)
                 for k, v in vec.items():
-                    prod[k] = prod.get(k, LaurentPoly.zero()) + v
+                    prod[k] = prod.get(k, LaurentPoly()) + v
             prod = {k: v for k, v in prod.items() if not v.is_zero}
             # subtract h_{x,y,z} c_z and expect zero
             for z, h in c.kl.h_row(x, y).items():
                 for u, fu in tt_expand(z).items():
-                    prod[u] = prod.get(u, LaurentPoly.zero()) - h * fu
+                    prod[u] = prod.get(u, LaurentPoly()) - h * fu
             assert all(v.is_zero for v in prod.values())
+
+
+def _a2():
+    return generate(CartanType.parse("A2"))
+
+
+def test_window_guards_raise(monkeypatch):
+    g = _a2()
+    kl = compute_kl(g)
+    # a window of |exponent| <= nu has no guard slot for p_{e,w0} = v^-nu ...
+    monkeypatch.setattr(klcells, "window_offset", lambda nu: nu)
+    with pytest.raises(AssertionError, match="canonical-basis exponent window exceeded"):
+        compute_kl(g)
+    # ... nor for h_{w0,w0,w0}, of degree nu
+    with pytest.raises(AssertionError, match="structure-constant exponent window exceeded"):
+        kl.h_row(g.w0, g.w0)
+
+
+def test_magnitude_guards_raise(monkeypatch):
+    g = _a2()
+    kl = compute_kl(g)
+    j = klcells.j_ring(kl)
+    # KL coefficients of A2 are 0 or 1; structure constants reach 2
+    monkeypatch.setattr(poly, "MAGNITUDE_GUARD", 2)
+    with pytest.raises(AssertionError, match="structure-constant magnitude guard tripped"):
+        compute_kl(g)
+    with pytest.raises(AssertionError, match="gamma magnitude guard tripped"):
+        klcells.j_ring(kl)
+    with pytest.raises(AssertionError, match="centrality magnitude guard tripped"):
+        is_central(j, {g.parse_word("1"): 2})
+
+
+def test_kl_degree_bound_guard_raises(monkeypatch):
+    g = _a2()
+    off = klcells.window_offset(g.nu)
+    step = klcells._induction_step
+
+    def step_with_q_term(g, desc, mu_of, big, apply, x):
+        step(g, desc, mu_of, big, apply, x)
+        if x == 1:  # P_{e,s} = 1 + q violates deg P <= (l(s) - 1) / 2
+            big[1, 0, off + 1] += 1
+
+    monkeypatch.setattr(klcells, "_induction_step", step_with_q_term)
+    with pytest.raises(AssertionError, match="KL degree bound violated"):
+        compute_kl(g)
+
+
+@pytest.mark.parametrize("z, exponent, message", [
+    ("e", 1, "a\\(e\\) != 0"),
+    ("121", 4, "a\\(w0\\) != nu"),
+    ("12", 3, "not inversion-invariant"),
+])
+def test_a_function_guards_raise(monkeypatch, z, exponent, message):
+    g = _a2()
+    zi = g.index(g.parse_word(z))
+    off = klcells.window_offset(g.nu)
+    h_pass = klcells._h_pass
+
+    def h_pass_with_extra_term(g, tabs, mu_of, yi):
+        big = h_pass(g, tabs, mu_of, yi)
+        if yi == 0:  # add v^exponent to h_{e,e,z}
+            big[0, zi, off + exponent] += 1
+        return big
+
+    monkeypatch.setattr(klcells, "_h_pass", h_pass_with_extra_term)
+    with pytest.raises(AssertionError, match=message):
+        compute_kl(g)

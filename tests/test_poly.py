@@ -1,16 +1,21 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cellred import poly
 from cellred.poly import (
     DegreeExceedsNu,
     IntPoly,
     LaurentPoly,
     LeadingTermOfZero,
     ZeroPolynomial,
-    lowest_degree,
+    check_magnitude,
+    check_window,
+    laurent_matmul,
     reverse_at,
+    window_offset,
 )
 
 V = LaurentPoly.gen(1)
@@ -19,18 +24,18 @@ VI = LaurentPoly.gen(-1)
 
 def test_laurent_basics():
     assert (V + VI) * (V - VI) == LaurentPoly({2: 1, -2: -1})
-    assert (VI + V) ** 2 == LaurentPoly({-2: 1, 0: 2, 2: 1})
-    assert (LaurentPoly.gen(3) + 2 * V).leading_term() == (3, 1)
-    assert LaurentPoly.zero().is_zero
+    assert (VI + V) * (VI + V) == LaurentPoly({-2: 1, 0: 2, 2: 1})
+    assert (LaurentPoly.gen(3) + 2 * V).degree() == 3
+    assert LaurentPoly().is_zero
     assert (V - V).is_zero
-    assert LaurentPoly.from_int(5).at_one() == 5
-    assert (V + VI).at_one() == 2
-    assert V.shift(-2) == VI
+    assert LaurentPoly({0: 5}) == 5
+    assert V * LaurentPoly.gen(-2) == VI
+    assert str(V - 2 * VI) == "-2v^-1 + v"
 
 
 def test_laurent_leading_of_zero():
     with pytest.raises(LeadingTermOfZero):
-        LaurentPoly.zero().leading_term()
+        LaurentPoly().degree()
 
 
 laurents = st.dictionaries(
@@ -44,8 +49,51 @@ def test_laurent_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
-    assert a + LaurentPoly.zero() == a
-    assert a * LaurentPoly.one() == a
+    assert a + LaurentPoly() == a
+    assert a * LaurentPoly({0: 1}) == a
+
+
+def _poly_matrix(a, off):
+    return [[LaurentPoly.from_array(e, off) for e in row] for row in a]
+
+
+small_arrays = st.tuples(
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+    st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32),
+)
+
+
+@given(small_arrays, st.integers(0, 3), st.integers(0, 3))
+def test_laurent_matmul_is_the_laurent_poly_product(shape, off_a, off_b):
+    # reference: the same product entry by entry over LaurentPoly
+    i, k, j, da, db, seed = shape
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-5, 6, size=(i, k, da))
+    b = rng.integers(-5, 6, size=(k, j, db))
+    out = laurent_matmul(a, b)
+    assert out.shape == (i, j, da + db - 1)
+    pa, pb = _poly_matrix(a, off_a), _poly_matrix(b, off_b)
+    for r in range(i):
+        for c in range(j):
+            want = LaurentPoly()
+            for m in range(k):
+                want = want + pa[r][m] * pb[m][c]
+            assert LaurentPoly.from_array(out[r, c], off_a + off_b) == want
+
+
+def test_laurent_array_guards():
+    off = window_offset(3)
+    a = np.zeros((2, 2 * off + 1), dtype=np.int64)
+    a[1, 1] = a[0, -2] = 7
+    check_window(a, "test")
+    for edge in (0, -1):
+        b = a.copy()
+        b[1, edge] = 1
+        with pytest.raises(AssertionError, match="test exponent window exceeded"):
+            check_window(b, "test")
+    check_magnitude(poly.MAGNITUDE_GUARD - 1, "test")
+    with pytest.raises(AssertionError, match="test magnitude guard tripped"):
+        check_magnitude(poly.MAGNITUDE_GUARD, "test")
 
 
 def test_intpoly_parse_render_examples():
@@ -79,11 +127,11 @@ def test_reverse_at_degree_guard():
 
 
 def test_lowest_degree():
-    assert lowest_degree(IntPoly.parse("t(t-1)(t-2)/6")) == 1
-    assert lowest_degree(IntPoly.one()) == 0
-    assert lowest_degree(IntPoly.monomial(6)) == 6
+    assert IntPoly.parse("t(t-1)(t-2)/6").lowest_degree() == 1
+    assert IntPoly.one().lowest_degree() == 0
+    assert IntPoly.monomial(6).lowest_degree() == 6
     with pytest.raises(ZeroPolynomial):
-        lowest_degree(IntPoly.zero())
+        IntPoly.zero().lowest_degree()
 
 
 coeff = st.fractions(

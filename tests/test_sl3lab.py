@@ -6,7 +6,6 @@ from cellred.sl3lab import (
     _reduce,
     IncidenceSpace,
     NotPrime,
-    PrimeField,
     TauMaps,
     TooLarge,
     build_incidence,
@@ -19,9 +18,9 @@ from cellred.sl3lab import (
 
 
 def test_prime_checks():
-    PrimeField(7)
+    assert build_incidence(7).p == 7
     with pytest.raises(NotPrime):
-        PrimeField(6)
+        build_incidence(6)
     with pytest.raises(NotPrime):
         build_incidence(9)
     with pytest.raises(TooLarge):

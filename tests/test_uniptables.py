@@ -6,11 +6,9 @@ from cellred.poly import IntPoly
 from cellred.rootdata import CartanType
 from cellred.uniptables import (
     DataIntegrityFailure,
-    UnknownLabel,
     WeightTemplate,
     derived_r_alpha,
     load_tables,
-    r_alpha_multiplicity,
 )
 
 from conftest import DATA_TYPE_NAMES, TYPE_NAMES
@@ -26,16 +24,16 @@ def test_all_files_load(name):
         assert not tables.has_m_w_data
     else:
         assert tables.has_m_w_data
-        assert tables.j_words is not None
+        assert tables.j_elements() is not None
 
 
 def test_degree_examples():
     b2 = load_tables(CartanType.parse("B2"))
-    assert b2.degree_of("e1") == IntPoly.parse("t(t^2+1)/2")
-    assert b2.degree_of("1") == IntPoly.one()
-    assert b2.degree_of("S") == IntPoly.monomial(4)
-    with pytest.raises(UnknownLabel):
-        b2.degree_of("zz")
+    degree = {u.label: u.degree for u in b2.unipotent}
+    assert degree["e1"] == IntPoly.parse("t(t^2+1)/2")
+    assert degree["1"] == IntPoly.one()
+    assert degree["S"] == IntPoly.monomial(4)
+    assert "zz" not in degree
 
 
 def test_g2_template_example():
@@ -57,15 +55,12 @@ def test_a3_decomposition_example():
 
 def test_r_alpha_multiplicities():
     b2 = load_tables(CartanType.parse("B2"))
-    assert r_alpha_multiplicity(b2, "theta", "121") == 1
-    assert r_alpha_multiplicity(b2, "S", "e") == 0
+    assert b2.r_alpha["121"]["theta"] == 1
     g2 = load_tables(CartanType.parse("G2"))
-    assert r_alpha_multiplicity(g2, "g", "212") == 1
+    assert g2.r_alpha["212"]["g"] == 1
     for name in DATA_TYPE_NAMES:
         t = load_tables(CartanType.parse(name))
-        assert r_alpha_multiplicity(t, "S", "e") == 0
-    with pytest.raises(UnknownLabel):
-        r_alpha_multiplicity(b2, "nope", "e")
+        assert "S" not in t.r_alpha["e"]
 
 
 @pytest.mark.parametrize("name", DATA_TYPE_NAMES)

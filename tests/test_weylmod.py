@@ -1,6 +1,6 @@
 import pytest
 
-from cellred.poly import IntPoly, lowest_degree
+from cellred.poly import IntPoly
 from cellred.rootdata import CartanType, build_root_system, weyl_dim
 from cellred.uniptables import WeightTemplate, load_tables
 from cellred.weylmod import (
@@ -77,7 +77,7 @@ def test_delta_positive_from_min_prime(name):
 def test_lowest_degrees_recorded(name):
     deltas = delta_table(CartanType.parse(name))
     for dp in deltas.values():
-        assert dp.c == lowest_degree(dp.pi)
+        assert dp.c == dp.pi.lowest_degree()
 
 
 def test_find_duality_examples():
