@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import heckechar, klcells, uniptables, weylmod
-from .coxeter import WeylGroup, generate
+from .coxeter import WeylElt, WeylGroup, generate
 from .poly import IntPoly
 from .rootdata import ALL_TYPES, CartanType, build_root_system
 
@@ -49,6 +49,8 @@ _REFS = {
 }
 
 _SAMPLE_PRIMES = (5, 7, 11, 13)
+
+_INTERNAL = "internal error: "  # details prefix of a row whose check crashed
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,14 @@ class AuditReport:
     def failed(self) -> bool:
         return any(c.status == "fail" for c in self.checks)
 
+    @property
+    def internal_error(self) -> bool:
+        """A check crashed, or the type's context could not be built."""
+        return any(
+            c.status == "fail" and c.details.startswith(_INTERNAL)
+            for c in self.checks
+        )
+
     def to_dict(self) -> dict:
         return {
             "type": self.type_name,
@@ -120,8 +130,7 @@ class TypeContext:
     tables: uniptables.TypeTables
     kl: klcells.KLData
     cells: klcells.CellPartition
-    jset: klcells.NearInvolutionSet
-    jring: klcells.JRing
+    jset: frozenset[WeylElt]  # near involutions
     chartable: heckechar.WCharTable
     leading: heckechar.LeadingData
     deltas: dict[str, weylmod.DeltaPoly] | None
@@ -142,9 +151,9 @@ def _context(ct: CartanType, tables_dir: str) -> TypeContext:
     kl = klcells.compute_kl(g)
     cells = klcells.compute_cells(kl)
     jset = klcells.near_involutions(cells)
-    jring = klcells.j_ring(kl, cells)
+    klcells.j_ring(kl, cells)
     chartable = heckechar.w_character_table(g)
-    modules = heckechar.build_hecke_modules(g, kl, cells)
+    modules = heckechar.build_hecke_modules(g, kl, cells, chartable)
     leading = heckechar.leading_data(g, modules)
 
     if tables.decomp is not None:
@@ -153,7 +162,7 @@ def _context(ct: CartanType, tables_dir: str) -> TypeContext:
         deltas = weylmod.delta_table(ct)
     else:
         r_rows = uniptables.derived_r_alpha(
-            g, leading.labels, leading.c, jset.members
+            g, leading.labels, leading.c, jset
         )
         unip_rows = {}
         for word, row in r_rows.items():
@@ -163,7 +172,7 @@ def _context(ct: CartanType, tables_dir: str) -> TypeContext:
         deltas = None
     return TypeContext(
         ct=ct, group=g, tables=tables, kl=kl, cells=cells, jset=jset,
-        jring=jring, chartable=chartable, leading=leading, deltas=deltas,
+        chartable=chartable, leading=leading, deltas=deltas,
         unip_rows=unip_rows, derived_rows=derived,
     )
 
@@ -262,7 +271,7 @@ def check_centrality(ctx: TypeContext) -> CheckResult:
             ctx.group.parse_word(word): mult
             for word, mult in ctx.unip_rows[lab].items()
         }
-        if not klcells.is_central(ctx.jring, z):
+        if not klcells.is_central(ctx.kl, z):
             failures.append(f"z_{lab} is not central")
     if failures:
         return CheckResult("centrality", _REFS["centrality"], "fail", "; ".join(failures))
@@ -274,7 +283,7 @@ def check_centrality(ctx: TypeContext) -> CheckResult:
 
 
 def check_j_criterion(ctx: TypeContext) -> CheckResult:
-    cells_based = ctx.jset.members
+    cells_based = ctx.jset
     alpha_based = ctx.leading.alpha_support()
     failures = []
     if cells_based != alpha_based:
@@ -336,18 +345,29 @@ _CHECKS = {
 }
 
 
+def _internal_error(cid: str, exc: Exception) -> CheckResult:
+    return CheckResult(
+        cid, _REFS[cid], "fail", f"{_INTERNAL}{type(exc).__name__}: {exc}"
+    )
+
+
 def run_checks(ct: CartanType) -> AuditReport:
-    """Run every check for one type; failures become report rows."""
-    ctx = get_context(ct)
+    """Run every check for one type; failures become report rows.
+
+    A crashing check fails its own row.  A context that cannot be built, say
+    from a corrupt data file, fails every row of this type only.
+    """
+    try:
+        ctx = get_context(ct)
+    except Exception as exc:
+        checks = tuple(_internal_error(cid, exc) for cid in _CHECK_ORDER)
+        return AuditReport(type_name=ct.name, checks=checks)
     results = []
     for cid in _CHECK_ORDER:
         try:
             results.append(_CHECKS[cid](ctx))
         except Exception as exc:  # a crash is itself a reportable failure
-            results.append(CheckResult(
-                cid, _REFS[cid], "fail",
-                f"internal error: {type(exc).__name__}: {exc}",
-            ))
+            results.append(_internal_error(cid, exc))
     return AuditReport(type_name=ct.name, checks=tuple(results))
 
 

@@ -7,9 +7,12 @@ Subcommands:
 * ``cellred tables dump --what klpoly|cells|gamma|cwe|delta --type T``
 
 Output is deterministic for fixed flags: no timestamps, stable ordering.
-Reports are written atomically when an output path is given.  Exit status is
-0 iff every executed check passed (skips allowed), 1 if a check failed, and 2
-on usage errors (the message goes to stderr).
+Reports are written atomically when an output path is given, with mode 0666
+less the umask, as a plain ``open`` would create them.  Exit status is 0 iff
+every executed check passed (skips allowed), 1 if a check failed, 2 on usage
+errors (the message goes to stderr), and 3 if an audit row records an
+internal error: a check that crashed or a type whose data could not be
+loaded.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from .rootdata import ALL_TYPES, CartanType, UnsupportedType
 DEFAULT_PRIMES = (2, 3, 5, 7, 11)
 
 
+class UnwritableOutput(ValueError):
+    """The ``-o`` path cannot be written, e.g. its directory is missing."""
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -33,12 +40,18 @@ def _write_output(text: str, path: str | None) -> None:
             sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cellred-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cellred-")
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from exc
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file as 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,6 +72,8 @@ def _cmd_audit(args) -> int:
     else:
         text = audit.reports_to_json(reports)
     _write_output(text, args.output)
+    if any(r.internal_error for r in reports):
+        return 3
     return 1 if any(r.failed for r in reports) else 0
 
 
@@ -159,7 +174,7 @@ def _dump_cells(ct: CartanType) -> dict:
 def _dump_gamma(ct: CartanType) -> dict:
     ctx = audit.get_context(ct)
     g = ctx.group
-    gamma = ctx.jring.gamma
+    gamma = ctx.kl.gamma_tensor()
     entries = []
     import numpy as np
 
@@ -262,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 # raised only by flag values a command cannot serve
 _USAGE_ERRORS = (
     UnsupportedType, sl3lab.NotPrime, sl3lab.TooLarge, weylmod.MissingMwData,
+    UnwritableOutput,
 )
 
 

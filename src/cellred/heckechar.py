@@ -4,8 +4,9 @@ For each irreducible W-module E we realise a Hecke module E(u) over
 Z[v, v^-1] (u = v^2, quadratic relation (T_s - u)(T_s + 1) = 0):
 
 * type A: the left-cell modules of the canonical basis, one cell per
-  two-sided cell; these are irreducible in type A and the action matrices
-  come straight from the mu-values (T_s = v * (c_s action) - 1);
+  two-sided cell; these are irreducible in type A, and the action of c_s is
+  the slice ``kl.cs[:, cell][:, :, cell]`` of the W-graph operator that
+  :func:`cellred.klcells.compute_kl` builds (Tt_s = c_s - v^-1);
 * dihedral B2/G2: the four one-dimensional modules and explicit 2x2
   deformations of the rotation representations.
 
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coxeter import WeylElt, WeylGroup
-from .klcells import KLData, CellPartition, compute_cells
+from .klcells import KLData, CellPartition
 from .poly import check_magnitude, check_window, laurent_matmul, window_offset
 
 
@@ -343,29 +344,6 @@ def _match_label(table: WCharTable, traces: np.ndarray) -> str:
     )
 
 
-def _cell_module_gens(g: WeylGroup, kl: KLData, cell: list[int]) -> np.ndarray:
-    """c_s action matrices A_s on a left-cell basis, then Tt_s = A_s - v^-1."""
-    lengths = [g.length_of_index(i) for i in range(g.size)]
-    pos = {w: k for k, w in enumerate(cell)}
-    d = len(cell)
-    gens = np.zeros((g.rank, d, d, 3), dtype=np.int64)
-    for s in range(1, g.rank + 1):
-        T = gens[s - 1]
-        for w in cell:
-            col = pos[w]
-            sw = g.lmul_index(w, s)
-            if lengths[sw] < lengths[w]:
-                T[col, col, 0] = T[col, col, 2] = 1  # v + v^-1
-            else:
-                if sw in pos:
-                    T[pos[sw], col, 1] = 1
-                for z, m in kl._mu_of[w].items():
-                    if z in pos and lengths[g.lmul_index(z, s)] < lengths[z]:
-                        T[pos[z], col, 1] = m
-        T[np.arange(d), np.arange(d), 0] -= 1
-    return gens
-
-
 def _dihedral_gens(g: WeylGroup) -> dict[str, np.ndarray]:
     """Explicit modules for B2/G2: label -> generator arrays.
 
@@ -399,20 +377,21 @@ def _dihedral_gens(g: WeylGroup) -> dict[str, np.ndarray]:
 
 
 def build_hecke_modules(
-    g: WeylGroup, kl: KLData, cells: CellPartition | None = None
+    g: WeylGroup, kl: KLData, cells: CellPartition, table: WCharTable
 ) -> tuple[HModule, ...]:
-    """One verified H-module per irreducible W-character."""
-    table = w_character_table(g)
+    """One verified H-module per irreducible W-character of ``table``."""
     modules: dict[str, HModule] = {}
     if g.type.family == "A":
-        if cells is None:
-            cells = compute_cells(kl)
         for tc in cells.two_sided_cells:
             left = min(
                 (c for c in cells.left_cells if c <= tc),
                 key=lambda c: min(g.index(w) for w in c),
             )
-            gens = _cell_module_gens(g, kl, sorted(g.index(w) for w in left))
+            idx = sorted(g.index(w) for w in left)
+            # terms of c_s c_w outside the cell lie strictly below it in the
+            # left preorder, so the slice is the action on the cell module
+            gens = kl.cs[:, idx][:, :, idx]
+            gens[:, range(len(idx)), range(len(idx)), 0] -= 1  # Tt_s = c_s - v^-1
             _verify_module(g, gens)
             traces = _trace_table(g, gens)
             lab = _match_label(table, traces)

@@ -7,33 +7,38 @@ basis Tt_w = v^(-l(w)) T_w satisfies
     Tt_s Tt_w = Tt_{sw} + (v - v^-1) Tt_w    if l(sw) < l(w),
 
 and the canonical basis is c_w = sum_y p_{y,w} Tt_y with
-p_{y,w} = v^(l(y)-l(w)) P_{y,w}(v^2).  The c_w are built by induction on
-length through
+p_{y,w} = v^(l(y)-l(w)) P_{y,w}(v^2); mu(y, w) is the coefficient of v^-1 in
+p_{y,w}.  Left multiplication by c_s on the canonical basis is the W-graph of
+Kazhdan and Lusztig:
 
-    c_{sw} = c_s c_w - sum_{z < w, sz < z} mu(z, w) c_z      (sw > w),
+    c_s c_w = (v + v^-1) c_w                                 (sw < w),
+    c_s c_w = c_{sw} + sum_{z < w, sz < z} mu(z, w) c_z     (sw > w).
 
-where mu(z, w) is the coefficient of v^-1 in p_{z,w}.  This yields the
-classical P_{y,w} and mu values without a separate recursion.
+:func:`compute_kl` builds this operator once, as ``KLData.cs``, filling
+column w as soon as the mu(., w) are known.  Read backwards, column sx gives
+c_x = c_s c_{sx} - sum_z mu(z, sx) c_z for s the first letter of x, and
+both inductions run on it:
 
-Structure constants h_{x,y,z} (c_x c_y = sum_z h_{x,y,z} c_z) are computed
-for all triples by running the same induction on the c-basis expansion of
-c_x c_y.  Both inductions run on the Laurent arrays of :mod:`cellred.poly`,
-one (n, n, D) int64 array per pass, under its window and magnitude guards.
-From the h's:
+* on the Tt basis it yields the c_w, hence the classical P_{y,w} and mu;
+* on the c-basis expansion of c_x c_y it yields the structure constants
+  h_{x,y,z} (c_x c_y = sum_z h_{x,y,z} c_z) for all triples.
+
+Both run on the Laurent arrays of :mod:`cellred.poly`, one (n, n, D) int64
+array per pass, under its window and magnitude guards.  From the h's:
 
 * a(z) = max over x, y of deg_v h_{x,y,z};
 * gamma[x,y,z] = coefficient of v^a(z) in h_{x,y,z}, the structure constants
   of the asymptotic ring, with product t_x t_y = sum_z gamma[x,y,z] t_z.
 
-Cells are the strong components of the preorder generated by appearance of
-c_z in c_s c_y (left) and its mirror through inversion (right); this uses
-the full closure rather than mu-graphs alone.
+The support of ``cs`` generates the left preorder (c_z occurs in c_s c_y).
+Left cells are its strong components, right cells those of its mirror
+through inversion, and two-sided cells those of the union of the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -63,17 +68,17 @@ class KLData:
 
     ``P`` maps (y, w) with y <= w to the coefficient tuple of P_{y,w} in q;
     ``mu`` maps (y, w) to the nonzero mu values; ``a_values`` holds a(z) per
-    element index.  Structure constants are recomputed on request by
-    :meth:`h_row`.
+    element index.  ``cs[s - 1, z, w]`` is the coefficient of c_z in c_s c_w,
+    a (rank, n, n, 3) Laurent array with offset 1.  Structure constants are
+    recomputed on request by :meth:`h_row`.
     """
 
     group: WeylGroup
     P: dict[tuple[WeylElt, WeylElt], tuple[int, ...]]
     mu: dict[tuple[WeylElt, WeylElt], int]
     a_values: tuple[int, ...]
+    cs: np.ndarray = field(repr=False)
     _gamma: np.ndarray = field(repr=False)
-    _mu_of: list[dict[int, int]] = field(repr=False)
-    _tabs: list["_GenTables"] = field(repr=False)
 
     def a_of(self, w: WeylElt) -> int:
         return self.a_values[self.group.index(w)]
@@ -85,7 +90,7 @@ class KLData:
     def h_row(self, x: WeylElt, y: WeylElt) -> dict[WeylElt, LaurentPoly]:
         """The nonzero h_{x,y,z}, keyed by z; one structure-constant pass."""
         g = self.group
-        row = _h_pass(g, self._tabs, self._mu_of, g.index(y))[g.index(x)]
+        row = _h_pass(g, self.cs, _gather_tables(self.cs), g.index(y))[g.index(x)]
         off = window_offset(g.nu)
         return {
             g.element(int(z)): LaurentPoly.from_array(row[z], off)
@@ -95,24 +100,23 @@ class KLData:
 
 def _induction_step(
     g: WeylGroup,
-    desc: Sequence[np.ndarray],
-    mu_of: list[dict[int, int]],
+    cs: np.ndarray,
     big: np.ndarray,
     apply: Callable[[int, np.ndarray], np.ndarray],
     x: int,
 ) -> None:
     """Set ``big[x]`` to c_x times ``big[0]`` from rows of shorter elements.
 
-    With s the first letter of x, c_x = c_s c_{sx} - sum_z mu(z, sx) c_z over
-    z with sz < z; ``apply(s, row)`` multiplies one row by c_s, and
-    ``desc[s - 1][z]`` tells whether sz < z.
+    With s the first letter of x, column sx of ``cs[s - 1]`` is
+    c_s c_{sx} = c_x + sum_z mu(z, sx) c_z; ``apply(s, row)`` multiplies one
+    row by c_s.
     """
     s = g.element(x).word[0]
     xp = g.lmul_index(x, s)
     row = apply(s, big[xp])
-    for z, m in mu_of[xp].items():
-        if desc[s - 1][z]:
-            row -= m * big[z]
+    col = cs[s - 1, :, xp, 1]
+    for z in np.flatnonzero(col[:xp]):  # the mu(z, sx); col[x] is c_x itself
+        row -= col[z] * big[z]
     big[x] = row
 
 
@@ -127,6 +131,7 @@ def compute_kl(g: WeylGroup, bound: int = 120) -> KLData:
         [[g.lmul_index(w, s) for w in range(n)] for s in range(1, g.rank + 1)]
     )
     desc = lengths[lm] < lengths
+    s_idx = np.arange(g.rank)
 
     def tt_apply(s: int, A: np.ndarray) -> np.ndarray:
         # c_s = Tt_s + v^-1 on the Tt basis
@@ -139,11 +144,16 @@ def compute_kl(g: WeylGroup, bound: int = 120) -> KLData:
     # cb[w, y] holds p_{y,w}, the coefficient of Tt_y in c_w
     cb = np.zeros((n, n, 2 * off + 1), dtype=np.int64)
     cb[0, 0, off] = 1
-    mu_of: list[dict[int, int]] = [dict() for _ in range(n)]
-    for x in range(1, n):
-        _induction_step(g, desc, mu_of, cb, tt_apply, x)
-        col = cb[x, :, off - 1]
-        mu_of[x] = {int(y): int(col[y]) for y in np.nonzero(col)[0]}
+    cs = np.zeros((g.rank, n, n, 3), dtype=np.int64)
+    for x in range(n):
+        if x:
+            _induction_step(g, cs, cb, tt_apply, x)
+        # column x of each c_s: v + v^-1 where sx < x, else c_{sx} plus
+        # mu(z, x) c_z over the z with sz < z
+        up = ~desc[:, x]
+        cs[:, :, x, 1] = (desc & up[:, None]) * cb[x, :, off - 1]
+        cs[s_idx[up], lm[up, x], x, 1] = 1
+        cs[s_idx[~up], x, x, ::2] = 1
     check_window(cb, "canonical-basis")
     check_magnitude(int(np.abs(cb).max()), "canonical-basis")
 
@@ -165,76 +175,52 @@ def compute_kl(g: WeylGroup, bound: int = 120) -> KLData:
             if 2 * (len(coeffs) - 1) > max(gap - 1, 0):
                 raise AssertionError("KL degree bound violated")
             P[(g.element(int(y)), ew)] = tuple(coeffs)
-        for z, m in mu_of[w].items():
-            mu[(g.element(z), ew)] = m
+        for z in np.flatnonzero(cb[w, :, off - 1]):
+            mu[(g.element(int(z)), ew)] = int(cb[w, z, off - 1])
 
-    tabs = _gen_tables(lm, desc, mu_of)
-    a, gamma = _compute_top(g, tabs, mu_of)
-    return KLData(
-        group=g, P=P, mu=mu, a_values=a, _gamma=gamma, _mu_of=mu_of, _tabs=tabs,
-    )
+    a, gamma = _compute_top(g, cs)
+    return KLData(group=g, P=P, mu=mu, a_values=a, cs=cs, _gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
 # Structure constants: the c-basis induction over a fixed exponent window
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class _GenTables:
-    desc: np.ndarray            # bool (n,): s w < w
-    asc_src: np.ndarray
-    asc_dst: np.ndarray
-    mu_z: np.ndarray
-    mu_w: np.ndarray
-    mu_val: np.ndarray
+_Gather = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _gen_tables(
-    lm: np.ndarray, desc: np.ndarray, mu_of: list[dict[int, int]]
-) -> list[_GenTables]:
+def _gather_tables(cs: np.ndarray) -> list[_Gather]:
+    """Per generator s, ``cs[s - 1]`` as a row gather (rows, src, val).
+
+    ``rows`` are the z with sz < z, the only rows c_s reaches.  Row z gets
+    (v + v^-1) times itself plus ``val[r, k]`` times row ``src[r, k]``: the
+    off-diagonal entries of row z, all in degree 0, padded with zero weights
+    to a common width.
+    """
     out = []
-    for lm_s, d in zip(lm, desc):
-        asc_src = np.nonzero(~d)[0]
-        mu_z, mu_w, mu_val = [], [], []
-        for w in asc_src:
-            for z, m in mu_of[int(w)].items():
-                if d[z]:
-                    mu_z.append(z)
-                    mu_w.append(int(w))
-                    mu_val.append(m)
-        out.append(_GenTables(
-            desc=d,
-            asc_src=asc_src,
-            asc_dst=lm_s[asc_src],
-            mu_z=np.array(mu_z, dtype=np.int64),
-            mu_w=np.array(mu_w, dtype=np.int64),
-            mu_val=np.array(mu_val, dtype=np.int64),
-        ))
+    for op in cs:
+        rows = np.flatnonzero(op.diagonal()[2])
+        flat = op[rows, :, 1]
+        width = int((flat != 0).sum(axis=1).max())
+        src = np.argsort(flat == 0, axis=1, kind="stable")[:, :width]
+        out.append((rows, src, np.take_along_axis(flat, src, axis=1)))
     return out
 
 
-def _cs_apply(tab: _GenTables, A: np.ndarray) -> np.ndarray:
+def _cs_apply(tab: _Gather, A: np.ndarray) -> np.ndarray:
     """Coefficient vector of c_s * (sum_w A[w] c_w) in the c-basis."""
+    rows, src, val = tab
     out = np.zeros_like(A)
-    d = tab.desc
-    # descent rows pick up (v + v^-1)
-    out[d, 1:] += A[d, :-1]
-    out[d, :-1] += A[d, 1:]
-    # ascent rows move to s*w ...
-    out[tab.asc_dst] += A[tab.asc_src]
-    # ... and feed mu-indexed descents
-    if tab.mu_z.size:
-        np.add.at(out, tab.mu_z, tab.mu_val[:, None] * A[tab.mu_w])
+    out[rows] = np.einsum("rk,rkd->rd", val, A[src])
+    out[rows, 1:] += A[rows, :-1]
+    out[rows, :-1] += A[rows, 1:]
     return out
 
 
-def _h_pass(
-    g: WeylGroup, tabs: list[_GenTables], mu_of: list[dict[int, int]], yi: int
-) -> np.ndarray:
+def _h_pass(g: WeylGroup, cs: np.ndarray, tabs: list[_Gather], yi: int) -> np.ndarray:
     """h_{x, y, z} for fixed y, all x and z, as an (n, n, D) Laurent array."""
     n = g.size
     off = window_offset(g.nu)
-    desc = [t.desc for t in tabs]
     big = np.zeros((n, n, 2 * off + 1), dtype=np.int64)
     big[0, yi, off] = 1
 
@@ -242,15 +228,13 @@ def _h_pass(
         return _cs_apply(tabs[s - 1], A)
 
     for x in range(1, n):
-        _induction_step(g, desc, mu_of, big, cs_apply, x)
+        _induction_step(g, cs, big, cs_apply, x)
     check_window(big, "structure-constant")
     check_magnitude(int(np.abs(big).max()), "structure-constant")
     return big
 
 
-def _compute_top(
-    g: WeylGroup, tabs: list[_GenTables], mu_of: list[dict[int, int]]
-) -> tuple[tuple[int, ...], np.ndarray]:
+def _compute_top(g: WeylGroup, cs: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """a per element and the dense gamma tensor, in one pass over y.
 
     ``top[z]`` is the window slot of the highest exponent seen so far at z;
@@ -259,12 +243,13 @@ def _compute_top(
     """
     n = g.size
     off = window_offset(g.nu)
+    tabs = _gather_tables(cs)
     zs = np.arange(n)
     slots = np.arange(2 * off + 1)
     top = np.zeros(n, dtype=np.int64)  # slot 0 is the zero guard slot
     gamma = np.zeros((n, n, n), dtype=np.int64)
     for yi in range(n):
-        big = _h_pass(g, tabs, mu_of, yi)
+        big = _h_pass(g, cs, tabs, yi)
         # highest slot occupied in some h_{x,y,z}, per z
         deg = (big.any(axis=0) * slots).max(axis=1)
         raised = deg > top
@@ -303,104 +288,32 @@ class CellPartition:
                 return c
         raise KeyError(w)
 
-    def a_of(self, w: WeylElt) -> int:
-        return self.a_value[self.two_sided_cell_of(w)]
 
-
-@dataclass(frozen=True)
-class NearInvolutionSet:
-    """Elements lying in the same left cell as their inverse."""
-
-    members: frozenset[WeylElt]
-
-    def __contains__(self, w: WeylElt) -> bool:
-        return w in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def _left_edges(kl: KLData) -> list[set[int]]:
-    g = kl.group
-    n = g.size
-    lengths = [g.length_of_index(i) for i in range(n)]
-    edges: list[set[int]] = [set() for _ in range(n)]
-    for y in range(n):
-        for s in range(1, g.rank + 1):
-            sy = g.lmul_index(y, s)
-            if lengths[sy] > lengths[y]:
-                edges[y].add(sy)
-                for z, m in kl._mu_of[y].items():
-                    if lengths[g.lmul_index(z, s)] < lengths[z]:
-                        edges[y].add(z)
-    return edges
-
-
-def _sccs(edges: list[set[int]]) -> list[list[int]]:
-    # Kosaraju; graphs have at most 120 nodes.
-    n = len(edges)
-    order: list[int] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [(start, iter(edges[start]))]
-        seen[start] = True
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(edges[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    redges: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for v in edges[u]:
-            redges[v].add(u)
-    comp = [-1] * n
-    ncomp = 0
-    for start in reversed(order):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = ncomp
-        while stack:
-            u = stack.pop()
-            for v in redges[u]:
-                if comp[v] == -1:
-                    comp[v] = ncomp
-                    stack.append(v)
-        ncomp += 1
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(comp):
-        groups.setdefault(c, []).append(i)
-    return [sorted(m) for m in sorted(groups.values(), key=min)]
+def _sccs(adj: np.ndarray) -> list[tuple[int, ...]]:
+    """Strong components of the graph with boolean adjacency matrix ``adj``,
+    each sorted, listed by least member."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for k in range(len(adj)):  # Warshall: paths through 0..k
+        reach |= reach[:, k, None] & reach[k]
+    mutual = reach & reach.T
+    return sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
 
 
 def compute_cells(kl: KLData) -> CellPartition:
     """Cells from the full preorder closure; validates the a-function is
     constant on each two-sided cell."""
     g = kl.group
-    n = g.size
-    left = _left_edges(kl)
-    right: list[set[int]] = [set() for _ in range(n)]
-    for y in range(n):
-        yi = g.inv_index(y)
-        for z in left[yi]:
-            right[y].add(g.inv_index(z))
-    both = [left[i] | right[i] for i in range(n)]
+    inv = [g.inv_index(i) for i in range(g.size)]
+    # left[z, y]: c_z occurs in some c_s c_y; right mirrors it through inversion
+    left = kl.cs.any(axis=(0, 3))
+    right = left[np.ix_(inv, inv)]
 
-    def to_sets(comps: list[list[int]]) -> tuple[frozenset[WeylElt], ...]:
+    def to_sets(comps: list[tuple[int, ...]]) -> tuple[frozenset[WeylElt], ...]:
         return tuple(frozenset(g.element(i) for i in comp) for comp in comps)
 
     left_cells = to_sets(_sccs(left))
     right_cells = to_sets(_sccs(right))
-    two_sided = to_sets(_sccs(both))
+    two_sided = to_sets(_sccs(left | right))
 
     inv_left = {frozenset(g.inverse(w) for w in c) for c in left_cells}
     if inv_left != set(right_cells):
@@ -425,35 +338,19 @@ def compute_cells(kl: KLData) -> CellPartition:
     )
 
 
-def near_involutions(cells: CellPartition) -> NearInvolutionSet:
+def near_involutions(cells: CellPartition) -> frozenset[WeylElt]:
+    """Elements lying in the same left cell as their inverse."""
     g = cells.group
-    members = set()
-    for c in cells.left_cells:
-        for w in c:
-            if g.inverse(w) in c:
-                members.add(w)
-    return NearInvolutionSet(frozenset(members))
+    return frozenset(w for c in cells.left_cells for w in c if g.inverse(w) in c)
 
 
 # ---------------------------------------------------------------------------
 # The asymptotic ring
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class JRing:
-    """Ring on basis {t_w : w in W} with t_x t_y = sum_z gamma[x,y,z] t_z."""
-
-    group: WeylGroup
-    gamma: np.ndarray
-
-    def product(self, x: WeylElt, y: WeylElt) -> dict[WeylElt, int]:
-        g = self.group
-        row = self.gamma[g.index(x), g.index(y)]
-        return {g.element(z): int(c) for z, c in enumerate(row) if c}
-
-
-def j_ring(kl: KLData, cells: CellPartition | None = None) -> JRing:
-    """Build the asymptotic ring; verifies gamma support and associativity.
+def j_ring(kl: KLData, cells: CellPartition) -> None:
+    """Verify the asymptotic ring t_x t_y = sum_z gamma[x,y,z] t_z: gamma
+    support and associativity.
 
     Support is checked first (gamma vanishes unless x, y, z share a two-sided
     cell), which makes the exhaustive associativity check decompose into
@@ -461,9 +358,6 @@ def j_ring(kl: KLData, cells: CellPartition | None = None) -> JRing:
     """
     g = kl.group
     gamma = kl.gamma_tensor()
-    if cells is None:
-        cells = compute_cells(kl)
-
     cell_id = np.zeros(g.size, dtype=np.int64)
     for k, tc in enumerate(cells.two_sided_cells):
         for w in tc:
@@ -488,14 +382,15 @@ def j_ring(kl: KLData, cells: CellPartition | None = None) -> JRing:
             raise AssociativityFailure(
                 f"associativity fails on the cell of {min(tc, key=g.index)}"
             )
-    return JRing(group=g, gamma=gamma)
 
 
-def is_central(j: JRing, z: Mapping[WeylElt, int]) -> bool:
-    """Whether sum_w z[w] t_w commutes with every basis element."""
-    g = j.group
+def is_central(kl: KLData, z: Mapping[WeylElt, int]) -> bool:
+    """Whether sum_w z[w] t_w commutes with every basis element of the
+    asymptotic ring."""
+    g = kl.group
+    gamma = kl.gamma_tensor()
     ys = [g.index(w) for w in z]
-    rows, cols = j.gamma[ys], j.gamma[:, ys]
+    rows, cols = gamma[ys], gamma[:, ys]
     gmax = max(int(np.abs(rows).max(initial=0)), int(np.abs(cols).max(initial=0)))
     check_magnitude(sum(abs(c) for c in z.values()) * gmax, "centrality")
     zv = np.array([z[w] for w in z], dtype=np.int64)

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from cellred import uniptables
 from cellred.audit import get_context
 from cellred.rootdata import CartanType
 
@@ -13,3 +16,13 @@ def ctx():
     def build(name: str):
         return get_context(CartanType.parse(name))
     return build
+
+
+@pytest.fixture
+def data_copy(tmp_path, monkeypatch):
+    """A copy of the shipped data files that the loader reads from instead."""
+    shipped = Path(uniptables.__file__).with_name("data")
+    for src in shipped.glob("*.json"):
+        (tmp_path / src.name).write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
+    monkeypatch.setenv("CELLRED_DATA_DIR", str(tmp_path))
+    return tmp_path

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cellred import audit, uniptables, weylmod
+from cellred import audit, heckechar, uniptables, weylmod
 from cellred.audit import (
     AuditReport,
     get_context,
@@ -109,6 +109,19 @@ def test_crashing_check_becomes_a_fail_row_naming_the_exception(monkeypatch):
     assert by_id["duality"].status == "fail"
     assert by_id["duality"].details == "internal error: KeyError: 'boom'"
     assert by_id["bookkeeping"].status == "pass"
+
+
+def test_context_builds_the_character_table_once(data_copy, monkeypatch):
+    calls = []
+    build = heckechar.w_character_table
+
+    def counted(g):
+        calls.append(g)
+        return build(g)
+
+    monkeypatch.setattr(heckechar, "w_character_table", counted)
+    get_context(CartanType.parse("B2"))  # fresh: a new data directory
+    assert len(calls) == 1
 
 
 def test_caches_are_keyed_by_the_data_directory(monkeypatch, tmp_path):

@@ -1,7 +1,10 @@
 import json
+import os
+import stat
 
 import pytest
 
+from cellred import audit
 from cellred.cli import main
 
 from conftest import TYPE_NAMES
@@ -60,6 +63,56 @@ def test_audit_output_file_atomic(tmp_path, capsys):
     assert payload["type"] == "A2"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".cellred-")]
     assert not leftovers
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_audit_output_file_mode_follows_umask(tmp_path, capsys, umask, mode):
+    target = tmp_path / "report.json"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "audit", "--type", "A1", "-o", str(target))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert_usage_error(capsys, "audit", "--type", "A1", "-o", str(target))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_corrupt_data_file_fails_only_its_type(data_copy, capsys):
+    raw = json.loads((data_copy / "B2.json").read_text(encoding="utf-8"))
+    raw["duality"]["e"] = "1"  # while "1" still pairs with "2"
+    (data_copy / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
+    code, out, _ = run(capsys, "audit", "--all")
+    assert code == 3
+    payload = json.loads(out)
+    assert [r["type"] for r in payload] == list(TYPE_NAMES)
+    for r in payload:
+        if r["type"] == "B2":
+            assert len(r["checks"]) == 6
+            for c in r["checks"]:
+                assert c["status"] == "fail"
+                assert c["details"].startswith("internal error: DataIntegrityFailure: ")
+                assert "not involutive" in c["details"]
+        else:
+            assert all(c["status"] != "fail" for c in r["checks"])
+
+
+def test_exit_code_separates_crashed_from_failed_checks(monkeypatch, capsys):
+    def crash(ctx):
+        raise KeyError("boom")
+
+    def fail(ctx):
+        return audit.CheckResult("duality", audit._REFS["duality"], "fail", "mismatch")
+
+    monkeypatch.setitem(audit._CHECKS, "duality", fail)
+    assert run(capsys, "audit", "--type", "B2")[0] == 1
+    monkeypatch.setitem(audit._CHECKS, "duality", crash)
+    assert run(capsys, "audit", "--type", "B2")[0] == 3
 
 
 def test_audit_deterministic_output(capsys):

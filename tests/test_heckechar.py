@@ -15,7 +15,7 @@ from conftest import TYPE_NAMES
 @lru_cache(maxsize=None)
 def modules_for(name: str):
     c = get_context(CartanType.parse(name))
-    return c, build_hecke_modules(c.group, c.kl, c.cells)
+    return c, build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
 
 
 def test_a1_table():
@@ -124,7 +124,7 @@ def test_a2_alpha_of_generators_is_the_reflection_character(ctx):
 @pytest.mark.parametrize("name", TYPE_NAMES)
 def test_alpha_support_is_the_near_involution_set(name, ctx):
     c = ctx(name)
-    assert c.leading.alpha_support() == c.jset.members
+    assert c.leading.alpha_support() == c.jset
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
@@ -132,7 +132,7 @@ def test_c_values_vanish_off_near_involutions(name, ctx):
     c = ctx(name)
     for (w, lab), val in c.leading.c.items():
         assert val != 0
-        assert w in c.jset.members
+        assert w in c.jset
 
 
 @pytest.mark.parametrize("name", ("A1", "A2", "A3"))
@@ -174,7 +174,7 @@ def _b2_with(monkeypatch, label, gen, slot, value):
 
     monkeypatch.setattr(heckechar, "_dihedral_gens", patched)
     c = get_context(CartanType.parse("B2"))
-    return lambda: build_hecke_modules(c.group, c.kl, c.cells)
+    return lambda: build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
 
 
 def test_quadratic_relation_guard_raises(monkeypatch):
@@ -194,8 +194,8 @@ def test_trace_guards_raise(monkeypatch):
     c = get_context(CartanType.parse("B2"))
     monkeypatch.setattr(heckechar, "window_offset", lambda nu: nu)
     with pytest.raises(AssertionError, match="trace exponent window exceeded"):
-        build_hecke_modules(c.group, c.kl, c.cells)
+        build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
     monkeypatch.undo()
     monkeypatch.setattr(poly, "MAGNITUDE_GUARD", 2)  # tr(Tt_e) = dim reaches 2
     with pytest.raises(AssertionError, match="trace magnitude guard tripped"):
-        build_hecke_modules(c.group, c.kl, c.cells)
+        build_hecke_modules(c.group, c.kl, c.cells, c.chartable)

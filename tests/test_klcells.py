@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cellred import klcells, poly
+from cellred import heckechar, klcells, poly
 from cellred.coxeter import generate
 from cellred.klcells import GroupTooLarge, compute_kl, is_central
-from cellred.poly import LaurentPoly
+from cellred.poly import LaurentPoly, laurent_matmul
 from cellred.rootdata import CartanType
 
 from conftest import TYPE_NAMES
@@ -145,7 +145,7 @@ def test_left_cells_meet_near_involutions(name, ctx):
     # count is exactly one per cell (the RSK correspondence)
     c = ctx(name)
     for lc in c.cells.left_cells:
-        hits = len(lc & c.jset.members)
+        hits = len(lc & c.jset)
         assert hits >= 1
         if c.group.type.family == "A":
             assert hits == 1
@@ -162,7 +162,7 @@ NEAR_INVOLUTION_WORDS = {
 @pytest.mark.parametrize("name", sorted(NEAR_INVOLUTION_WORDS))
 def test_near_involutions_match_lists(name, ctx):
     c = ctx(name)
-    got = {str(w) for w in c.jset.members}
+    got = {str(w) for w in c.jset}
     want = {str(c.group.parse_word(t)) for t in NEAR_INVOLUTION_WORDS[name]}
     assert got == want
 
@@ -171,7 +171,7 @@ def test_a3_near_involutions_from_list(ctx):
     c = ctx("A3")
     g = c.group
     words = ["e", "1", "2", "3", "13", "121", "232", "2132", "13231", "121321"]
-    assert c.jset.members == frozenset(g.parse_word(t) for t in words)
+    assert c.jset == frozenset(g.parse_word(t) for t in words)
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
@@ -180,29 +180,36 @@ def test_near_involutions_equal_involutions(name, ctx):
     c = ctx(name)
     g = c.group
     involutions = {w for w in g.elements if g.mult(w, w) == g.identity}
-    assert c.jset.members == involutions
+    assert c.jset == involutions
 
 
 def test_a4_near_involutions_count(ctx):
-    assert len(ctx("A4").jset.members) == 26
+    assert len(ctx("A4").jset) == 26
+
+
+def j_product(kl, x, y):
+    """t_x t_y in the asymptotic ring, as {z: gamma[x, y, z]}."""
+    g = kl.group
+    row = kl.gamma_tensor()[g.index(x), g.index(y)]
+    return {g.element(z): int(c) for z, c in enumerate(row) if c}
 
 
 def test_j_ring_products(ctx):
     a1 = ctx("A1")
     s = a1.group.parse_word("1")
-    assert a1.jring.product(s, s) == {s: 1}
+    assert j_product(a1.kl, s, s) == {s: 1}
     e = a1.group.identity
-    assert a1.jring.product(e, s) == {}  # cells are orthogonal ideals
+    assert j_product(a1.kl, e, s) == {}  # cells are orthogonal ideals
     a2 = ctx("A2")
     s1 = a2.group.parse_word("1")
-    assert a2.jring.product(s1, s1) == {s1: 1}
+    assert j_product(a2.kl, s1, s1) == {s1: 1}
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
 def test_gamma_support_stays_in_cells(name, ctx):
     c = ctx(name)
     g = c.group
-    gamma = c.jring.gamma
+    gamma = c.kl.gamma_tensor()
     cell_of = {}
     for tc in c.cells.two_sided_cells:
         for w in tc:
@@ -216,13 +223,12 @@ def test_associativity_brute_force(name, ctx):
     # independent of the blocked tensor check inside j_ring
     c = ctx(name)
     g = c.group
-    J = c.jring
 
     def mul(vec_a, vec_b):
         out = {}
         for x, ca in vec_a.items():
             for y, cb in vec_b.items():
-                for z, cz in J.product(x, y).items():
+                for z, cz in j_product(c.kl, x, y).items():
                     out[z] = out.get(z, 0) + ca * cb * cz
         return {k: v for k, v in out.items() if v}
 
@@ -236,13 +242,13 @@ def test_associativity_brute_force(name, ctx):
 def test_centrality_examples(ctx):
     b2 = ctx("B2")
     g = b2.group
-    assert is_central(b2.jring, {})
-    assert is_central(b2.jring, {g.identity: 1})
-    assert is_central(b2.jring, {g.parse_word("1"): 1, g.parse_word("212"): 1})
+    assert is_central(b2.kl, {})
+    assert is_central(b2.kl, {g.identity: 1})
+    assert is_central(b2.kl, {g.parse_word("1"): 1, g.parse_word("212"): 1})
     # t_1 alone is not central in B2
-    assert not is_central(b2.jring, {g.parse_word("1"): 1})
+    assert not is_central(b2.kl, {g.parse_word("1"): 1})
     a1 = ctx("A1")
-    assert is_central(a1.jring, {a1.group.identity: 1})
+    assert is_central(a1.kl, {a1.group.identity: 1})
 
 
 def test_h_structure_constants_small():
@@ -314,6 +320,58 @@ def test_h_matches_direct_canonical_product(name, ctx):
             assert all(v.is_zero for v in prod.values())
 
 
+def regular_module(kl):
+    """``kl.cs`` as the generators Tt_s = c_s - v^-1 of the regular module."""
+    gens = kl.cs.copy()
+    n = kl.group.size
+    gens[:, range(n), range(n), 0] -= 1
+    return gens
+
+
+def character_at_one(g, gens):
+    """tr(T_w) at v = 1 for every w."""
+    if g.size <= 24:
+        return heckechar._trace_table(g, gens).sum(axis=1)
+    # _trace_table on the 120-dimensional A4 module takes about 30 s and
+    # 0.7 GB, so evaluate the generators at v = 1 first, then multiply
+    at_one = gens.sum(axis=3)
+    mats = np.zeros((g.size,) + at_one.shape[1:], dtype=np.int64)
+    mats[0] = np.eye(g.size, dtype=np.int64)
+    for x in range(1, g.size):
+        i = g.element(x).word[-1]
+        mats[x] = mats[g.rmul_index(x, i)] @ at_one[i - 1]
+    return mats.trace(axis1=1, axis2=2)
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_cs_is_the_regular_representation(name, ctx):
+    # oracle (Kazhdan-Lusztig 1979): c_s acting on the canonical basis is the
+    # regular module of the Hecke algebra
+    kl = ctx(name).kl
+    g = kl.group
+    gens = regular_module(kl)
+    heckechar._verify_module(g, gens)  # quadratic and braid relations
+    for op in kl.cs:
+        square = laurent_matmul(op, op)  # offset 2
+        want = np.zeros_like(square)
+        want[..., :3] += op  # v^-1 c_s
+        want[..., 2:] += op  # v c_s
+        assert np.array_equal(square, want)
+    chi = character_at_one(g, gens)
+    assert chi[0] == g.size and not chi[1:].any()
+
+
+@pytest.mark.parametrize("name", ("A2", "A3", "A4", "B2", "G2"))
+def test_flipped_mu_breaks_the_hecke_relations(name, ctx):
+    kl = ctx(name).kl
+    gens = regular_module(kl)
+    # a genuine mu(z, w) entry has z < w, so it is not the c_{sw} term
+    s, z, w = next(zip(*np.nonzero(np.triu(kl.cs[..., 1], k=1))))
+    gens[s, z, w, 1] *= -1
+    with pytest.raises(heckechar.ConstructionIncomplete):
+        heckechar._verify_module(kl.group, gens)
+
+
 def _a2():
     return generate(CartanType.parse("A2"))
 
@@ -333,15 +391,15 @@ def test_window_guards_raise(monkeypatch):
 def test_magnitude_guards_raise(monkeypatch):
     g = _a2()
     kl = compute_kl(g)
-    j = klcells.j_ring(kl)
+    cells = klcells.compute_cells(kl)
     # KL coefficients of A2 are 0 or 1; structure constants reach 2
     monkeypatch.setattr(poly, "MAGNITUDE_GUARD", 2)
     with pytest.raises(AssertionError, match="structure-constant magnitude guard tripped"):
         compute_kl(g)
     with pytest.raises(AssertionError, match="gamma magnitude guard tripped"):
-        klcells.j_ring(kl)
+        klcells.j_ring(kl, cells)
     with pytest.raises(AssertionError, match="centrality magnitude guard tripped"):
-        is_central(j, {g.parse_word("1"): 2})
+        is_central(kl, {g.parse_word("1"): 2})
 
 
 def test_kl_degree_bound_guard_raises(monkeypatch):
@@ -349,8 +407,8 @@ def test_kl_degree_bound_guard_raises(monkeypatch):
     off = klcells.window_offset(g.nu)
     step = klcells._induction_step
 
-    def step_with_q_term(g, desc, mu_of, big, apply, x):
-        step(g, desc, mu_of, big, apply, x)
+    def step_with_q_term(g, cs, big, apply, x):
+        step(g, cs, big, apply, x)
         if x == 1:  # P_{e,s} = 1 + q violates deg P <= (l(s) - 1) / 2
             big[1, 0, off + 1] += 1
 
@@ -370,8 +428,8 @@ def test_a_function_guards_raise(monkeypatch, z, exponent, message):
     off = klcells.window_offset(g.nu)
     h_pass = klcells._h_pass
 
-    def h_pass_with_extra_term(g, tabs, mu_of, yi):
-        big = h_pass(g, tabs, mu_of, yi)
+    def h_pass_with_extra_term(g, cs, tabs, yi):
+        big = h_pass(g, cs, tabs, yi)
         if yi == 0:  # add v^exponent to h_{e,e,z}
             big[0, zi, off + exponent] += 1
         return big

@@ -95,7 +95,7 @@ def test_near_involution_words_match_computed(name, ctx):
     t = load_tables(CartanType.parse(name))
     if t.r_alpha is None:
         return
-    assert t.j_elements() == ctx(name).jset.members
+    assert t.j_elements() == ctx(name).jset
 
 
 def test_loader_rejects_corrupted_table(tmp_path, monkeypatch):
@@ -128,7 +128,7 @@ def test_loader_rejects_corrupted_table(tmp_path, monkeypatch):
 
 def test_derived_rows_for_a4(ctx):
     c = ctx("A4")
-    rows = derived_r_alpha(c.group, c.leading.labels, c.leading.c, c.jset.members)
+    rows = derived_r_alpha(c.group, c.leading.labels, c.leading.c, c.jset)
     assert len(rows) == 26
     assert rows["e"] == {"5": 1}
     w0 = str(c.group.w0)
