@@ -23,8 +23,12 @@ both inductions run on it:
 * on the c-basis expansion of c_x c_y it yields the structure constants
   h_{x,y,z} (c_x c_y = sum_z h_{x,y,z} c_z) for all triples.
 
-Both run on the Laurent arrays of :mod:`cellred.poly`, one (n, n, D) int64
-array per pass, under its window and magnitude guards.  From the h's:
+Both run on the Laurent arrays of :mod:`cellred.poly`, under their window
+and magnitude guards.  The structure-constant pass runs once per left cell
+Gamma, for all y in Gamma at once, on the left cone C = {z : z <=_L Gamma}
+only: C is closed under the support of every c_s, so each row c_x c_y stays
+in span{c_z : z in C} and the h_{x,y,z} with z outside C are zero.  From
+the h's:
 
 * a(z) = max over x, y of deg_v h_{x,y,z};
 * gamma[x,y,z] = coefficient of v^a(z) in h_{x,y,z}, the structure constants
@@ -90,7 +94,8 @@ class KLData:
     def h_row(self, x: WeylElt, y: WeylElt) -> dict[WeylElt, LaurentPoly]:
         """The nonzero h_{x,y,z}, keyed by z; one structure-constant pass."""
         g = self.group
-        row = _h_pass(g, self.cs, _gather_tables(self.cs), g.index(y))[g.index(x)]
+        cone = np.arange(g.size)
+        row = _h_pass(g, self.cs, cone, [g.index(y)])[g.index(x), :, 0]
         off = window_offset(g.nu)
         return {
             g.element(int(z)): LaurentPoly.from_array(row[z], off)
@@ -208,21 +213,28 @@ def _gather_tables(cs: np.ndarray) -> list[_Gather]:
 
 
 def _cs_apply(tab: _Gather, A: np.ndarray) -> np.ndarray:
-    """Coefficient vector of c_s * (sum_w A[w] c_w) in the c-basis."""
+    """Coefficient vectors of c_s * (sum_w A[w] c_w) in the c-basis; the
+    trailing axes of ``A`` are carried along."""
     rows, src, val = tab
     out = np.zeros_like(A)
-    out[rows] = np.einsum("rk,rkd->rd", val, A[src])
-    out[rows, 1:] += A[rows, :-1]
-    out[rows, :-1] += A[rows, 1:]
+    out[rows] = np.einsum("rk,rk...->r...", val, A[src])
+    out[rows, ..., 1:] += A[rows, ..., :-1]
+    out[rows, ..., :-1] += A[rows, ..., 1:]
     return out
 
 
-def _h_pass(g: WeylGroup, cs: np.ndarray, tabs: list[_Gather], yi: int) -> np.ndarray:
-    """h_{x, y, z} for fixed y, all x and z, as an (n, n, D) Laurent array."""
+def _h_pass(g: WeylGroup, cs: np.ndarray, cone: np.ndarray, ys: list[int]) -> np.ndarray:
+    """h_{x, y, z} for all x, z in ``cone`` and y in ``ys``, as an
+    (n, len(cone), len(ys), D) Laurent array.
+
+    ``cone`` must contain every z <=_L y for y in ``ys``, so that c_s maps
+    span{c_z : z in cone} to itself; all of W always qualifies.
+    """
     n = g.size
     off = window_offset(g.nu)
-    big = np.zeros((n, n, 2 * off + 1), dtype=np.int64)
-    big[0, yi, off] = 1
+    tabs = _gather_tables(cs[:, cone][:, :, cone])
+    big = np.zeros((n, len(cone), len(ys), 2 * off + 1), dtype=np.int64)
+    big[0, np.searchsorted(cone, ys), np.arange(len(ys)), off] = 1
 
     def cs_apply(s: int, A: np.ndarray) -> np.ndarray:
         return _cs_apply(tabs[s - 1], A)
@@ -230,33 +242,47 @@ def _h_pass(g: WeylGroup, cs: np.ndarray, tabs: list[_Gather], yi: int) -> np.nd
     for x in range(1, n):
         _induction_step(g, cs, big, cs_apply, x)
     check_window(big, "structure-constant")
-    check_magnitude(int(np.abs(big).max()), "structure-constant")
+    check_magnitude(int(max(big.max(), -big.min())), "structure-constant")
     return big
 
 
+def _left_cones(cs: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
+    """Each left cell, as its sorted members y, with its cone {z : z <=_L y}.
+
+    The y with equal columns of the left-preorder closure form a left cell,
+    and that column is their cone.
+    """
+    reach = _closure(cs.any(axis=(0, 3)))
+    cells: dict[bytes, list[int]] = {}
+    for y in range(len(reach)):
+        cells.setdefault(reach[:, y].tobytes(), []).append(y)
+    return [(ys, np.flatnonzero(reach[:, ys[0]])) for ys in cells.values()]
+
+
 def _compute_top(g: WeylGroup, cs: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """a per element and the dense gamma tensor, in one pass over y.
+    """a per element and the dense gamma tensor, in one pass per left cell.
 
     ``top[z]`` is the window slot of the highest exponent seen so far at z;
-    when a later y raises it, the gamma entries of earlier y at z (taken at
-    a lower exponent) are reset to zero.
+    when a later cell raises it, the gamma entries of the y already ``done``
+    at z (taken at a lower exponent) are reset to zero.
     """
     n = g.size
     off = window_offset(g.nu)
-    tabs = _gather_tables(cs)
-    zs = np.arange(n)
     slots = np.arange(2 * off + 1)
     top = np.zeros(n, dtype=np.int64)  # slot 0 is the zero guard slot
+    done = np.zeros(n, dtype=bool)
     gamma = np.zeros((n, n, n), dtype=np.int64)
-    for yi in range(n):
-        big = _h_pass(g, cs, tabs, yi)
-        # highest slot occupied in some h_{x,y,z}, per z
-        deg = (big.any(axis=0) * slots).max(axis=1)
-        raised = deg > top
-        if raised.any():
-            gamma[:, :yi, raised] = 0
-            top = np.maximum(top, deg)
-        gamma[:, yi, :] = big[:, zs, top]
+    for ys, cone in _left_cones(cs):
+        big = _h_pass(g, cs, cone, ys)
+        # highest slot occupied in some h_{x,y,z}, per z of the cone
+        deg = (big.any(axis=(0, 2)) * slots).max(axis=1)
+        raised = cone[deg > top[cone]]
+        if raised.size:
+            gamma[:, np.flatnonzero(done)[:, None], raised] = 0
+            top[cone] = np.maximum(top[cone], deg)
+        lead = big[:, np.arange(len(cone)), :, top[cone]]  # (cone, x, y)
+        gamma[:, np.array(ys)[:, None], cone] = lead.transpose(1, 2, 0)
+        done[ys] = True
 
     a = top - off
     if a[0] != 0:
@@ -289,12 +315,19 @@ class CellPartition:
         raise KeyError(w)
 
 
+def _closure(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of the boolean adjacency matrix ``adj``
+    (Warshall: after step k, paths through 0..k)."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for k in range(len(adj)):
+        reach |= reach[:, k, None] & reach[k]
+    return reach
+
+
 def _sccs(adj: np.ndarray) -> list[tuple[int, ...]]:
     """Strong components of the graph with boolean adjacency matrix ``adj``,
     each sorted, listed by least member."""
-    reach = adj | np.eye(len(adj), dtype=bool)
-    for k in range(len(adj)):  # Warshall: paths through 0..k
-        reach |= reach[:, k, None] & reach[k]
+    reach = _closure(adj)
     mutual = reach & reach.T
     return sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
 

@@ -270,6 +270,38 @@ def test_h_degree_bounded_by_a(name, ctx):
                 assert h.degree() <= c.kl.a_of(z)
 
 
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_cone_pass_equals_full_pass(name, ctx):
+    # every y of the small types; one y per left cell of A4, where a full
+    # pass for each of the 120 y would take seconds
+    c = ctx(name)
+    kl, g = c.kl, c.group
+    cones = klcells._left_cones(kl.cs)
+    assert {frozenset(g.element(y) for y in ys) for ys, _ in cones} == set(
+        c.cells.left_cells
+    )
+    everything = np.arange(g.size)
+    for ys, cone in cones:
+        part = klcells._h_pass(g, kl.cs, cone, ys)
+        outside = np.setdiff1d(everything, cone)
+        for j, y in enumerate(ys[:1] if name == "A4" else ys):
+            full = klcells._h_pass(g, kl.cs, everything, [y])[:, :, 0]
+            assert np.array_equal(full[:, cone], part[:, :, j])
+            assert not full[:, outside].any()
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_gamma_inversion_symmetry(name, ctx):
+    # oracle: c_w -> c_{w^-1} is an anti-automorphism of the Hecke algebra,
+    # so h_{x,y,z} = h_{y^-1,x^-1,z^-1} and the same holds for gamma
+    kl = ctx(name).kl
+    g = kl.group
+    inv = [g.inv_index(i) for i in range(g.size)]
+    gamma = kl.gamma_tensor()
+    assert gamma.any()
+    assert np.array_equal(gamma, gamma[np.ix_(inv, inv, inv)].transpose(1, 0, 2))
+
+
 @pytest.mark.parametrize("name", ("A2", "B2"))
 def test_h_matches_direct_canonical_product(name, ctx):
     # oracle: multiply c-basis elements in the Tt basis directly and convert
@@ -428,10 +460,10 @@ def test_a_function_guards_raise(monkeypatch, z, exponent, message):
     off = klcells.window_offset(g.nu)
     h_pass = klcells._h_pass
 
-    def h_pass_with_extra_term(g, cs, tabs, yi):
-        big = h_pass(g, cs, tabs, yi)
-        if yi == 0:  # add v^exponent to h_{e,e,z}
-            big[0, zi, off + exponent] += 1
+    def h_pass_with_extra_term(g, cs, cone, ys):
+        big = h_pass(g, cs, cone, ys)
+        if 0 in ys:  # add v^exponent to h_{e,e,z}; the cone of e is all of W
+            big[0, list(cone).index(zi), ys.index(0), off + exponent] += 1
         return big
 
     monkeypatch.setattr(klcells, "_h_pass", h_pass_with_extra_term)
