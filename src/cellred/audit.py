@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import heckechar, klcells, uniptables, weylmod
 from .coxeter import WeylElt, WeylGroup, generate
@@ -90,7 +90,7 @@ class AuditReport:
 
     @property
     def internal_error(self) -> bool:
-        """A check crashed, or the type's context could not be built."""
+        """A check, or a context stage it read, crashed."""
         return any(
             c.status == "fail" and c.details.startswith(_INTERNAL)
             for c in self.checks
@@ -103,39 +103,78 @@ class AuditReport:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "AuditReport":
-        return cls(
-            type_name=raw["type"],
-            checks=tuple(
-                CheckResult(
-                    id=c["id"],
-                    paper_ref=c["paper_ref"],
-                    status=c["status"],
-                    details=c["details"],
-                    artifacts=c.get("artifacts"),
-                )
-                for c in raw["checks"]
-            ),
-            notes=tuple(raw.get("notes", ())),
+
+class TypeContext:
+    """Everything the checks need for one type, each stage built on its first
+    read and kept.  A stage that raises is retried on the next read, so it
+    fails exactly the checks that read it."""
+
+    def __init__(self, ct: CartanType):
+        self.ct = ct
+
+    @cached_property
+    def group(self) -> WeylGroup:
+        g = generate(self.ct)
+        build_root_system(self.ct)  # its self-test pins the B2/G2 convention
+        return g
+
+    @cached_property
+    def tables(self) -> uniptables.TypeTables:
+        return uniptables.load_tables(self.ct)
+
+    @cached_property
+    def kl(self) -> klcells.KLData:
+        return klcells.compute_kl(self.group)
+
+    @cached_property
+    def cells(self) -> klcells.CellPartition:
+        return klcells.compute_cells(self.kl)
+
+    @cached_property
+    def jset(self) -> frozenset[WeylElt]:
+        return klcells.near_involutions(self.cells)
+
+    @cached_property
+    def gamma(self):
+        """The asymptotic-ring constants, verified by ``j_ring``."""
+        return klcells.j_ring(self.kl, self.cells)
+
+    @cached_property
+    def chartable(self) -> heckechar.WCharTable:
+        return heckechar.w_character_table(self.group)
+
+    @cached_property
+    def modules(self) -> tuple[heckechar.HModule, ...]:
+        return heckechar.build_hecke_modules(
+            self.group, self.kl, self.cells, self.chartable
         )
 
+    @cached_property
+    def leading(self) -> heckechar.LeadingData:
+        return heckechar.leading_data(self.group, self.modules)
 
-@dataclass(eq=False)
-class TypeContext:
-    """Everything the checks need for one type, built once and shared."""
+    @property
+    def derived_rows(self) -> bool:
+        """No shipped decomposition: rows come from leading coefficients."""
+        return self.tables.decomp is None
 
-    ct: CartanType
-    group: WeylGroup
-    tables: uniptables.TypeTables
-    kl: klcells.KLData
-    cells: klcells.CellPartition
-    jset: frozenset[WeylElt]  # near involutions
-    chartable: heckechar.WCharTable
-    leading: heckechar.LeadingData
-    deltas: dict[str, weylmod.DeltaPoly] | None
-    unip_rows: dict[str, dict[str, int]]  # label -> {word: multiplicity}
-    derived_rows: bool = False
+    @cached_property
+    def deltas(self) -> dict[str, weylmod.DeltaPoly]:
+        return weylmod.delta_table(self.ct)
+
+    @cached_property
+    def unip_rows(self) -> dict[str, dict[str, int]]:
+        """label -> {word: multiplicity}"""
+        if not self.derived_rows:
+            return self.tables.decomp
+        r_rows = uniptables.derived_r_alpha(
+            self.group, self.leading.labels, self.leading.c, self.jset
+        )
+        rows: dict[str, dict[str, int]] = {}
+        for word, row in r_rows.items():
+            for lab, mult in row.items():
+                rows.setdefault(lab, {})[word] = mult
+        return rows
 
 
 def get_context(ct: CartanType) -> TypeContext:
@@ -144,37 +183,8 @@ def get_context(ct: CartanType) -> TypeContext:
 
 @lru_cache(maxsize=None)
 def _context(ct: CartanType, tables_dir: str) -> TypeContext:
-    # cached per data directory: the tables, and all built from them, differ
-    g = generate(ct)
-    build_root_system(ct)
-    tables = uniptables.load_tables(ct)
-    kl = klcells.compute_kl(g)
-    cells = klcells.compute_cells(kl)
-    jset = klcells.near_involutions(cells)
-    klcells.j_ring(kl, cells)
-    chartable = heckechar.w_character_table(g)
-    modules = heckechar.build_hecke_modules(g, kl, cells, chartable)
-    leading = heckechar.leading_data(g, modules)
-
-    if tables.decomp is not None:
-        unip_rows = tables.decomp
-        derived = False
-        deltas = weylmod.delta_table(ct)
-    else:
-        r_rows = uniptables.derived_r_alpha(
-            g, leading.labels, leading.c, jset
-        )
-        unip_rows = {}
-        for word, row in r_rows.items():
-            for lab, mult in row.items():
-                unip_rows.setdefault(lab, {})[word] = mult
-        derived = True
-        deltas = None
-    return TypeContext(
-        ct=ct, group=g, tables=tables, kl=kl, cells=cells, jset=jset,
-        chartable=chartable, leading=leading, deltas=deltas,
-        unip_rows=unip_rows, derived_rows=derived,
-    )
+    # one per data directory: the tables, and all built from them, differ
+    return TypeContext(ct)
 
 
 def _skip(check_id: str, reason: str) -> CheckResult:
@@ -185,7 +195,7 @@ _NO_DATA = "no transcribed 2.1 tables for this type"
 
 
 def check_bookkeeping(ctx: TypeContext) -> CheckResult:
-    if ctx.deltas is None:
+    if not ctx.tables.has_m_w_data:
         return _skip("bookkeeping", _NO_DATA)
     failures = []
     total = 0
@@ -213,7 +223,7 @@ def check_bookkeeping(ctx: TypeContext) -> CheckResult:
 
 
 def check_duality(ctx: TypeContext) -> CheckResult:
-    if ctx.deltas is None:
+    if not ctx.tables.has_m_w_data:
         return _skip("duality", _NO_DATA)
     res = weylmod.find_duality(ctx.ct, ctx.deltas)
     problems = list(res.problems)
@@ -242,7 +252,7 @@ def check_duality(ctx: TypeContext) -> CheckResult:
 
 
 def check_a_values(ctx: TypeContext) -> CheckResult:
-    if ctx.deltas is None:
+    if not ctx.tables.has_m_w_data:
         return _skip("a_values", _NO_DATA)
     failures = []
     by_cell: dict[frozenset, set[int]] = {}
@@ -271,7 +281,7 @@ def check_centrality(ctx: TypeContext) -> CheckResult:
             ctx.group.parse_word(word): mult
             for word, mult in ctx.unip_rows[lab].items()
         }
-        if not klcells.is_central(ctx.kl, z):
+        if not klcells.is_central(ctx.group, ctx.gamma, z):
             failures.append(f"z_{lab} is not central")
     if failures:
         return CheckResult("centrality", _REFS["centrality"], "fail", "; ".join(failures))
@@ -354,14 +364,10 @@ def _internal_error(cid: str, exc: Exception) -> CheckResult:
 def run_checks(ct: CartanType) -> AuditReport:
     """Run every check for one type; failures become report rows.
 
-    A crashing check fails its own row.  A context that cannot be built, say
-    from a corrupt data file, fails every row of this type only.
+    A check that crashes, or reads a context stage that raises (say from a
+    corrupt data file), fails its own row only.
     """
-    try:
-        ctx = get_context(ct)
-    except Exception as exc:
-        checks = tuple(_internal_error(cid, exc) for cid in _CHECK_ORDER)
-        return AuditReport(type_name=ct.name, checks=checks)
+    ctx = get_context(ct)
     results = []
     for cid in _CHECK_ORDER:
         try:

@@ -11,8 +11,10 @@ Reports are written atomically when an output path is given, with mode 0666
 less the umask, as a plain ``open`` would create them.  Exit status is 0 iff
 every executed check passed (skips allowed), 1 if a check failed, 2 on usage
 errors (the message goes to stderr), and 3 if an audit row records an
-internal error: a check that crashed or a type whose data could not be
-loaded.
+internal error: a check that crashed, or a context stage it read that
+raised, such as a type whose data could not be loaded.  A reader that
+closes stdout early ends the command with status 141 (128 + SIGPIPE) and
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -132,8 +134,7 @@ def _cmd_sl3(args) -> int:
     return 0 if ok else 1
 
 
-def _dump_klpoly(ct: CartanType) -> dict:
-    ctx = audit.get_context(ct)
+def _dump_klpoly(ctx: audit.TypeContext) -> dict:
     g = ctx.group
     entries = []
     for (y, w), coeffs in sorted(
@@ -144,18 +145,17 @@ def _dump_klpoly(ct: CartanType) -> dict:
             "w": str(w),
             "coeffs": {str(i): c for i, c in enumerate(coeffs) if c},
         })
-    return {"type": ct.name, "what": "klpoly", "entries": entries}
+    return {"type": ctx.ct.name, "what": "klpoly", "entries": entries}
 
 
-def _dump_cells(ct: CartanType) -> dict:
-    ctx = audit.get_context(ct)
+def _dump_cells(ctx: audit.TypeContext) -> dict:
     g = ctx.group
 
     def words(cell):
         return [str(w) for w in sorted(cell, key=g.index)]
 
     return {
-        "type": ct.name,
+        "type": ctx.ct.name,
         "what": "cells",
         "left_cells": [words(c) for c in sorted(
             ctx.cells.left_cells, key=lambda c: min(g.index(w) for w in c))],
@@ -171,25 +171,21 @@ def _dump_cells(ct: CartanType) -> dict:
     }
 
 
-def _dump_gamma(ct: CartanType) -> dict:
-    ctx = audit.get_context(ct)
+def _dump_gamma(ctx: audit.TypeContext) -> dict:
     g = ctx.group
-    gamma = ctx.kl.gamma_tensor()
+    gamma = ctx.gamma
     entries = []
-    import numpy as np
-
-    for x, y, z in zip(*np.nonzero(gamma)):
+    for x, y, z in zip(*gamma.nonzero()):
         entries.append({
             "x": str(g.element(int(x))),
             "y": str(g.element(int(y))),
             "z": str(g.element(int(z))),
             "value": int(gamma[x, y, z]),
         })
-    return {"type": ct.name, "what": "gamma", "entries": entries}
+    return {"type": ctx.ct.name, "what": "gamma", "entries": entries}
 
 
-def _dump_cwe(ct: CartanType) -> dict:
-    ctx = audit.get_context(ct)
+def _dump_cwe(ctx: audit.TypeContext) -> dict:
     g = ctx.group
     rows: dict[str, dict[str, int]] = {}
     for w in g.elements:
@@ -201,16 +197,16 @@ def _dump_cwe(ct: CartanType) -> dict:
         if row:
             rows[str(w)] = row
     return {
-        "type": ct.name,
+        "type": ctx.ct.name,
         "what": "cwe",
         "labels": list(ctx.leading.labels),
         "rows": rows,
     }
 
 
-def _dump_delta(ct: CartanType) -> dict:
-    deltas = weylmod.delta_table(ct)
-    duality = weylmod.find_duality(ct, deltas)
+def _dump_delta(ctx: audit.TypeContext) -> dict:
+    deltas = ctx.deltas
+    duality = weylmod.find_duality(ctx.ct, deltas)
     rows = {}
     for word, dp in deltas.items():
         partner, sign = duality.pairs.get(word, (None, 0))
@@ -220,7 +216,7 @@ def _dump_delta(ct: CartanType) -> dict:
             "partner": partner,
             "sign": "+" if sign > 0 else ("-" if sign < 0 else None),
         }
-    return {"type": ct.name, "what": "delta", "rows": rows}
+    return {"type": ctx.ct.name, "what": "delta", "rows": rows}
 
 
 _DUMPERS = {
@@ -234,7 +230,7 @@ _DUMPERS = {
 
 def _cmd_tables(args) -> int:
     ct = CartanType.parse(args.type)
-    payload = _DUMPERS[args.what](ct)
+    payload = _DUMPERS[args.what](audit.get_context(ct))
     _write_output(json.dumps(payload, indent=2), args.output)
     return 0
 
@@ -285,10 +281,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _USAGE_ERRORS as exc:
         print(f"cellred: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -152,7 +152,8 @@ class WeylGroup:
     # -- Bruhat order
 
     def bruhat_lower_set(self, w: WeylElt) -> frozenset[WeylElt]:
-        """All y <= w: products of subwords of one reduced word for w."""
+        """All y <= w: products of subwords of one reduced word for w.
+        The reference oracle that tests check the support of P against."""
         reach = {0}
         for i in w.word:
             reach |= {self._rmul[x][i - 1] for x in reach}

@@ -85,10 +85,6 @@ class WCharTable:
         return self.row(label)[self.class_index_of(self.group.identity)]
 
     @property
-    def trivial_label(self) -> str:
-        return self.labels[0]
-
-    @property
     def sign_label(self) -> str:
         for lab, row in zip(self.labels, self.values):
             if all(
@@ -429,9 +425,6 @@ class LeadingData:
     a_E: dict[str, int]
     c: dict[tuple[WeylElt, str], int]
     alpha: dict[WeylElt, dict[str, int]]
-
-    def c_of(self, w: WeylElt, label: str) -> int:
-        return self.c.get((w, label), 0)
 
     def alpha_support(self) -> frozenset[WeylElt]:
         return frozenset(w for w, row in self.alpha.items() if row)

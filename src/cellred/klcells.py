@@ -42,6 +42,7 @@ through inversion, and two-sided cells those of the union of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -71,28 +72,35 @@ class KLData:
     """Canonical-basis data for one Weyl group.
 
     ``P`` maps (y, w) with y <= w to the coefficient tuple of P_{y,w} in q;
-    ``mu`` maps (y, w) to the nonzero mu values; ``a_values`` holds a(z) per
-    element index.  ``cs[s - 1, z, w]`` is the coefficient of c_z in c_s c_w,
-    a (rank, n, n, 3) Laurent array with offset 1.  Structure constants are
-    recomputed on request by :meth:`h_row`.
+    ``mu`` maps (y, w) to the nonzero mu values.  ``cs[s - 1, z, w]`` is the
+    coefficient of c_z in c_s c_w, a (rank, n, n, 3) Laurent array with
+    offset 1.  ``a_values`` (a(z) per element index) and the gamma tensor
+    come from one structure-constant pass, run on first read.
     """
 
     group: WeylGroup
     P: dict[tuple[WeylElt, WeylElt], tuple[int, ...]]
     mu: dict[tuple[WeylElt, WeylElt], int]
-    a_values: tuple[int, ...]
     cs: np.ndarray = field(repr=False)
-    _gamma: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _top(self) -> tuple[tuple[int, ...], np.ndarray]:
+        return _compute_top(self.group, self.cs)
+
+    @property
+    def a_values(self) -> tuple[int, ...]:
+        return self._top[0]
 
     def a_of(self, w: WeylElt) -> int:
         return self.a_values[self.group.index(w)]
 
     def gamma_tensor(self) -> np.ndarray:
-        """Dense integer gamma[x, y, z] over element indices."""
-        return self._gamma
+        """Dense integer gamma[x, y, z] by element index; :func:`j_ring` verifies it."""
+        return self._top[1]
 
     def h_row(self, x: WeylElt, y: WeylElt) -> dict[WeylElt, LaurentPoly]:
-        """The nonzero h_{x,y,z}, keyed by z; one structure-constant pass."""
+        """The nonzero h_{x,y,z}, keyed by z; one structure-constant pass.
+        The reference oracle that tests compare the cone pass against."""
         g = self.group
         cone = np.arange(g.size)
         row = _h_pass(g, self.cs, cone, [g.index(y)])[g.index(x), :, 0]
@@ -126,7 +134,8 @@ def _induction_step(
 
 
 def compute_kl(g: WeylGroup, bound: int = 120) -> KLData:
-    """Run the canonical-basis induction for the whole group."""
+    """Run the canonical-basis induction for the whole group: P, mu and the
+    c_s operators.  ``a_values`` and gamma wait for their first read."""
     if g.size > bound:
         raise GroupTooLarge(f"|W| = {g.size} exceeds bound {bound}")
     n = g.size
@@ -183,8 +192,7 @@ def compute_kl(g: WeylGroup, bound: int = 120) -> KLData:
         for z in np.flatnonzero(cb[w, :, off - 1]):
             mu[(g.element(int(z)), ew)] = int(cb[w, z, off - 1])
 
-    a, gamma = _compute_top(g, cs)
-    return KLData(group=g, P=P, mu=mu, a_values=a, cs=cs, _gamma=gamma)
+    return KLData(group=g, P=P, mu=mu, cs=cs)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +389,9 @@ def near_involutions(cells: CellPartition) -> frozenset[WeylElt]:
 # The asymptotic ring
 # ---------------------------------------------------------------------------
 
-def j_ring(kl: KLData, cells: CellPartition) -> None:
-    """Verify the asymptotic ring t_x t_y = sum_z gamma[x,y,z] t_z: gamma
-    support and associativity.
+def j_ring(kl: KLData, cells: CellPartition) -> np.ndarray:
+    """The gamma tensor of the asymptotic ring t_x t_y = sum_z gamma[x,y,z]
+    t_z, once its support and associativity are verified.
 
     Support is checked first (gamma vanishes unless x, y, z share a two-sided
     cell), which makes the exhaustive associativity check decompose into
@@ -415,13 +423,12 @@ def j_ring(kl: KLData, cells: CellPartition) -> None:
             raise AssociativityFailure(
                 f"associativity fails on the cell of {min(tc, key=g.index)}"
             )
+    return gamma
 
 
-def is_central(kl: KLData, z: Mapping[WeylElt, int]) -> bool:
+def is_central(g: WeylGroup, gamma: np.ndarray, z: Mapping[WeylElt, int]) -> bool:
     """Whether sum_w z[w] t_w commutes with every basis element of the
-    asymptotic ring."""
-    g = kl.group
-    gamma = kl.gamma_tensor()
+    asymptotic ring whose constants :func:`j_ring` returned as ``gamma``."""
     ys = [g.index(w) for w in z]
     rows, cols = gamma[ys], gamma[:, ys]
     gmax = max(int(np.abs(rows).max(initial=0)), int(np.abs(cols).max(initial=0)))

@@ -63,11 +63,6 @@ class LaurentPoly:
         self._c = c
 
     @classmethod
-    def gen(cls, k: int = 1) -> "LaurentPoly":
-        """The monomial ``v**k``."""
-        return cls({k: 1})
-
-    @classmethod
     def from_array(cls, row: np.ndarray, off: int) -> "LaurentPoly":
         """The polynomial held by one Laurent-array row with offset ``off``."""
         return cls({k - off: int(c) for k, c in enumerate(row) if c})

@@ -17,12 +17,11 @@ assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .coxeter import WeylElt, generate
 from .poly import IntPoly, reverse_at
 from .rootdata import CartanType, RootSystem, build_root_system, weyl_dim
-from .uniptables import DataIntegrityFailure, WeightTemplate, data_dir, load_tables
+from .uniptables import DataIntegrityFailure, WeightTemplate, load_tables
 
 
 class NonDominantTemplate(ValueError):
@@ -84,12 +83,6 @@ def delta_table(ct: CartanType) -> dict[str, DeltaPoly]:
     Each polynomial is checked exactly against the transcribed closed form
     and for integer values and a positive leading coefficient.
     """
-    return _delta_table(ct, data_dir())
-
-
-@lru_cache(maxsize=None)
-def _delta_table(ct: CartanType, tables_dir: str) -> dict[str, DeltaPoly]:
-    # cached per data directory, like the tables it is built from
     tables = load_tables(ct)
     if not tables.has_m_w_data:
         raise MissingMwData(f"{ct.name} ships no weight-template data")

@@ -3,15 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from cellred import audit, heckechar, uniptables, weylmod
+from cellred import audit, heckechar, klcells, uniptables, weylmod
 from cellred.audit import (
-    AuditReport,
     get_context,
     reports_to_json,
     reports_to_markdown,
     run_all,
     run_checks,
 )
+from cellred.cli import main
 from cellred.rootdata import CartanType
 
 from conftest import DATA_TYPE_NAMES, TYPE_NAMES
@@ -68,12 +68,6 @@ def test_g2_j_criterion_notes_involutions(all_reports):
     assert "equals the involution set" in c.details
 
 
-def test_report_round_trips(all_reports):
-    for r in all_reports.values():
-        raw = json.loads(json.dumps(r.to_dict()))
-        assert AuditReport.from_dict(raw) == r
-
-
 def test_json_and_markdown_renderers(all_reports):
     reports = [all_reports["A1"], all_reports["B2"]]
     parsed = json.loads(reports_to_json(reports))
@@ -120,13 +114,13 @@ def test_context_builds_the_character_table_once(data_copy, monkeypatch):
         return build(g)
 
     monkeypatch.setattr(heckechar, "w_character_table", counted)
-    get_context(CartanType.parse("B2"))  # fresh: a new data directory
+    get_context(CartanType.parse("B2")).leading  # fresh: a new data directory
     assert len(calls) == 1
 
 
 def test_caches_are_keyed_by_the_data_directory(monkeypatch, tmp_path):
     b2 = CartanType.parse("B2")
-    get_context(b2)
+    get_context(b2).tables
     weylmod.delta_table(b2)
     shipped = Path(uniptables.__file__).with_name("data")
     for src in shipped.glob("*.json"):
@@ -136,6 +130,60 @@ def test_caches_are_keyed_by_the_data_directory(monkeypatch, tmp_path):
     (tmp_path / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
     monkeypatch.setenv("CELLRED_DATA_DIR", str(tmp_path))
     with pytest.raises(uniptables.DataIntegrityFailure, match="not involutive"):
-        get_context(b2)
+        get_context(b2).tables
     with pytest.raises(uniptables.DataIntegrityFailure, match="not involutive"):
         weylmod.delta_table(b2)
+
+
+def count_calls(monkeypatch, module, name, calls):
+    build = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return build(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_klpoly_dump_never_runs_the_structure_constant_pass(data_copy, monkeypatch, capsys):
+    calls = {}
+    count_calls(monkeypatch, klcells, "compute_kl", calls)
+    count_calls(monkeypatch, klcells, "_compute_top", calls)
+    # fresh context: a new data directory
+    assert main(["tables", "dump", "--what", "klpoly", "--type", "A3"]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"]
+    assert calls == {"compute_kl": 1}
+
+
+def test_audit_builds_each_stage_once(data_copy, monkeypatch, capsys):
+    builders = (
+        (klcells, "compute_kl"), (klcells, "_compute_top"),
+        (klcells, "compute_cells"), (klcells, "j_ring"),
+        (heckechar, "w_character_table"), (heckechar, "build_hecke_modules"),
+        (heckechar, "leading_data"),
+    )
+    calls = {}
+    for module, name in builders:
+        count_calls(monkeypatch, module, name, calls)
+    assert main(["audit", "--type", "B2"]) == 0
+    capsys.readouterr()
+    assert calls == {name: 1 for _, name in builders}
+
+
+@pytest.mark.parametrize("module, name, reader", [
+    (klcells, "j_ring", "centrality"),
+    (heckechar, "build_hecke_modules", "j_criterion"),
+], ids=("j_ring", "build_hecke_modules"))
+def test_failing_stage_fails_only_the_rows_that_read_it(
+    data_copy, monkeypatch, capsys, module, name, reader
+):
+    def broken(*args):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr(module, name, broken)
+    assert main(["audit", "--type", "B2"]) == 3
+    rows = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    row = rows.pop(reader)
+    assert row["status"] == "fail"
+    assert row["details"] == "internal error: RuntimeError: stage broke"
+    assert [c["status"] for c in rows.values()] == ["pass"] * 5

@@ -30,7 +30,7 @@ def test_b2_table_shape():
     dims = sorted(table.dim(lab) for lab in table.labels)
     assert dims == [1, 1, 1, 1, 2]
     assert len(table.classes) == 5
-    assert table.trivial_label == "triv"
+    assert table.labels[0] == "triv"
     assert table.sign_label == "sign"
 
 
@@ -98,7 +98,7 @@ def test_v1_specialisation_matches_characters(name):
 @pytest.mark.parametrize("name", TYPE_NAMES)
 def test_a_of_trivial_and_sign(name, ctx):
     c = ctx(name)
-    assert c.leading.a_E[c.chartable.trivial_label] == 0
+    assert c.leading.a_E[c.chartable.labels[0]] == 0
     assert c.leading.a_E[c.chartable.sign_label] == c.group.nu
 
 
@@ -106,9 +106,9 @@ def test_a_of_trivial_and_sign(name, ctx):
 def test_extreme_leading_coefficients(name, ctx):
     c = ctx(name)
     g = c.group
-    triv, sign = c.chartable.trivial_label, c.chartable.sign_label
-    assert c.leading.c_of(g.identity, triv) == 1
-    assert c.leading.c_of(g.w0, sign) == 1
+    triv, sign = c.chartable.labels[0], c.chartable.sign_label
+    assert c.leading.c.get((g.identity, triv), 0) == 1
+    assert c.leading.c.get((g.w0, sign), 0) == 1
     assert c.leading.alpha[g.identity] == {triv: 1}
     assert c.leading.alpha[g.w0] == {sign: 1}
 
@@ -152,7 +152,7 @@ def test_type_a_r_table_equals_leading_coefficients(name, ctx):
     for word, row in tables.r_alpha.items():
         w = tables.element(word)
         for u in tables.unipotent:
-            assert row.get(u.label, 0) == c.leading.c_of(w, pairing[u.label])
+            assert row.get(u.label, 0) == c.leading.c.get((w, pairing[u.label]), 0)
 
 
 def test_a4_row_support_is_flagged_derived(ctx):

@@ -242,13 +242,13 @@ def test_associativity_brute_force(name, ctx):
 def test_centrality_examples(ctx):
     b2 = ctx("B2")
     g = b2.group
-    assert is_central(b2.kl, {})
-    assert is_central(b2.kl, {g.identity: 1})
-    assert is_central(b2.kl, {g.parse_word("1"): 1, g.parse_word("212"): 1})
+    assert is_central(g, b2.gamma, {})
+    assert is_central(g, b2.gamma, {g.identity: 1})
+    assert is_central(g, b2.gamma, {g.parse_word("1"): 1, g.parse_word("212"): 1})
     # t_1 alone is not central in B2
-    assert not is_central(b2.kl, {g.parse_word("1"): 1})
+    assert not is_central(g, b2.gamma, {g.parse_word("1"): 1})
     a1 = ctx("A1")
-    assert is_central(a1.kl, {a1.group.identity: 1})
+    assert is_central(a1.group, a1.gamma, {a1.group.identity: 1})
 
 
 def test_h_structure_constants_small():
@@ -319,7 +319,7 @@ def test_h_matches_direct_canonical_product(name, ctx):
             else:
                 out[sy] = out.get(sy, LaurentPoly()) + f
                 out[y] = out.get(y, LaurentPoly()) + (
-                    LaurentPoly.gen(1) - LaurentPoly.gen(-1)
+                    LaurentPoly({1: 1}) - LaurentPoly({-1: 1})
                 ) * f
         return {k: v for k, v in out.items() if not v.is_zero}
 
@@ -427,11 +427,11 @@ def test_magnitude_guards_raise(monkeypatch):
     # KL coefficients of A2 are 0 or 1; structure constants reach 2
     monkeypatch.setattr(poly, "MAGNITUDE_GUARD", 2)
     with pytest.raises(AssertionError, match="structure-constant magnitude guard tripped"):
-        compute_kl(g)
+        compute_kl(g).a_values
     with pytest.raises(AssertionError, match="gamma magnitude guard tripped"):
         klcells.j_ring(kl, cells)
     with pytest.raises(AssertionError, match="centrality magnitude guard tripped"):
-        is_central(kl, {g.parse_word("1"): 2})
+        is_central(g, kl.gamma_tensor(), {g.parse_word("1"): 2})
 
 
 def test_kl_degree_bound_guard_raises(monkeypatch):
@@ -468,4 +468,4 @@ def test_a_function_guards_raise(monkeypatch, z, exponent, message):
 
     monkeypatch.setattr(klcells, "_h_pass", h_pass_with_extra_term)
     with pytest.raises(AssertionError, match=message):
-        compute_kl(g)
+        compute_kl(g).a_values

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -134,3 +135,79 @@ def test_derived_rows_for_a4(ctx):
     w0 = str(c.group.w0)
     assert rows[w0] == {"11111": 1}
     assert all(all(m > 0 for m in row.values()) for row in rows.values())
+
+
+# One case per invariant the loader checks: (where, message, corruption of
+# the shipped B2 file).
+LOADER_FAULTS = [
+    pytest.param("header", "file declares type 'A2'",
+                 lambda raw: raw.update(type="A2"), id="header"),
+    pytest.param("unipotent", "duplicate labels",
+                 lambda raw: raw["unipotent"].append(dict(raw["unipotent"][1])),
+                 id="duplicate-label"),
+    pytest.param("unipotent", "degree of '1' is not 1",
+                 lambda raw: raw["unipotent"][0].update(degree="t"), id="degree-1"),
+    pytest.param("unipotent", r"degree of 'S' is not t\^4",
+                 lambda raw: raw["unipotent"][5].update(degree="t^3"), id="degree-S"),
+    pytest.param("unipotent", "r: non-positive leading coefficient",
+                 lambda raw: raw["unipotent"][1].update(degree="-t"), id="negative-degree"),
+    pytest.param("r_alpha", "duplicate element for word '2121'",
+                 lambda raw: raw["r_alpha"].update({"2121": {"S": 1}}), id="duplicate-element"),
+    pytest.param("r_alpha", "empty row for 'e'",
+                 lambda raw: raw["r_alpha"]["e"].clear(), id="empty-row"),
+    pytest.param("r_alpha", "unknown label 'zz' in row 'e'",
+                 lambda raw: raw["r_alpha"]["e"].update(zz=1), id="unknown-label"),
+    pytest.param("r_alpha", r"bad multiplicity 0 at \(e,1\)",
+                 lambda raw: raw["r_alpha"]["e"].update({"1": 0}), id="bad-multiplicity"),
+    pytest.param("r_alpha", r"labels never used: \['new'\]",
+                 lambda raw: raw["unipotent"].append({"label": "new", "degree": "t"}),
+                 id="unused-label"),
+    pytest.param("m_w", r"coefficient 2 at 'e' is not \+-1",
+                 lambda raw: raw["m_w"]["e"][0].update(coef=2), id="coefficient"),
+    pytest.param("m_w", "template rank mismatch at 'e'",
+                 lambda raw: raw["m_w"]["e"][0].update(template=[[0, 0]]), id="rank"),
+    pytest.param("m_w", r"template p-coefficient outside \{0,1\} at 'e'",
+                 lambda raw: raw["m_w"]["e"][0].update(template=[[0, 2], [0, 0]]),
+                 id="p-coefficient"),
+    pytest.param("m_w", r"template \(3,0\) not restricted at the minimum prime 3",
+                 lambda raw: raw["m_w"]["e"][0].update(template=[[3, 0], [0, 0]]),
+                 id="unrestricted"),
+    pytest.param("m_w/delta", "row keys differ from the r_alpha keys",
+                 lambda raw: raw["delta"].pop("e"), id="delta-keys"),
+    pytest.param("decomp", "rows do not match the unipotent labels",
+                 lambda raw: raw["decomp"].pop("S"), id="decomp-rows"),
+    pytest.param("decomp", "table is not the transpose of r_alpha",
+                 lambda raw: raw["decomp"].update(S={"1212": 2}), id="decomp-transpose"),
+    pytest.param("duality", "involution not defined on exactly the R rows",
+                 lambda raw: raw["duality"].pop("e"), id="duality-domain"),
+    pytest.param("duality", "not involutive at 'e'",
+                 lambda raw: raw["duality"].update(e="1"), id="not-involutive"),
+]
+
+
+@pytest.mark.parametrize("where, message, corrupt", LOADER_FAULTS)
+def test_loader_names_each_violated_invariant(data_copy, where, message, corrupt):
+    path = data_copy / "B2.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(raw)
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    pattern = rf"^B2 tables, {re.escape(where)}( \(ref [^)]*\))?: {message}$"
+    with pytest.raises(DataIntegrityFailure, match=pattern):
+        load_tables(CartanType.parse("B2"))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("negative", r"negative derived multiplicity at \(1,21\)"),
+    ("empty", "empty derived row at 1"),
+], ids=("negative", "empty"))
+def test_derived_rows_reject_bad_leading_coefficients(ctx, fault, message):
+    c = ctx("A2")
+    g = c.group
+    s = g.parse_word("1")
+    coeffs = dict(c.leading.c)
+    if fault == "negative":
+        coeffs[(s, "21")] = -1
+    else:
+        coeffs = {k: v for k, v in coeffs.items() if k[0] != s}
+    with pytest.raises(DataIntegrityFailure, match=message):
+        derived_r_alpha(g, c.leading.labels, coeffs, c.jset)
