@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .rootdata import CartanType, Weight, build_root_system, weyl_dim
 from .coxeter import WeylElt, WeylGroup, generate
-from .poly import IntPoly, LaurentPoly
+from .poly import IntPoly
 
 __all__ = [
     "CartanType",
@@ -12,7 +12,6 @@ __all__ = [
     "WeylElt",
     "WeylGroup",
     "IntPoly",
-    "LaurentPoly",
     "build_root_system",
     "generate",
     "weyl_dim",

@@ -107,10 +107,12 @@ class AuditReport:
 class TypeContext:
     """Everything the checks need for one type, each stage built on its first
     read and kept.  A stage that raises is retried on the next read, so it
-    fails exactly the checks that read it."""
+    fails exactly the checks that read it.  Tables come from ``data_dir``,
+    fixed at construction."""
 
-    def __init__(self, ct: CartanType):
+    def __init__(self, ct: CartanType, data_dir: str):
         self.ct = ct
+        self.data_dir = data_dir
 
     @cached_property
     def group(self) -> WeylGroup:
@@ -120,7 +122,7 @@ class TypeContext:
 
     @cached_property
     def tables(self) -> uniptables.TypeTables:
-        return uniptables.load_tables(self.ct)
+        return uniptables.load_tables(self.ct, self.data_dir)
 
     @cached_property
     def kl(self) -> klcells.KLData:
@@ -160,7 +162,7 @@ class TypeContext:
 
     @cached_property
     def deltas(self) -> dict[str, weylmod.DeltaPoly]:
-        return weylmod.delta_table(self.ct)
+        return weylmod.delta_table(self.tables)
 
     @cached_property
     def unip_rows(self) -> dict[str, dict[str, int]]:
@@ -178,13 +180,12 @@ class TypeContext:
 
 
 def get_context(ct: CartanType) -> TypeContext:
+    """The context for ``ct`` over the current data directory; one per
+    directory, because the tables and all built from them differ."""
     return _context(ct, uniptables.data_dir())
 
 
-@lru_cache(maxsize=None)
-def _context(ct: CartanType, tables_dir: str) -> TypeContext:
-    # one per data directory: the tables, and all built from them, differ
-    return TypeContext(ct)
+_context = lru_cache(maxsize=None)(TypeContext)
 
 
 def _skip(check_id: str, reason: str) -> CheckResult:
@@ -225,7 +226,7 @@ def check_bookkeeping(ctx: TypeContext) -> CheckResult:
 def check_duality(ctx: TypeContext) -> CheckResult:
     if not ctx.tables.has_m_w_data:
         return _skip("duality", _NO_DATA)
-    res = weylmod.find_duality(ctx.ct, ctx.deltas)
+    res = weylmod.find_duality(ctx.group, ctx.deltas)
     problems = list(res.problems)
     g = ctx.group
     full = frozenset(range(1, g.rank + 1))

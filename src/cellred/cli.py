@@ -206,7 +206,7 @@ def _dump_cwe(ctx: audit.TypeContext) -> dict:
 
 def _dump_delta(ctx: audit.TypeContext) -> dict:
     deltas = ctx.deltas
-    duality = weylmod.find_duality(ctx.ct, deltas)
+    duality = weylmod.find_duality(ctx.group, deltas)
     rows = {}
     for word, dp in deltas.items():
         partner, sign = duality.pairs.get(word, (None, 0))

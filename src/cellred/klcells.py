@@ -48,7 +48,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .coxeter import WeylElt, WeylGroup
-from .poly import LaurentPoly, check_magnitude, check_window, window_offset
+from .poly import IntPoly, check_magnitude, check_window, window_offset
 
 
 class GroupTooLarge(ValueError):
@@ -98,7 +98,7 @@ class KLData:
         """Dense integer gamma[x, y, z] by element index; :func:`j_ring` verifies it."""
         return self._top[1]
 
-    def h_row(self, x: WeylElt, y: WeylElt) -> dict[WeylElt, LaurentPoly]:
+    def h_row(self, x: WeylElt, y: WeylElt) -> dict[WeylElt, IntPoly]:
         """The nonzero h_{x,y,z}, keyed by z; one structure-constant pass.
         The reference oracle that tests compare the cone pass against."""
         g = self.group
@@ -106,7 +106,7 @@ class KLData:
         row = _h_pass(g, self.cs, cone, [g.index(y)])[g.index(x), :, 0]
         off = window_offset(g.nu)
         return {
-            g.element(int(z)): LaurentPoly.from_array(row[z], off)
+            g.element(int(z)): IntPoly.from_array(row[z], off)
             for z in np.nonzero(row.any(axis=1))[0]
         }
 

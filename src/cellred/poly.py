@@ -1,38 +1,31 @@
 """Exact univariate polynomial arithmetic.
 
-Three forms are used throughout the package:
+Two forms are used throughout the package:
 
-* :class:`LaurentPoly` -- Laurent polynomials in a formal square root ``v``
-  (``v**2`` plays the role of the Hecke parameter ``u``), with
-  arbitrary-precision integer coefficients.  Working in ``v`` keeps every
-  exponent integral; half-integer powers of ``u`` never appear.
+* :class:`IntPoly` -- exact polynomials with integer exponents, negative
+  ones allowed, and ``int`` or ``Fraction`` coefficients.  The variable is
+  ``v`` for Hecke data (``v**2`` plays the role of the Hecke parameter
+  ``u``, so half-integer powers of ``u`` never appear) and ``t`` for
+  dimension polynomials such as ``t(t+1)(2t+1)/6``, which take integer
+  values on integers without having integer coefficients.  Values are
+  immutable; every operation returns a fresh object and is exact.
 
-* Laurent arrays -- the bulk form of the same data: int64 numpy arrays
+* Laurent arrays -- the bulk form of the ``v`` data: int64 numpy arrays
   whose last axis holds the coefficient of ``v**k`` at index ``k + off``,
   with explicit window and magnitude guards (see :func:`window_offset`).
-
-* :class:`IntPoly` -- dense polynomials in ``t`` with exact rational
-  coefficients.  These hold dimension polynomials such as ``t(t+1)(2t+1)/6``
-  which take integer values on integers without having integer coefficients.
-
-The two classes are immutable values; every operation returns a fresh object
-and all arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
 
-class LeadingTermOfZero(ValueError):
-    """Degree requested from the zero Laurent polynomial."""
-
-
 class ZeroPolynomial(ValueError):
-    """Lowest degree requested from the zero polynomial."""
+    """Degree or extreme coefficient requested from the zero polynomial."""
 
 
 class DegreeExceedsNu(ValueError):
@@ -43,33 +36,42 @@ Scalar = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in v
+# Exact polynomials
 # ---------------------------------------------------------------------------
 
-class LaurentPoly:
-    """Laurent polynomial in ``v`` with integer coefficients.
+class IntPoly:
+    """Exact polynomial, stored as a map exponent -> nonzero coefficient.
 
-    Stored as a map exponent -> coefficient with no zero values.
+    The name records the dimension polynomials it was made for: integer
+    valued on integers even though their coefficients are fractions.  The
+    zero polynomial has no degree, because -1 is a real Laurent degree.
     """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None):
-        c = {}
-        if coeffs:
-            for k, a in coeffs.items():
-                if a:
-                    c[int(k)] = int(a)
-        self._c = c
+    def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
+        self._c = {int(k): a for k, a in coeffs.items() if a} if coeffs else {}
 
     @classmethod
-    def from_array(cls, row: np.ndarray, off: int) -> "LaurentPoly":
+    def zero(cls) -> "IntPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "IntPoly":
+        return cls({0: 1})
+
+    @classmethod
+    def monomial(cls, k: int, coeff: Scalar = 1) -> "IntPoly":
+        return cls({k: coeff})
+
+    @classmethod
+    def from_array(cls, row: np.ndarray, off: int) -> "IntPoly":
         """The polynomial held by one Laurent-array row with offset ``off``."""
         return cls({k - off: int(c) for k, c in enumerate(row) if c})
 
     # -- inspection
 
-    def coeffs(self) -> dict[int, int]:
+    def coeffs(self) -> dict[int, Scalar]:
         return dict(self._c)
 
     @property
@@ -78,224 +80,26 @@ class LaurentPoly:
 
     def degree(self) -> int:
         if not self._c:
-            raise LeadingTermOfZero("zero Laurent polynomial has no degree")
+            raise ZeroPolynomial("zero polynomial has no degree")
         return max(self._c)
-
-    # -- arithmetic
-
-    @staticmethod
-    def _coerce(x) -> "LaurentPoly":
-        if isinstance(x, LaurentPoly):
-            return x
-        if isinstance(x, int):
-            return LaurentPoly({0: x})
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = dict(self._c)
-        for k, a in other._c.items():
-            b = c.get(k, 0) + a
-            if b:
-                c[k] = b
-            else:
-                c.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {k: -a for k, a in self._c.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._c = {k: a * other for k, a in self._c.items()}
-            return out
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c: dict[int, int] = {}
-        for k1, a1 in self._c.items():
-            for k2, a2 in other._c.items():
-                k = k1 + k2
-                b = c.get(k, 0) + a1 * a2
-                if b:
-                    c[k] = b
-                else:
-                    c.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        return out
-
-    __rmul__ = __mul__
-
-    # -- equality / hashing / display
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __repr__(self):
-        return f"LaurentPoly({self._c!r})"
-
-    def __str__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for k in sorted(self._c):
-            a = self._c[k]
-            if k == 0:
-                mono = str(abs(a))
-            else:
-                va = "v" if k == 1 else f"v^{k}"
-                mono = va if abs(a) == 1 else f"{abs(a)}{va}"
-            if not parts:
-                parts.append(mono if a > 0 else f"-{mono}")
-            else:
-                parts.append(f"+ {mono}" if a > 0 else f"- {mono}")
-        return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Laurent arrays: int64 coefficient windows over a stated offset
-# ---------------------------------------------------------------------------
-
-# Every integer a bulk step forms stays below this bound: far inside int64,
-# and inside the 2**53 up to which float64 holds integers exactly.
-MAGNITUDE_GUARD = 2 ** 50
-
-
-def window_offset(nu: int) -> int:
-    """Offset of the window for Laurent data of |v-degree| <= ``nu``.
-
-    The window has width ``2 * off + 1``.  One slot beyond ``nu`` on each
-    side holds a product by ``v + v**-1`` before it cancels; the outermost
-    slot is a guard that :func:`check_window` requires to be zero, which
-    proves that no shift pushed a coefficient out of the window.
-    """
-    return nu + 2
-
-
-def check_window(a: np.ndarray, what: str) -> None:
-    if a[..., 0].any() or a[..., -1].any():
-        raise AssertionError(f"{what} exponent window exceeded")
-
-
-def check_magnitude(bound: int, what: str) -> None:
-    """Raise unless ``bound``, a bound on every integer a step forms, is
-    below :data:`MAGNITUDE_GUARD`."""
-    if bound >= MAGNITUDE_GUARD:
-        raise AssertionError(f"{what} magnitude guard tripped")
-
-
-def laurent_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of matrices with Laurent entries, as a full convolution.
-
-    ``(i, k, Da) x (k, j, Db) -> (i, j, Da + Db - 1)``; the offset of the
-    product is the sum of the offsets of the factors.
-    """
-    da = a.shape[2]
-    out = np.zeros((a.shape[0], b.shape[1], da + b.shape[2] - 1), dtype=np.int64)
-    for e in range(b.shape[2]):
-        out[:, :, e:e + da] += np.einsum("ikf,kj->ijf", a, b[:, :, e])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Polynomials in t with rational coefficients
-# ---------------------------------------------------------------------------
-
-class IntPoly:
-    """Polynomial in ``t`` over the rationals, stored densely.
-
-    The name records its purpose: the dimension polynomials carried by this
-    type are integer valued on integers even though their coefficients are
-    fractions.  ``is_integer_valued`` checks that property exactly (values at
-    0..deg+1 determine it for a polynomial of this degree).
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
-
-    @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, k: int, coeff: Scalar = 1) -> "IntPoly":
-        return cls((0,) * k + (coeff,))
-
-    @classmethod
-    def from_int(cls, n: int) -> "IntPoly":
-        return cls((n,))
-
-    # -- inspection
-
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
-
-    def coefficient(self, k: int) -> Fraction:
-        return self._c[k] if 0 <= k < len(self._c) else Fraction(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self._c) - 1
-
-    def leading_coefficient(self) -> Fraction:
-        if not self._c:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self._c[-1]
 
     def lowest_degree(self) -> int:
         if not self._c:
             raise ZeroPolynomial("zero polynomial has no lowest degree")
-        for k, a in enumerate(self._c):
-            if a:
-                return k
-        raise AssertionError("unreachable: normalised nonzero polynomial")
+        return min(self._c)
+
+    def leading_coefficient(self) -> Scalar:
+        return self._c[self.degree()]
 
     def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for a in reversed(self._c):
-            acc = acc * x + a
-        return acc
+        x = Fraction(x)
+        return sum((a * x ** k for k, a in self._c.items()), Fraction(0))
 
     def is_integer_valued(self) -> bool:
+        """Whether every integer maps to an integer; the values at
+        0..deg+1 decide it.  Needs no negative exponent."""
+        if not self._c:
+            return True
         return all(self(k).denominator == 1 for k in range(self.degree() + 2))
 
     # -- arithmetic
@@ -305,22 +109,22 @@ class IntPoly:
         if isinstance(x, IntPoly):
             return x
         if isinstance(x, (int, Fraction)):
-            return IntPoly((x,))
+            return IntPoly({0: x})
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self._c), len(other._c))
-        return IntPoly(
-            (self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        c = dict(self._c)
+        for k, a in other._c.items():
+            c[k] = c.get(k, 0) + a
+        return IntPoly(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly((-a for a in self._c))
+        return IntPoly({k: -a for k, a in self._c.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -333,18 +137,14 @@ class IntPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return IntPoly((a * other for a in self._c))
+            return IntPoly({k: a * other for k, a in self._c.items()})
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            if not a:
-                continue
-            for j, b in enumerate(other._c):
-                out[i + j] += a * b
-        return IntPoly(out)
+        c: dict[int, Scalar] = {}
+        for k1, a1 in self._c.items():
+            for k2, a2 in other._c.items():
+                c[k1 + k2] = c.get(k1 + k2, 0) + a1 * a2
+        return IntPoly(c)
 
     __rmul__ = __mul__
 
@@ -352,7 +152,7 @@ class IntPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of polynomial by zero")
-            return IntPoly((a / other for a in self._c))
+            return IntPoly({k: Fraction(a) / other for k, a in self._c.items()})
         return NotImplemented
 
     def __pow__(self, n: int) -> "IntPoly":
@@ -372,26 +172,23 @@ class IntPoly:
         return self._c == other._c
 
     def __hash__(self):
-        return hash(self._c)
+        return hash(frozenset(self._c.items()))
 
     def __repr__(self):
-        return f"IntPoly.parse({self.render()!r})"
+        return f"IntPoly({self._c!r})"
 
     def render(self) -> str:
-        """Readable display: the t-power and denominator pulled out, e.g.
-        ``t^2(5t^2+1)/6``.  Parses back to an equal polynomial."""
+        """Readable display in ``t``: the t-power and denominator pulled
+        out, e.g. ``t^2(5t^2+1)/6``.  Parses back to an equal polynomial
+        when no exponent is negative."""
         if not self._c:
             return "0"
-        den = 1
-        for a in self._c:
-            den = den * a.denominator // _gcd(den, a.denominator)
+        den = math.lcm(*(a.denominator for a in self._c.values()))
         low = self.lowest_degree()
         prefix = "" if low == 0 else ("t" if low == 1 else f"t^{low}")
         body = []
-        for k in range(len(self._c) - 1, low - 1, -1):
+        for k in sorted(self._c, reverse=True):
             n = int(self._c[k] * den)
-            if not n:
-                continue
             e = k - low
             if e == 0:
                 mono = str(abs(n))
@@ -404,7 +201,7 @@ class IntPoly:
                 body.append(f"+ {mono}" if n > 0 else f"- {mono}")
         text = " ".join(body)
         if len(body) == 1:
-            n = int(self._c[-1] * den)
+            n = int(self._c[low] * den)
             if abs(n) == 1:
                 head = ("-" if n < 0 else "") + (prefix or "1")
             else:
@@ -428,12 +225,6 @@ class IntPoly:
         by a trailing integer.
         """
         return _Parser(text).parse()
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class _Parser:
@@ -488,7 +279,7 @@ class _Parser:
     def factor(self) -> IntPoly:
         ch = self.peek()
         if ch.isdigit():
-            base = IntPoly.from_int(self.integer())
+            base = IntPoly({0: self.integer()})
         elif ch == "t":
             self.pos += 1
             base = IntPoly.monomial(1)
@@ -520,11 +311,54 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 def reverse_at(nu: int, f: IntPoly) -> IntPoly:
-    """``t**nu * f(1/t)`` as a polynomial; requires deg f <= nu."""
+    """``t**nu * f(1/t)``; requires deg f <= nu unless f is zero."""
+    if f.is_zero:
+        return f
     if f.degree() > nu:
         raise DegreeExceedsNu(f"degree {f.degree()} exceeds nu={nu}")
-    out = [Fraction(0)] * (nu + 1)
-    for k in range(f.degree() + 1):
-        out[nu - k] = f.coefficient(k)
-    return IntPoly(out)
+    return IntPoly({nu - k: a for k, a in f._c.items()})
 
+
+# ---------------------------------------------------------------------------
+# Laurent arrays: int64 coefficient windows over a stated offset
+# ---------------------------------------------------------------------------
+
+# Every integer a bulk step forms stays below this bound: far inside int64,
+# and inside the 2**53 up to which float64 holds integers exactly.
+MAGNITUDE_GUARD = 2 ** 50
+
+
+def window_offset(nu: int) -> int:
+    """Offset of the window for Laurent data of |v-degree| <= ``nu``.
+
+    The window has width ``2 * off + 1``.  One slot beyond ``nu`` on each
+    side holds a product by ``v + v**-1`` before it cancels; the outermost
+    slot is a guard that :func:`check_window` requires to be zero, which
+    proves that no shift pushed a coefficient out of the window.
+    """
+    return nu + 2
+
+
+def check_window(a: np.ndarray, what: str) -> None:
+    if a[..., 0].any() or a[..., -1].any():
+        raise AssertionError(f"{what} exponent window exceeded")
+
+
+def check_magnitude(bound: int, what: str) -> None:
+    """Raise unless ``bound``, a bound on every integer a step forms, is
+    below :data:`MAGNITUDE_GUARD`."""
+    if bound >= MAGNITUDE_GUARD:
+        raise AssertionError(f"{what} magnitude guard tripped")
+
+
+def laurent_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of matrices with Laurent entries, as a full convolution.
+
+    ``(i, k, Da) x (k, j, Db) -> (i, j, Da + Db - 1)``; the offset of the
+    product is the sum of the offsets of the factors.
+    """
+    da = a.shape[2]
+    out = np.zeros((a.shape[0], b.shape[1], da + b.shape[2] - 1), dtype=np.int64)
+    for e in range(b.shape[2]):
+        out[:, :, e:e + da] += np.einsum("ikf,kj->ijf", a, b[:, :, e])
+    return out

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 from .coxeter import WeylElt, WeylGroup, generate
@@ -71,8 +70,6 @@ class TypeTables:
     delta: dict[str, IntPoly] | None
     decomp: dict[str, dict[str, int]] | None
     duality: dict[str, str] | None
-    refs: dict[str, str]
-    derived: bool = False
 
     @property
     def has_m_w_data(self) -> bool:
@@ -99,9 +96,11 @@ def _fail(ct: CartanType, where: str, msg: str, refs: dict | None = None) -> Dat
     return DataIntegrityFailure(f"{ct.name} tables, {where}{tag}: {msg}")
 
 
-@lru_cache(maxsize=None)
-def _load(ct: CartanType, data_dir: str) -> TypeTables:
-    path = Path(data_dir) / f"{ct.name}.json"
+def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
+    """Load and verify the tables for a type (A4: partial) from
+    ``directory``, by default :func:`data_dir`.  Not cached: the audit
+    context that holds the result is the per-directory cache."""
+    path = Path(directory or data_dir()) / f"{ct.name}.json"
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if raw.get("type") != ct.name:
@@ -116,7 +115,7 @@ def _load(ct: CartanType, data_dir: str) -> TypeTables:
         return TypeTables(
             type=ct, group=g, min_prime=min_prime, proximity_bound=bound,
             unipotent=None, r_alpha=None, m_w=None, delta=None,
-            decomp=None, duality=None, refs=refs,
+            decomp=None, duality=None,
         )
 
     unip = tuple(
@@ -198,13 +197,8 @@ def _load(ct: CartanType, data_dir: str) -> TypeTables:
     return TypeTables(
         type=ct, group=g, min_prime=min_prime, proximity_bound=bound,
         unipotent=unip, r_alpha=r_alpha, m_w=m_w, delta=delta,
-        decomp=decomp, duality=duality, refs=refs,
+        decomp=decomp, duality=duality,
     )
-
-
-def load_tables(ct: CartanType) -> TypeTables:
-    """Load and verify the shipped tables for a type (A4: partial)."""
-    return _load(ct, data_dir())
 
 
 def derived_r_alpha(

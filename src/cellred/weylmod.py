@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import WeylElt, generate
+from .coxeter import WeylElt, WeylGroup
 from .poly import IntPoly, reverse_at
-from .rootdata import CartanType, RootSystem, build_root_system, weyl_dim
-from .uniptables import DataIntegrityFailure, WeightTemplate, load_tables
+from .rootdata import RootSystem, build_root_system, weyl_dim
+from .uniptables import DataIntegrityFailure, TypeTables, WeightTemplate
 
 
 class NonDominantTemplate(ValueError):
@@ -54,7 +54,7 @@ def dim_template(rs: RootSystem, tmpl: WeightTemplate, min_prime: int = 2) -> In
     for row, rho in zip(rs.coroot_pairings, rs.weyl_vector_pairings):
         const = sum(c * (c0 + 1) for c, (c0, _) in zip(row, tmpl.coords))
         slope = sum(c * c1 for c, (_, c1) in zip(row, tmpl.coords))
-        num = num * IntPoly((const, slope))
+        num = num * IntPoly({0: const, 1: slope})
         den *= rho
     pi = num / den
     for p in _SPOT_PRIMES:
@@ -77,13 +77,14 @@ class DeltaPoly:
     c: int
 
 
-def delta_table(ct: CartanType) -> dict[str, DeltaPoly]:
-    """Signed template dimensions for every table row, keyed by shipped word.
+def delta_table(tables: TypeTables) -> dict[str, DeltaPoly]:
+    """Signed template dimensions for every row of ``tables``, keyed by
+    shipped word.
 
     Each polynomial is checked exactly against the transcribed closed form
     and for integer values and a positive leading coefficient.
     """
-    tables = load_tables(ct)
+    ct = tables.type
     if not tables.has_m_w_data:
         raise MissingMwData(f"{ct.name} ships no weight-template data")
     rs = build_root_system(ct)
@@ -126,12 +127,9 @@ class DualityResult:
         return not self.problems
 
 
-def find_duality(ct: CartanType, deltas: dict[str, DeltaPoly] | None = None) -> DualityResult:
+def find_duality(g: WeylGroup, deltas: dict[str, DeltaPoly]) -> DualityResult:
     """Search for w~ with t^nu pi_w(1/t) = +- pi_{w~} and complementary
     left-descent sets."""
-    if deltas is None:
-        deltas = delta_table(ct)
-    g = generate(ct)
     full = frozenset(range(1, g.rank + 1))
     nu = g.nu
     pairs: dict[str, tuple[str, int]] = {}

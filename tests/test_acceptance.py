@@ -57,7 +57,7 @@ def test_02_delta_table_suite():
     for name in DATA_TYPE_NAMES:
         ct = CartanType.parse(name)
         tables = load_tables(ct)
-        deltas = delta_table(ct)  # verifies templates against transcriptions
+        deltas = delta_table(tables)  # verifies templates against transcriptions
         for word, dp in deltas.items():
             assert dp.pi == tables.delta[word]  # exact coefficient equality
             rows += 1
@@ -70,7 +70,7 @@ def test_03_bookkeeping_identities():
     for name in DATA_TYPE_NAMES:
         ct = CartanType.parse(name)
         tables = load_tables(ct)
-        deltas = delta_table(ct)
+        deltas = delta_table(tables)
         for u in tables.unipotent:
             combo = IntPoly.zero()
             for word, mult in tables.decomp[u.label].items():
@@ -85,12 +85,12 @@ def test_04_duality():
     signs = set()
     for name in DATA_TYPE_NAMES:
         ct = CartanType.parse(name)
-        res = find_duality(ct)
-        assert res.ok
-        shipped = load_tables(ct).duality
-        assert {w: p for w, (p, _) in res.pairs.items()} == shipped
         g = generate(ct)
         tables = load_tables(ct)
+        res = find_duality(g, delta_table(tables))
+        assert res.ok
+        shipped = tables.duality
+        assert {w: p for w, (p, _) in res.pairs.items()} == shipped
         full = frozenset(range(1, g.rank + 1))
         for w, (partner, s) in res.pairs.items():
             signs.add(s)
@@ -106,10 +106,10 @@ def test_05_a_values():
     for name in DATA_TYPE_NAMES:
         ct = CartanType.parse(name)
         ctx = get_context(ct)
-        deltas = delta_table(ct)
+        deltas = delta_table(ctx.tables)
         for dp in deltas.values():
             assert dp.pi.lowest_degree() == ctx.kl.a_of(dp.w)
-    b2 = sorted(dp.c for dp in delta_table(CartanType.parse("B2")).values())
+    b2 = sorted(dp.c for dp in get_context(CartanType.parse("B2")).deltas.values())
     assert b2 == [0, 1, 1, 1, 1, 4]
     _ok(5, "lowest degrees equal the a-function on every row (B2: 0,1,1,1,1,4)")
 

@@ -118,21 +118,39 @@ def test_context_builds_the_character_table_once(data_copy, monkeypatch):
     assert len(calls) == 1
 
 
+def non_involutive_copy(directory: Path) -> Path:
+    """A copy of the shipped data whose B2 duality is not an involution."""
+    shipped = Path(uniptables.__file__).with_name("data")
+    directory.mkdir(exist_ok=True)
+    for src in shipped.glob("*.json"):
+        (directory / src.name).write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
+    raw = json.loads((directory / "B2.json").read_text(encoding="utf-8"))
+    raw["duality"]["e"] = "1"  # while "1" still pairs with "2"
+    (directory / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
+    return directory
+
+
 def test_caches_are_keyed_by_the_data_directory(monkeypatch, tmp_path):
     b2 = CartanType.parse("B2")
     get_context(b2).tables
-    weylmod.delta_table(b2)
-    shipped = Path(uniptables.__file__).with_name("data")
-    for src in shipped.glob("*.json"):
-        (tmp_path / src.name).write_text(src.read_text(encoding="utf-8"), encoding="utf-8")
-    raw = json.loads((tmp_path / "B2.json").read_text(encoding="utf-8"))
-    raw["duality"]["e"] = "1"  # while "1" still pairs with "2"
-    (tmp_path / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
-    monkeypatch.setenv("CELLRED_DATA_DIR", str(tmp_path))
+    get_context(b2).deltas
+    monkeypatch.setenv("CELLRED_DATA_DIR", str(non_involutive_copy(tmp_path)))
     with pytest.raises(uniptables.DataIntegrityFailure, match="not involutive"):
         get_context(b2).tables
     with pytest.raises(uniptables.DataIntegrityFailure, match="not involutive"):
-        weylmod.delta_table(b2)
+        get_context(b2).deltas
+
+
+def test_context_keeps_the_data_directory_it_was_built_for(data_copy, monkeypatch, tmp_path):
+    b2 = CartanType.parse("B2")
+    want = uniptables.load_tables(b2)
+    ctx = get_context(b2)  # fresh: keyed by the pristine copy
+    monkeypatch.setenv("CELLRED_DATA_DIR", str(non_involutive_copy(tmp_path / "bad")))
+    assert ctx.tables.duality == want.duality
+    assert weylmod.find_duality(ctx.group, ctx.deltas).ok
+    assert set(ctx.deltas) == set(want.delta)
+    with pytest.raises(uniptables.DataIntegrityFailure, match="not involutive"):
+        get_context(b2).tables  # a new directory gets a new context
 
 
 def count_calls(monkeypatch, module, name, calls):

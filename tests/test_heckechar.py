@@ -6,7 +6,7 @@ from cellred import heckechar, poly
 from cellred.audit import get_context
 from cellred.coxeter import generate
 from cellred.heckechar import build_hecke_modules, w_character_table
-from cellred.poly import LaurentPoly
+from cellred.poly import IntPoly
 from cellred.rootdata import CartanType
 
 from conftest import TYPE_NAMES
@@ -83,8 +83,8 @@ def test_one_dim_modules_forced():
     mods = {m.label: m for m in mod_list}
     # T_s acts by u on the trivial module and by -1 on the sign module;
     # the arrays hold Tt_s = v^-1 T_s with offset 1
-    assert LaurentPoly.from_array(mods["triv"].gens[0, 0, 0], 1) == LaurentPoly({1: 1})
-    assert LaurentPoly.from_array(mods["sign"].gens[1, 0, 0], 1) == LaurentPoly({-1: -1})
+    assert IntPoly.from_array(mods["triv"].gens[0, 0, 0], 1) == IntPoly({1: 1})
+    assert IntPoly.from_array(mods["sign"].gens[1, 0, 0], 1) == IntPoly({-1: -1})
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)

@@ -4,7 +4,7 @@ import pytest
 from cellred import heckechar, klcells, poly
 from cellred.coxeter import generate
 from cellred.klcells import GroupTooLarge, compute_kl, is_central
-from cellred.poly import LaurentPoly, laurent_matmul
+from cellred.poly import IntPoly, laurent_matmul
 from cellred.rootdata import CartanType
 
 from conftest import TYPE_NAMES
@@ -255,9 +255,9 @@ def test_h_structure_constants_small():
     g = generate(CartanType.parse("A1"))
     kl = compute_kl(g)
     e, s = g.identity, g.parse_word("1")
-    assert kl.h_row(s, s) == {s: LaurentPoly({1: 1, -1: 1})}  # v + v^-1
-    assert kl.h_row(e, s) == {s: LaurentPoly({0: 1})}
-    assert kl.h_row(s, e) == {s: LaurentPoly({0: 1})}
+    assert kl.h_row(s, s) == {s: IntPoly({1: 1, -1: 1})}  # v + v^-1
+    assert kl.h_row(e, s) == {s: IntPoly({0: 1})}
+    assert kl.h_row(s, e) == {s: IntPoly({0: 1})}
 
 
 @pytest.mark.parametrize("name", ("A2", "B2", "G2", "A3"))
@@ -315,11 +315,11 @@ def test_h_matches_direct_canonical_product(name, ctx):
         for y, f in vec.items():
             sy = g.element(g.lmul_index(g.index(y), i))
             if lengths[sy] > lengths[y]:
-                out[sy] = out.get(sy, LaurentPoly()) + f
+                out[sy] = out.get(sy, IntPoly()) + f
             else:
-                out[sy] = out.get(sy, LaurentPoly()) + f
-                out[y] = out.get(y, LaurentPoly()) + (
-                    LaurentPoly({1: 1}) - LaurentPoly({-1: 1})
+                out[sy] = out.get(sy, IntPoly()) + f
+                out[y] = out.get(y, IntPoly()) + (
+                    IntPoly({1: 1}) - IntPoly({-1: 1})
                 ) * f
         return {k: v for k, v in out.items() if not v.is_zero}
 
@@ -329,8 +329,8 @@ def test_h_matches_direct_canonical_product(name, ctx):
         for (y, w2), coeffs in kl.P.items():
             if w2 != w:
                 continue
-            f = LaurentPoly({2 * j + lengths[y] - lengths[w]: cj
-                             for j, cj in enumerate(coeffs) if cj})
+            f = IntPoly({2 * j + lengths[y] - lengths[w]: cj
+                         for j, cj in enumerate(coeffs) if cj})
             out[y] = f
         return out
 
@@ -343,12 +343,12 @@ def test_h_matches_direct_canonical_product(name, ctx):
                 for i in reversed(u.word):
                     vec = tt_mult_by_gen(vec, i)
                 for k, v in vec.items():
-                    prod[k] = prod.get(k, LaurentPoly()) + v
+                    prod[k] = prod.get(k, IntPoly()) + v
             prod = {k: v for k, v in prod.items() if not v.is_zero}
             # subtract h_{x,y,z} c_z and expect zero
             for z, h in c.kl.h_row(x, y).items():
                 for u, fu in tt_expand(z).items():
-                    prod[u] = prod.get(u, LaurentPoly()) - h * fu
+                    prod[u] = prod.get(u, IntPoly()) - h * fu
             assert all(v.is_zero for v in prod.values())
 
 

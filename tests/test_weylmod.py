@@ -1,5 +1,6 @@
 import pytest
 
+from cellred.coxeter import generate
 from cellred.poly import IntPoly
 from cellred.rootdata import CartanType, build_root_system, weyl_dim
 from cellred.uniptables import WeightTemplate, load_tables
@@ -12,6 +13,14 @@ from cellred.weylmod import (
 )
 
 from conftest import DATA_TYPE_NAMES
+
+
+def _deltas(name):
+    return delta_table(load_tables(CartanType.parse(name)))
+
+
+def _duality(name):
+    return find_duality(generate(CartanType.parse(name)), _deltas(name))
 
 
 def test_dim_template_examples():
@@ -34,19 +43,19 @@ def test_dim_template_rejects_non_dominant():
 
 
 def test_delta_table_examples():
-    a3 = delta_table(CartanType.parse("A3"))
+    a3 = _deltas("A3")
     assert a3["2"].pi == IntPoly.parse("t(2t^2+1)/3")
     assert a3["13"].pi == IntPoly.parse("t^2(5t^2+1)/6")
-    a2 = delta_table(CartanType.parse("A2"))
+    a2 = _deltas("A2")
     assert a2["121"].pi == IntPoly.monomial(3)
-    b2 = delta_table(CartanType.parse("B2"))
+    b2 = _deltas("B2")
     assert b2["121"].pi == IntPoly.parse("t(t-1)(t-2)/6")
     assert b2["121"].c == 1
 
 
 def test_delta_table_missing_for_a4():
     with pytest.raises(MissingMwData):
-        delta_table(CartanType.parse("A4"))
+        _deltas("A4")
 
 
 @pytest.mark.parametrize("name", DATA_TYPE_NAMES)
@@ -54,7 +63,7 @@ def test_delta_matches_weyl_dim_at_primes(name):
     ct = CartanType.parse(name)
     tables = load_tables(ct)
     rs = build_root_system(ct)
-    deltas = delta_table(ct)
+    deltas = delta_table(tables)
     for word, dp in deltas.items():
         for p in (5, 7, 11, 13):
             total = 0
@@ -67,7 +76,7 @@ def test_delta_matches_weyl_dim_at_primes(name):
 def test_delta_positive_from_min_prime(name):
     ct = CartanType.parse(name)
     tables = load_tables(ct)
-    deltas = delta_table(ct)
+    deltas = delta_table(tables)
     for dp in deltas.values():
         for p in range(tables.min_prime, tables.min_prime + 20):
             assert dp.pi(p) > 0
@@ -75,29 +84,28 @@ def test_delta_positive_from_min_prime(name):
 
 @pytest.mark.parametrize("name", DATA_TYPE_NAMES)
 def test_lowest_degrees_recorded(name):
-    deltas = delta_table(CartanType.parse(name))
+    deltas = _deltas(name)
     for dp in deltas.values():
         assert dp.c == dp.pi.lowest_degree()
 
 
 def test_find_duality_examples():
-    b2 = find_duality(CartanType.parse("B2"))
+    b2 = _duality("B2")
     assert b2.ok
     assert b2.pairs["1"] == ("2", 1)
     assert b2.pairs["e"] == ("1212", 1)
-    a3 = find_duality(CartanType.parse("A3"))
+    a3 = _duality("A3")
     assert a3.pairs["2"] == ("13231", 1)
     assert a3.pairs["e"] == ("121321", 1)
-    a1 = find_duality(CartanType.parse("A1"))
+    a1 = _duality("A1")
     assert a1.pairs["e"] == ("1", 1)
 
 
 @pytest.mark.parametrize("name", DATA_TYPE_NAMES)
 def test_duality_matches_shipped_tables(name):
-    ct = CartanType.parse(name)
-    res = find_duality(ct)
+    res = _duality(name)
     assert res.ok
-    shipped = load_tables(ct).duality
+    shipped = load_tables(CartanType.parse(name)).duality
     assert {w: p for w, (p, _) in res.pairs.items()} == shipped
     # observed signs are all +; recorded, not assumed
     assert all(s == 1 for _, s in res.pairs.values())
