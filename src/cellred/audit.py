@@ -9,7 +9,7 @@ Check ids and what they verify:
 
 * ``bookkeeping``  -- the degree of every unipotent character equals the
   R-multiplicity-weighted sum of the template dimension polynomials, as an
-  exact polynomial identity (plus a redundant sample at small primes).
+  exact polynomial identity.
 * ``duality``      -- the reversal involution search succeeds, matches the
   shipped pairing, satisfies descent complementation, and its signs are
   recorded (a minus sign would be a finding, not a check failure).
@@ -27,17 +27,14 @@ Check ids and what they verify:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from . import heckechar, klcells, uniptables, weylmod
 from .coxeter import WeylElt, WeylGroup, generate
+from .klcells import stage
 from .poly import IntPoly
 from .rootdata import ALL_TYPES, CartanType, build_root_system
-
-_CHECK_ORDER = (
-    "bookkeeping", "duality", "a_values", "centrality", "j_criterion", "proximity",
-)
 
 _REFS = {
     "bookkeeping": "2.3(a)+2.2",
@@ -47,8 +44,6 @@ _REFS = {
     "j_criterion": "1.2+1.3",
     "proximity": "2.3(i)+2.1",
 }
-
-_SAMPLE_PRIMES = (5, 7, 11, 13)
 
 _INTERNAL = "internal error: "  # details prefix of a row whose check crashed
 
@@ -60,17 +55,6 @@ class CheckResult:
     status: str  # pass | fail | skipped
     details: str
     artifacts: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "paper_ref": self.paper_ref,
-            "status": self.status,
-            "details": self.details,
-        }
-        if self.artifacts is not None:
-            out["artifacts"] = self.artifacts
-        return out
 
 
 _SCOPE_NOTES = (
@@ -99,59 +83,62 @@ class AuditReport:
     def to_dict(self) -> dict:
         return {
             "type": self.type_name,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [
+                {k: v for k, v in asdict(c).items() if v is not None}
+                for c in self.checks
+            ],
             "notes": list(self.notes),
         }
 
 
 class TypeContext:
     """Everything the checks need for one type, each stage built on its first
-    read and kept.  A stage that raises is retried on the next read, so it
-    fails exactly the checks that read it.  Tables come from ``data_dir``,
-    fixed at construction."""
+    read and kept.  A stage that raises keeps its exception and raises it
+    again on every later read, unbuilt, so it fails exactly the checks that
+    read it.  Tables come from ``data_dir``, fixed at construction."""
 
     def __init__(self, ct: CartanType, data_dir: str):
         self.ct = ct
         self.data_dir = data_dir
 
-    @cached_property
+    @stage
     def group(self) -> WeylGroup:
         g = generate(self.ct)
         build_root_system(self.ct)  # its self-test pins the B2/G2 convention
         return g
 
-    @cached_property
+    @stage
     def tables(self) -> uniptables.TypeTables:
         return uniptables.load_tables(self.ct, self.data_dir)
 
-    @cached_property
+    @stage
     def kl(self) -> klcells.KLData:
         return klcells.compute_kl(self.group)
 
-    @cached_property
+    @stage
     def cells(self) -> klcells.CellPartition:
         return klcells.compute_cells(self.kl)
 
-    @cached_property
+    @stage
     def jset(self) -> frozenset[WeylElt]:
         return klcells.near_involutions(self.cells)
 
-    @cached_property
+    @stage
     def gamma(self):
         """The asymptotic-ring constants, verified by ``j_ring``."""
         return klcells.j_ring(self.kl, self.cells)
 
-    @cached_property
+    @stage
     def chartable(self) -> heckechar.WCharTable:
         return heckechar.w_character_table(self.group)
 
-    @cached_property
+    @stage
     def modules(self) -> tuple[heckechar.HModule, ...]:
         return heckechar.build_hecke_modules(
             self.group, self.kl, self.cells, self.chartable
         )
 
-    @cached_property
+    @stage
     def leading(self) -> heckechar.LeadingData:
         return heckechar.leading_data(self.group, self.modules)
 
@@ -160,18 +147,16 @@ class TypeContext:
         """No shipped decomposition: rows come from leading coefficients."""
         return self.tables.decomp is None
 
-    @cached_property
+    @stage
     def deltas(self) -> dict[str, weylmod.DeltaPoly]:
         return weylmod.delta_table(self.tables)
 
-    @cached_property
+    @stage
     def unip_rows(self) -> dict[str, dict[str, int]]:
         """label -> {word: multiplicity}"""
         if not self.derived_rows:
             return self.tables.decomp
-        r_rows = uniptables.derived_r_alpha(
-            self.group, self.leading.labels, self.leading.c, self.jset
-        )
+        r_rows = uniptables.derived_r_alpha(self.group, self.leading.alpha, self.jset)
         rows: dict[str, dict[str, int]] = {}
         for word, row in r_rows.items():
             for lab, mult in row.items():
@@ -188,20 +173,17 @@ def get_context(ct: CartanType) -> TypeContext:
 _context = lru_cache(maxsize=None)(TypeContext)
 
 
-def _skip(check_id: str, reason: str) -> CheckResult:
-    return CheckResult(check_id, _REFS[check_id], "skipped", reason)
-
-
-_NO_DATA = "no transcribed 2.1 tables for this type"
+def _row(
+    cid: str, failures: list[str], passed: str, artifacts: dict | None = None
+) -> CheckResult:
+    """The row of a check that ran: fail with its failures, else pass."""
+    status, details = ("fail", "; ".join(failures)) if failures else ("pass", passed)
+    return CheckResult(cid, _REFS[cid], status, details, artifacts)
 
 
 def check_bookkeeping(ctx: TypeContext) -> CheckResult:
-    if not ctx.tables.has_m_w_data:
-        return _skip("bookkeeping", _NO_DATA)
     failures = []
-    total = 0
     for u in ctx.tables.unipotent:
-        total += 1
         combo = IntPoly.zero()
         for word, mult in ctx.unip_rows[u.label].items():
             combo = combo + mult * ctx.deltas[word].pi
@@ -209,23 +191,11 @@ def check_bookkeeping(ctx: TypeContext) -> CheckResult:
             failures.append(
                 f"{u.label}: sum gives {combo.render()}, degree is {u.degree.render()}"
             )
-            continue
-        for p in _SAMPLE_PRIMES:
-            if combo(p) != u.degree(p):
-                failures.append(f"{u.label}: sample mismatch at p={p}")
-    if failures:
-        return CheckResult(
-            "bookkeeping", _REFS["bookkeeping"], "fail", "; ".join(failures)
-        )
-    return CheckResult(
-        "bookkeeping", _REFS["bookkeeping"], "pass",
-        f"{total}/{total} unipotent characters",
-    )
+    total = len(ctx.tables.unipotent)
+    return _row("bookkeeping", failures, f"{total}/{total} unipotent characters")
 
 
 def check_duality(ctx: TypeContext) -> CheckResult:
-    if not ctx.tables.has_m_w_data:
-        return _skip("duality", _NO_DATA)
     res = weylmod.find_duality(ctx.group, ctx.deltas)
     problems = list(res.problems)
     g = ctx.group
@@ -239,22 +209,14 @@ def check_duality(ctx: TypeContext) -> CheckResult:
         if cl_p != full - cl_w:
             problems.append(f"descent complementation fails at {w} <-> {partner}")
     signs = {w: ("+" if s > 0 else "-") for w, (_, s) in sorted(res.pairs.items())}
-    if problems:
-        return CheckResult(
-            "duality", _REFS["duality"], "fail", "; ".join(problems),
-            artifacts={"signs": signs},
-        )
     note = "all signs +" if set(signs.values()) == {"+"} else "negative sign observed"
-    return CheckResult(
-        "duality", _REFS["duality"], "pass",
-        f"{len(res.pairs)} rows paired as shipped; {note}",
+    return _row(
+        "duality", problems, f"{len(res.pairs)} rows paired as shipped; {note}",
         artifacts={"signs": signs},
     )
 
 
 def check_a_values(ctx: TypeContext) -> CheckResult:
-    if not ctx.tables.has_m_w_data:
-        return _skip("a_values", _NO_DATA)
     failures = []
     by_cell: dict[frozenset, set[int]] = {}
     for word, dp in ctx.deltas.items():
@@ -265,13 +227,8 @@ def check_a_values(ctx: TypeContext) -> CheckResult:
     for cell, cs in by_cell.items():
         if len(cs) != 1:
             failures.append(f"c not constant on a two-sided cell: {sorted(cs)}")
-    if failures:
-        return CheckResult("a_values", _REFS["a_values"], "fail", "; ".join(failures))
     values = sorted(dp.c for dp in ctx.deltas.values())
-    return CheckResult(
-        "a_values", _REFS["a_values"], "pass",
-        f"{len(ctx.deltas)} rows; c-values {values}",
-    )
+    return _row("a_values", failures, f"{len(ctx.deltas)} rows; c-values {values}")
 
 
 def check_centrality(ctx: TypeContext) -> CheckResult:
@@ -284,12 +241,9 @@ def check_centrality(ctx: TypeContext) -> CheckResult:
         }
         if not klcells.is_central(ctx.group, ctx.gamma, z):
             failures.append(f"z_{lab} is not central")
-    if failures:
-        return CheckResult("centrality", _REFS["centrality"], "fail", "; ".join(failures))
     origin = "derived multiplicities" if ctx.derived_rows else "shipped multiplicities"
-    return CheckResult(
-        "centrality", _REFS["centrality"], "pass",
-        f"{len(labels)}/{len(labels)} central ({origin})",
+    return _row(
+        "centrality", failures, f"{len(labels)}/{len(labels)} central ({origin})"
     )
 
 
@@ -306,22 +260,18 @@ def check_j_criterion(ctx: TypeContext) -> CheckResult:
     involutions = frozenset(
         w for w in g.elements if g.mult(w, w) == g.identity
     )
-    if failures:
-        return CheckResult("j_criterion", _REFS["j_criterion"], "fail", "; ".join(failures))
     inv_note = (
         "equals the involution set" if cells_based == involutions
         else "differs from the involution set"
     )
     src = "two derivations + shipped list" if shipped is not None else "two derivations"
-    return CheckResult(
-        "j_criterion", _REFS["j_criterion"], "pass",
+    return _row(
+        "j_criterion", failures,
         f"{len(cells_based)} elements agree ({src}); {inv_note}",
     )
 
 
 def check_proximity(ctx: TypeContext) -> CheckResult:
-    if not ctx.tables.has_m_w_data:
-        return _skip("proximity", _NO_DATA)
     bound = ctx.tables.proximity_bound
     g = ctx.group
     failures = []
@@ -330,22 +280,21 @@ def check_proximity(ctx: TypeContext) -> CheckResult:
         cl = g.left_descent_set(ctx.tables.element(word))
         for _, tmpl in terms:
             for i, (c0, c1) in enumerate(tmpl.coords, start=1):
-                want_c1 = 1 if i in cl else 0
-                if c1 != want_c1:
+                indicator = 1 if i in cl else 0
+                if c1 != indicator:
                     failures.append(f"{word}: p-pattern differs from descents at slot {i}")
-                corr = abs(c0 + (1 if i in cl else 0))
+                corr = abs(c0 + indicator)
                 worst = max(worst, corr)
                 if corr > bound:
                     failures.append(f"{word}: correction {corr} exceeds bound {bound}")
-    if failures:
-        return CheckResult("proximity", _REFS["proximity"], "fail", "; ".join(failures))
-    return CheckResult(
-        "proximity", _REFS["proximity"], "pass",
+    return _row(
+        "proximity", failures,
         f"all templates within {bound} of the descent-indicator weight "
         f"(largest correction {worst})",
     )
 
 
+# in report order
 _CHECKS = {
     "bookkeeping": check_bookkeeping,
     "duality": check_duality,
@@ -355,26 +304,28 @@ _CHECKS = {
     "proximity": check_proximity,
 }
 
-
-def _internal_error(cid: str, exc: Exception) -> CheckResult:
-    return CheckResult(
-        cid, _REFS[cid], "fail", f"{_INTERNAL}{type(exc).__name__}: {exc}"
-    )
+# the checks that read the transcribed 2.1 tables, skipped where there are none
+_READ_2_1_TABLES = frozenset({"bookkeeping", "duality", "a_values", "proximity"})
+_NO_DATA = "no transcribed 2.1 tables for this type"
 
 
 def run_checks(ct: CartanType) -> AuditReport:
-    """Run every check for one type; failures become report rows.
-
-    A check that crashes, or reads a context stage that raises (say from a
-    corrupt data file), fails its own row only.
-    """
+    """Run every check for one type, in the order of ``_CHECKS``.  Skips are
+    written here, and so is the fail row of a check that crashes or reads a
+    context stage that raises (say from a corrupt data file): it fails its
+    own row only."""
     ctx = get_context(ct)
     results = []
-    for cid in _CHECK_ORDER:
+    for cid, check in _CHECKS.items():
         try:
-            results.append(_CHECKS[cid](ctx))
+            if cid in _READ_2_1_TABLES and not ctx.tables.has_m_w_data:
+                results.append(CheckResult(cid, _REFS[cid], "skipped", _NO_DATA))
+            else:
+                results.append(check(ctx))
         except Exception as exc:  # a crash is itself a reportable failure
-            results.append(_internal_error(cid, exc))
+            results.append(CheckResult(
+                cid, _REFS[cid], "fail", f"{_INTERNAL}{type(exc).__name__}: {exc}"
+            ))
     return AuditReport(type_name=ct.name, checks=tuple(results))
 
 

@@ -62,12 +62,9 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _cmd_audit(args) -> int:
-    if args.all:
-        types = ALL_TYPES
-    elif args.type:
+    types = ALL_TYPES
+    if args.type and not args.all:
         types = tuple(CartanType.parse(t) for t in args.type)
-    else:
-        types = ALL_TYPES
     reports = audit.run_all(types)
     if args.format == "md":
         text = audit.reports_to_markdown(reports)
@@ -186,21 +183,11 @@ def _dump_gamma(ctx: audit.TypeContext) -> dict:
 
 
 def _dump_cwe(ctx: audit.TypeContext) -> dict:
-    g = ctx.group
-    rows: dict[str, dict[str, int]] = {}
-    for w in g.elements:
-        row = {
-            lab: ctx.leading.c[(w, lab)]
-            for lab in ctx.leading.labels
-            if (w, lab) in ctx.leading.c
-        }
-        if row:
-            rows[str(w)] = row
     return {
         "type": ctx.ct.name,
         "what": "cwe",
         "labels": list(ctx.leading.labels),
-        "rows": rows,
+        "rows": {str(w): row for w, row in ctx.leading.alpha.items() if row},
     }
 
 

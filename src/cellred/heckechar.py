@@ -418,12 +418,11 @@ def build_hecke_modules(
 
 @dataclass(eq=False)
 class LeadingData:
-    """a_E, the integers c_{w,E}, and the virtual characters alpha_w."""
+    """a_E, and the virtual characters alpha_w: ``alpha[w][E]`` is the
+    nonzero integer c_{w,E}, for every w (empty row: all vanish)."""
 
-    group: WeylGroup
     labels: tuple[str, ...]
     a_E: dict[str, int]
-    c: dict[tuple[WeylElt, str], int]
     alpha: dict[WeylElt, dict[str, int]]
 
     def alpha_support(self) -> frozenset[WeylElt]:
@@ -433,7 +432,7 @@ class LeadingData:
 def leading_data(g: WeylGroup, modules: tuple[HModule, ...]) -> LeadingData:
     labels = tuple(m.label for m in modules)
     a_E: dict[str, int] = {}
-    c: dict[tuple[WeylElt, str], int] = {}
+    alpha: dict[WeylElt, dict[str, int]] = {w: {} for w in g.elements}
     off = window_offset(g.nu)
     signs = np.array([(-1) ** g.length_of_index(i) for i in range(g.size)])
     for mod in modules:
@@ -453,10 +452,5 @@ def leading_data(g: WeylGroup, modules: tuple[HModule, ...]) -> LeadingData:
                 f"module {mod.label}: c_{{w,E}} vanishes identically"
             )
         for w in np.nonzero(cwe)[0]:
-            c[(g.element(int(w)), mod.label)] = int(cwe[w])
-    alpha: dict[WeylElt, dict[str, int]] = {}
-    for w in range(g.size):
-        ew = g.element(w)
-        row = {lab: c[(ew, lab)] for lab in labels if (ew, lab) in c}
-        alpha[ew] = row
-    return LeadingData(group=g, labels=labels, a_E=a_E, c=c, alpha=alpha)
+            alpha[g.element(int(w))][mod.label] = int(cwe[w])
+    return LeadingData(labels=labels, a_E=a_E, alpha=alpha)

@@ -42,7 +42,6 @@ through inversion, and two-sided cells those of the union of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -61,6 +60,30 @@ class AssociativityFailure(AssertionError):
     This signals a convention bug in the basis or gamma extraction, never bad
     user input.
     """
+
+
+class stage:
+    """A lazy attribute that keeps what its first read built: the value, or
+    the exception raised.  Later reads return that value or raise that
+    exception again, unbuilt (``functools.cached_property`` keeps no exception)."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+        self.key = f"_{build.__name__}_kept"  # (value, exception) in the instance
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        if self.key not in obj.__dict__:
+            try:
+                obj.__dict__[self.key] = (self.build(obj), None)
+            except Exception as exc:
+                obj.__dict__[self.key] = (None, exc)
+        value, exc = obj.__dict__[self.key]
+        if exc is not None:
+            raise exc
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +106,7 @@ class KLData:
     mu: dict[tuple[WeylElt, WeylElt], int]
     cs: np.ndarray = field(repr=False)
 
-    @cached_property
+    @stage
     def _top(self) -> tuple[tuple[int, ...], np.ndarray]:
         return _compute_top(self.group, self.cs)
 

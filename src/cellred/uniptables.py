@@ -96,6 +96,15 @@ def _fail(ct: CartanType, where: str, msg: str, refs: dict | None = None) -> Dat
     return DataIntegrityFailure(f"{ct.name} tables, {where}{tag}: {msg}")
 
 
+def _parse(ct: CartanType, where: str, key: str, text: str, refs: dict) -> IntPoly:
+    """``IntPoly.parse`` of the ``where`` entry ``key``; a malformed
+    polynomial is a :class:`DataIntegrityFailure` at that location."""
+    try:
+        return IntPoly.parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _fail(ct, where, f"{key}: cannot parse {text!r}: {exc}", refs) from exc
+
+
 def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     """Load and verify the tables for a type (A4: partial) from
     ``directory``, by default :func:`data_dir`.  Not cached: the audit
@@ -119,7 +128,10 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         )
 
     unip = tuple(
-        UnipotentChar(u["label"], IntPoly.parse(u["degree"]), u.get("ref", ""))
+        UnipotentChar(
+            u["label"], _parse(ct, "unipotent", u["label"], u["degree"], refs),
+            u.get("ref", ""),
+        )
         for u in raw["unipotent"]
     )
     labels = [u.label for u in unip]
@@ -173,7 +185,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
             parsed.append((coef, tmpl))
         m_w[w] = tuple(parsed)
 
-    delta = {w: IntPoly.parse(s) for w, s in raw["delta"].items()}
+    delta = {w: _parse(ct, "delta", w, s, refs) for w, s in raw["delta"].items()}
     if not (set(m_w) == set(r_alpha) == set(delta)):
         raise _fail(ct, "m_w/delta", "row keys differ from the r_alpha keys", refs)
 
@@ -203,27 +215,24 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
 
 def derived_r_alpha(
     g: WeylGroup,
-    labels: tuple[str, ...],
-    c: dict[tuple[WeylElt, str], int],
+    alpha: dict[WeylElt, dict[str, int]],
     j_members: frozenset[WeylElt],
 ) -> dict[str, dict[str, int]]:
-    """R rows generated from leading coefficients (type A without shipped data).
+    """R rows generated from the leading coefficients ``alpha[w][label]``
+    (type A without shipped data).
 
     Rows are keyed by canonical words; multiplicities must come out
     non-negative, which is checked.
     """
     rows: dict[str, dict[str, int]] = {}
     for w in sorted(j_members, key=g.index):
-        row = {}
-        for lab in labels:
-            mult = c.get((w, lab), 0)
+        row = alpha[w]
+        for lab, mult in row.items():
             if mult < 0:
                 raise DataIntegrityFailure(
                     f"negative derived multiplicity at ({w},{lab})"
                 )
-            if mult:
-                row[lab] = mult
         if not row:
             raise DataIntegrityFailure(f"empty derived row at {w}")
-        rows[str(w)] = row
+        rows[str(w)] = dict(row)
     return rows

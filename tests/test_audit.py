@@ -105,6 +105,23 @@ def test_crashing_check_becomes_a_fail_row_naming_the_exception(monkeypatch):
     assert by_id["bookkeeping"].status == "pass"
 
 
+def test_a_check_that_reads_the_2_1_tables_is_not_called_without_them(monkeypatch):
+    calls = []
+    monkeypatch.setitem(audit._CHECKS, "duality", calls.append)
+    row = {c.id: c for c in run_checks(CartanType.parse("A4")).checks}["duality"]
+    assert calls == []
+    assert (row.status, row.details) == ("skipped", "no transcribed 2.1 tables for this type")
+
+
+def test_a_check_with_two_failures_yields_one_fail_row_joining_them(monkeypatch):
+    def two_failures(ctx):
+        return audit._row("duality", ["first", "second"], "unused")
+
+    monkeypatch.setitem(audit._CHECKS, "duality", two_failures)
+    row = {c.id: c for c in run_checks(CartanType.parse("B2")).checks}["duality"]
+    assert (row.status, row.details) == ("fail", "first; second")
+
+
 def test_context_builds_the_character_table_once(data_copy, monkeypatch):
     calls = []
     build = heckechar.w_character_table
@@ -205,3 +222,34 @@ def test_failing_stage_fails_only_the_rows_that_read_it(
     assert row["status"] == "fail"
     assert row["details"] == "internal error: RuntimeError: stage broke"
     assert [c["status"] for c in rows.values()] == ["pass"] * 5
+
+
+def test_a_raising_structure_constant_pass_runs_once(data_copy, monkeypatch):
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise RuntimeError("top broke")
+
+    monkeypatch.setattr(klcells, "_compute_top", broken)
+    rows = {c.id: c for c in run_checks(CartanType.parse("A3")).checks}  # fresh context
+    assert len(calls) == 1
+    for cid in ("a_values", "centrality", "j_criterion"):
+        assert rows[cid].details == "internal error: RuntimeError: top broke"
+    for cid in ("bookkeeping", "duality", "proximity"):
+        assert rows[cid].status == "pass"
+
+
+def test_a_corrupt_data_file_is_loaded_once(data_copy, monkeypatch):
+    path = data_copy / "B2.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["unipotent"][0]["degree"] = "2"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    calls = {}
+    count_calls(monkeypatch, uniptables, "load_tables", calls)
+    checks = run_checks(CartanType.parse("B2")).checks
+    assert calls == {"load_tables": 1}
+    assert [c.details for c in checks] == [
+        "internal error: DataIntegrityFailure: "
+        "B2 tables, unipotent (ref 1.3): degree of '1' is not 1"
+    ] * 6

@@ -107,8 +107,8 @@ def test_extreme_leading_coefficients(name, ctx):
     c = ctx(name)
     g = c.group
     triv, sign = c.chartable.labels[0], c.chartable.sign_label
-    assert c.leading.c.get((g.identity, triv), 0) == 1
-    assert c.leading.c.get((g.w0, sign), 0) == 1
+    assert c.leading.alpha[g.identity].get(triv, 0) == 1
+    assert c.leading.alpha[g.w0].get(sign, 0) == 1
     assert c.leading.alpha[g.identity] == {triv: 1}
     assert c.leading.alpha[g.w0] == {sign: 1}
 
@@ -130,9 +130,10 @@ def test_alpha_support_is_the_near_involution_set(name, ctx):
 @pytest.mark.parametrize("name", TYPE_NAMES)
 def test_c_values_vanish_off_near_involutions(name, ctx):
     c = ctx(name)
-    for (w, lab), val in c.leading.c.items():
-        assert val != 0
-        assert w in c.jset
+    for w, row in c.leading.alpha.items():
+        for val in row.values():
+            assert val != 0
+            assert w in c.jset
 
 
 @pytest.mark.parametrize("name", ("A1", "A2", "A3"))
@@ -152,7 +153,7 @@ def test_type_a_r_table_equals_leading_coefficients(name, ctx):
     for word, row in tables.r_alpha.items():
         w = tables.element(word)
         for u in tables.unipotent:
-            assert row.get(u.label, 0) == c.leading.c.get((w, pairing[u.label]), 0)
+            assert row.get(u.label, 0) == c.leading.alpha[w].get(pairing[u.label], 0)
 
 
 def test_a4_row_support_is_flagged_derived(ctx):

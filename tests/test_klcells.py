@@ -16,6 +16,31 @@ def test_group_too_large_guard():
         compute_kl(g, bound=3)
 
 
+def test_stage_keeps_its_value_or_its_exception():
+    calls = []
+
+    class Holder:
+        @klcells.stage
+        def good(self):
+            calls.append("good")
+            return [1]
+
+        @klcells.stage
+        def bad(self):
+            calls.append("bad")
+            raise RuntimeError("broke")
+
+    h = Holder()
+    assert h.good is h.good
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="broke") as info:
+            h.bad
+        errors.append(info.value)
+    assert errors[0] is errors[1]
+    assert calls == ["good", "bad"]
+
+
 def test_b2_kl_polynomials_all_one(ctx):
     c = ctx("B2")
     assert all(p == (1,) for p in c.kl.P.values())

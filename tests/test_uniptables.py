@@ -129,7 +129,7 @@ def test_loader_rejects_corrupted_table(tmp_path, monkeypatch):
 
 def test_derived_rows_for_a4(ctx):
     c = ctx("A4")
-    rows = derived_r_alpha(c.group, c.leading.labels, c.leading.c, c.jset)
+    rows = derived_r_alpha(c.group, c.leading.alpha, c.jset)
     assert len(rows) == 26
     assert rows["e"] == {"5": 1}
     w0 = str(c.group.w0)
@@ -149,6 +149,10 @@ LOADER_FAULTS = [
                  lambda raw: raw["unipotent"][0].update(degree="t"), id="degree-1"),
     pytest.param("unipotent", r"degree of 'S' is not t\^4",
                  lambda raw: raw["unipotent"][5].update(degree="t^3"), id="degree-S"),
+    pytest.param("unipotent", "r: cannot parse 't/0': division of polynomial by zero",
+                 lambda raw: raw["unipotent"][1].update(degree="t/0"), id="degree-div0"),
+    pytest.param("unipotent", r"r: cannot parse 't\+': bad polynomial 't\+' at 2: expected factor",
+                 lambda raw: raw["unipotent"][1].update(degree="t+"), id="degree-syntax"),
     pytest.param("unipotent", "r: non-positive leading coefficient",
                  lambda raw: raw["unipotent"][1].update(degree="-t"), id="negative-degree"),
     pytest.param("r_alpha", "duplicate element for word '2121'",
@@ -172,6 +176,10 @@ LOADER_FAULTS = [
     pytest.param("m_w", r"template \(3,0\) not restricted at the minimum prime 3",
                  lambda raw: raw["m_w"]["e"][0].update(template=[[3, 0], [0, 0]]),
                  id="unrestricted"),
+    pytest.param("delta", "1: cannot parse 't/0': division of polynomial by zero",
+                 lambda raw: raw["delta"].update({"1": "t/0"}), id="delta-div0"),
+    pytest.param("delta", r"1: cannot parse 't\+': bad polynomial 't\+' at 2: expected factor",
+                 lambda raw: raw["delta"].update({"1": "t+"}), id="delta-syntax"),
     pytest.param("m_w/delta", "row keys differ from the r_alpha keys",
                  lambda raw: raw["delta"].pop("e"), id="delta-keys"),
     pytest.param("decomp", "rows do not match the unipotent labels",
@@ -204,10 +212,10 @@ def test_derived_rows_reject_bad_leading_coefficients(ctx, fault, message):
     c = ctx("A2")
     g = c.group
     s = g.parse_word("1")
-    coeffs = dict(c.leading.c)
+    coeffs = {w: dict(row) for w, row in c.leading.alpha.items()}
     if fault == "negative":
-        coeffs[(s, "21")] = -1
+        coeffs[s]["21"] = -1
     else:
-        coeffs = {k: v for k, v in coeffs.items() if k[0] != s}
+        coeffs[s] = {}
     with pytest.raises(DataIntegrityFailure, match=message):
-        derived_r_alpha(g, c.leading.labels, coeffs, c.jset)
+        derived_r_alpha(g, coeffs, c.jset)
