@@ -152,6 +152,10 @@ class TypeContext:
         return weylmod.delta_table(self.tables)
 
     @stage
+    def duality(self) -> weylmod.DualityResult:
+        return weylmod.find_duality(self.group, self.deltas)
+
+    @stage
     def unip_rows(self) -> dict[str, dict[str, int]]:
         """label -> {word: multiplicity}"""
         if not self.derived_rows:
@@ -196,7 +200,7 @@ def check_bookkeeping(ctx: TypeContext) -> CheckResult:
 
 
 def check_duality(ctx: TypeContext) -> CheckResult:
-    res = weylmod.find_duality(ctx.group, ctx.deltas)
+    res = ctx.duality
     problems = list(res.problems)
     g = ctx.group
     full = frozenset(range(1, g.rank + 1))

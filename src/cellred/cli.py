@@ -192,11 +192,9 @@ def _dump_cwe(ctx: audit.TypeContext) -> dict:
 
 
 def _dump_delta(ctx: audit.TypeContext) -> dict:
-    deltas = ctx.deltas
-    duality = weylmod.find_duality(ctx.group, deltas)
     rows = {}
-    for word, dp in deltas.items():
-        partner, sign = duality.pairs.get(word, (None, 0))
+    for word, dp in ctx.deltas.items():
+        partner, sign = ctx.duality.pairs.get(word, (None, 0))
         rows[word] = {
             "pi": dp.pi.render(),
             "c": dp.c,

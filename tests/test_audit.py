@@ -205,6 +205,17 @@ def test_audit_builds_each_stage_once(data_copy, monkeypatch, capsys):
     assert calls == {name: 1 for _, name in builders}
 
 
+def test_audit_and_delta_dump_find_each_duality_once(data_copy, monkeypatch, capsys):
+    calls = {}
+    count_calls(monkeypatch, weylmod, "find_duality", calls)
+    # fresh contexts: a new data directory
+    assert main(["audit", "--type", "B2", "--type", "G2"]) == 0
+    for t in ("B2", "G2"):
+        assert main(["tables", "dump", "--what", "delta", "--type", t]) == 0
+    capsys.readouterr()
+    assert calls == {"find_duality": 2}
+
+
 @pytest.mark.parametrize("module, name, reader", [
     (klcells, "j_ring", "centrality"),
     (heckechar, "build_hecke_modules", "j_criterion"),

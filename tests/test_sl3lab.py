@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from cellred import sl3lab
 from cellred.sl3lab import (
     _PANEL,
+    _composite_is_zero,
+    _group_ring_kernel,
+    _projective_points,
     _reduce,
+    _singer_labelling,
     IncidenceSpace,
     NotPrime,
     TauMaps,
@@ -146,7 +151,24 @@ def test_exactness_guards_raise():
     p, n = 8388593, 201
     zero = np.zeros((n, n - 1), dtype=np.int64)
     with pytest.raises(AssertionError, match="composition exactness guard"):
-        kernel_analysis(fake_maps(p, zero))
+        _composite_is_zero(zero, zero[1:], p)
+
+
+def test_kernel_analysis_refuses_a_foreign_space():
+    # at p = 8388593 no array of size p^3 could even be allocated, so the
+    # point count is checked before anything is built from p
+    zero = np.zeros((201, 200), dtype=np.int64)
+    with pytest.raises(AssertionError, match=r"201 lines, but PG\(2, 8388593\) has"):
+        kernel_analysis(fake_maps(8388593, zero))
+    zero = np.zeros((13, 12), dtype=np.int64)
+    with pytest.raises(AssertionError, match=r"not the normal-form points of PG\(2, 3\)"):
+        kernel_analysis(fake_maps(3, zero))
+    sp = build_incidence(3)
+    flipped = IncidenceSpace(p=3, lines=sp.lines, planes=sp.planes[::-1],
+                             incidence=sp.incidence)
+    maps = tau_maps(sp)
+    with pytest.raises(AssertionError, match="planes are not the normal forms"):
+        kernel_analysis(TauMaps(space=flipped, tau=maps.tau, tau_prime=maps.tau_prime))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -177,10 +199,8 @@ def test_kernel_analysis_rejects_a_flipped_incidence_pair(p):
     inc[0, 1] ^= 1
     inc[1, 0] ^= 1
     bad = IncidenceSpace(p=p, lines=sp.lines, planes=sp.planes, incidence=inc)
-    rep = kernel_analysis(tau_maps(bad))
-    want = p * (p + 1) // 2
-    assert not (rep.ker_tau_eq_im_tau_prime and rep.ker_tau_prime_eq_im_tau
-                and rep.dim_ker_tau == rep.dim_ker_tau_prime == want)
+    with pytest.raises(AssertionError, match="tau is not the incidence of PG"):
+        kernel_analysis(tau_maps(bad))
 
 
 def test_kernel_analysis_requires_tau_prime_equal_to_tau():
@@ -191,31 +211,98 @@ def test_kernel_analysis_requires_tau_prime_equal_to_tau():
         kernel_analysis(TauMaps(space=maps.space, tau=maps.tau, tau_prime=tp))
 
 
-@pytest.mark.parametrize("nilpotent", [True, False])
-def test_kernel_analysis_decides_identities_by_the_composite(nilpotent):
-    # rank k on a 2k-dimensional space in both cases, so rank tau' = dim ker
-    # tau holds; only whether tau o tau' vanishes tells the cases apart
-    p, k = 5, 3
-    block = np.zeros((2 * k, 2 * k), dtype=np.int64)
-    if nilpotent:
-        block[:k, k:] = np.eye(k, dtype=np.int64)
-    else:
-        block[:k, :k] = np.eye(k, dtype=np.int64)
-    # row 0 makes every column a sum-zero function, as tau_maps does
-    tau = np.vstack([(-block.sum(axis=0)) % p, block])
-    rep = kernel_analysis(fake_maps(p, tau))
-    assert rep.dim_f1 == 2 * k
-    assert rep.dim_ker_tau == rep.dim_ker_tau_prime == k
-    assert rep.ker_tau_eq_im_tau_prime is nilpotent
-    assert rep.ker_tau_prime_eq_im_tau is nilpotent
+@pytest.mark.parametrize("vanishes", [True, False])
+def test_kernel_analysis_decides_identities_by_the_composite(monkeypatch, vanishes):
+    # rank 6 on a 12-dimensional sum-zero space in both cases, so rank tau' =
+    # dim ker tau holds; only whether tau o tau' vanishes tells the cases
+    # apart.  {0, 1, 3, 9} is the perfect difference set of PG(2, 3)
+    D = np.array([0, 1, 3, 9] if vanishes else [0, 1, 2, 3, 6, 10])
+    assert _group_ring_kernel(13, D, 3) == (6, vanishes)
+    monkeypatch.setattr(sl3lab, "_group_ring_kernel",
+                        lambda n, _, p: _group_ring_kernel(n, D, p))
+    rep = kernel_analysis(tau_maps(build_incidence(3)))
+    assert rep.dim_f1 == 12
+    assert rep.dim_ker_tau == rep.dim_ker_tau_prime == 6
+    assert rep.ker_tau_eq_im_tau_prime is vanishes
+    assert rep.ker_tau_prime_eq_im_tau is vanishes
+
+
+def circulant(n, D):
+    """C[j, i] = 1 iff i - j lies in D mod n."""
+    C = np.zeros((n, n), dtype=np.int64)
+    for j in range(n):
+        C[j, (j + np.asarray(D, dtype=np.int64)) % n] = 1
+    return C
+
+
+def test_group_ring_kernel_matches_the_dense_circulant():
+    n, p = 13, 3
+    rng = np.random.default_rng(13)
+    subsets = [[], list(range(n)), [0, 1, 3, 9], [0, 1, 2, 3, 6, 10]]
+    subsets += [np.flatnonzero(rng.integers(0, 2, n)) for _ in range(200)]
+    for D in subsets:
+        C = circulant(n, D)
+        tau = (C[:, 1:] - C[:, :1]) % p
+        tau_prime = (C.T[:, 1:] - C.T[:, :1]) % p
+        want = (rank_mod(tau, p), _composite_is_zero(tau, tau_prime[1:], p))
+        assert _group_ring_kernel(n, np.asarray(D, dtype=np.int64), p) == want, D
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_singer_kernel_matches_the_dense_reference(p):
+    maps = tau_maps(build_incidence(p))
+    rank = rank_mod(maps.tau, p)
+    composite_zero = _composite_is_zero(maps.tau, maps.tau_prime[1:], p)
+    D, pi, _ = _singer_labelling(maps.space)
+    assert _group_ring_kernel(pi.size, D, p) == (rank, composite_zero)
+    assert kernel_analysis(maps).dim_ker_tau == maps.dim_f1 - rank
+
+
+@pytest.mark.parametrize("p", [41, 97])
+def test_singer_rank_is_hamadas_beyond_the_dense_bound(p):
+    # no dense matrix is built: the labelling reads only the point list.  On
+    # the sum-zero space the rank is C(p+1, 2), one less than Hamada's p-rank
+    # of the whole incidence, as the dense reference shows for p <= 31
+    pts = tuple(_projective_points(p))
+    space = IncidenceSpace(p=p, lines=pts, planes=pts, incidence=np.zeros((0, 0)))
+    D, pi, sigma = _singer_labelling(space)
+    assert D.size == p + 1 and pi.size == sigma.size == p * p + p + 1
+    assert _group_ring_kernel(pi.size, D, p) == (p * (p + 1) // 2, True)
+
+
+def test_kernel_analysis_takes_no_dense_step(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense step")
+
+    monkeypatch.setattr(sl3lab, "rank_mod", dense)
+    monkeypatch.setattr(sl3lab, "_composite_is_zero", dense)
+    rep = kernel_analysis(tau_maps(build_incidence(7)))
+    assert rep.dim_ker_tau == 28 and rep.ker_tau_eq_im_tau_prime
+
+
+def test_kernel_analysis_requires_a_symmetric_singer_incidence(monkeypatch):
+    # planes labelled like the lines give an incidence that is not symmetric
+    def planes_as_lines(space):
+        D, pi, _ = _singer_labelling(space)
+        return D, pi, pi
+
+    monkeypatch.setattr(sl3lab, "_singer_labelling", planes_as_lines)
+    with pytest.raises(AssertionError, match="Singer incidence is not symmetric"):
+        kernel_analysis(tau_maps(build_incidence(5)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_equivariance_sample(p):
     sp = build_incidence(p)
     assert equivariance_spot_check(sp, samples=20)
-    sp.incidence[0, 1] ^= 1  # the sampled g move the flipped entry
-    assert not equivariance_spot_check(sp, samples=20)
+    # the sampled g move each flipped entry: an incident pair made 0, and,
+    # since the check reads only the ones, a non-incident pair made 1
+    assert sp.incidence[0, 1] == 1 and sp.incidence[0, 0] == 0
+    for entry in ((0, 1), (0, 0)):
+        inc = sp.incidence.copy()
+        inc[entry] ^= 1
+        bad = IncidenceSpace(p=p, lines=sp.lines, planes=sp.planes, incidence=inc)
+        assert not equivariance_spot_check(bad, samples=20), entry
 
 
 def test_principal_series_p5_spot_orbit():
