@@ -161,11 +161,7 @@ class TypeContext:
         if not self.derived_rows:
             return self.tables.decomp
         r_rows = uniptables.derived_r_alpha(self.group, self.leading.alpha, self.jset)
-        rows: dict[str, dict[str, int]] = {}
-        for word, row in r_rows.items():
-            for lab, mult in row.items():
-                rows.setdefault(lab, {})[word] = mult
-        return rows
+        return uniptables.transpose(r_rows)
 
 
 def get_context(ct: CartanType) -> TypeContext:

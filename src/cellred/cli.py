@@ -170,15 +170,11 @@ def _dump_cells(ctx: audit.TypeContext) -> dict:
 
 def _dump_gamma(ctx: audit.TypeContext) -> dict:
     g = ctx.group
-    gamma = ctx.gamma
-    entries = []
-    for x, y, z in zip(*gamma.nonzero()):
-        entries.append({
-            "x": str(g.element(int(x))),
-            "y": str(g.element(int(y))),
-            "z": str(g.element(int(z))),
-            "value": int(gamma[x, y, z]),
-        })
+    entries = [
+        {"x": str(g.element(int(x))), "y": str(g.element(int(y))),
+         "z": str(g.element(int(z))), "value": int(value)}
+        for x, y, z, value in zip(*ctx.gamma)
+    ]
     return {"type": ctx.ct.name, "what": "gamma", "entries": entries}
 
 

@@ -32,7 +32,9 @@ the h's:
 
 * a(z) = max over x, y of deg_v h_{x,y,z};
 * gamma[x,y,z] = coefficient of v^a(z) in h_{x,y,z}, the structure constants
-  of the asymptotic ring, with product t_x t_y = sum_z gamma[x,y,z] t_z.
+  of the asymptotic ring, with product t_x t_y = sum_z gamma[x,y,z] t_z,
+  stored as its nonzero entries (``GammaEntries``): int64 arrays x, y, z and
+  value, sorted by (x, y, z).  Only ``KLData.gamma_tensor`` builds n^3 arrays.
 
 The support of ``cs`` generates the left preorder (c_z occurs in c_s c_y).
 Left cells are its strong components, right cells those of its mirror
@@ -48,6 +50,8 @@ import numpy as np
 
 from .coxeter import WeylElt, WeylGroup
 from .poly import IntPoly, check_magnitude, check_window, window_offset
+
+GammaEntries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y, z, value
 
 
 class GroupTooLarge(ValueError):
@@ -97,8 +101,8 @@ class KLData:
     ``P`` maps (y, w) with y <= w to the coefficient tuple of P_{y,w} in q;
     ``mu`` maps (y, w) to the nonzero mu values.  ``cs[s - 1, z, w]`` is the
     coefficient of c_z in c_s c_w, a (rank, n, n, 3) Laurent array with
-    offset 1.  ``a_values`` (a(z) per element index) and the gamma tensor
-    come from one structure-constant pass, run on first read.
+    offset 1.  ``a_values`` (a(z) per element index) and the nonzero gamma
+    entries come from one structure-constant pass, run on first read.
     """
 
     group: WeylGroup
@@ -107,7 +111,7 @@ class KLData:
     cs: np.ndarray = field(repr=False)
 
     @stage
-    def _top(self) -> tuple[tuple[int, ...], np.ndarray]:
+    def _top(self) -> tuple[tuple[int, ...], GammaEntries]:
         return _compute_top(self.group, self.cs)
 
     @property
@@ -118,8 +122,11 @@ class KLData:
         return self.a_values[self.group.index(w)]
 
     def gamma_tensor(self) -> np.ndarray:
-        """Dense integer gamma[x, y, z] by element index; :func:`j_ring` verifies it."""
-        return self._top[1]
+        """Dense gamma[x, y, z] by element index, n^3 entries built anew per call."""
+        x, y, z, value = self._top[1]
+        gamma = np.zeros((self.group.size,) * 3, dtype=np.int64)
+        gamma[x, y, z] = value
+        return gamma
 
     def h_row(self, x: WeylElt, y: WeylElt) -> dict[WeylElt, IntPoly]:
         """The nonzero h_{x,y,z}, keyed by z; one structure-constant pass.
@@ -290,40 +297,33 @@ def _left_cones(cs: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
     return [(ys, np.flatnonzero(reach[:, ys[0]])) for ys in cells.values()]
 
 
-def _compute_top(g: WeylGroup, cs: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """a per element and the dense gamma tensor, in one pass per left cell.
-
-    ``top[z]`` is the window slot of the highest exponent seen so far at z;
-    when a later cell raises it, the gamma entries of the y already ``done``
-    at z (taken at a lower exponent) are reset to zero.
-    """
+def _compute_top(g: WeylGroup, cs: np.ndarray) -> tuple[tuple[int, ...], GammaEntries]:
+    """a per element and the nonzero gamma entries, in one pass per left cell.
+    Each cell keeps its nonzero coefficients at its own highest slot per z;
+    those at the highest slot over all cells, ``top[z]``, are gamma."""
     n = g.size
     off = window_offset(g.nu)
-    slots = np.arange(2 * off + 1)
     top = np.zeros(n, dtype=np.int64)  # slot 0 is the zero guard slot
-    done = np.zeros(n, dtype=bool)
-    gamma = np.zeros((n, n, n), dtype=np.int64)
+    found = []  # per cell: x, y, z, value and slot of each nonzero coefficient
     for ys, cone in _left_cones(cs):
         big = _h_pass(g, cs, cone, ys)
         # highest slot occupied in some h_{x,y,z}, per z of the cone
-        deg = (big.any(axis=(0, 2)) * slots).max(axis=1)
-        raised = cone[deg > top[cone]]
-        if raised.size:
-            gamma[:, np.flatnonzero(done)[:, None], raised] = 0
-            top[cone] = np.maximum(top[cone], deg)
-        lead = big[:, np.arange(len(cone)), :, top[cone]]  # (cone, x, y)
-        gamma[:, np.array(ys)[:, None], cone] = lead.transpose(1, 2, 0)
-        done[ys] = True
-
+        deg = (big.any(axis=(0, 2)) * np.arange(2 * off + 1)).max(axis=1)
+        top[cone] = np.maximum(top[cone], deg)
+        lead = big[:, np.arange(len(cone)), :, deg]  # (cone, x, y)
+        c, x, j = np.nonzero(lead)
+        found.append((x, np.array(ys)[j], cone[c], lead[c, x, j], deg[c]))
+    x, y, z, value, slot = map(np.concatenate, zip(*found))
+    keep = slot == top[z]
+    order = np.lexsort((z[keep], y[keep], x[keep]))
     a = top - off
     if a[0] != 0:
         raise AssertionError("a(e) != 0: basis convention broken")
     if a[n - 1] != g.nu:
         raise AssertionError("a(w0) != nu: basis convention broken")
-    inv = np.array([g.inv_index(i) for i in range(n)])
-    if not np.array_equal(a, a[inv]):
+    if not np.array_equal(a, a[[g.inv_index(i) for i in range(n)]]):
         raise AssertionError("a-function not inversion-invariant")
-    return tuple(int(x) for x in a), gamma
+    return tuple(int(v) for v in a), tuple(v[keep][order] for v in (x, y, z, value))
 
 # ---------------------------------------------------------------------------
 # Cells
@@ -412,21 +412,20 @@ def near_involutions(cells: CellPartition) -> frozenset[WeylElt]:
 # The asymptotic ring
 # ---------------------------------------------------------------------------
 
-def j_ring(kl: KLData, cells: CellPartition) -> np.ndarray:
-    """The gamma tensor of the asymptotic ring t_x t_y = sum_z gamma[x,y,z]
-    t_z, once its support and associativity are verified.
+def j_ring(kl: KLData, cells: CellPartition) -> GammaEntries:
+    """The nonzero constants of the asymptotic ring t_x t_y = sum_z
+    gamma[x,y,z] t_z, once their support and associativity are verified.
 
     Support is checked first (gamma vanishes unless x, y, z share a two-sided
     cell), which makes the exhaustive associativity check decompose into
-    blocks, one per two-sided cell.
+    blocks, one per two-sided cell, each checked over chunks of x.
     """
     g = kl.group
-    gamma = kl.gamma_tensor()
+    xs, ys, zs, vals = gamma = kl._top[1]
+    blocks = [sorted(g.index(w) for w in tc) for tc in cells.two_sided_cells]
     cell_id = np.zeros(g.size, dtype=np.int64)
-    for k, tc in enumerate(cells.two_sided_cells):
-        for w in tc:
-            cell_id[g.index(w)] = k
-    xs, ys, zs = np.nonzero(gamma)
+    for k, idx in enumerate(blocks):
+        cell_id[idx] = k
     if not (np.array_equal(cell_id[xs], cell_id[ys])
             and np.array_equal(cell_id[xs], cell_id[zs])):
         raise AssociativityFailure("gamma supported outside two-sided cells")
@@ -434,29 +433,36 @@ def j_ring(kl: KLData, cells: CellPartition) -> np.ndarray:
     if not (np.array_equal(a[xs], a[ys]) and np.array_equal(a[xs], a[zs])):
         raise AssociativityFailure("gamma support mixes a-values")
 
-    gmax = int(np.abs(gamma).max()) if gamma.size else 0
-    for tc in cells.two_sided_cells:
-        idx = sorted(g.index(w) for w in tc)
+    gmax = int(np.abs(vals).max(initial=0))
+    for k, idx in enumerate(blocks):
+        d = len(idx)
         # float64 BLAS is exact below the guard and much faster than int64
-        check_magnitude(len(idx) * max(gmax, 1) ** 2, "gamma")
-        sub = gamma[np.ix_(idx, idx, idx)].astype(np.float64)
-        lhs = np.tensordot(sub, sub, axes=(2, 0))
-        rhs = np.tensordot(sub, sub, axes=(2, 1)).transpose(2, 0, 1, 3)
-        if not np.array_equal(lhs, rhs):
-            raise AssociativityFailure(
-                f"associativity fails on the cell of {min(tc, key=g.index)}"
-            )
+        check_magnitude(d * max(gmax, 1) ** 2, "gamma")
+        mine = cell_id[xs] == k
+        sub = np.zeros((d, d, d))
+        sub[tuple(np.searchsorted(idx, v[mine]) for v in (xs, ys, zs))] = vals[mine]
+        step = max(1, (1 << 18) // d**3)  # x per chunk: 2 MB per product
+        for x0 in range(0, d, step):
+            part = sub[x0:x0 + step]  # (t_x t_y) t_w against t_x (t_y t_w)
+            lhs = np.tensordot(part, sub, axes=(2, 0))
+            rhs = np.tensordot(sub, part, axes=(2, 1)).transpose(2, 0, 1, 3)
+            if not np.array_equal(lhs, rhs):
+                raise AssociativityFailure(
+                    f"associativity fails on the cell of {g.element(idx[0])}"
+                )
     return gamma
 
 
-def is_central(g: WeylGroup, gamma: np.ndarray, z: Mapping[WeylElt, int]) -> bool:
+def is_central(g: WeylGroup, gamma: GammaEntries, z: Mapping[WeylElt, int]) -> bool:
     """Whether sum_w z[w] t_w commutes with every basis element of the
     asymptotic ring whose constants :func:`j_ring` returned as ``gamma``."""
-    ys = [g.index(w) for w in z]
-    rows, cols = gamma[ys], gamma[:, ys]
-    gmax = max(int(np.abs(rows).max(initial=0)), int(np.abs(cols).max(initial=0)))
-    check_magnitude(sum(abs(c) for c in z.values()) * gmax, "centrality")
-    zv = np.array([z[w] for w in z], dtype=np.int64)
-    left = np.einsum("y,yxw->xw", zv, rows)
-    right = np.einsum("y,xyw->xw", zv, cols)
-    return bool(np.array_equal(left, right))
+    xs, ys, ws, vals = gamma
+    ids = [g.index(w) for w in z]
+    near = vals[np.isin(xs, ids) | np.isin(ys, ids)]  # the entries of z t_u and t_u z
+    check_magnitude(sum(map(abs, z.values())) * int(np.abs(near).max(initial=0)), "centrality")
+    zv = np.zeros(g.size, dtype=np.int64)
+    zv[ids] = list(z.values())
+    diff = np.zeros((g.size, g.size), dtype=np.int64)  # (u, w): z t_u - t_u z
+    np.add.at(diff, (ys, ws), zv[xs] * vals)
+    np.subtract.at(diff, (xs, ws), zv[ys] * vals)
+    return not diff.any()

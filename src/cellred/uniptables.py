@@ -192,11 +192,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     decomp = {lab: dict(row) for lab, row in raw["decomp"].items()}
     if set(decomp) != set(labels):
         raise _fail(ct, "decomp", "rows do not match the unipotent labels", refs)
-    transpose: dict[str, dict[str, int]] = {lab: {} for lab in labels}
-    for w, row in r_alpha.items():
-        for lab, mult in row.items():
-            transpose[lab][w] = mult
-    if decomp != transpose:
+    if decomp != transpose(r_alpha):  # every label has a row: checked above
         raise _fail(ct, "decomp", "table is not the transpose of r_alpha", refs)
 
     duality = dict(raw["duality"])
@@ -211,6 +207,12 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         unipotent=unip, r_alpha=r_alpha, m_w=m_w, delta=delta,
         decomp=decomp, duality=duality,
     )
+
+
+def transpose(rows: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
+    """{a: {b: m}} as {b: {a: m}}: R rows by word as rows by label."""
+    inner = dict.fromkeys(b for row in rows.values() for b in row)  # in first-seen order
+    return {b: {a: row[b] for a, row in rows.items() if b in row} for b in inner}
 
 
 def derived_r_alpha(

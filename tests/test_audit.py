@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,36 @@ def test_klpoly_dump_never_runs_the_structure_constant_pass(data_copy, monkeypat
     assert main(["tables", "dump", "--what", "klpoly", "--type", "A3"]) == 0
     assert json.loads(capsys.readouterr().out)["entries"]
     assert calls == {"compute_kl": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--type", "A4"],
+    ["tables", "dump", "--what", "gamma", "--type", "A4"],
+], ids=("audit", "gamma-dump"))
+def test_commands_never_build_the_dense_gamma(data_copy, monkeypatch, capsys, argv):
+    calls = {}
+    count_calls(monkeypatch, klcells.KLData, "gamma_tensor", calls)
+    assert main(argv) == 0  # fresh context: a new data directory
+    capsys.readouterr()
+    assert calls == {}
+    get_context(CartanType.parse("A4")).kl.gamma_tensor()  # the counter counts
+    assert calls == {"gamma_tensor": 1}
+
+
+def test_a4_cells_and_gamma_stages_peak_under_20_mb(data_copy):
+    ctx = get_context(CartanType.parse("A4"))  # fresh: a new data directory
+    ctx.kl
+    peak_mb = {}
+    tracemalloc.start()
+    try:
+        for name in ("cells", "gamma"):  # cells runs the structure-constant pass
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            getattr(ctx, name)
+            peak_mb[name] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert max(peak_mb.values()) < 20, peak_mb
 
 
 def test_audit_builds_each_stage_once(data_copy, monkeypatch, capsys):

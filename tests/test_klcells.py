@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,58 @@ def test_associativity_brute_force(name, ctx):
                 assert mul(mul(ta, tb), tc_) == mul(ta, mul(tb, tc_))
 
 
+def dense_is_central(gamma, z):
+    """The dense reference for ``is_central``: whether sum_y z[y] t_y commutes
+    with every t_x, from the n^3 tensor, and the bound its guard must check.
+    ``z`` maps element indices to coefficients."""
+    ys = list(z)
+    zv = np.array(list(z.values()), dtype=np.int64)
+    rows, cols = gamma[ys], gamma[:, ys]
+    gmax = max(int(np.abs(rows).max(initial=0)), int(np.abs(cols).max(initial=0)))
+    left = np.einsum("y,yxw->xw", zv, rows)
+    right = np.einsum("y,xyw->xw", zv, cols)
+    return bool(np.array_equal(left, right)), int(np.abs(zv).sum()) * gmax
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_is_central_equals_the_dense_reference(name, ctx, monkeypatch):
+    c = ctx(name)
+    g = c.group
+    rng = np.random.default_rng(sum(map(ord, name)))
+    central = [
+        {g.index(g.parse_word(w)): m for w, m in row.items()}
+        for row in c.unip_rows.values()
+    ]
+    zs = [{}, *central]
+    for _ in range(10):  # integer combinations of central elements
+        combo = {}
+        for z in central:
+            k = int(rng.integers(-3, 4))
+            for y, m in z.items():
+                combo[y] = combo.get(y, 0) + k * m
+        zs.append(combo)
+    for _ in range(30):  # random vectors, from one element to all of W
+        support = rng.choice(g.size, size=int(rng.integers(1, g.size + 1)), replace=False)
+        zs.append({int(y): int(rng.integers(-5, 6)) for y in support})
+    # also arbitrary sorted entries, whose values differ on the two sides of z
+    flat = np.unique(rng.integers(0, g.size**3, size=4 * g.size))
+    value = rng.choice([-9, -5, -2, -1, 1, 3, 7], size=flat.size)
+    arbitrary = (*np.unravel_index(flat, (g.size,) * 3), value)
+    bounds = []
+    monkeypatch.setattr(klcells, "check_magnitude", lambda bound, what: bounds.append(bound))
+    verdicts = set()
+    for gamma in (c.gamma, arbitrary):
+        dense = np.zeros((g.size,) * 3, dtype=np.int64)
+        dense[gamma[:3]] = gamma[3]
+        for z in zs:
+            want, bound = dense_is_central(dense, z)
+            assert is_central(g, gamma, {g.element(y): m for y, m in z.items()}) == want
+            assert bounds.pop() == bound
+            if gamma is c.gamma:
+                verdicts.add(want)
+    assert verdicts == ({True} if name == "A1" else {True, False})  # J(A1) = Z + Z
+
+
 def test_centrality_examples(ctx):
     b2 = ctx("B2")
     g = b2.group
@@ -449,6 +503,7 @@ def test_magnitude_guards_raise(monkeypatch):
     g = _a2()
     kl = compute_kl(g)
     cells = klcells.compute_cells(kl)
+    gamma = klcells.j_ring(kl, cells)
     # KL coefficients of A2 are 0 or 1; structure constants reach 2
     monkeypatch.setattr(poly, "MAGNITUDE_GUARD", 2)
     with pytest.raises(AssertionError, match="structure-constant magnitude guard tripped"):
@@ -456,7 +511,81 @@ def test_magnitude_guards_raise(monkeypatch):
     with pytest.raises(AssertionError, match="gamma magnitude guard tripped"):
         klcells.j_ring(kl, cells)
     with pytest.raises(AssertionError, match="centrality magnitude guard tripped"):
-        is_central(g, kl.gamma_tensor(), {g.parse_word("1"): 2})
+        is_central(g, gamma, {g.parse_word("1"): 2})
+
+
+def inject_gamma_fault(monkeypatch, edit):
+    """Let every later structure-constant pass return its gamma entries
+    through ``edit(g, x, y, z, value)``."""
+    compute_top = klcells._compute_top
+
+    def faulty(g, cs):
+        a, entries = compute_top(g, cs)
+        return a, edit(g, *entries)
+
+    monkeypatch.setattr(klcells, "_compute_top", faulty)
+
+
+@pytest.mark.parametrize("merge, message", [
+    (False, "gamma supported outside two-sided cells"),
+    (True, "gamma support mixes a-values"),
+], ids=("crosses-cells", "mixes-a-values"))
+def test_j_ring_refuses_gamma_that_joins_two_cells(monkeypatch, merge, message):
+    g = _a2()
+    s = g.index(g.parse_word("1"))
+
+    def edit(g, x, y, z, value):  # t_e t_e gains a t_s term; a(e) = 0, a(s) = 1
+        return np.append(x, 0), np.append(y, 0), np.append(z, s), np.append(value, 1)
+
+    inject_gamma_fault(monkeypatch, edit)
+    kl = compute_kl(g)
+    cells = klcells.compute_cells(kl)
+    if merge:  # a partition in which e and s share a two-sided cell
+        pair = {cells.two_sided_cell_of(g.identity), cells.two_sided_cell_of(g.element(s))}
+        rest = tuple(c for c in cells.two_sided_cells if c not in pair)
+        cells = dataclasses.replace(cells, two_sided_cells=rest + (frozenset().union(*pair),))
+    with pytest.raises(klcells.AssociativityFailure, match=message):
+        klcells.j_ring(kl, cells)
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES[1:])  # A1's cells have one element
+def test_j_ring_refuses_one_changed_value(monkeypatch, name):
+    # the last entry of the largest cell: on A4 (36 elements) its x lies in
+    # the last chunk of the associativity check
+    g = generate(CartanType.parse(name))
+    cells = klcells.compute_cells(compute_kl(g))
+    largest = max(cells.two_sided_cells, key=len)
+    members = [g.index(w) for w in largest]
+
+    def edit(g, x, y, z, value):
+        value = value.copy()
+        value[np.flatnonzero(np.isin(x, members))[-1]] += 1
+        return x, y, z, value
+
+    inject_gamma_fault(monkeypatch, edit)
+    kl = compute_kl(g)
+    first = min(largest, key=g.index)
+    with pytest.raises(klcells.AssociativityFailure,
+                       match=f"associativity fails on the cell of {first}$"):
+        klcells.j_ring(kl, cells)
+
+
+def test_j_ring_checks_every_chunk_of_x(monkeypatch):
+    # gamma reduced to t_b t_a = t_b for the first a and last b of A4's
+    # 36-element cell: (t_b t_a) t_a = t_b but t_b (t_a t_a) = 0, and no other
+    # triple differs, so only the chunk that holds x = b can see the fault
+    g = generate(CartanType.parse("A4"))
+    cells = klcells.compute_cells(compute_kl(g))
+    largest = sorted(g.index(w) for w in max(cells.two_sided_cells, key=len))
+    a, b = largest[0], largest[-1]
+
+    def edit(g, x, y, z, value):
+        return np.array([b]), np.array([a]), np.array([b]), np.array([1])
+
+    inject_gamma_fault(monkeypatch, edit)
+    with pytest.raises(klcells.AssociativityFailure,
+                       match=f"associativity fails on the cell of {g.element(a)}$"):
+        klcells.j_ring(compute_kl(g), cells)
 
 
 def test_kl_degree_bound_guard_raises(monkeypatch):

@@ -10,6 +10,7 @@ from cellred.uniptables import (
     WeightTemplate,
     derived_r_alpha,
     load_tables,
+    transpose,
 )
 
 from conftest import DATA_TYPE_NAMES, TYPE_NAMES
@@ -62,6 +63,12 @@ def test_r_alpha_multiplicities():
     for name in DATA_TYPE_NAMES:
         t = load_tables(CartanType.parse(name))
         assert "S" not in t.r_alpha["e"]
+
+
+def test_transpose_swaps_row_and_column_keys():
+    rows = {"e": {"1": 1}, "1": {"1": 2, "S": 1}}
+    assert transpose(rows) == {"1": {"e": 1, "1": 2}, "S": {"1": 1}}
+    assert transpose(transpose(rows)) == rows
 
 
 @pytest.mark.parametrize("name", DATA_TYPE_NAMES)
