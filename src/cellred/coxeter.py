@@ -149,16 +149,6 @@ class WeylGroup:
             wi = self._rmul[wi][int(ch) - 1]
         return self.elements[wi]
 
-    # -- Bruhat order
-
-    def bruhat_lower_set(self, w: WeylElt) -> frozenset[WeylElt]:
-        """All y <= w: products of subwords of one reduced word for w.
-        The reference oracle that tests check the support of P against."""
-        reach = {0}
-        for i in w.word:
-            reach |= {self._rmul[x][i - 1] for x in reach}
-        return frozenset(self.elements[x] for x in reach)
-
 
 def _reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ...]:
     # s_i on fundamental-weight coordinates: column i of the identity is

@@ -21,14 +21,19 @@ both inductions run on it:
 
 * on the Tt basis it yields the c_w, hence the classical P_{y,w} and mu;
 * on the c-basis expansion of c_x c_y it yields the structure constants
-  h_{x,y,z} (c_x c_y = sum_z h_{x,y,z} c_z) for all triples.
+  h_{x,y,z} (c_x c_y = sum_z h_{x,y,z} c_z) for all x and z ~_L y.
 
 Both run on the Laurent arrays of :mod:`cellred.poly`, under their window
-and magnitude guards.  The structure-constant pass runs once per left cell
-Gamma, for all y in Gamma at once, on the left cone C = {z : z <=_L Gamma}
-only: C is closed under the support of every c_s, so each row c_x c_y stays
-in span{c_z : z in C} and the h_{x,y,z} with z outside C are zero.  From
-the h's:
+and magnitude guards.  The structure-constant pass runs once, for every left
+cell at once, on the pairs (z, y) with z ~_L y.  For y in a left cell Gamma,
+c_x c_y lies in span{c_z : z <=_L Gamma}, and on the cell module, its
+quotient by span{c_z : z <_L Gamma}, c_s acts on the c_z with z in Gamma
+through the rows of ``cs`` for those z alone; so the induction restricted to
+the pairs gives each h_{x,y,z} with z ~_L y exactly.  That is all the pass
+needs: by Lusztig (Hecke algebras with unequal parameters, CRM 18, 14.2 P8)
+gamma[x,y,z] is nonzero only if y ~_L z, and the maximum below is reached
+at y = z, since the unit of the asymptotic ring is a sum of t_d and so some
+gamma[d,z,z] is nonzero.  From the h's:
 
 * a(z) = max over x, y of deg_v h_{x,y,z};
 * gamma[x,y,z] = coefficient of v^a(z) in h_{x,y,z}, the structure constants
@@ -49,7 +54,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .coxeter import WeylElt, WeylGroup
-from .poly import IntPoly, check_magnitude, check_window, window_offset
+from .poly import check_magnitude, check_window, window_offset
 
 GammaEntries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y, z, value
 
@@ -111,8 +116,13 @@ class KLData:
     cs: np.ndarray = field(repr=False)
 
     @stage
+    def left_cells(self) -> tuple[tuple[int, ...], ...]:
+        """The left cells, as sorted index tuples listed by least member."""
+        return tuple(_sccs(self.cs.any(axis=(0, 3))))
+
+    @stage
     def _top(self) -> tuple[tuple[int, ...], GammaEntries]:
-        return _compute_top(self.group, self.cs)
+        return _compute_top(self.group, self.cs, self.left_cells)
 
     @property
     def a_values(self) -> tuple[int, ...]:
@@ -127,18 +137,6 @@ class KLData:
         gamma = np.zeros((self.group.size,) * 3, dtype=np.int64)
         gamma[x, y, z] = value
         return gamma
-
-    def h_row(self, x: WeylElt, y: WeylElt) -> dict[WeylElt, IntPoly]:
-        """The nonzero h_{x,y,z}, keyed by z; one structure-constant pass.
-        The reference oracle that tests compare the cone pass against."""
-        g = self.group
-        cone = np.arange(g.size)
-        row = _h_pass(g, self.cs, cone, [g.index(y)])[g.index(x), :, 0]
-        off = window_offset(g.nu)
-        return {
-            g.element(int(z)): IntPoly.from_array(row[z], off)
-            for z in np.nonzero(row.any(axis=1))[0]
-        }
 
 
 def _induction_step(
@@ -261,61 +259,38 @@ def _cs_apply(tab: _Gather, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _h_pass(g: WeylGroup, cs: np.ndarray, cone: np.ndarray, ys: list[int]) -> np.ndarray:
-    """h_{x, y, z} for all x, z in ``cone`` and y in ``ys``, as an
-    (n, len(cone), len(ys), D) Laurent array.
-
-    ``cone`` must contain every z <=_L y for y in ``ys``, so that c_s maps
-    span{c_z : z in cone} to itself; all of W always qualifies.
-    """
+def _compute_top(
+    g: WeylGroup, cs: np.ndarray, left_cells: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], GammaEntries]:
+    """a per element and the nonzero gamma entries, from one pass over the
+    pairs (z, y) with z ~_L y: the state ``big[x, p]`` of pair p = (z, y) is
+    h_{x,y,z}, the coefficient of c_z in c_x c_y on the cell module of y."""
     n = g.size
     off = window_offset(g.nu)
-    tabs = _gather_tables(cs[:, cone][:, :, cone])
-    big = np.zeros((n, len(cone), len(ys), 2 * off + 1), dtype=np.int64)
-    big[0, np.searchsorted(cone, ys), np.arange(len(ys)), off] = 1
-
-    def cs_apply(s: int, A: np.ndarray) -> np.ndarray:
-        return _cs_apply(tabs[s - 1], A)
-
+    cell_of = np.zeros(n, dtype=np.int64)
+    for k, cell in enumerate(left_cells):
+        cell_of[list(cell)] = k
+    z, y = np.nonzero(cell_of[:, None] == cell_of)
+    pair = np.full((n, n), -1)
+    pair[z, y] = np.arange(len(z))
+    tabs = []  # c_s on the pairs: row (z, y) reads the rows (z', y) with z' ~_L y
+    for rows, src, val in _gather_tables(cs):
+        r = np.flatnonzero(np.isin(z, rows))
+        k = np.searchsorted(rows, z[r])
+        p = pair[src[k], y[r, None]]  # -1 where z' is not in the cell of y
+        tabs.append((r, np.maximum(p, 0), val[k] * (p >= 0)))
+    big = np.zeros((n, len(z), 2 * off + 1), dtype=np.int64)
+    big[0, pair[range(n), range(n)], off] = 1  # c_e c_y = c_y
     for x in range(1, n):
-        _induction_step(g, cs, big, cs_apply, x)
+        _induction_step(g, cs, big, lambda s, A: _cs_apply(tabs[s - 1], A), x)
     check_window(big, "structure-constant")
     check_magnitude(int(max(big.max(), -big.min())), "structure-constant")
-    return big
-
-
-def _left_cones(cs: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
-    """Each left cell, as its sorted members y, with its cone {z : z <=_L y}.
-
-    The y with equal columns of the left-preorder closure form a left cell,
-    and that column is their cone.
-    """
-    reach = _closure(cs.any(axis=(0, 3)))
-    cells: dict[bytes, list[int]] = {}
-    for y in range(len(reach)):
-        cells.setdefault(reach[:, y].tobytes(), []).append(y)
-    return [(ys, np.flatnonzero(reach[:, ys[0]])) for ys in cells.values()]
-
-
-def _compute_top(g: WeylGroup, cs: np.ndarray) -> tuple[tuple[int, ...], GammaEntries]:
-    """a per element and the nonzero gamma entries, in one pass per left cell.
-    Each cell keeps its nonzero coefficients at its own highest slot per z;
-    those at the highest slot over all cells, ``top[z]``, are gamma."""
-    n = g.size
-    off = window_offset(g.nu)
-    top = np.zeros(n, dtype=np.int64)  # slot 0 is the zero guard slot
-    found = []  # per cell: x, y, z, value and slot of each nonzero coefficient
-    for ys, cone in _left_cones(cs):
-        big = _h_pass(g, cs, cone, ys)
-        # highest slot occupied in some h_{x,y,z}, per z of the cone
-        deg = (big.any(axis=(0, 2)) * np.arange(2 * off + 1)).max(axis=1)
-        top[cone] = np.maximum(top[cone], deg)
-        lead = big[:, np.arange(len(cone)), :, deg]  # (cone, x, y)
-        c, x, j = np.nonzero(lead)
-        found.append((x, np.array(ys)[j], cone[c], lead[c, x, j], deg[c]))
-    x, y, z, value, slot = map(np.concatenate, zip(*found))
-    keep = slot == top[z]
-    order = np.lexsort((z[keep], y[keep], x[keep]))
+    # the highest slot occupied in some h_{x,y,z}, per z; its coefficients are gamma
+    top = np.zeros(n, dtype=np.int64)
+    np.maximum.at(top, z, (big.any(axis=0) * np.arange(2 * off + 1)).max(axis=1))
+    lead = big[:, np.arange(len(z)), top[z]]  # (x, pair)
+    x, p = np.nonzero(lead)
+    order = np.lexsort((z[p], y[p], x))
     a = top - off
     if a[0] != 0:
         raise AssertionError("a(e) != 0: basis convention broken")
@@ -323,7 +298,7 @@ def _compute_top(g: WeylGroup, cs: np.ndarray) -> tuple[tuple[int, ...], GammaEn
         raise AssertionError("a(w0) != nu: basis convention broken")
     if not np.array_equal(a, a[[g.inv_index(i) for i in range(n)]]):
         raise AssertionError("a-function not inversion-invariant")
-    return tuple(int(v) for v in a), tuple(v[keep][order] for v in (x, y, z, value))
+    return tuple(int(v) for v in a), (x[order], y[p][order], z[p][order], lead[x, p][order])
 
 # ---------------------------------------------------------------------------
 # Cells
@@ -364,8 +339,8 @@ def _sccs(adj: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def compute_cells(kl: KLData) -> CellPartition:
-    """Cells from the full preorder closure; validates the a-function is
-    constant on each two-sided cell."""
+    """Cells from the preorder closures, the left cells from ``kl``; validates
+    the a-function is constant on each two-sided cell."""
     g = kl.group
     inv = [g.inv_index(i) for i in range(g.size)]
     # left[z, y]: c_z occurs in some c_s c_y; right mirrors it through inversion
@@ -375,7 +350,7 @@ def compute_cells(kl: KLData) -> CellPartition:
     def to_sets(comps: list[tuple[int, ...]]) -> tuple[frozenset[WeylElt], ...]:
         return tuple(frozenset(g.element(i) for i in comp) for comp in comps)
 
-    left_cells = to_sets(_sccs(left))
+    left_cells = to_sets(kl.left_cells)
     right_cells = to_sets(_sccs(right))
     two_sided = to_sets(_sccs(left | right))
 
@@ -418,7 +393,10 @@ def j_ring(kl: KLData, cells: CellPartition) -> GammaEntries:
 
     Support is checked first (gamma vanishes unless x, y, z share a two-sided
     cell), which makes the exhaustive associativity check decompose into
-    blocks, one per two-sided cell, each checked over chunks of x.
+    blocks, one per two-sided cell, each checked over chunks of x.  The pass
+    that found the entries pairs only y ~_L z, so y and z share a cell and
+    an a-value by construction; the checks stay for x, which the pass does
+    not restrict, and for entries that did not come from the pass.
     """
     g = kl.group
     xs, ys, zs, vals = gamma = kl._top[1]

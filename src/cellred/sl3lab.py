@@ -36,6 +36,7 @@ coordinates 1..p-2, and the lifted dimensions over one orbit must sum to
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -59,7 +60,7 @@ DEFAULT_PRIME_BOUND = 61
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise NotPrime(f"{p} is not prime")
 
 
@@ -88,9 +89,9 @@ def _projective_points(p: int) -> list[tuple[int, int, int]]:
 
 def build_incidence(p: int, bound: int = DEFAULT_PRIME_BOUND) -> IncidenceSpace:
     """Enumerate the incidence geometry of F_p^3 and verify its regularity."""
-    _check_prime(p)
-    if p > bound:
+    if p > bound:  # before the trial division, which is O(sqrt p)
         raise TooLarge(f"p = {p} exceeds bound {bound}")
+    _check_prime(p)
     pts = _projective_points(p)
     n = p * p + p + 1
     if len(pts) != n:

@@ -1,0 +1,96 @@
+"""Reference computations that tests check the engine against.
+
+* :func:`bruhat_lower_set`: the Bruhat interval below w, from subwords.
+* :func:`h_pass`: the structure constants h_{x,y,z} on a left cone, by the
+  c-basis induction on the full span{c_z : z in cone}.  With the cone all of
+  W it is the plain definition c_x c_y = sum_z h_{x,y,z} c_z.
+* :func:`cone_top`: a per element and the nonzero gamma entries from one
+  :func:`h_pass` per left cell on that cell's cone, the merge of the cells
+  taken at the highest slot per z.  ``klcells._compute_top`` must agree.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cellred import klcells
+from cellred.coxeter import WeylElt, WeylGroup
+from cellred.poly import IntPoly, check_magnitude, check_window, window_offset
+
+
+def bruhat_lower_set(g: WeylGroup, w: WeylElt) -> frozenset[WeylElt]:
+    """All y <= w: products of subwords of one reduced word for w."""
+    reach = {0}
+    for i in w.word:
+        reach |= {g.rmul_index(x, i) for x in reach}
+    return frozenset(g.element(x) for x in reach)
+
+
+def h_pass(g: WeylGroup, cs: np.ndarray, cone: np.ndarray, ys: list[int]) -> np.ndarray:
+    """h_{x, y, z} for all x, z in ``cone`` and y in ``ys``, as an
+    (n, len(cone), len(ys), D) Laurent array.
+
+    ``cone`` must contain every z <=_L y for y in ``ys``, so that c_s maps
+    span{c_z : z in cone} to itself; all of W always qualifies.
+    """
+    n = g.size
+    off = window_offset(g.nu)
+    tabs = klcells._gather_tables(cs[:, cone][:, :, cone])
+    big = np.zeros((n, len(cone), len(ys), 2 * off + 1), dtype=np.int64)
+    big[0, np.searchsorted(cone, ys), np.arange(len(ys)), off] = 1
+
+    def cs_apply(s: int, A: np.ndarray) -> np.ndarray:
+        return klcells._cs_apply(tabs[s - 1], A)
+
+    for x in range(1, n):
+        klcells._induction_step(g, cs, big, cs_apply, x)
+    check_window(big, "structure-constant")
+    check_magnitude(int(max(big.max(), -big.min())), "structure-constant")
+    return big
+
+
+def h_row(kl: klcells.KLData, x: WeylElt, y: WeylElt) -> dict[WeylElt, IntPoly]:
+    """The nonzero h_{x,y,z}, keyed by z, from one :func:`h_pass` on all of W."""
+    g = kl.group
+    row = h_pass(g, kl.cs, np.arange(g.size), [g.index(y)])[g.index(x), :, 0]
+    off = window_offset(g.nu)
+    return {
+        g.element(int(z)): IntPoly.from_array(row[z], off)
+        for z in np.nonzero(row.any(axis=1))[0]
+    }
+
+
+def left_cones(cs: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
+    """Each left cell, as its sorted members y, with its cone {z : z <=_L y}.
+
+    The y with equal columns of the left-preorder closure form a left cell,
+    and that column is their cone.
+    """
+    reach = klcells._closure(cs.any(axis=(0, 3)))
+    cells: dict[bytes, list[int]] = {}
+    for y in range(len(reach)):
+        cells.setdefault(reach[:, y].tobytes(), []).append(y)
+    return [(ys, np.flatnonzero(reach[:, ys[0]])) for ys in cells.values()]
+
+
+def cone_top(g: WeylGroup, cs: np.ndarray) -> tuple[tuple[int, ...], klcells.GammaEntries]:
+    """a per element and the nonzero gamma entries, in one pass per left cell.
+    Each cell keeps its nonzero coefficients at its own highest slot per z;
+    those at the highest slot over all cells, ``top[z]``, are gamma."""
+    n = g.size
+    off = window_offset(g.nu)
+    top = np.zeros(n, dtype=np.int64)  # slot 0 is the zero guard slot
+    found = []  # per cell: x, y, z, value and slot of each nonzero coefficient
+    for ys, cone in left_cones(cs):
+        big = h_pass(g, cs, cone, ys)
+        # highest slot occupied in some h_{x,y,z}, per z of the cone
+        deg = (big.any(axis=(0, 2)) * np.arange(2 * off + 1)).max(axis=1)
+        top[cone] = np.maximum(top[cone], deg)
+        lead = big[:, np.arange(len(cone)), :, deg]  # (cone, x, y)
+        c, x, j = np.nonzero(lead)
+        found.append((x, np.array(ys)[j], cone[c], lead[c, x, j], deg[c]))
+    x, y, z, value, slot = map(np.concatenate, zip(*found))
+    keep = slot == top[z]
+    order = np.lexsort((z[keep], y[keep], x[keep]))
+    a = top - off
+    return tuple(int(v) for v in a), tuple(v[keep][order] for v in (x, y, z, value))

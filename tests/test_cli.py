@@ -153,6 +153,13 @@ def test_sl3_rejects_too_large_prime(capsys):
     assert_usage_error(capsys, "sl3", "--p", "2", "--p", "67")
 
 
+def test_sl3_refuses_a_huge_p_before_testing_it_for_primality(capsys):
+    # sqrt(p) is beyond float range, and trial division up to it would not end
+    code, out, err = run(capsys, "sl3", "--p", str(10**400 + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith("cellred: ") and "exceeds bound" in err
+
+
 def test_sl3_orbits_skip_below_five(capsys):
     code, out, _ = run(capsys, "sl3", "--orbits")
     assert code == 0

@@ -10,6 +10,7 @@ from cellred.poly import IntPoly, laurent_matmul
 from cellred.rootdata import CartanType
 
 from conftest import TYPE_NAMES
+from klref import bruhat_lower_set, cone_top, h_pass, h_row, left_cones
 
 
 def test_group_too_large_guard():
@@ -72,10 +73,10 @@ def test_kl_degree_bound_and_constant_term(name, ctx):
             gap = w.length - y.length
             assert gap >= 1
             assert 2 * (len(coeffs) - 1) <= gap - 1  # degree bound
-        assert y in g.bruhat_lower_set(w)
+        assert y in bruhat_lower_set(g, w)
     # P is defined exactly on Bruhat pairs
     for w in g.elements:
-        lower = g.bruhat_lower_set(w)
+        lower = bruhat_lower_set(g, w)
         assert {y for (y, w2) in c.kl.P if w2 == w} == set(lower)
 
 
@@ -334,9 +335,9 @@ def test_h_structure_constants_small():
     g = generate(CartanType.parse("A1"))
     kl = compute_kl(g)
     e, s = g.identity, g.parse_word("1")
-    assert kl.h_row(s, s) == {s: IntPoly({1: 1, -1: 1})}  # v + v^-1
-    assert kl.h_row(e, s) == {s: IntPoly({0: 1})}
-    assert kl.h_row(s, e) == {s: IntPoly({0: 1})}
+    assert h_row(kl, s, s) == {s: IntPoly({1: 1, -1: 1})}  # v + v^-1
+    assert h_row(kl, e, s) == {s: IntPoly({0: 1})}
+    assert h_row(kl, s, e) == {s: IntPoly({0: 1})}
 
 
 @pytest.mark.parametrize("name", ("A2", "B2", "G2", "A3"))
@@ -345,7 +346,7 @@ def test_h_degree_bounded_by_a(name, ctx):
     g = c.group
     for x in g.elements:
         for y in g.elements:
-            for z, h in c.kl.h_row(x, y).items():
+            for z, h in h_row(c.kl, x, y).items():
                 assert h.degree() <= c.kl.a_of(z)
 
 
@@ -355,18 +356,44 @@ def test_cone_pass_equals_full_pass(name, ctx):
     # pass for each of the 120 y would take seconds
     c = ctx(name)
     kl, g = c.kl, c.group
-    cones = klcells._left_cones(kl.cs)
+    cones = left_cones(kl.cs)
     assert {frozenset(g.element(y) for y in ys) for ys, _ in cones} == set(
         c.cells.left_cells
     )
     everything = np.arange(g.size)
     for ys, cone in cones:
-        part = klcells._h_pass(g, kl.cs, cone, ys)
+        part = h_pass(g, kl.cs, cone, ys)
         outside = np.setdiff1d(everything, cone)
         for j, y in enumerate(ys[:1] if name == "A4" else ys):
-            full = klcells._h_pass(g, kl.cs, everything, [y])[:, :, 0]
+            full = h_pass(g, kl.cs, everything, [y])[:, :, 0]
             assert np.array_equal(full[:, cone], part[:, :, j])
             assert not full[:, outside].any()
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_pair_pass_equals_cone_pass(name, ctx):
+    # the pair pass keeps only the z ~_L y of each cone, which holds every
+    # nonzero gamma[x, y, z] (Lusztig, CRM 18, 14.2 P8) and reaches a(z)
+    kl = ctx(name).kl
+    a, entries = cone_top(kl.group, kl.cs)
+    assert kl.a_values == a
+    for got, want in zip(kl._top[1], entries):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_cells_and_gamma_build_the_left_preorder_closure_once(monkeypatch):
+    closure = klcells._closure
+    graphs = []
+
+    def counted(adj):
+        graphs.append(adj)
+        return closure(adj)
+
+    monkeypatch.setattr(klcells, "_closure", counted)
+    kl = compute_kl(generate(CartanType.parse("A3")))
+    klcells.j_ring(kl, klcells.compute_cells(kl))
+    left = kl.cs.any(axis=(0, 3))
+    assert sum(np.array_equal(adj, left) for adj in graphs) == 1
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
@@ -425,7 +452,7 @@ def test_h_matches_direct_canonical_product(name, ctx):
                     prod[k] = prod.get(k, IntPoly()) + v
             prod = {k: v for k, v in prod.items() if not v.is_zero}
             # subtract h_{x,y,z} c_z and expect zero
-            for z, h in c.kl.h_row(x, y).items():
+            for z, h in h_row(c.kl, x, y).items():
                 for u, fu in tt_expand(z).items():
                     prod[u] = prod.get(u, IntPoly()) - h * fu
             assert all(v.is_zero for v in prod.values())
@@ -496,7 +523,7 @@ def test_window_guards_raise(monkeypatch):
         compute_kl(g)
     # ... nor for h_{w0,w0,w0}, of degree nu
     with pytest.raises(AssertionError, match="structure-constant exponent window exceeded"):
-        kl.h_row(g.w0, g.w0)
+        kl.a_values
 
 
 def test_magnitude_guards_raise(monkeypatch):
@@ -519,8 +546,8 @@ def inject_gamma_fault(monkeypatch, edit):
     through ``edit(g, x, y, z, value)``."""
     compute_top = klcells._compute_top
 
-    def faulty(g, cs):
-        a, entries = compute_top(g, cs)
+    def faulty(g, *args):
+        a, entries = compute_top(g, *args)
         return a, edit(g, *entries)
 
     monkeypatch.setattr(klcells, "_compute_top", faulty)
@@ -612,14 +639,15 @@ def test_a_function_guards_raise(monkeypatch, z, exponent, message):
     g = _a2()
     zi = g.index(g.parse_word(z))
     off = klcells.window_offset(g.nu)
-    h_pass = klcells._h_pass
+    step = klcells._induction_step
 
-    def h_pass_with_extra_term(g, cs, cone, ys):
-        big = h_pass(g, cs, cone, ys)
-        if 0 in ys:  # add v^exponent to h_{e,e,z}; the cone of e is all of W
-            big[0, list(cone).index(zi), ys.index(0), off + exponent] += 1
-        return big
+    def step_with_extra_term(g, cs, big, apply, x):
+        step(g, cs, big, apply, x)
+        if x == g.size - 1:  # add v^exponent to h_{e,z,z}, at the pair (z, z)
+            diagonal = np.flatnonzero(big[0, :, off])  # c_e c_y = c_y, in order of y
+            big[0, diagonal[zi], off + exponent] += 1
 
-    monkeypatch.setattr(klcells, "_h_pass", h_pass_with_extra_term)
+    kl = compute_kl(g)
+    monkeypatch.setattr(klcells, "_induction_step", step_with_extra_term)
     with pytest.raises(AssertionError, match=message):
-        compute_kl(g).a_values
+        kl.a_values
