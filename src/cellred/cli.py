@@ -82,8 +82,7 @@ def _cmd_sl3(args) -> int:
     ok = True
     for p in primes:
         space = sl3lab.build_incidence(p)
-        maps = sl3lab.tau_maps(space)
-        rep = sl3lab.kernel_analysis(maps)
+        rep = sl3lab.kernel_analysis(space)
         want = p * (p + 1) // 2
         entry = {
             "p": p,

@@ -11,22 +11,27 @@ when n . L = 0.  The maps
 
 act between the sum-zero function spaces F1, F2 (dimension p^2 + p each).
 
-Ranks and the composite tau o tau' come from Singer coordinates (Singer,
-Trans. AMS 43, 1938), with no elimination.  For a primitive cubic f over
-F_p, the powers x^i (i < n = p^2 + p + 1) of x in F_p[x]/(f) run once over
-the projective points, and the planes are the translates j + D of the
-perfect difference set D = {i : x^i has coordinate 0 equal to 0}.  In that
-order the incidence is the circulant of a(x) = sum of x^d over d in D, so
-(MacWilliams and Mann, Information and Control 12, 1968)
+The incidence is held as its Singer labelling (Singer, Trans. AMS 43,
+1938).  For a primitive cubic f over F_p, the powers x^i (i < n = p^2 + p +
+1) of x in F_p[x]/(f) run once over the projective points, and the planes
+are the translates j + D of the perfect difference set D = {i : x^i has
+coordinate 0 equal to 0}.  With line pi[i] the point x^i and plane sigma[j]
+the plane through the points j + D, the incident (plane, line) pairs are
+(sigma[j], pi[j + d]) for d in D, indices mod n.  ``build_incidence``
+certifies the labelling: every pair's two normals have dot product 0 mod p,
+and the n (p + 1) pairs are distinct (D is a set, sigma and pi are
+bijections).  PG(2, p) has exactly n (p + 1) incident pairs, so the pairs are
+the whole incidence, and no n x n array is built.
+
+In that order the incidence is the circulant of a(x) = sum of x^d over d in
+D, so (MacWilliams and Mann, Information and Control 12, 1968)
 
     rank tau = n - deg gcd((x - 1) a(x), x^n - 1)  over F_p,
 
 and tau o tau' vanishes iff (x - 1) a(x) a(1/x) = 0 in F_p[x]/(x^n - 1).
-``kernel_analysis`` rebuilds tau from the labelling and requires it to equal
-the matrix it was given, so both facts are about that matrix.  The dense
-``rank_mod`` (a blocked LU whose bulk steps are float64 products on integers
-kept below 2**53) and ``_composite_is_zero`` stay as the references the tests
-compare against.
+The dense ``tau_maps`` and ``rank_mod`` (a blocked LU whose bulk steps are
+float64 products on integers kept below 2**53) are on no command path; the
+tests compare against them.
 
 The principal-series check enumerates the free orbits of the rank-2 Weyl
 group action on weights mod (p-1); each regular residue lifts uniquely into
@@ -54,9 +59,10 @@ class TooLarge(ValueError):
     """Prime exceeds the configured bound."""
 
 
-# The dense n x n int64 incidence, tau and tau' (0.11 GB each at p = 61,
-# n = 3783) grow as p^4; p = 97 waits for a sparse incidence
-DEFAULT_PRIME_BOUND = 61
+# The incidence is n (p + 1) pairs, but the gcd of _group_ring_kernel does
+# O(n^2) work, which grows as p^4: at p = 97 (n = 9507) a run takes about
+# 1.3 s and 70 MB
+DEFAULT_PRIME_BOUND = 97
 
 
 def _check_prime(p: int) -> None:
@@ -66,16 +72,26 @@ def _check_prime(p: int) -> None:
 
 @dataclass(eq=False)
 class IncidenceSpace:
-    """Lines, planes, and the 0/1 incidence matrix (rows planes, cols lines)."""
+    """Lines and planes of PG(2, p) as normal forms, and the incidence as its
+    Singer labelling: line pi[i] is the point x^i and plane sigma[j] is the
+    plane through the points j + D, indices mod n."""
 
     p: int
     lines: tuple[tuple[int, int, int], ...]
     planes: tuple[tuple[int, int, int], ...]
-    incidence: np.ndarray
+    D: np.ndarray
+    pi: np.ndarray
+    sigma: np.ndarray
 
     @property
     def n_points(self) -> int:
         return len(self.lines)
+
+    def incident_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Plane and line positions of the pairs (sigma[j], pi[j + d]), d in D."""
+        n = self.n_points
+        return (np.repeat(self.sigma, self.D.size),
+                self.pi[(np.arange(n)[:, None] + self.D) % n].ravel())
 
 
 def _projective_points(p: int) -> list[tuple[int, int, int]]:
@@ -88,7 +104,7 @@ def _projective_points(p: int) -> list[tuple[int, int, int]]:
 
 
 def build_incidence(p: int, bound: int = DEFAULT_PRIME_BOUND) -> IncidenceSpace:
-    """Enumerate the incidence geometry of F_p^3 and verify its regularity."""
+    """The points of PG(2, p) and its certified Singer incidence."""
     if p > bound:  # before the trial division, which is O(sqrt p)
         raise TooLarge(f"p = {p} exceeds bound {bound}")
     _check_prime(p)
@@ -98,12 +114,20 @@ def build_incidence(p: int, bound: int = DEFAULT_PRIME_BOUND) -> IncidenceSpace:
         raise AssertionError("projective point count is off")
     lines = tuple(pts)
     planes = tuple(pts)  # dual space, same normal forms
-    L = np.array(lines, dtype=np.int64)
+    space = IncidenceSpace(p, lines, planes, *_singer_labelling(p, lines, planes))
+    at_plane, at_line = space.incident_pairs()
     P = np.array(planes, dtype=np.int64)
-    inc = ((P @ L.T) % p == 0).astype(np.int64)
-    if not (inc.sum(axis=1) == p + 1).all() or not (inc.sum(axis=0) == p + 1).all():
+    L = np.array(lines, dtype=np.int64)
+    if (sum(P[at_plane, k] * L[at_line, k] for k in range(3)) % p).any():
+        raise AssertionError("a Singer pair is not incident")
+    # The pairs are distinct when D is a set and sigma and pi are bijections,
+    # which p + 1 pairs at each plane and each line force.  PG(2, p) has
+    # n (p + 1) incident pairs, so these are all of them.
+    if np.bincount(space.D % n).max() > 1 or any(
+        (np.bincount(at, minlength=n) != p + 1).any() for at in (at_plane, at_line)
+    ):
         raise AssertionError("incidence regularity fails")
-    return IncidenceSpace(p=p, lines=lines, planes=planes, incidence=inc)
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +209,6 @@ def rank_mod(M: np.ndarray, p: int) -> int:
         trailing -= A[r:, pivots] @ U
         _reduce(trailing, p)
     return r
-
-
-def _composite_is_zero(A: np.ndarray, B: np.ndarray, p: int) -> bool:
-    """Whether A @ B vanishes mod p, by one exact float64 GEMM."""
-    _exactness_guard(A.shape[1] * (p - 1) ** 2 + p, "composition")
-    prod = (A % p).astype(np.float64) @ (B % p).astype(np.float64)
-    _reduce(prod, p)
-    return not prod.any()
 
 
 def _trim(a: np.ndarray) -> np.ndarray:
@@ -306,20 +322,21 @@ def _is_permutation(a: np.ndarray) -> bool:
     return np.array_equal(np.sort(a), np.arange(a.size))
 
 
-def _singer_labelling(space: IncidenceSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _singer_labelling(
+    p: int, lines: tuple, planes: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(D, pi, sigma): line pi[i] is the point x^i and plane sigma[j] is the
     plane through the points j + D, indices taken mod n.
 
-    Refuses a space whose lines and planes are not the normal-form points of
-    PG(2, p), before anything of size p^3 is built.
+    Refuses lines and planes that are not the normal-form points of PG(2, p),
+    before anything of size p^3 is built.
     """
-    p = space.p
     n = p * p + p + 1
-    if len(space.lines) != n:
-        raise AssertionError(f"{len(space.lines)} lines, but PG(2, {p}) has {n} points")
-    if space.lines != tuple(_projective_points(p)):
+    if len(lines) != n:
+        raise AssertionError(f"{len(lines)} lines, but PG(2, {p}) has {n} points")
+    if lines != tuple(_projective_points(p)):
         raise AssertionError(f"lines are not the normal-form points of PG(2, {p})")
-    if space.planes != space.lines:
+    if planes != lines:
         raise AssertionError("planes are not the normal forms of the lines")
     f0, f1, f2 = _primitive_cubic(p)
     powers = []
@@ -328,7 +345,7 @@ def _singer_labelling(space: IncidenceSpace) -> tuple[np.ndarray, np.ndarray, np
         powers.append(c)
         c = ((-f0 * c[2]) % p, (c[0] - f1 * c[2]) % p, (c[1] - f2 * c[2]) % p)
     powers = np.array(powers, dtype=np.int64)
-    keys = np.array(space.lines, dtype=np.int64) @ (p * p, p, 1)  # ascending
+    keys = np.array(lines, dtype=np.int64) @ (p * p, p, 1)  # ascending
     pi = np.searchsorted(keys, _normal_keys(powers, p))
     D = np.flatnonzero(powers[:, 0] == 0)
     if D.size != p + 1:
@@ -336,8 +353,6 @@ def _singer_labelling(space: IncidenceSpace) -> tuple[np.ndarray, np.ndarray, np
     j = np.arange(n)
     normals = np.cross(powers[(j + D[0]) % n], powers[(j + D[1]) % n]) % p
     sigma = np.searchsorted(keys, _normal_keys(normals, p))
-    if not (_is_permutation(pi) and _is_permutation(sigma)):
-        raise AssertionError("Singer labelling is not a bijection")
     return D, pi, sigma
 
 
@@ -357,18 +372,13 @@ class TauMaps:
     tau: np.ndarray
     tau_prime: np.ndarray
 
-    @property
-    def dim_f1(self) -> int:
-        return self.space.n_points - 1
-
-    @property
-    def dim_f2(self) -> int:
-        return self.space.n_points - 1
-
 
 def tau_maps(space: IncidenceSpace) -> TauMaps:
-    p = space.p
-    inc = space.incidence
+    """Dense tau and tau', scattered from the incident pairs (off every
+    command path: the tests compare against them)."""
+    p, n = space.p, space.n_points
+    inc = np.zeros((n, n), dtype=np.int64)
+    inc[space.incident_pairs()] = 1
     # tau(e_L - e_L0) has plane values inc[:, L] - inc[:, L0]
     tau = (inc[:, 1:] - inc[:, :1]) % p
     tau_prime = (inc.T[:, 1:] - inc.T[:, :1]) % p
@@ -385,67 +395,51 @@ class KernelReport:
     ker_tau_prime_eq_im_tau: bool
 
 
-def kernel_analysis(maps: TauMaps) -> KernelReport:
+def kernel_analysis(space: IncidenceSpace) -> KernelReport:
     """Kernel dimensions of tau, tau' and the kernel/image subspace identities.
 
-    Lines and planes share normal forms, so the incidence matrix is symmetric
-    and tau, tau' are the same matrix: one rank serves both.  The columns of
-    tau' are sum-zero functions, so dropping their entry at index 0 gives
-    their F1-basis coordinates and tau @ tau_prime[1:] is tau o tau'.  It
-    vanishes iff im tau' lies in ker tau, and equal dimensions then make the
-    two equal.  By the symmetry, tau' o tau is the same product, so the same
-    two facts decide ker tau' = im tau.
-
-    Both the rank and the composite come from Singer coordinates.  The
-    incidence C they describe is rebuilt and must be symmetric, with
-    (C[:, 1:] - C[:, :1]) % p equal to maps.tau; then tau o tau' is C C^T on
-    the sum-zero functions, a group-ring product.
+    The dot product is symmetric and lines and planes share normal forms, so
+    the certified incidence is symmetric and tau, tau' are the same matrix:
+    one rank serves both.  tau o tau' vanishes iff im tau' lies in ker tau,
+    and equal dimensions then make the two equal; tau' o tau is the same
+    product, so the same two facts decide ker tau' = im tau.  Both the rank
+    and the composite come from the difference set D (see the module
+    docstring).
     """
-    p = maps.space.p
-    if not np.array_equal(maps.tau, maps.tau_prime):
-        raise AssertionError("tau and tau' differ: the incidence is not symmetric")
-    D, pi, sigma = _singer_labelling(maps.space)
-    n = pi.size
-    planes = np.repeat(sigma, D.size)
-    lines = pi[(np.arange(n)[:, None] + D) % n].ravel()
-    # signed and wide enough for residues mod p: one byte an entry for p < 128
-    C = np.zeros((n, n), dtype=np.min_scalar_type(-p))
-    C[planes, lines] = 1
-    # C has n (p + 1) ones, so ones on the transposed pairs make it symmetric
-    if not C[lines, planes].all():
-        raise AssertionError("the Singer incidence is not symmetric")
-    if not np.array_equal((C[:, 1:] - C[:, :1]) % p, maps.tau):
-        raise AssertionError("tau is not the incidence of PG(2, p) in Singer order")
-    rank, composite_zero = _group_ring_kernel(n, D, p)
+    p, dim = space.p, space.n_points - 1
+    rank, composite_zero = _group_ring_kernel(space.n_points, space.D, p)
     return KernelReport(
         p=p,
-        dim_f1=maps.dim_f1,
-        dim_ker_tau=maps.dim_f1 - rank,
-        dim_ker_tau_prime=maps.dim_f2 - rank,
-        ker_tau_eq_im_tau_prime=composite_zero and rank == maps.dim_f1 - rank,
-        ker_tau_prime_eq_im_tau=composite_zero and rank == maps.dim_f2 - rank,
+        dim_f1=dim,
+        dim_ker_tau=dim - rank,
+        dim_ker_tau_prime=dim - rank,
+        ker_tau_eq_im_tau_prime=composite_zero and rank == dim - rank,
+        ker_tau_prime_eq_im_tau=composite_zero and rank == dim - rank,
     )
 
 
 def equivariance_spot_check(space: IncidenceSpace, samples: int = 20) -> bool:
-    """inc[gP, gL] == inc[P, L] for a deterministic sample of g in GL_3(F_p).
+    """g maps incident pairs to incident pairs, for a deterministic sample of
+    g in GL_3(F_p) acting on lines by g and on plane normals by g^-T.
 
-    Each g must permute the lines and the planes, so the moved matrix has as
-    many ones as the incidence; it is then equal to the incidence iff it is 1
-    on every incident pair, and only those n (p + 1) entries are read.
+    Each g must permute the lines and the planes; then it preserves the
+    incidence iff it maps each of its n (p + 1) pairs into it.  A moved pair
+    (gP, gL) is incident iff its Singer positions differ by an element of D:
+    pi^-1(gL) - sigma^-1(gP) in D mod n.
     """
-    p = space.p
+    p, n = space.p, space.n_points
     rng = random.Random(10007 * p)
     lines = np.array(space.lines, dtype=np.int64)
     planes = np.array(space.planes, dtype=np.int64)
-    # normalised vector (x, y, z) -> position in space.lines, keyed x p^2 + y p + z
-    line_index = np.zeros(p ** 3, dtype=np.int64)
-    line_index[lines @ (p * p, p, 1)] = np.arange(len(lines))
-    incident_planes, incident_lines = np.nonzero(space.incidence)
+    keys = lines @ (p * p, p, 1)  # ascending
+    pi_inv, sigma_inv = np.argsort(space.pi), np.argsort(space.sigma)
+    in_D = np.zeros(2 * n, dtype=bool)  # in_D[k + n]: k mod n in D, for |k| < n
+    in_D[space.D] = in_D[space.D + n] = True
+    at_line = (np.arange(n)[:, None] + space.D) % n  # row j: the pairs of plane j
 
     def image(m, pts):
         """Positions in space.lines of the normalised images m v of pts."""
-        return line_index[_normal_keys((pts @ np.array(m, dtype=np.int64).T) % p, p)]
+        return np.searchsorted(keys, _normal_keys((pts @ np.array(m, dtype=np.int64).T) % p, p))
 
     done = 0
     while done < samples:
@@ -473,7 +467,9 @@ def equivariance_spot_check(space: IncidenceSpace, samples: int = 20) -> bool:
         ip, il = image(minvt, planes), image(m, lines)
         if not (_is_permutation(ip) and _is_permutation(il)):
             return False
-        if not space.incidence[ip[incident_planes], il[incident_lines]].all():
+        # Singer positions of the moved plane sigma[j] and the moved line pi[i]
+        moved_plane, moved_line = sigma_inv[ip[space.sigma]], pi_inv[il[space.pi]]
+        if not in_D[moved_line[at_line] + (n - moved_plane)[:, None]].all():
             return False
     return True
 

@@ -19,7 +19,6 @@ from cellred.sl3lab import (
     build_incidence,
     kernel_analysis,
     principal_series_check,
-    tau_maps,
 )
 from cellred.uniptables import load_tables
 from cellred.weylmod import delta_table, find_duality
@@ -156,7 +155,7 @@ def test_08_hecke_trace_consistency():
 
 def test_09_incidence_lab():
     for p in (2, 3, 5, 7, 11):
-        rep = kernel_analysis(tau_maps(build_incidence(p)))
+        rep = kernel_analysis(build_incidence(p))
         want = p * (p + 1) // 2
         assert rep.dim_ker_tau == want
         assert rep.dim_ker_tau_prime == want

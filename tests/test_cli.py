@@ -150,7 +150,7 @@ def test_sl3_rejects_composite(capsys):
 
 
 def test_sl3_rejects_too_large_prime(capsys):
-    assert_usage_error(capsys, "sl3", "--p", "2", "--p", "67")
+    assert_usage_error(capsys, "sl3", "--p", "2", "--p", "101")
 
 
 def test_sl3_refuses_a_huge_p_before_testing_it_for_primality(capsys):

@@ -1,17 +1,21 @@
+import dataclasses
+import io
+import json
+import tracemalloc
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
 from cellred import sl3lab
+from cellred.cli import main
 from cellred.sl3lab import (
     _PANEL,
-    _composite_is_zero,
     _group_ring_kernel,
     _projective_points,
     _reduce,
     _singer_labelling,
-    IncidenceSpace,
     NotPrime,
-    TauMaps,
     TooLarge,
     build_incidence,
     equivariance_spot_check,
@@ -20,6 +24,10 @@ from cellred.sl3lab import (
     rank_mod,
     tau_maps,
 )
+
+from sl3ref import composite_is_zero, dense_incidence, dense_tau
+
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def test_prime_checks():
@@ -30,23 +38,33 @@ def test_prime_checks():
         build_incidence(9)
     with pytest.raises(TooLarge):
         build_incidence(101)
-    with pytest.raises(TooLarge):
-        build_incidence(67)
 
 
 def test_fano_plane():
     sp = build_incidence(2)
     assert sp.n_points == 7
-    assert sp.incidence.sum(axis=1).tolist() == [3] * 7  # 3 lines per plane
-    assert sp.incidence.sum(axis=0).tolist() == [3] * 7
+    planes, lines = sp.incident_pairs()
+    assert np.bincount(planes).tolist() == [3] * 7  # 3 lines per plane
+    assert np.bincount(lines).tolist() == [3] * 7
 
 
 @pytest.mark.parametrize("p,n", [(2, 7), (3, 13), (5, 31), (7, 57), (11, 133)])
 def test_point_counts(p, n):
     sp = build_incidence(p)
     assert sp.n_points == n
-    assert (sp.incidence.sum(axis=0) == p + 1).all()
-    assert (sp.incidence.sum(axis=1) == p + 1).all()
+    planes, lines = sp.incident_pairs()
+    assert planes.size == lines.size == n * (p + 1)
+    assert (np.bincount(planes, minlength=n) == p + 1).all()
+    assert (np.bincount(lines, minlength=n) == p + 1).all()
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_certified_pairs_are_the_dense_incidence(p):
+    planes, lines = build_incidence(p).incident_pairs()
+    order = np.lexsort((lines, planes))
+    want_planes, want_lines = np.nonzero(dense_incidence(p))
+    assert np.array_equal(planes[order], want_planes)
+    assert np.array_equal(lines[order], want_lines)
 
 
 def test_linear_algebra_mod_p():
@@ -113,11 +131,11 @@ def test_rank_mod_pivot_free_columns_inside_a_panel(p):
     assert rank_mod(X, p) == reference_rank(X, p) == k
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", PRIMES_TO_31)
 def test_incidence_p_rank_is_hamadas(p):
     # Hamada (Hiroshima Math. J. 3, 1973): the point-line incidence matrix of
     # PG(2, p) has p-rank C(p+1, 2) + 1
-    assert rank_mod(build_incidence(p).incidence, p) == p * (p + 1) // 2 + 1
+    assert rank_mod(dense_incidence(p), p) == p * (p + 1) // 2 + 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 31, 103, 167, 8388593])
@@ -134,15 +152,6 @@ def test_reduce_is_exact_up_to_the_guard(p):
     assert (X == x % p).all()
 
 
-def fake_maps(p, tau):
-    """TauMaps with tau' = tau over a stand-in space of tau.shape[0] points."""
-    n = tau.shape[0]
-    pts = tuple((0, 0, i) for i in range(n))
-    space = IncidenceSpace(p=p, lines=pts, planes=pts,
-                           incidence=np.zeros((n, n), dtype=np.int64))
-    return TauMaps(space=space, tau=tau, tau_prime=tau)
-
-
 def test_exactness_guards_raise():
     with pytest.raises(AssertionError, match="rank_mod exactness guard"):
         rank_mod(np.eye(2, dtype=np.int64), 2 ** 31 - 1)
@@ -151,24 +160,21 @@ def test_exactness_guards_raise():
     p, n = 8388593, 201
     zero = np.zeros((n, n - 1), dtype=np.int64)
     with pytest.raises(AssertionError, match="composition exactness guard"):
-        _composite_is_zero(zero, zero[1:], p)
+        composite_is_zero(zero, zero[1:], p)
 
 
-def test_kernel_analysis_refuses_a_foreign_space():
+def test_singer_labelling_refuses_a_foreign_space():
     # at p = 8388593 no array of size p^3 could even be allocated, so the
     # point count is checked before anything is built from p
-    zero = np.zeros((201, 200), dtype=np.int64)
+    pts = tuple((0, 0, i) for i in range(201))
     with pytest.raises(AssertionError, match=r"201 lines, but PG\(2, 8388593\) has"):
-        kernel_analysis(fake_maps(8388593, zero))
-    zero = np.zeros((13, 12), dtype=np.int64)
+        _singer_labelling(8388593, pts, pts)
+    pts = tuple((0, 0, i) for i in range(13))
     with pytest.raises(AssertionError, match=r"not the normal-form points of PG\(2, 3\)"):
-        kernel_analysis(fake_maps(3, zero))
-    sp = build_incidence(3)
-    flipped = IncidenceSpace(p=3, lines=sp.lines, planes=sp.planes[::-1],
-                             incidence=sp.incidence)
-    maps = tau_maps(sp)
+        _singer_labelling(3, pts, pts)
+    pts = tuple(_projective_points(3))
     with pytest.raises(AssertionError, match="planes are not the normal forms"):
-        kernel_analysis(TauMaps(space=flipped, tau=maps.tau, tau_prime=maps.tau_prime))
+        _singer_labelling(3, pts, pts[::-1])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -181,8 +187,7 @@ def test_tau_preserves_sum_zero_functions(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_kernel_dimensions_and_subspace_identities(p):
-    maps = tau_maps(build_incidence(p))
-    rep = kernel_analysis(maps)
+    rep = kernel_analysis(build_incidence(p))
     assert rep.dim_f1 == p * p + p
     want = p * (p + 1) // 2
     assert rep.dim_ker_tau == want
@@ -192,23 +197,50 @@ def test_kernel_dimensions_and_subspace_identities(p):
     assert rep.ker_tau_prime_eq_im_tau
 
 
+def sigma_swapped(D, pi, sigma):
+    sigma = sigma.copy()
+    sigma[[0, 1]] = sigma[[1, 0]]
+    return D, pi, sigma
+
+
+def d_replaced(D, pi, sigma):
+    """D with its first element replaced by the least residue outside D."""
+    outside = np.setdiff1d(np.arange(pi.size), D)[0]
+    return np.concatenate(([outside], D[1:])), pi, sigma
+
+
+def all_on_one_line(D, pi, sigma):
+    """Every line named pi[0], and the planes through it in turn as sigma."""
+    p = D.size - 1
+    pts = np.array(_projective_points(p), dtype=np.int64)
+    through = np.flatnonzero(pts @ pts[pi[0]] % p == 0)
+    return D, np.full_like(pi, pi[0]), through[np.arange(pi.size) % through.size]
+
+
+# Labellings whose pairs are not the incidence of PG(2, p), and the part of
+# the certificate that refuses each: all its pairs incident, or n (p + 1)
+# distinct pairs (D a set, p + 1 pairs at each plane and each line)
+CORRUPTED_LABELLINGS = {
+    "sigma_swapped": (sigma_swapped, "a Singer pair is not incident"),
+    "planes_labelled_like_lines": (lambda D, pi, _: (D, pi, pi),
+                                   "a Singer pair is not incident"),
+    "D_element_replaced": (d_replaced, "a Singer pair is not incident"),
+    "D_element_repeated": (lambda D, pi, sigma: (np.concatenate(([D[1]], D[1:])), pi, sigma),
+                           "incidence regularity fails"),
+    "D_element_dropped": (lambda D, pi, sigma: (D[1:], pi, sigma),
+                          "incidence regularity fails"),
+    "all_on_one_line": (all_on_one_line, "incidence regularity fails"),
+}
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_kernel_analysis_rejects_a_flipped_incidence_pair(p):
-    sp = build_incidence(p)
-    inc = sp.incidence.copy()
-    inc[0, 1] ^= 1
-    inc[1, 0] ^= 1
-    bad = IncidenceSpace(p=p, lines=sp.lines, planes=sp.planes, incidence=inc)
-    with pytest.raises(AssertionError, match="tau is not the incidence of PG"):
-        kernel_analysis(tau_maps(bad))
-
-
-def test_kernel_analysis_requires_tau_prime_equal_to_tau():
-    maps = tau_maps(build_incidence(3))
-    tp = maps.tau_prime.copy()
-    tp[0, 0] = (tp[0, 0] + 1) % 3
-    with pytest.raises(AssertionError, match="tau and tau' differ"):
-        kernel_analysis(TauMaps(space=maps.space, tau=maps.tau, tau_prime=tp))
+@pytest.mark.parametrize("case", sorted(CORRUPTED_LABELLINGS))
+def test_certificate_refuses_a_corrupted_labelling(monkeypatch, case, p):
+    corrupt, message = CORRUPTED_LABELLINGS[case]
+    labelling = _singer_labelling
+    monkeypatch.setattr(sl3lab, "_singer_labelling", lambda *a: corrupt(*labelling(*a)))
+    with pytest.raises(AssertionError, match=message):
+        build_incidence(p)
 
 
 @pytest.mark.parametrize("vanishes", [True, False])
@@ -220,7 +252,7 @@ def test_kernel_analysis_decides_identities_by_the_composite(monkeypatch, vanish
     assert _group_ring_kernel(13, D, 3) == (6, vanishes)
     monkeypatch.setattr(sl3lab, "_group_ring_kernel",
                         lambda n, _, p: _group_ring_kernel(n, D, p))
-    rep = kernel_analysis(tau_maps(build_incidence(3)))
+    rep = kernel_analysis(build_incidence(3))
     assert rep.dim_f1 == 12
     assert rep.dim_ker_tau == rep.dim_ker_tau_prime == 6
     assert rep.ker_tau_eq_im_tau_prime is vanishes
@@ -242,32 +274,31 @@ def test_group_ring_kernel_matches_the_dense_circulant():
     subsets += [np.flatnonzero(rng.integers(0, 2, n)) for _ in range(200)]
     for D in subsets:
         C = circulant(n, D)
-        tau = (C[:, 1:] - C[:, :1]) % p
-        tau_prime = (C.T[:, 1:] - C.T[:, :1]) % p
-        want = (rank_mod(tau, p), _composite_is_zero(tau, tau_prime[1:], p))
+        tau, tau_prime = dense_tau(C, p)
+        want = (rank_mod(tau, p), composite_is_zero(tau, tau_prime[1:], p))
         assert _group_ring_kernel(n, np.asarray(D, dtype=np.int64), p) == want, D
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("p", PRIMES_TO_31)
 def test_singer_kernel_matches_the_dense_reference(p):
-    maps = tau_maps(build_incidence(p))
-    rank = rank_mod(maps.tau, p)
-    composite_zero = _composite_is_zero(maps.tau, maps.tau_prime[1:], p)
-    D, pi, _ = _singer_labelling(maps.space)
-    assert _group_ring_kernel(pi.size, D, p) == (rank, composite_zero)
-    assert kernel_analysis(maps).dim_ker_tau == maps.dim_f1 - rank
+    tau, tau_prime = dense_tau(dense_incidence(p), p)
+    rank = rank_mod(tau, p)
+    composite_zero = composite_is_zero(tau, tau_prime[1:], p)
+    space = build_incidence(p)
+    assert _group_ring_kernel(space.n_points, space.D, p) == (rank, composite_zero)
+    assert kernel_analysis(space).dim_ker_tau == space.n_points - 1 - rank
+    maps = tau_maps(space)  # scattered from the certified pairs
+    assert np.array_equal(maps.tau, tau) and np.array_equal(maps.tau_prime, tau_prime)
 
 
 @pytest.mark.parametrize("p", [41, 97])
 def test_singer_rank_is_hamadas_beyond_the_dense_bound(p):
-    # no dense matrix is built: the labelling reads only the point list.  On
-    # the sum-zero space the rank is C(p+1, 2), one less than Hamada's p-rank
-    # of the whole incidence, as the dense reference shows for p <= 31
-    pts = tuple(_projective_points(p))
-    space = IncidenceSpace(p=p, lines=pts, planes=pts, incidence=np.zeros((0, 0)))
-    D, pi, sigma = _singer_labelling(space)
-    assert D.size == p + 1 and pi.size == sigma.size == p * p + p + 1
-    assert _group_ring_kernel(pi.size, D, p) == (p * (p + 1) // 2, True)
+    # no dense matrix is built.  On the sum-zero space the rank is C(p+1, 2),
+    # one less than Hamada's p-rank of the whole incidence, as the dense
+    # reference shows for p <= 31
+    space = build_incidence(p)
+    assert space.D.size == p + 1 and space.n_points == p * p + p + 1
+    assert _group_ring_kernel(space.n_points, space.D, p) == (p * (p + 1) // 2, True)
 
 
 def test_kernel_analysis_takes_no_dense_step(monkeypatch):
@@ -275,34 +306,49 @@ def test_kernel_analysis_takes_no_dense_step(monkeypatch):
         raise AssertionError("dense step")
 
     monkeypatch.setattr(sl3lab, "rank_mod", dense)
-    monkeypatch.setattr(sl3lab, "_composite_is_zero", dense)
-    rep = kernel_analysis(tau_maps(build_incidence(7)))
+    monkeypatch.setattr(sl3lab, "tau_maps", dense)
+    rep = kernel_analysis(build_incidence(7))
     assert rep.dim_ker_tau == 28 and rep.ker_tau_eq_im_tau_prime
 
 
-def test_kernel_analysis_requires_a_symmetric_singer_incidence(monkeypatch):
-    # planes labelled like the lines give an incidence that is not symmetric
-    def planes_as_lines(space):
-        D, pi, _ = _singer_labelling(space)
-        return D, pi, pi
+def test_sl3_command_never_builds_the_dense_maps(monkeypatch):
+    calls = []
+    for name in ("build_incidence", "kernel_analysis", "tau_maps", "rank_mod"):
+        fn = getattr(sl3lab, name)
+        monkeypatch.setattr(sl3lab, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["sl3", "--p", "7"]) == 0
+    assert json.loads(out.getvalue())["results"][0]["ok"]
+    # the command goes through the counted names, and the counters count
+    assert calls == ["build_incidence", "kernel_analysis"]
+    sl3lab.rank_mod(sl3lab.tau_maps(sl3lab.build_incidence(7)).tau, 7)
+    assert calls[2:] == ["build_incidence", "tau_maps", "rank_mod"]
 
-    monkeypatch.setattr(sl3lab, "_singer_labelling", planes_as_lines)
-    with pytest.raises(AssertionError, match="Singer incidence is not symmetric"):
-        kernel_analysis(tau_maps(build_incidence(5)))
+
+def test_sl3_p61_peaks_under_40_mib():
+    # one n x n int64 array is 109 MiB at p = 61 (n = 3783)
+    tracemalloc.start()
+    try:
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["sl3", "--p", "61"]) == 0
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out.getvalue())["results"][0]["ok"]
+    assert peak_mib < 40, peak_mib
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_equivariance_sample(p):
     sp = build_incidence(p)
     assert equivariance_spot_check(sp, samples=20)
-    # the sampled g move each flipped entry: an incident pair made 0, and,
-    # since the check reads only the ones, a non-incident pair made 1
-    assert sp.incidence[0, 1] == 1 and sp.incidence[0, 0] == 0
-    for entry in ((0, 1), (0, 0)):
-        inc = sp.incidence.copy()
-        inc[entry] ^= 1
-        bad = IncidenceSpace(p=p, lines=sp.lines, planes=sp.planes, incidence=inc)
-        assert not equivariance_spot_check(bad, samples=20), entry
+    # labellings whose pairs are not the incidence, though the lines and
+    # planes are: the sampled g move some labelled pair outside them
+    for corrupt in (sigma_swapped, d_replaced):
+        D, pi, sigma = corrupt(sp.D, sp.pi, sp.sigma)
+        bad = dataclasses.replace(sp, D=D, pi=pi, sigma=sigma)
+        assert not equivariance_spot_check(bad, samples=20), corrupt.__name__
 
 
 def test_principal_series_p5_spot_orbit():
