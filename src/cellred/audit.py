@@ -218,13 +218,14 @@ def check_duality(ctx: TypeContext) -> CheckResult:
 
 def check_a_values(ctx: TypeContext) -> CheckResult:
     failures = []
-    by_cell: dict[frozenset, set[int]] = {}
+    cell_of = {i: k for k, c in enumerate(ctx.cells.two_sided_cells) for i in c}
+    by_cell: dict[int, set[int]] = {}
     for word, dp in ctx.deltas.items():
         a = ctx.kl.a_of(dp.w)
         if dp.c != a:
             failures.append(f"{word}: lowest degree {dp.c} != a-value {a}")
-        by_cell.setdefault(ctx.cells.two_sided_cell_of(dp.w), set()).add(dp.c)
-    for cell, cs in by_cell.items():
+        by_cell.setdefault(cell_of[ctx.group.index(dp.w)], set()).add(dp.c)
+    for cs in by_cell.values():
         if len(cs) != 1:
             failures.append(f"c not constant on a two-sided cell: {sorted(cs)}")
     values = sorted(dp.c for dp in ctx.deltas.values())

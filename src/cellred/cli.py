@@ -131,38 +131,27 @@ def _cmd_sl3(args) -> int:
 
 
 def _dump_klpoly(ctx: audit.TypeContext) -> dict:
-    g = ctx.group
-    entries = []
-    for (y, w), coeffs in sorted(
-        ctx.kl.P.items(), key=lambda kv: (g.index(kv[0][1]), g.index(kv[0][0]))
-    ):
-        entries.append({
-            "y": str(y),
-            "w": str(w),
-            "coeffs": {str(i): c for i, c in enumerate(coeffs) if c},
-        })
+    entries = [
+        {"y": str(y), "w": str(w), "coeffs": {str(i): c for i, c in enumerate(coeffs) if c}}
+        for (y, w), coeffs in ctx.kl.P.items()  # in (w, y) index order
+    ]
     return {"type": ctx.ct.name, "what": "klpoly", "entries": entries}
 
 
 def _dump_cells(ctx: audit.TypeContext) -> dict:
-    g = ctx.group
+    g, cells = ctx.group, ctx.cells
 
     def words(cell):
-        return [str(w) for w in sorted(cell, key=g.index)]
+        return [str(g.element(i)) for i in cell]
 
     return {
         "type": ctx.ct.name,
         "what": "cells",
-        "left_cells": [words(c) for c in sorted(
-            ctx.cells.left_cells, key=lambda c: min(g.index(w) for w in c))],
-        "right_cells": [words(c) for c in sorted(
-            ctx.cells.right_cells, key=lambda c: min(g.index(w) for w in c))],
+        "left_cells": [words(c) for c in cells.left_cells],
+        "right_cells": [words(c) for c in cells.right_cells],
         "two_sided_cells": [
-            {"a": ctx.cells.a_value[c], "members": words(c)}
-            for c in sorted(
-                ctx.cells.two_sided_cells,
-                key=lambda c: min(g.index(w) for w in c),
-            )
+            {"a": a, "members": words(c)}
+            for c, a in zip(cells.two_sided_cells, cells.a_value)
         ],
     }
 

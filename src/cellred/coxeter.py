@@ -202,16 +202,14 @@ def generate(ct: CartanType) -> WeylGroup:
     if n != _EXPECTED_ORDER[ct.key]:
         raise AssertionError(f"{ct}: |W| = {n}, expected {_EXPECTED_ORDER[ct.key]}")
 
-    lmul = [
-        [index_of[_mat_mul(gens[i], mats[w], rank)] for i in range(rank)]
-        for w in range(n)
-    ]
     inv = []
     for w in range(n):
         x = 0
         for i in reversed(words[w]):
             x = rmul[x][i - 1]
         inv.append(x)
+    # s_i w = (w^-1 s_i)^-1
+    lmul = [[inv[j] for j in rmul[inv[w]]] for w in range(n)]
 
     elements = tuple(WeylElt(w) for w in words)
     nu = len(words[-1])

@@ -379,11 +379,7 @@ def build_hecke_modules(
     modules: dict[str, HModule] = {}
     if g.type.family == "A":
         for tc in cells.two_sided_cells:
-            left = min(
-                (c for c in cells.left_cells if c <= tc),
-                key=lambda c: min(g.index(w) for w in c),
-            )
-            idx = sorted(g.index(w) for w in left)
+            idx = next(c for c in cells.left_cells if c[0] in tc)
             # terms of c_s c_w outside the cell lie strictly below it in the
             # left preorder, so the slice is the action on the cell module
             gens = kl.cs[:, idx][:, :, idx]
@@ -393,7 +389,7 @@ def build_hecke_modules(
             lab = _match_label(table, traces)
             if lab in modules:
                 raise ConstructionIncomplete(f"two cells matched label {lab}")
-            modules[lab] = HModule(lab, len(left), gens, traces)
+            modules[lab] = HModule(lab, len(idx), gens, traces)
     else:
         for lab, gens in _dihedral_gens(g).items():
             _verify_module(g, gens)

@@ -57,6 +57,7 @@ from .coxeter import WeylElt, WeylGroup
 from .poly import check_magnitude, check_window, window_offset
 
 GammaEntries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y, z, value
+Cells = tuple[tuple[int, ...], ...]  # sorted index tuples, listed by least member
 
 
 class GroupTooLarge(ValueError):
@@ -103,11 +104,12 @@ class stage:
 class KLData:
     """Canonical-basis data for one Weyl group.
 
-    ``P`` maps (y, w) with y <= w to the coefficient tuple of P_{y,w} in q;
-    ``mu`` maps (y, w) to the nonzero mu values.  ``cs[s - 1, z, w]`` is the
-    coefficient of c_z in c_s c_w, a (rank, n, n, 3) Laurent array with
-    offset 1.  ``a_values`` (a(z) per element index) and the nonzero gamma
-    entries come from one structure-constant pass, run on first read.
+    ``P`` maps (y, w) with y <= w to the coefficient tuple of P_{y,w} in q,
+    inserted in order of (index of w, index of y); ``mu`` maps (y, w) to the
+    nonzero mu values.  ``cs[s - 1, z, w]`` is the coefficient of c_z in
+    c_s c_w, a (rank, n, n, 3) Laurent array with offset 1.  ``a_values``
+    (a(z) per element index) and the nonzero gamma entries come from one
+    structure-constant pass, run on first read.
     """
 
     group: WeylGroup
@@ -116,9 +118,9 @@ class KLData:
     cs: np.ndarray = field(repr=False)
 
     @stage
-    def left_cells(self) -> tuple[tuple[int, ...], ...]:
+    def left_cells(self) -> Cells:
         """The left cells, as sorted index tuples listed by least member."""
-        return tuple(_sccs(self.cs.any(axis=(0, 3))))
+        return _sccs(self.cs.any(axis=(0, 3)))
 
     @stage
     def _top(self) -> tuple[tuple[int, ...], GammaEntries]:
@@ -260,7 +262,7 @@ def _cs_apply(tab: _Gather, A: np.ndarray) -> np.ndarray:
 
 
 def _compute_top(
-    g: WeylGroup, cs: np.ndarray, left_cells: tuple[tuple[int, ...], ...]
+    g: WeylGroup, cs: np.ndarray, left_cells: Cells
 ) -> tuple[tuple[int, ...], GammaEntries]:
     """a per element and the nonzero gamma entries, from one pass over the
     pairs (z, y) with z ~_L y: the state ``big[x, p]`` of pair p = (z, y) is
@@ -306,19 +308,14 @@ def _compute_top(
 
 @dataclass(eq=False)
 class CellPartition:
-    """Left/right/two-sided cells with the a-value per two-sided cell."""
+    """Left, right and two-sided cells as sorted index tuples listed by least
+    member; ``a_value[k]`` is the a-value of ``two_sided_cells[k]``."""
 
     group: WeylGroup
-    left_cells: tuple[frozenset[WeylElt], ...]
-    right_cells: tuple[frozenset[WeylElt], ...]
-    two_sided_cells: tuple[frozenset[WeylElt], ...]
-    a_value: dict[frozenset[WeylElt], int]
-
-    def two_sided_cell_of(self, w: WeylElt) -> frozenset[WeylElt]:
-        for c in self.two_sided_cells:
-            if w in c:
-                return c
-        raise KeyError(w)
+    left_cells: Cells
+    right_cells: Cells
+    two_sided_cells: Cells
+    a_value: tuple[int, ...]
 
 
 def _closure(adj: np.ndarray) -> np.ndarray:
@@ -330,17 +327,17 @@ def _closure(adj: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _sccs(adj: np.ndarray) -> list[tuple[int, ...]]:
+def _sccs(adj: np.ndarray) -> Cells:
     """Strong components of the graph with boolean adjacency matrix ``adj``,
     each sorted, listed by least member."""
     reach = _closure(adj)
     mutual = reach & reach.T
-    return sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
+    return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual}))
 
 
 def compute_cells(kl: KLData) -> CellPartition:
-    """Cells from the preorder closures, the left cells from ``kl``; validates
-    the a-function is constant on each two-sided cell.
+    """Cells from the preorder closures, the left cells those of ``kl``;
+    validates the a-function is constant on each two-sided cell.
 
     The right preorder is the left one mirrored through inversion, so the
     right cells are the inverted left cells, listed as ``_sccs`` lists them.
@@ -349,34 +346,23 @@ def compute_cells(kl: KLData) -> CellPartition:
     inv = [g.inv_index(i) for i in range(g.size)]
     # left[z, y]: c_z occurs in some c_s c_y; left[np.ix_(inv, inv)] is the right graph
     left = kl.cs.any(axis=(0, 3))
-
-    def to_sets(comps: list[tuple[int, ...]]) -> tuple[frozenset[WeylElt], ...]:
-        return tuple(frozenset(g.element(i) for i in comp) for comp in comps)
-
-    left_cells = to_sets(kl.left_cells)
-    right_cells = to_sets(sorted(tuple(sorted(inv[i] for i in c)) for c in kl.left_cells))
-    two_sided = to_sets(_sccs(left | left[np.ix_(inv, inv)]))
-
+    two_sided = _sccs(left | left[np.ix_(inv, inv)])
     a = kl.a_values
-    a_value = {}
-    for tc in two_sided:
-        vals = {a[g.index(w)] for w in tc}
-        if len(vals) != 1:
-            raise AssertionError("a-function not constant on a two-sided cell")
-        a_value[tc] = vals.pop()
+    if any(len({a[i] for i in tc}) != 1 for tc in two_sided):
+        raise AssertionError("a-function not constant on a two-sided cell")
     return CellPartition(
         group=g,
-        left_cells=left_cells,
-        right_cells=right_cells,
+        left_cells=kl.left_cells,
+        right_cells=tuple(sorted(tuple(sorted(inv[i] for i in c)) for c in kl.left_cells)),
         two_sided_cells=two_sided,
-        a_value=a_value,
+        a_value=tuple(a[tc[0]] for tc in two_sided),
     )
 
 
 def near_involutions(cells: CellPartition) -> frozenset[WeylElt]:
     """Elements lying in the same left cell as their inverse."""
     g = cells.group
-    return frozenset(w for c in cells.left_cells for w in c if g.inverse(w) in c)
+    return frozenset(g.element(i) for c in cells.left_cells for i in c if g.inv_index(i) in c)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +382,9 @@ def j_ring(kl: KLData, cells: CellPartition) -> GammaEntries:
     """
     g = kl.group
     xs, ys, zs, vals = gamma = kl._top[1]
-    blocks = [sorted(g.index(w) for w in tc) for tc in cells.two_sided_cells]
     cell_id = np.zeros(g.size, dtype=np.int64)
-    for k, idx in enumerate(blocks):
-        cell_id[idx] = k
+    for k, idx in enumerate(cells.two_sided_cells):
+        cell_id[list(idx)] = k
     if not (np.array_equal(cell_id[xs], cell_id[ys])
             and np.array_equal(cell_id[xs], cell_id[zs])):
         raise AssociativityFailure("gamma supported outside two-sided cells")
@@ -408,7 +393,7 @@ def j_ring(kl: KLData, cells: CellPartition) -> GammaEntries:
         raise AssociativityFailure("gamma support mixes a-values")
 
     gmax = int(np.abs(vals).max(initial=0))
-    for k, idx in enumerate(blocks):
+    for k, idx in enumerate(cells.two_sided_cells):
         d = len(idx)
         # float64 BLAS is exact below the guard and much faster than int64
         check_magnitude(d * max(gmax, 1) ** 2, "gamma")

@@ -318,6 +318,10 @@ def _normal_keys(v: np.ndarray, p: int) -> np.ndarray:
     return ((v * inverse[lead][:, None]) % p) @ (p * p, p, 1)
 
 
+def _cross(a: list[int], b: list[int]) -> list[int]:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
 def _is_permutation(a: np.ndarray) -> bool:
     return np.array_equal(np.sort(a), np.arange(a.size))
 
@@ -444,27 +448,13 @@ def equivariance_spot_check(space: IncidenceSpace, samples: int = 20) -> bool:
     done = 0
     while done < samples:
         m = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        ) % p
-        if det == 0:
+        # the cofactor rows, det(m) m^-T: projectively m^-T, which is all
+        # the normal forms see
+        cof = [_cross(m[(i + 1) % 3], m[(i + 2) % 3]) for i in range(3)]
+        if sum(x * c for x, c in zip(m[0], cof[0])) % p == 0:
             continue
         done += 1
-        # inverse transpose via adjugate
-        adj = [
-            [
-                ((m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-                  - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]))
-                % p
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        dinv = pow(det, -1, p)
-        minvt = [[(adj[j][i] * dinv) % p for j in range(3)] for i in range(3)]
-        ip, il = image(minvt, planes), image(m, lines)
+        ip, il = image(cof, planes), image(m, lines)
         if not (_is_permutation(ip) and _is_permutation(il)):
             return False
         # Singer positions of the moved plane sigma[j] and the moved line pi[i]

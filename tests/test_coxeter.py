@@ -20,6 +20,14 @@ def test_group_orders_and_longest(name):
     assert g.left_descent_set(g.identity) == frozenset()
 
 
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_lmul_is_left_multiplication(name):
+    g = generate(CartanType.parse(name))
+    for w in g.elements:
+        for i in range(1, g.rank + 1):
+            assert g.lmul_index(g.index(w), i) == g.index(g.mult(g.generator(i), w))
+
+
 def test_parse_word_examples():
     b2 = generate(CartanType.parse("B2"))
     assert b2.parse_word("1212") == b2.w0
