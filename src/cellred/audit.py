@@ -145,7 +145,7 @@ class TypeContext:
     @property
     def derived_rows(self) -> bool:
         """No shipped decomposition: rows come from leading coefficients."""
-        return self.tables.decomp is None
+        return self.tables.r_alpha is None
 
     @stage
     def deltas(self) -> dict[str, weylmod.DeltaPoly]:
@@ -158,10 +158,10 @@ class TypeContext:
     @stage
     def unip_rows(self) -> dict[str, dict[str, int]]:
         """label -> {word: multiplicity}"""
-        if not self.derived_rows:
-            return self.tables.decomp
-        r_rows = uniptables.derived_r_alpha(self.group, self.leading.alpha, self.jset)
-        return uniptables.transpose(r_rows)
+        rows = self.tables.r_alpha
+        if self.derived_rows:
+            rows = uniptables.derived_r_alpha(self.group, self.leading.alpha, self.jset)
+        return uniptables.transpose(rows)
 
 
 def get_context(ct: CartanType) -> TypeContext:
@@ -258,9 +258,7 @@ def check_j_criterion(ctx: TypeContext) -> CheckResult:
     if shipped is not None and shipped != cells_based:
         failures.append("computed set differs from the shipped list")
     g = ctx.group
-    involutions = frozenset(
-        w for w in g.elements if g.mult(w, w) == g.identity
-    )
+    involutions = frozenset(g.element(i) for i, j in enumerate(g.inv.tolist()) if i == j)
     inv_note = (
         "equals the involution set" if cells_based == involutions
         else "differs from the involution set"

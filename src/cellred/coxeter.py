@@ -1,10 +1,13 @@
 """The Weyl group as a Coxeter group on the generators ``s_i``.
 
 Elements are canonicalised by their shortlex-minimal reduced word, found by
-breadth-first generation from the identity through the faithful action on
-the weight lattice.  Group orders here top out at 120, so the whole group is
-enumerated and every product is answered from a |W| x |I| right-multiplication
-table extended by word folding.
+breadth-first generation from the identity over right multiplication.  The
+BFS keys w by u_w = w^-1(rho) in fundamental-weight coordinates, with
+rho = (1, ..., 1); rho is regular, so the key is faithful, and
+u_{w s_i} = u_w - (u_w)_i (column i of the Cartan matrix) costs O(rank) per
+step.  Group orders here top out at 120, so the whole group is enumerated
+once and held as four read-only int64 index arrays that every consumer reads
+directly: ``rmul`` and ``lmul`` (|W| x rank), ``inv`` and ``length`` (|W|).
 
 Word syntax follows the data files and CLI: generator indices are the digits
 ``1..rank`` and the identity is written ``e``.
@@ -14,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 from .rootdata import CartanType, Weight
 
@@ -47,10 +52,12 @@ class WeylElt:
 
 @dataclass(eq=False)
 class WeylGroup:
-    """Fully enumerated Weyl group with multiplication oracles.
+    """Fully enumerated Weyl group, held as read-only int64 index arrays.
 
     ``elements`` is in BFS order: index 0 is the identity, indices increase
     by length and, within a length, by lex order of the canonical word.
+    ``rmul[w, i - 1]`` and ``lmul[w, i - 1]`` are the indices of w s_i and
+    s_i w, ``inv[w]`` that of w^-1 and ``length[w]`` the length of w.
     Compared and hashed by identity; use ``generate`` to get the shared
     instance for a type.
     """
@@ -58,10 +65,10 @@ class WeylGroup:
     type: CartanType
     elements: tuple[WeylElt, ...]
     nu: int
-    _rmul: tuple[tuple[int, ...], ...] = field(repr=False)
-    _lmul: tuple[tuple[int, ...], ...] = field(repr=False)
-    _inv: tuple[int, ...] = field(repr=False)
-    _matrices: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
+    rmul: np.ndarray = field(repr=False)
+    lmul: np.ndarray = field(repr=False)
+    inv: np.ndarray = field(repr=False)
+    length: np.ndarray = field(repr=False)
     _index: dict[WeylElt, int] = field(repr=False)
 
     # -- indexing
@@ -92,48 +99,29 @@ class WeylGroup:
         """The simple reflection s_i (1-based i)."""
         if not 1 <= i <= self.rank:
             raise BadGeneratorIndex(f"generator index {i} not in 1..{self.rank}")
-        return self.elements[self._rmul[0][i - 1]]
-
-    # -- index-level oracles (used by the cell machinery)
-
-    def rmul_index(self, wi: int, i: int) -> int:
-        """Index of w * s_i, 1-based i."""
-        return self._rmul[wi][i - 1]
-
-    def lmul_index(self, wi: int, i: int) -> int:
-        return self._lmul[wi][i - 1]
-
-    def inv_index(self, wi: int) -> int:
-        return self._inv[wi]
-
-    def length_of_index(self, wi: int) -> int:
-        return len(self.elements[wi].word)
+        return self.elements[self.rmul[0, i - 1]]
 
     # -- element-level operations
 
     def mult(self, a: WeylElt, b: WeylElt) -> WeylElt:
         wi = self._index[a]
         for i in b.word:
-            wi = self._rmul[wi][i - 1]
+            wi = self.rmul[wi, i - 1]
         return self.elements[wi]
 
     def inverse(self, a: WeylElt) -> WeylElt:
-        return self.elements[self._inv[self._index[a]]]
+        return self.elements[self.inv[self._index[a]]]
 
     def left_descent_set(self, w: WeylElt) -> frozenset[int]:
         wi = self._index[w]
-        lw = len(w.word)
-        return frozenset(
-            i for i in range(1, self.rank + 1)
-            if self.length_of_index(self._lmul[wi][i - 1]) < lw
-        )
+        below = self.length[self.lmul[wi]] < self.length[wi]
+        return frozenset((np.flatnonzero(below) + 1).tolist())
 
     def act_on_weight(self, w: WeylElt, lam: Weight) -> Weight:
-        m = self._matrices[self._index[w]]
-        return Weight(tuple(
-            sum(m[j][k] * lam.coords[k] for k in range(self.rank))
-            for j in range(self.rank)
-        ))
+        u = lam.coords
+        for i in reversed(w.word):
+            u = _reflect(self.type.cartan_matrix(), u, i - 1)
+        return Weight(u)
 
     def parse_word(self, text: str) -> WeylElt:
         """Canonical form of a (not necessarily reduced) word; 'e' or '' is the identity."""
@@ -146,84 +134,65 @@ class WeylGroup:
                 raise BadGeneratorIndex(
                     f"{ch!r} is not a generator index of {self.type}"
                 )
-            wi = self._rmul[wi][int(ch) - 1]
+            wi = self.rmul[wi, int(ch) - 1]
         return self.elements[wi]
 
 
-def _reflection_matrix(ct: CartanType, i: int) -> tuple[tuple[int, ...], ...]:
-    # s_i on fundamental-weight coordinates: column i of the identity is
-    # replaced by e_i - (i-th column of the Cartan matrix).
-    cartan = ct.cartan_matrix()
-    rank = ct.rank
-    return tuple(
-        tuple(
-            (1 if j == k else 0) - (cartan[j][i] if k == i else 0)
-            for k in range(rank)
-        )
-        for j in range(rank)
-    )
+def _reflect(cartan, u: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """s_i u in fundamental-weight coordinates, 0-based i: u minus u_i times
+    column i of the Cartan matrix."""
+    return tuple(uj - u[i] * row[i] for uj, row in zip(u, cartan))
 
 
-def _mat_mul(a, b, rank):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(rank)) for j in range(rank))
-        for i in range(rank)
-    )
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
 def generate(ct: CartanType) -> WeylGroup:
-    """Enumerate the Weyl group of the given type."""
-    rank = ct.rank
-    gens = [_reflection_matrix(ct, i) for i in range(rank)]
-    ident = tuple(tuple(int(j == k) for k in range(rank)) for j in range(rank))
-
-    mats = [ident]
+    """Enumerate the Weyl group of the given type: BFS over right
+    multiplication, each element w keyed by u_w = w^-1(rho)."""
+    rank, cartan = ct.rank, ct.cartan_matrix()
+    rho = (1,) * rank
+    keys = [rho]
     words: list[tuple[int, ...]] = [()]
-    index_of = {ident: 0}
+    index_of = {rho: 0}
     rmul: list[list[int]] = []
-    head = 0
-    while head < len(mats):
-        m = mats[head]
+    for head, u in enumerate(keys):  # keys grows while it is read
         row = []
         for i in range(rank):
-            prod = _mat_mul(m, gens[i], rank)
-            j = index_of.get(prod)
-            if j is None:
-                j = len(mats)
-                index_of[prod] = j
-                mats.append(prod)
+            key = _reflect(cartan, u, i)  # u_{w s_i} = s_i(u_w)
+            j = index_of.setdefault(key, len(keys))
+            if j == len(keys):
+                keys.append(key)
                 words.append(words[head] + (i + 1,))
             row.append(j)
         rmul.append(row)
-        head += 1
 
-    n = len(mats)
+    n = len(keys)
     if n != _EXPECTED_ORDER[ct.key]:
         raise AssertionError(f"{ct}: |W| = {n}, expected {_EXPECTED_ORDER[ct.key]}")
-
-    inv = []
-    for w in range(n):
-        x = 0
-        for i in reversed(words[w]):
-            x = rmul[x][i - 1]
-        inv.append(x)
-    # s_i w = (w^-1 s_i)^-1
-    lmul = [[inv[j] for j in rmul[inv[w]]] for w in range(n)]
-
-    elements = tuple(WeylElt(w) for w in words)
     nu = len(words[-1])
-    lengths = [len(w) for w in words]
-    if lengths.count(nu) != 1:
+    if [len(w) for w in words].count(nu) != 1:
         raise AssertionError(f"{ct}: longest element is not unique")
 
+    inv = []
+    for w in words:
+        x = 0
+        for i in reversed(w):
+            x = rmul[x][i - 1]
+        inv.append(x)
+    rmul, inv = _frozen(rmul), _frozen(inv)
+    elements = tuple(WeylElt(w) for w in words)
     return WeylGroup(
         type=ct,
         elements=elements,
         nu=nu,
-        _rmul=tuple(tuple(r) for r in rmul),
-        _lmul=tuple(tuple(r) for r in lmul),
-        _inv=tuple(inv),
-        _matrices=tuple(mats),
+        rmul=rmul,
+        lmul=_frozen(inv[rmul[inv]]),  # s_i w = (w^-1 s_i)^-1
+        inv=inv,
+        length=_frozen([len(w) for w in words]),
         _index={e: i for i, e in enumerate(elements)},
     )

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coxeter import WeylElt, WeylGroup
-from .klcells import KLData, CellPartition
+from .klcells import KLData, CellPartition, _sccs
 from .poly import check_magnitude, check_window, laurent_matmul, window_offset
 
 
@@ -95,35 +95,20 @@ class WCharTable:
 
 
 def _conjugacy_classes(g: WeylGroup) -> tuple[tuple[ConjClass, ...], tuple[int, ...]]:
-    n = g.size
-    seen = [False] * n
-    classes = []
-    class_of = [0] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            ex = g.element(x)
-            for i in range(1, g.rank + 1):
-                s = g.generator(i)
-                y = g.index(g.mult(g.mult(s, ex), s))
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        members = tuple(g.element(i) for i in sorted(orbit))
-        classes.append(members)
-        for i in orbit:
-            seen[i] = True
-    classes.sort(key=lambda ms: (ms[0].length, ms[0].word))
-    out = []
-    for ci, members in enumerate(classes):
-        out.append(ConjClass(rep=members[0], members=members))
-        for w in members:
-            class_of[g.index(w)] = ci
-    return tuple(out), tuple(class_of)
+    """The classes, listed by least member: the strong components of the
+    graph x -> s_i x s_i."""
+    adj = np.zeros((g.size, g.size), dtype=bool)
+    adj[np.arange(g.size)[:, None], g.lmul[g.rmul, np.arange(g.rank)]] = True
+    comps = _sccs(adj)
+    class_of = [0] * g.size
+    for ci, c in enumerate(comps):
+        for i in c:
+            class_of[i] = ci
+    classes = tuple(
+        ConjClass(rep=g.element(c[0]), members=tuple(g.element(i) for i in c))
+        for c in comps
+    )
+    return classes, tuple(class_of)
 
 
 # -- symmetric groups: Murnaghan-Nakayama over cycle types
@@ -322,7 +307,7 @@ def _trace_table(g: WeylGroup, gens: np.ndarray) -> np.ndarray:
     for x in range(1, g.size):
         i = g.element(x).word[-1]
         # Tt_x = Tt_{x s_i} Tt_{s_i}; the product has offset off + 1
-        mats[x] = laurent_matmul(mats[g.rmul_index(x, i)], gens[i - 1])[:, :, 1:-1]
+        mats[x] = laurent_matmul(mats[g.rmul[x, i - 1]], gens[i - 1])[:, :, 1:-1]
     check_window(mats, "trace")
     check_magnitude(int(np.abs(mats).max()), "trace")
     return mats.trace(axis1=1, axis2=2)
@@ -430,7 +415,7 @@ def leading_data(g: WeylGroup, modules: tuple[HModule, ...]) -> LeadingData:
     a_E: dict[str, int] = {}
     alpha: dict[WeylElt, dict[str, int]] = {w: {} for w in g.elements}
     off = window_offset(g.nu)
-    signs = np.array([(-1) ** g.length_of_index(i) for i in range(g.size)])
+    signs = (-1) ** g.length
     for mod in modules:
         nz = mod.traces != 0
         if not nz.any():

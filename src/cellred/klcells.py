@@ -64,6 +64,9 @@ class GroupTooLarge(ValueError):
     """Group order exceeds the configured bound for the canonical-basis pass."""
 
 
+GROUP_BOUND = 120  # |W| of A4, the largest supported type
+
+
 class AssociativityFailure(AssertionError):
     """The computed asymptotic-ring constants are not associative.
 
@@ -155,7 +158,7 @@ def _induction_step(
     row by c_s.
     """
     s = g.element(x).word[0]
-    xp = g.lmul_index(x, s)
+    xp = g.lmul[x, s - 1]
     row = apply(s, big[xp])
     col = cs[s - 1, :, xp, 1]
     for z in np.flatnonzero(col[:xp]):  # the mu(z, sx); col[x] is c_x itself
@@ -163,18 +166,15 @@ def _induction_step(
     big[x] = row
 
 
-def compute_kl(g: WeylGroup, bound: int = 120) -> KLData:
+def compute_kl(g: WeylGroup) -> KLData:
     """Run the canonical-basis induction for the whole group: P, mu and the
     c_s operators.  ``a_values`` and gamma wait for their first read."""
-    if g.size > bound:
-        raise GroupTooLarge(f"|W| = {g.size} exceeds bound {bound}")
+    if g.size > GROUP_BOUND:
+        raise GroupTooLarge(f"|W| = {g.size} exceeds bound {GROUP_BOUND}")
     n = g.size
     off = window_offset(g.nu)
-    lengths = np.array([g.length_of_index(i) for i in range(n)])
-    lm = np.array(
-        [[g.lmul_index(w, s) for w in range(n)] for s in range(1, g.rank + 1)]
-    )
-    desc = lengths[lm] < lengths
+    lm = g.lmul.T
+    desc = g.length[lm] < g.length
     s_idx = np.arange(g.rank)
 
     def tt_apply(s: int, A: np.ndarray) -> np.ndarray:
@@ -201,26 +201,38 @@ def compute_kl(g: WeylGroup, bound: int = 120) -> KLData:
     check_window(cb, "canonical-basis")
     check_magnitude(int(np.abs(cb).max()), "canonical-basis")
 
-    P: dict[tuple[WeylElt, WeylElt], tuple[int, ...]] = {}
-    mu: dict[tuple[WeylElt, WeylElt], int] = {}
-    for w in range(n):
-        ew = g.element(w)
-        for y in np.nonzero(cb[w].any(axis=1))[0]:
-            f = cb[w, y]
-            gap = int(lengths[w] - lengths[y])
-            q0 = off - gap  # slot of q^0 = v^(-gap)
-            if f[:q0].any() or f[q0 + 1::2].any():
-                raise AssertionError("canonical-basis exponent out of range")
-            coeffs = [int(c) for c in f[q0::2]]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            if coeffs[0] != 1:
-                raise AssertionError("KL polynomial without constant term 1")
-            if 2 * (len(coeffs) - 1) > max(gap - 1, 0):
-                raise AssertionError("KL degree bound violated")
-            P[(g.element(int(y)), ew)] = tuple(coeffs)
-        for z in np.flatnonzero(cb[w, :, off - 1]):
-            mu[(g.element(int(z)), ew)] = int(cb[w, z, off - 1])
+    # the nonzero coefficients of the p_{y,w}, in order of (w, y, slot); slot
+    # k holds the coefficient of q^(e/2) in P_{y,w} = v^gap p_{y,w}, where
+    # e = k - off + gap
+    w, y, k = np.nonzero(cb)
+    val = cb[w, y, k]
+    gap = g.length[w] - g.length[y]
+    e = k - off + gap
+    if (e < 0).any() or (e % 2).any():
+        raise AssertionError("canonical-basis exponent out of range")
+    first = np.ones(len(w), dtype=bool)  # the lowest term of each p_{y,w}
+    first[1:] = (w[1:] != w[:-1]) | (y[1:] != y[:-1])
+    if (e[first] != 0).any() or (val[first] != 1).any():
+        raise AssertionError("KL polynomial without constant term 1")
+    last = np.roll(first, -1)
+    if (e[last] > np.maximum(gap[last] - 1, 0)).any():
+        raise AssertionError("KL degree bound violated")
+    coeffs = np.zeros((int(first.sum()), int(e.max()) // 2 + 1), dtype=np.int64)
+    coeffs[np.cumsum(first) - 1, e // 2] = val
+    # one flat list, not one per row, whose freed blocks stay resident among P's tuples
+    flat, width = coeffs.ravel().tolist(), coeffs.shape[1]
+    el = g.elements
+    P = {
+        (el[yi], el[wi]): tuple(flat[r * width:r * width + d + 1])
+        for r, (wi, yi, d) in enumerate(
+            zip(w[first].tolist(), y[first].tolist(), (e[last] // 2).tolist())
+        )
+    }
+    m = k == off - 1  # the coefficient of v^-1 in p_{y,w} is mu(y, w)
+    mu = {
+        (el[yi], el[wi]): v
+        for wi, yi, v in zip(w[m].tolist(), y[m].tolist(), val[m].tolist())
+    }
 
     return KLData(group=g, P=P, mu=mu, cs=cs)
 
@@ -298,7 +310,7 @@ def _compute_top(
         raise AssertionError("a(e) != 0: basis convention broken")
     if a[n - 1] != g.nu:
         raise AssertionError("a(w0) != nu: basis convention broken")
-    if not np.array_equal(a, a[[g.inv_index(i) for i in range(n)]]):
+    if not np.array_equal(a, a[g.inv]):
         raise AssertionError("a-function not inversion-invariant")
     return tuple(int(v) for v in a), (x[order], y[p][order], z[p][order], lead[x, p][order])
 
@@ -343,7 +355,7 @@ def compute_cells(kl: KLData) -> CellPartition:
     right cells are the inverted left cells, listed as ``_sccs`` lists them.
     """
     g = kl.group
-    inv = [g.inv_index(i) for i in range(g.size)]
+    inv = g.inv
     # left[z, y]: c_z occurs in some c_s c_y; left[np.ix_(inv, inv)] is the right graph
     left = kl.cs.any(axis=(0, 3))
     two_sided = _sccs(left | left[np.ix_(inv, inv)])
@@ -353,7 +365,7 @@ def compute_cells(kl: KLData) -> CellPartition:
     return CellPartition(
         group=g,
         left_cells=kl.left_cells,
-        right_cells=tuple(sorted(tuple(sorted(inv[i] for i in c)) for c in kl.left_cells)),
+        right_cells=tuple(sorted(tuple(sorted(inv[list(c)].tolist())) for c in kl.left_cells)),
         two_sided_cells=two_sided,
         a_value=tuple(a[tc[0]] for tc in two_sided),
     )
@@ -362,7 +374,7 @@ def compute_cells(kl: KLData) -> CellPartition:
 def near_involutions(cells: CellPartition) -> frozenset[WeylElt]:
     """Elements lying in the same left cell as their inverse."""
     g = cells.group
-    return frozenset(g.element(i) for c in cells.left_cells for i in c if g.inv_index(i) in c)
+    return frozenset(g.element(i) for c in cells.left_cells for i in c if g.inv[i] in c)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ class TooLarge(ValueError):
 # O(n^2) work, which grows as p^4: at p = 97 (n = 9507) a run takes about
 # 1.3 s and 70 MB
 DEFAULT_PRIME_BOUND = 97
+EQUIVARIANCE_SAMPLES = 20
 
 
 def _check_prime(p: int) -> None:
@@ -103,10 +104,10 @@ def _projective_points(p: int) -> list[tuple[int, int, int]]:
     return sorted(pts)
 
 
-def build_incidence(p: int, bound: int = DEFAULT_PRIME_BOUND) -> IncidenceSpace:
+def build_incidence(p: int) -> IncidenceSpace:
     """The points of PG(2, p) and its certified Singer incidence."""
-    if p > bound:  # before the trial division, which is O(sqrt p)
-        raise TooLarge(f"p = {p} exceeds bound {bound}")
+    if p > DEFAULT_PRIME_BOUND:  # before the trial division, which is O(sqrt p)
+        raise TooLarge(f"p = {p} exceeds bound {DEFAULT_PRIME_BOUND}")
     _check_prime(p)
     pts = _projective_points(p)
     n = p * p + p + 1
@@ -422,9 +423,10 @@ def kernel_analysis(space: IncidenceSpace) -> KernelReport:
     )
 
 
-def equivariance_spot_check(space: IncidenceSpace, samples: int = 20) -> bool:
+def equivariance_spot_check(space: IncidenceSpace) -> bool:
     """g maps incident pairs to incident pairs, for a deterministic sample of
-    g in GL_3(F_p) acting on lines by g and on plane normals by g^-T.
+    ``EQUIVARIANCE_SAMPLES`` g in GL_3(F_p) acting on lines by g and on plane
+    normals by g^-T.
 
     Each g must permute the lines and the planes; then it preserves the
     incidence iff it maps each of its n (p + 1) pairs into it.  A moved pair
@@ -446,7 +448,7 @@ def equivariance_spot_check(space: IncidenceSpace, samples: int = 20) -> bool:
         return np.searchsorted(keys, _normal_keys((pts @ np.array(m, dtype=np.int64).T) % p, p))
 
     done = 0
-    while done < samples:
+    while done < EQUIVARIANCE_SAMPLES:
         m = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
         # the cofactor rows, det(m) m^-T: projectively m^-T, which is all
         # the normal forms see

@@ -58,7 +58,11 @@ class WeightTemplate:
 
 @dataclass(eq=False)
 class TypeTables:
-    """All shipped tables for one type; slots are None where no data exists."""
+    """All shipped tables for one type; slots are None where no data exists.
+
+    The shipped decomposition table is not kept: the loader checks that it
+    is ``transpose(r_alpha)``, which readers build instead.
+    """
 
     type: CartanType
     group: WeylGroup
@@ -68,7 +72,6 @@ class TypeTables:
     r_alpha: dict[str, dict[str, int]] | None
     m_w: dict[str, tuple[tuple[int, WeightTemplate], ...]] | None
     delta: dict[str, IntPoly] | None
-    decomp: dict[str, dict[str, int]] | None
     duality: dict[str, str] | None
 
     @property
@@ -123,8 +126,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     if raw.get("unipotent") is None:
         return TypeTables(
             type=ct, group=g, min_prime=min_prime, proximity_bound=bound,
-            unipotent=None, r_alpha=None, m_w=None, delta=None,
-            decomp=None, duality=None,
+            unipotent=None, r_alpha=None, m_w=None, delta=None, duality=None,
         )
 
     unip = tuple(
@@ -204,8 +206,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
 
     return TypeTables(
         type=ct, group=g, min_prime=min_prime, proximity_bound=bound,
-        unipotent=unip, r_alpha=r_alpha, m_w=m_w, delta=delta,
-        decomp=decomp, duality=duality,
+        unipotent=unip, r_alpha=r_alpha, m_w=m_w, delta=delta, duality=duality,
     )
 
 

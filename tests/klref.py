@@ -22,7 +22,7 @@ def bruhat_lower_set(g: WeylGroup, w: WeylElt) -> frozenset[WeylElt]:
     """All y <= w: products of subwords of one reduced word for w."""
     reach = {0}
     for i in w.word:
-        reach |= {g.rmul_index(x, i) for x in reach}
+        reach |= {g.rmul[x, i - 1] for x in reach}
     return frozenset(g.element(x) for x in reach)
 
 

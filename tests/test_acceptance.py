@@ -20,7 +20,7 @@ from cellred.sl3lab import (
     kernel_analysis,
     principal_series_check,
 )
-from cellred.uniptables import load_tables
+from cellred.uniptables import load_tables, transpose
 from cellred.weylmod import delta_table, find_duality
 
 from conftest import DATA_TYPE_NAMES, TYPE_NAMES
@@ -72,7 +72,7 @@ def test_03_bookkeeping_identities():
         deltas = delta_table(tables)
         for u in tables.unipotent:
             combo = IntPoly.zero()
-            for word, mult in tables.decomp[u.label].items():
+            for word, mult in transpose(tables.r_alpha)[u.label].items():
                 combo = combo + mult * deltas[word].pi
             assert combo == u.degree  # zero tolerance
             identities += 1

@@ -21,11 +21,21 @@ def test_group_orders_and_longest(name):
 
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
+def test_group_arrays_are_read_only(name):
+    # one cached group is shared by every context, so no reader may write it
+    g = generate(CartanType.parse(name))
+    for arr in (g.rmul, g.lmul, g.inv, g.length):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert g.length[0] == 0 and g.inv[0] == 0 and g.rmul[0, 0] == g.lmul[0, 0] == 1
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
 def test_lmul_is_left_multiplication(name):
     g = generate(CartanType.parse(name))
     for w in g.elements:
         for i in range(1, g.rank + 1):
-            assert g.lmul_index(g.index(w), i) == g.index(g.mult(g.generator(i), w))
+            assert g.lmul[g.index(w), i - 1] == g.index(g.mult(g.generator(i), w))
 
 
 def test_parse_word_examples():
@@ -54,7 +64,7 @@ def test_length_and_descents_exhaustive(ct):
     for w in g.elements:
         wi = g.index(w)
         for i in range(1, g.rank + 1):
-            sw = g.element(g.lmul_index(wi, i))
+            sw = g.element(g.lmul[wi, i - 1])
             assert abs(sw.length - w.length) == 1
             assert (i in g.left_descent_set(w)) == (sw.length < w.length)
 

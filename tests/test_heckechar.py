@@ -100,6 +100,15 @@ def test_a_of_trivial_and_sign(name, ctx):
     c = ctx(name)
     assert c.leading.a_E[c.chartable.labels[0]] == 0
     assert c.leading.a_E[c.chartable.sign_label] == c.group.nu
+    # oracle (Lusztig, CRM 18): summed over the modules E with a given a_E,
+    # dim(E)^2 is the size of the two-sided cells with that a-value
+    by_modules, by_cells = {}, {}
+    for m in c.modules:
+        a = c.leading.a_E[m.label]
+        by_modules[a] = by_modules.get(a, 0) + m.dim ** 2
+    for cell, a in zip(c.cells.two_sided_cells, c.cells.a_value):
+        by_cells[a] = by_cells.get(a, 0) + len(cell)
+    assert by_modules == by_cells
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)

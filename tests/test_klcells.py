@@ -13,10 +13,11 @@ from conftest import TYPE_NAMES
 from klref import bruhat_lower_set, cone_top, h_pass, h_row, left_cones
 
 
-def test_group_too_large_guard():
+def test_group_too_large_guard(monkeypatch):
     g = generate(CartanType.parse("A2"))
+    monkeypatch.setattr(klcells, "GROUP_BOUND", 3)
     with pytest.raises(GroupTooLarge):
-        compute_kl(g, bound=3)
+        compute_kl(g)
 
 
 def test_stage_keeps_its_value_or_its_exception():
@@ -89,6 +90,12 @@ def test_mu_matches_p_coefficients(name, ctx):
         coeffs = c.kl.P[(y, w)]
         assert len(coeffs) - 1 == (gap - 1) // 2
         assert coeffs[-1] == m
+    # and every P of the top degree (l(w) - l(y) - 1) / 2 gives a mu
+    top = {
+        (y, w): coeffs[-1] for (y, w), coeffs in c.kl.P.items()
+        if 2 * (len(coeffs) - 1) == w.length - y.length - 1
+    }
+    assert c.kl.mu == top
 
 
 def test_identity_row_trivial(ctx):
@@ -157,7 +164,7 @@ def test_right_cells_are_inverted_left_cells(name, ctx):
     # mirrored through inversion, found here apart from compute_cells
     c = ctx(name)
     g = c.group
-    inv = [g.inv_index(i) for i in range(g.size)]
+    inv = g.inv
     right = c.kl.cs.any(axis=(0, 3))[np.ix_(inv, inv)]
     want = klcells._sccs(right)
     assert c.cells.right_cells == want
@@ -423,7 +430,7 @@ def test_gamma_inversion_symmetry(name, ctx):
     # so h_{x,y,z} = h_{y^-1,x^-1,z^-1} and the same holds for gamma
     kl = ctx(name).kl
     g = kl.group
-    inv = [g.inv_index(i) for i in range(g.size)]
+    inv = g.inv
     gamma = kl.gamma_tensor()
     assert gamma.any()
     assert np.array_equal(gamma, gamma[np.ix_(inv, inv, inv)].transpose(1, 0, 2))
@@ -440,7 +447,7 @@ def test_h_matches_direct_canonical_product(name, ctx):
     def tt_mult_by_gen(vec, i):
         out = {}
         for y, f in vec.items():
-            sy = g.element(g.lmul_index(g.index(y), i))
+            sy = g.element(g.lmul[g.index(y), i - 1])
             if lengths[sy] > lengths[y]:
                 out[sy] = out.get(sy, IntPoly()) + f
             else:
@@ -498,7 +505,7 @@ def character_at_one(g, gens):
     mats[0] = np.eye(g.size, dtype=np.int64)
     for x in range(1, g.size):
         i = g.element(x).word[-1]
-        mats[x] = mats[g.rmul_index(x, i)] @ at_one[i - 1]
+        mats[x] = mats[g.rmul[x, i - 1]] @ at_one[i - 1]
     return mats.trace(axis1=1, axis2=2)
 
 
@@ -647,6 +654,25 @@ def test_kl_degree_bound_guard_raises(monkeypatch):
 
     monkeypatch.setattr(klcells, "_induction_step", step_with_q_term)
     with pytest.raises(AssertionError, match="KL degree bound violated"):
+        compute_kl(g)
+
+
+@pytest.mark.parametrize("slot, message", [
+    (0, "canonical-basis exponent out of range"),  # p_{e,s} gets a v^0 term
+    (-1, "KL polynomial without constant term 1"),  # P_{e,s} = 2
+])
+def test_kl_coefficient_guards_raise(monkeypatch, slot, message):
+    g = _a2()
+    off = klcells.window_offset(g.nu)
+    step = klcells._induction_step
+
+    def step_with_extra_term(g, cs, big, apply, x):
+        step(g, cs, big, apply, x)
+        if x == 1:
+            big[1, 0, off + slot] += 1
+
+    monkeypatch.setattr(klcells, "_induction_step", step_with_extra_term)
+    with pytest.raises(AssertionError, match=message):
         compute_kl(g)
 
 

@@ -342,13 +342,13 @@ def test_sl3_p61_peaks_under_40_mib():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_equivariance_sample(p):
     sp = build_incidence(p)
-    assert equivariance_spot_check(sp, samples=20)
+    assert equivariance_spot_check(sp)
     # labellings whose pairs are not the incidence, though the lines and
     # planes are: the sampled g move some labelled pair outside them
     for corrupt in (sigma_swapped, d_replaced):
         D, pi, sigma = corrupt(sp.D, sp.pi, sp.sigma)
         bad = dataclasses.replace(sp, D=D, pi=pi, sigma=sigma)
-        assert not equivariance_spot_check(bad, samples=20), corrupt.__name__
+        assert not equivariance_spot_check(bad), corrupt.__name__
 
 
 def test_principal_series_p5_spot_orbit():
