@@ -3,13 +3,12 @@
 __version__ = "0.1.0"
 
 from .rootdata import CartanType, Weight, build_root_system, weyl_dim
-from .coxeter import WeylElt, WeylGroup, generate
+from .coxeter import WeylGroup, generate
 from .poly import IntPoly
 
 __all__ = [
     "CartanType",
     "Weight",
-    "WeylElt",
     "WeylGroup",
     "IntPoly",
     "build_root_system",

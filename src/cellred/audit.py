@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from . import heckechar, klcells, uniptables, weylmod
-from .coxeter import WeylElt, WeylGroup, generate
+from .coxeter import WeylGroup, generate
 from .klcells import stage
 from .poly import IntPoly
 from .rootdata import ALL_TYPES, CartanType, build_root_system
@@ -120,7 +120,7 @@ class TypeContext:
         return klcells.compute_cells(self.kl)
 
     @stage
-    def jset(self) -> frozenset[WeylElt]:
+    def jset(self) -> frozenset[int]:
         return klcells.near_involutions(self.cells)
 
     @stage
@@ -204,8 +204,8 @@ def check_duality(ctx: TypeContext) -> CheckResult:
     if computed != ctx.tables.duality:
         problems.append("computed involution differs from the shipped table")
     for w, partner in ctx.tables.duality.items():
-        cl_w = g.left_descent_set(ctx.tables.element(w))
-        cl_p = g.left_descent_set(ctx.tables.element(partner))
+        cl_w = g.left_descent_set(g.parse_word(w))
+        cl_p = g.left_descent_set(g.parse_word(partner))
         if cl_p != full - cl_w:
             problems.append(f"descent complementation fails at {w} <-> {partner}")
     signs = {w: ("+" if s > 0 else "-") for w, (_, s) in sorted(res.pairs.items())}
@@ -221,10 +221,10 @@ def check_a_values(ctx: TypeContext) -> CheckResult:
     cell_of = {i: k for k, c in enumerate(ctx.cells.two_sided_cells) for i in c}
     by_cell: dict[int, set[int]] = {}
     for word, dp in ctx.deltas.items():
-        a = ctx.kl.a_of(dp.w)
+        a = ctx.kl.a_values[dp.w]
         if dp.c != a:
             failures.append(f"{word}: lowest degree {dp.c} != a-value {a}")
-        by_cell.setdefault(cell_of[ctx.group.index(dp.w)], set()).add(dp.c)
+        by_cell.setdefault(cell_of[dp.w], set()).add(dp.c)
     for cs in by_cell.values():
         if len(cs) != 1:
             failures.append(f"c not constant on a two-sided cell: {sorted(cs)}")
@@ -258,7 +258,7 @@ def check_j_criterion(ctx: TypeContext) -> CheckResult:
     if shipped is not None and shipped != cells_based:
         failures.append("computed set differs from the shipped list")
     g = ctx.group
-    involutions = frozenset(g.element(i) for i, j in enumerate(g.inv.tolist()) if i == j)
+    involutions = frozenset(i for i, j in enumerate(g.inv.tolist()) if i == j)
     inv_note = (
         "equals the involution set" if cells_based == involutions
         else "differs from the involution set"
@@ -276,7 +276,7 @@ def check_proximity(ctx: TypeContext) -> CheckResult:
     failures = []
     worst = 0
     for word, terms in ctx.tables.m_w.items():
-        cl = g.left_descent_set(ctx.tables.element(word))
+        cl = g.left_descent_set(g.parse_word(word))
         for _, tmpl in terms:
             for i, (c0, c1) in enumerate(tmpl.coords, start=1):
                 indicator = 1 if i in cl else 0

@@ -131,8 +131,9 @@ def _cmd_sl3(args) -> int:
 
 
 def _dump_klpoly(ctx: audit.TypeContext) -> dict:
+    g = ctx.group
     entries = [
-        {"y": str(y), "w": str(w), "coeffs": {str(i): c for i, c in enumerate(coeffs) if c}}
+        {"y": g.word(y), "w": g.word(w), "coeffs": {str(i): c for i, c in enumerate(coeffs) if c}}
         for (y, w), coeffs in ctx.kl.P.items()  # in (w, y) index order
     ]
     return {"type": ctx.ct.name, "what": "klpoly", "entries": entries}
@@ -142,7 +143,7 @@ def _dump_cells(ctx: audit.TypeContext) -> dict:
     g, cells = ctx.group, ctx.cells
 
     def words(cell):
-        return [str(g.element(i)) for i in cell]
+        return [g.word(i) for i in cell]
 
     return {
         "type": ctx.ct.name,
@@ -159,19 +160,19 @@ def _dump_cells(ctx: audit.TypeContext) -> dict:
 def _dump_gamma(ctx: audit.TypeContext) -> dict:
     g = ctx.group
     entries = [
-        {"x": str(g.element(int(x))), "y": str(g.element(int(y))),
-         "z": str(g.element(int(z))), "value": int(value)}
+        {"x": g.word(x), "y": g.word(y), "z": g.word(z), "value": int(value)}
         for x, y, z, value in zip(*ctx.gamma)
     ]
     return {"type": ctx.ct.name, "what": "gamma", "entries": entries}
 
 
 def _dump_cwe(ctx: audit.TypeContext) -> dict:
+    g = ctx.group
     return {
         "type": ctx.ct.name,
         "what": "cwe",
         "labels": list(ctx.leading.labels),
-        "rows": {str(w): row for w, row in ctx.leading.alpha.items() if row},
+        "rows": {g.word(w): row for w, row in ctx.leading.alpha.items() if row},
     }
 
 

@@ -1,7 +1,8 @@
 """The Weyl group as a Coxeter group on the generators ``s_i``.
 
-Elements are canonicalised by their shortlex-minimal reduced word, found by
-breadth-first generation from the identity over right multiplication.  The
+Elements are integers, their indices in the group as enumerated once by
+breadth-first generation from the identity over right multiplication; the
+BFS also yields each element's shortlex-minimal reduced word.  The
 BFS keys w by u_w = w^-1(rho) in fundamental-weight coordinates, with
 rho = (1, ..., 1); rho is regular, so the key is faithful, and
 u_{w s_i} = u_w - (u_w)_i (column i of the Cartan matrix) costs O(rank) per
@@ -33,101 +34,53 @@ _EXPECTED_ORDER = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class WeylElt:
-    """Group element, identified with its shortlex-minimal reduced word.
-
-    Words use 1-based generator indices, matching the digit notation.
-    """
-
-    word: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def __str__(self):
-        return "".join(str(i) for i in self.word) if self.word else "e"
-
-
 @dataclass(eq=False)
 class WeylGroup:
     """Fully enumerated Weyl group, held as read-only int64 index arrays.
 
-    ``elements`` is in BFS order: index 0 is the identity, indices increase
-    by length and, within a length, by lex order of the canonical word.
-    ``rmul[w, i - 1]`` and ``lmul[w, i - 1]`` are the indices of w s_i and
-    s_i w, ``inv[w]`` that of w^-1 and ``length[w]`` the length of w.
-    Compared and hashed by identity; use ``generate`` to get the shared
-    instance for a type.
+    An element is its index in BFS order: index 0 is the identity, indices
+    increase by length and, within a length, by lex order of the canonical
+    word ``words[w]`` (1-based generator indices).  ``rmul[w, i - 1]`` and
+    ``lmul[w, i - 1]`` are the indices of w s_i and s_i w, ``inv[w]`` that
+    of w^-1 and ``length[w]`` the length of w.  Compared and hashed by
+    identity; use ``generate`` to get the shared instance for a type.
     """
 
     type: CartanType
-    elements: tuple[WeylElt, ...]
+    words: tuple[tuple[int, ...], ...] = field(repr=False)
     nu: int
     rmul: np.ndarray = field(repr=False)
     lmul: np.ndarray = field(repr=False)
     inv: np.ndarray = field(repr=False)
     length: np.ndarray = field(repr=False)
-    _index: dict[WeylElt, int] = field(repr=False)
-
-    # -- indexing
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.words)
 
     @property
     def rank(self) -> int:
         return self.type.rank
 
-    @property
-    def w0(self) -> WeylElt:
-        return self.elements[-1]
+    def word(self, w: int) -> str:
+        """The canonical word of w as text, ``e`` for the identity."""
+        return "".join(map(str, self.words[w])) or "e"
 
-    @property
-    def identity(self) -> WeylElt:
-        return self.elements[0]
-
-    def index(self, w: WeylElt) -> int:
-        return self._index[w]
-
-    def element(self, i: int) -> WeylElt:
-        return self.elements[i]
-
-    def generator(self, i: int) -> WeylElt:
-        """The simple reflection s_i (1-based i)."""
-        if not 1 <= i <= self.rank:
-            raise BadGeneratorIndex(f"generator index {i} not in 1..{self.rank}")
-        return self.elements[self.rmul[0, i - 1]]
-
-    # -- element-level operations
-
-    def mult(self, a: WeylElt, b: WeylElt) -> WeylElt:
-        wi = self._index[a]
-        for i in b.word:
-            wi = self.rmul[wi, i - 1]
-        return self.elements[wi]
-
-    def inverse(self, a: WeylElt) -> WeylElt:
-        return self.elements[self.inv[self._index[a]]]
-
-    def left_descent_set(self, w: WeylElt) -> frozenset[int]:
-        wi = self._index[w]
-        below = self.length[self.lmul[wi]] < self.length[wi]
+    def left_descent_set(self, w: int) -> frozenset[int]:
+        below = self.length[self.lmul[w]] < self.length[w]
         return frozenset((np.flatnonzero(below) + 1).tolist())
 
-    def act_on_weight(self, w: WeylElt, lam: Weight) -> Weight:
+    def act_on_weight(self, w: int, lam: Weight) -> Weight:
         u = lam.coords
-        for i in reversed(w.word):
+        for i in reversed(self.words[w]):
             u = _reflect(self.type.cartan_matrix(), u, i - 1)
         return Weight(u)
 
-    def parse_word(self, text: str) -> WeylElt:
-        """Canonical form of a (not necessarily reduced) word; 'e' or '' is the identity."""
+    def parse_word(self, text: str) -> int:
+        """The index of a (not necessarily reduced) word; 'e' or '' is the identity."""
         text = text.strip()
         if text in ("e", ""):
-            return self.elements[0]
+            return 0
         wi = 0
         for ch in text:
             if not ch.isdigit() or not 1 <= int(ch) <= self.rank:
@@ -135,7 +88,7 @@ class WeylGroup:
                     f"{ch!r} is not a generator index of {self.type}"
                 )
             wi = self.rmul[wi, int(ch) - 1]
-        return self.elements[wi]
+        return int(wi)
 
 
 def _reflect(cartan, u: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -185,14 +138,12 @@ def generate(ct: CartanType) -> WeylGroup:
             x = rmul[x][i - 1]
         inv.append(x)
     rmul, inv = _frozen(rmul), _frozen(inv)
-    elements = tuple(WeylElt(w) for w in words)
     return WeylGroup(
         type=ct,
-        elements=elements,
+        words=tuple(words),
         nu=nu,
         rmul=rmul,
         lmul=_frozen(inv[rmul[inv]]),  # s_i w = (w^-1 s_i)^-1
         inv=inv,
         length=_frozen([len(w) for w in words]),
-        _index={e: i for i, e in enumerate(elements)},
     )

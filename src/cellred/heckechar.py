@@ -31,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coxeter import WeylElt, WeylGroup
-from .klcells import KLData, CellPartition, _sccs
+from .coxeter import WeylGroup
+from .klcells import Cells, KLData, CellPartition, _sccs
 from .poly import check_magnitude, check_window, laurent_matmul, window_offset
 
 
@@ -48,75 +48,44 @@ class LeadingTermMismatch(AssertionError):
 # Conjugacy classes and the character table of W
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjClass:
-    rep: WeylElt
-    members: tuple[WeylElt, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 @dataclass(eq=False)
 class WCharTable:
     """Integer character table with stable row labels.
 
-    Rows are indexed by ``labels``; ``values[r][c]`` is the character of row
-    r at class c.  The first row is always the trivial character.
+    ``classes`` are the conjugacy classes as sorted index tuples, listed by
+    least member.  Rows are indexed by ``labels``; ``values[r][c]`` is the
+    character of row r at class c.  The first row is always the trivial
+    character.
     """
 
     group: WeylGroup
-    classes: tuple[ConjClass, ...]
+    classes: Cells
     labels: tuple[str, ...]
     values: tuple[tuple[int, ...], ...]
-    _class_of: tuple[int, ...]
-
-    def class_index_of(self, w: WeylElt) -> int:
-        return self._class_of[self.group.index(w)]
-
-    def row(self, label: str) -> tuple[int, ...]:
-        return self.values[self.labels.index(label)]
-
-    def value(self, label: str, w: WeylElt) -> int:
-        return self.row(label)[self.class_index_of(w)]
-
-    def dim(self, label: str) -> int:
-        return self.row(label)[self.class_index_of(self.group.identity)]
 
     @property
     def sign_label(self) -> str:
+        signs = tuple((-1) ** int(self.group.length[c[0]]) for c in self.classes)
         for lab, row in zip(self.labels, self.values):
-            if all(
-                v == (-1) ** c.rep.length for v, c in zip(row, self.classes)
-            ):
+            if row == signs:
                 return lab
         raise AssertionError("no sign character found")
 
 
-def _conjugacy_classes(g: WeylGroup) -> tuple[tuple[ConjClass, ...], tuple[int, ...]]:
+def _conjugacy_classes(g: WeylGroup) -> Cells:
     """The classes, listed by least member: the strong components of the
     graph x -> s_i x s_i."""
     adj = np.zeros((g.size, g.size), dtype=bool)
     adj[np.arange(g.size)[:, None], g.lmul[g.rmul, np.arange(g.rank)]] = True
-    comps = _sccs(adj)
-    class_of = [0] * g.size
-    for ci, c in enumerate(comps):
-        for i in c:
-            class_of[i] = ci
-    classes = tuple(
-        ConjClass(rep=g.element(c[0]), members=tuple(g.element(i) for i in c))
-        for c in comps
-    )
-    return classes, tuple(class_of)
+    return _sccs(adj)
 
 
 # -- symmetric groups: Murnaghan-Nakayama over cycle types
 
-def _perm_of(g: WeylGroup, w: WeylElt) -> tuple[int, ...]:
+def _perm_of(g: WeylGroup, w: int) -> tuple[int, ...]:
     n = g.rank + 1
     perm = list(range(n))
-    for i in w.word:
+    for i in g.words[w]:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     return tuple(perm)
 
@@ -176,14 +145,14 @@ def _mn_char(lam: tuple[int, ...], alpha: tuple[int, ...]) -> int:
 
 
 def _symmetric_table(g: WeylGroup) -> WCharTable:
-    classes, class_of = _conjugacy_classes(g)
-    types = [_cycle_type(_perm_of(g, c.rep)) for c in classes]
+    classes = _conjugacy_classes(g)
+    types = [_cycle_type(_perm_of(g, c[0])) for c in classes]
     labels = tuple("".join(str(p) for p in lam) for lam in _partitions(g.rank + 1))
     values = tuple(
         tuple(_mn_char(lam, alpha) for alpha in types)
         for lam in _partitions(g.rank + 1)
     )
-    return WCharTable(g, classes, labels, values, class_of)
+    return WCharTable(g, classes, labels, values)
 
 
 # -- dihedral groups B2, G2
@@ -196,14 +165,14 @@ _DIHEDRAL_COS = {
 
 def _dihedral_table(g: WeylGroup) -> WCharTable:
     m = g.nu  # order 2m, rotations (s1 s2)^k
-    classes, class_of = _conjugacy_classes(g)
-    s1, s2 = g.generator(1), g.generator(2)
+    classes = _conjugacy_classes(g)
 
-    def tag(c: ConjClass):
+    def tag(c: tuple[int, ...]):
         # rotation classes tagged by k (length 2k); reflections by generator
-        if c.rep.length % 2 == 0:
-            return ("rot", c.rep.length // 2)
-        return ("refl", 1 if s1 in c.members else 2)
+        length = int(g.length[c[0]])
+        if length % 2 == 0:
+            return ("rot", length // 2)
+        return ("refl", 1 if g.rmul[0, 0] in c else 2)  # rmul[0, 0] is s_1
 
     tags = [tag(c) for c in classes]
     labels = ["triv", "sgn1", "sgn2", "sign"]
@@ -225,7 +194,7 @@ def _dihedral_table(g: WeylGroup) -> WCharTable:
         rows.append(tuple(
             ctab[(t[1] * k) % m] if t[0] == "rot" else 0 for t in tags
         ))
-    return WCharTable(g, classes, tuple(labels), tuple(rows), class_of)
+    return WCharTable(g, classes, tuple(labels), tuple(rows))
 
 
 def w_character_table(g: WeylGroup) -> WCharTable:
@@ -243,7 +212,7 @@ def _check_orthogonality(table: WCharTable) -> None:
     k = len(table.classes)
     if len(table.labels) != k:
         raise AssertionError("character count differs from class count")
-    sizes = [c.size for c in table.classes]
+    sizes = [len(c) for c in table.classes]
     for i, ri in enumerate(table.values):
         for j, rj in enumerate(table.values):
             dot = sum(s * a * b for s, a, b in zip(sizes, ri, rj))
@@ -305,7 +274,7 @@ def _trace_table(g: WeylGroup, gens: np.ndarray) -> np.ndarray:
     mats = np.zeros((g.size, d, d, 2 * off + 1), dtype=np.int64)
     mats[0, np.arange(d), np.arange(d), off] = 1
     for x in range(1, g.size):
-        i = g.element(x).word[-1]
+        i = g.words[x][-1]
         # Tt_x = Tt_{x s_i} Tt_{s_i}; the product has offset off + 1
         mats[x] = laurent_matmul(mats[g.rmul[x, i - 1]], gens[i - 1])[:, :, 1:-1]
     check_window(mats, "trace")
@@ -315,8 +284,7 @@ def _trace_table(g: WeylGroup, gens: np.ndarray) -> np.ndarray:
 
 def _match_label(table: WCharTable, traces: np.ndarray) -> str:
     """Identify the v=1 character of a module among the table rows."""
-    g = table.group
-    chi = [int(traces[g.index(c.rep)].sum()) for c in table.classes]
+    chi = [int(traces[c[0]].sum()) for c in table.classes]
     for lab, row in zip(table.labels, table.values):
         if tuple(chi) == row:
             return lab
@@ -404,16 +372,16 @@ class LeadingData:
 
     labels: tuple[str, ...]
     a_E: dict[str, int]
-    alpha: dict[WeylElt, dict[str, int]]
+    alpha: dict[int, dict[str, int]]
 
-    def alpha_support(self) -> frozenset[WeylElt]:
+    def alpha_support(self) -> frozenset[int]:
         return frozenset(w for w, row in self.alpha.items() if row)
 
 
 def leading_data(g: WeylGroup, modules: tuple[HModule, ...]) -> LeadingData:
     labels = tuple(m.label for m in modules)
     a_E: dict[str, int] = {}
-    alpha: dict[WeylElt, dict[str, int]] = {w: {} for w in g.elements}
+    alpha: dict[int, dict[str, int]] = {w: {} for w in range(g.size)}
     off = window_offset(g.nu)
     signs = (-1) ** g.length
     for mod in modules:
@@ -432,6 +400,6 @@ def leading_data(g: WeylGroup, modules: tuple[HModule, ...]) -> LeadingData:
             raise LeadingTermMismatch(
                 f"module {mod.label}: c_{{w,E}} vanishes identically"
             )
-        for w in np.nonzero(cwe)[0]:
-            alpha[g.element(int(w))][mod.label] = int(cwe[w])
+        for w in np.flatnonzero(cwe).tolist():
+            alpha[w][mod.label] = int(cwe[w])
     return LeadingData(labels=labels, a_E=a_E, alpha=alpha)

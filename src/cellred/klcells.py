@@ -53,7 +53,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coxeter import WeylElt, WeylGroup
+from .coxeter import WeylGroup
 from .poly import check_magnitude, check_window, window_offset
 
 GammaEntries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y, z, value
@@ -107,8 +107,8 @@ class stage:
 class KLData:
     """Canonical-basis data for one Weyl group.
 
-    ``P`` maps (y, w) with y <= w to the coefficient tuple of P_{y,w} in q,
-    inserted in order of (index of w, index of y); ``mu`` maps (y, w) to the
+    ``P`` maps the index pair (y, w) with y <= w to the coefficient tuple of
+    P_{y,w} in q, inserted in order of (w, y); ``mu`` maps (y, w) to the
     nonzero mu values.  ``cs[s - 1, z, w]`` is the coefficient of c_z in
     c_s c_w, a (rank, n, n, 3) Laurent array with offset 1.  ``a_values``
     (a(z) per element index) and the nonzero gamma entries come from one
@@ -116,8 +116,8 @@ class KLData:
     """
 
     group: WeylGroup
-    P: dict[tuple[WeylElt, WeylElt], tuple[int, ...]]
-    mu: dict[tuple[WeylElt, WeylElt], int]
+    P: dict[tuple[int, int], tuple[int, ...]]
+    mu: dict[tuple[int, int], int]
     cs: np.ndarray = field(repr=False)
 
     @stage
@@ -132,9 +132,6 @@ class KLData:
     @property
     def a_values(self) -> tuple[int, ...]:
         return self._top[0]
-
-    def a_of(self, w: WeylElt) -> int:
-        return self.a_values[self.group.index(w)]
 
     def gamma_tensor(self) -> np.ndarray:
         """Dense gamma[x, y, z] by element index, n^3 entries built anew per call."""
@@ -157,7 +154,7 @@ def _induction_step(
     c_s c_{sx} = c_x + sum_z mu(z, sx) c_z; ``apply(s, row)`` multiplies one
     row by c_s.
     """
-    s = g.element(x).word[0]
+    s = g.words[x][0]
     xp = g.lmul[x, s - 1]
     row = apply(s, big[xp])
     col = cs[s - 1, :, xp, 1]
@@ -221,18 +218,14 @@ def compute_kl(g: WeylGroup) -> KLData:
     coeffs[np.cumsum(first) - 1, e // 2] = val
     # one flat list, not one per row, whose freed blocks stay resident among P's tuples
     flat, width = coeffs.ravel().tolist(), coeffs.shape[1]
-    el = g.elements
     P = {
-        (el[yi], el[wi]): tuple(flat[r * width:r * width + d + 1])
+        (yi, wi): tuple(flat[r * width:r * width + d + 1])
         for r, (wi, yi, d) in enumerate(
             zip(w[first].tolist(), y[first].tolist(), (e[last] // 2).tolist())
         )
     }
     m = k == off - 1  # the coefficient of v^-1 in p_{y,w} is mu(y, w)
-    mu = {
-        (el[yi], el[wi]): v
-        for wi, yi, v in zip(w[m].tolist(), y[m].tolist(), val[m].tolist())
-    }
+    mu = {(yi, wi): v for wi, yi, v in zip(w[m].tolist(), y[m].tolist(), val[m].tolist())}
 
     return KLData(group=g, P=P, mu=mu, cs=cs)
 
@@ -371,10 +364,10 @@ def compute_cells(kl: KLData) -> CellPartition:
     )
 
 
-def near_involutions(cells: CellPartition) -> frozenset[WeylElt]:
+def near_involutions(cells: CellPartition) -> frozenset[int]:
     """Elements lying in the same left cell as their inverse."""
-    g = cells.group
-    return frozenset(g.element(i) for c in cells.left_cells for i in c if g.inv[i] in c)
+    inv = cells.group.inv
+    return frozenset(i for c in cells.left_cells for i in c if inv[i] in c)
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +412,16 @@ def j_ring(kl: KLData, cells: CellPartition) -> GammaEntries:
             rhs = np.tensordot(sub, part, axes=(2, 1)).transpose(2, 0, 1, 3)
             if not np.array_equal(lhs, rhs):
                 raise AssociativityFailure(
-                    f"associativity fails on the cell of {g.element(idx[0])}"
+                    f"associativity fails on the cell of {g.word(idx[0])}"
                 )
     return gamma
 
 
-def is_central(g: WeylGroup, gamma: GammaEntries, z: Mapping[WeylElt, int]) -> bool:
+def is_central(g: WeylGroup, gamma: GammaEntries, z: Mapping[int, int]) -> bool:
     """Whether sum_w z[w] t_w commutes with every basis element of the
     asymptotic ring whose constants :func:`j_ring` returned as ``gamma``."""
     xs, ys, ws, vals = gamma
-    ids = [g.index(w) for w in z]
+    ids = list(z)
     near = vals[np.isin(xs, ids) | np.isin(ys, ids)]  # the entries of z t_u and t_u z
     check_magnitude(sum(map(abs, z.values())) * int(np.abs(near).max(initial=0)), "centrality")
     zv = np.zeros(g.size, dtype=np.int64)

@@ -521,7 +521,7 @@ def principal_series_check(p: int) -> PrincipalSeriesReport:
             zeta = (a, b)
             if zeta in seen:
                 continue
-            orbit = sorted({act(w, zeta) for w in g.elements})
+            orbit = sorted({act(w, zeta) for w in range(g.size)})
             seen.update(orbit)
             if len(orbit) != g.size:
                 continue  # nontrivial stabiliser

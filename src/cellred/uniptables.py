@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .coxeter import WeylElt, WeylGroup, generate
+from .coxeter import WeylGroup, generate
 from .poly import IntPoly
 from .rootdata import CartanType, Weight
 
@@ -78,13 +78,10 @@ class TypeTables:
     def has_m_w_data(self) -> bool:
         return self.m_w is not None
 
-    def element(self, word: str) -> WeylElt:
-        return self.group.parse_word(word)
-
-    def j_elements(self) -> frozenset[WeylElt] | None:
+    def j_elements(self) -> frozenset[int] | None:
         if self.r_alpha is None:
             return None
-        return frozenset(self.element(w) for w in self.r_alpha)
+        return frozenset(map(self.group.parse_word, self.r_alpha))
 
 
 def data_dir() -> str:
@@ -119,6 +116,9 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         raise _fail(ct, "header", f"file declares type {raw.get('type')!r}")
     g = generate(ct)
     refs = dict(raw.get("refs", {}))
+    for key in ("min_prime", "unipotent", "r_alpha", "m_w", "delta", "decomp", "duality"):
+        if key not in raw:  # every file names every key; A4 writes its absent tables as null
+            raise _fail(ct, key, "missing", refs)
 
     min_prime = int(raw["min_prime"])
     bound = int(raw.get("proximity_bound", 4))
@@ -151,10 +151,10 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     r_alpha = {w: dict(row) for w, row in raw["r_alpha"].items()}
     seen_elements = set()
     for w, row in r_alpha.items():
-        elt = g.parse_word(w)
-        if elt in seen_elements:
+        wi = g.parse_word(w)
+        if wi in seen_elements:
             raise _fail(ct, "r_alpha", f"duplicate element for word {w!r}", refs)
-        seen_elements.add(elt)
+        seen_elements.add(wi)
         if not row:
             raise _fail(ct, "r_alpha", f"empty row for {w!r}", refs)
         for lab, mult in row.items():
@@ -218,8 +218,8 @@ def transpose(rows: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
 
 def derived_r_alpha(
     g: WeylGroup,
-    alpha: dict[WeylElt, dict[str, int]],
-    j_members: frozenset[WeylElt],
+    alpha: dict[int, dict[str, int]],
+    j_members: frozenset[int],
 ) -> dict[str, dict[str, int]]:
     """R rows generated from the leading coefficients ``alpha[w][label]``
     (type A without shipped data).
@@ -228,14 +228,14 @@ def derived_r_alpha(
     non-negative, which is checked.
     """
     rows: dict[str, dict[str, int]] = {}
-    for w in sorted(j_members, key=g.index):
+    for w in sorted(j_members):
         row = alpha[w]
         for lab, mult in row.items():
             if mult < 0:
                 raise DataIntegrityFailure(
-                    f"negative derived multiplicity at ({w},{lab})"
+                    f"negative derived multiplicity at ({g.word(w)},{lab})"
                 )
         if not row:
-            raise DataIntegrityFailure(f"empty derived row at {w}")
-        rows[str(w)] = dict(row)
+            raise DataIntegrityFailure(f"empty derived row at {g.word(w)}")
+        rows[g.word(w)] = dict(row)
     return rows

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import WeylElt, WeylGroup
+from .coxeter import WeylGroup
 from .poly import IntPoly, reverse_at
 from .rootdata import RootSystem, build_root_system, weyl_dim
 from .uniptables import DataIntegrityFailure, TypeTables, WeightTemplate
@@ -68,10 +68,10 @@ def dim_template(rs: RootSystem, tmpl: WeightTemplate, min_prime: int = 2) -> In
 
 @dataclass(frozen=True)
 class DeltaPoly:
-    """One row of the dimension table: the element, its polynomial, and the
-    lowest degree c(w)."""
+    """One row of the dimension table: the element index, its word, its
+    polynomial, and the lowest degree c(w)."""
 
-    w: WeylElt
+    w: int
     word: str
     pi: IntPoly
     c: int
@@ -104,7 +104,7 @@ def delta_table(tables: TypeTables) -> dict[str, DeltaPoly]:
         if not pi.is_integer_valued():
             raise DataIntegrityFailure(f"{ct.name} row {word!r}: not integer valued")
         out[word] = DeltaPoly(
-            w=tables.element(word), word=word, pi=pi, c=pi.lowest_degree()
+            w=tables.group.parse_word(word), word=word, pi=pi, c=pi.lowest_degree()
         )
     return out
 
@@ -132,14 +132,15 @@ def find_duality(g: WeylGroup, deltas: dict[str, DeltaPoly]) -> DualityResult:
     left-descent sets."""
     full = frozenset(range(1, g.rank + 1))
     nu = g.nu
+    descents = {word: g.left_descent_set(dp.w) for word, dp in deltas.items()}
     pairs: dict[str, tuple[str, int]] = {}
     problems: list[str] = []
     for word, dp in deltas.items():
         rev = reverse_at(nu, dp.pi)
-        want_descents = full - g.left_descent_set(dp.w)
+        want_descents = full - descents[word]
         matches = []
         for word2, dp2 in deltas.items():
-            if g.left_descent_set(dp2.w) != want_descents:
+            if descents[word2] != want_descents:
                 continue
             if rev == dp2.pi:
                 matches.append((word2, 1))

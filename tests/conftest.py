@@ -10,6 +10,13 @@ TYPE_NAMES = ("A1", "A2", "A3", "A4", "B2", "G2")
 DATA_TYPE_NAMES = ("A1", "A2", "A3", "B2", "G2")  # types with shipped tables
 
 
+def char_value(table, label: str, w: int) -> int:
+    """The character ``label`` of a ``heckechar.WCharTable`` at element w;
+    w = 0, the identity, gives its dimension."""
+    k = next(k for k, c in enumerate(table.classes) if w in c)
+    return table.values[table.labels.index(label)][k]
+
+
 @pytest.fixture(scope="session")
 def ctx():
     """Shared per-type computation contexts (the A4 build is the heavy one)."""

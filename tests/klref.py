@@ -1,5 +1,6 @@
 """Reference computations that tests check the engine against.
 
+* :func:`mult`: the group product of two element indices.
 * :func:`bruhat_lower_set`: the Bruhat interval below w, from subwords.
 * :func:`h_pass`: the structure constants h_{x,y,z} on a left cone, by the
   c-basis induction on the full span{c_z : z in cone}.  With the cone all of
@@ -14,16 +15,23 @@ from __future__ import annotations
 import numpy as np
 
 from cellred import klcells
-from cellred.coxeter import WeylElt, WeylGroup
+from cellred.coxeter import WeylGroup
 from cellred.poly import IntPoly, check_magnitude, check_window, window_offset
 
 
-def bruhat_lower_set(g: WeylGroup, w: WeylElt) -> frozenset[WeylElt]:
+def mult(g: WeylGroup, a: int, b: int) -> int:
+    """The index of the product ab: a times the letters of b's word."""
+    for i in g.words[b]:
+        a = int(g.rmul[a, i - 1])
+    return a
+
+
+def bruhat_lower_set(g: WeylGroup, w: int) -> frozenset[int]:
     """All y <= w: products of subwords of one reduced word for w."""
     reach = {0}
-    for i in w.word:
-        reach |= {g.rmul[x, i - 1] for x in reach}
-    return frozenset(g.element(x) for x in reach)
+    for i in g.words[w]:
+        reach |= {int(g.rmul[x, i - 1]) for x in reach}
+    return frozenset(reach)
 
 
 def h_pass(g: WeylGroup, cs: np.ndarray, cone: np.ndarray, ys: list[int]) -> np.ndarray:
@@ -49,14 +57,14 @@ def h_pass(g: WeylGroup, cs: np.ndarray, cone: np.ndarray, ys: list[int]) -> np.
     return big
 
 
-def h_row(kl: klcells.KLData, x: WeylElt, y: WeylElt) -> dict[WeylElt, IntPoly]:
+def h_row(kl: klcells.KLData, x: int, y: int) -> dict[int, IntPoly]:
     """The nonzero h_{x,y,z}, keyed by z, from one :func:`h_pass` on all of W."""
     g = kl.group
-    row = h_pass(g, kl.cs, np.arange(g.size), [g.index(y)])[g.index(x), :, 0]
+    row = h_pass(g, kl.cs, np.arange(g.size), [y])[x, :, 0]
     off = window_offset(g.nu)
     return {
-        g.element(int(z)): IntPoly.from_array(row[z], off)
-        for z in np.nonzero(row.any(axis=1))[0]
+        z: IntPoly.from_array(row[z], off)
+        for z in np.flatnonzero(row.any(axis=1)).tolist()
     }
 
 

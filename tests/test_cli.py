@@ -105,6 +105,19 @@ def test_corrupt_data_file_fails_only_its_type(data_copy, capsys):
             assert all(c["status"] != "fail" for c in r["checks"])
 
 
+def test_missing_table_key_fails_every_row_with_its_name(data_copy, capsys):
+    raw = json.loads((data_copy / "B2.json").read_text(encoding="utf-8"))
+    del raw["duality"]
+    (data_copy / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
+    code, out, _ = run(capsys, "audit", "--type", "B2")
+    assert code == 3
+    rows = json.loads(out)["checks"]
+    assert len(rows) == 6
+    for row in rows:
+        assert row["details"].startswith("internal error: DataIntegrityFailure: B2 tables, duality")
+        assert row["details"].endswith(": missing")
+
+
 def test_exit_code_separates_crashed_from_failed_checks(monkeypatch, capsys):
     def crash(ctx):
         raise KeyError("boom")

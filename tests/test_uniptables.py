@@ -148,7 +148,7 @@ def test_derived_rows_for_a4(ctx):
     rows = derived_r_alpha(c.group, c.leading.alpha, c.jset)
     assert len(rows) == 26
     assert rows["e"] == {"5": 1}
-    w0 = str(c.group.w0)
+    w0 = c.group.word(c.group.size - 1)
     assert rows[w0] == {"11111": 1}
     assert all(all(m > 0 for m in row.values()) for row in rows.values())
 
@@ -206,6 +206,8 @@ LOADER_FAULTS = [
                  lambda raw: raw["duality"].pop("e"), id="duality-domain"),
     pytest.param("duality", "not involutive at 'e'",
                  lambda raw: raw["duality"].update(e="1"), id="not-involutive"),
+    *(pytest.param(key, "missing", lambda raw, key=key: raw.pop(key), id=f"{key}-missing")
+      for key in ("min_prime", "unipotent", "r_alpha", "m_w", "delta", "decomp", "duality")),
 ]
 
 

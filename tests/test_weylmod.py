@@ -109,3 +109,20 @@ def test_duality_matches_shipped_tables(name):
     assert {w: p for w, (p, _) in res.pairs.items()} == shipped
     # observed signs are all +; recorded, not assumed
     assert all(s == 1 for _, s in res.pairs.values())
+
+
+@pytest.mark.parametrize("name", DATA_TYPE_NAMES)
+def test_find_duality_reads_each_descent_set_once(name, monkeypatch):
+    g = generate(CartanType.parse(name))
+    deltas = _deltas(name)
+    want = find_duality(g, deltas)
+    calls = []
+    descent_set = type(g).left_descent_set
+
+    def counted(self, w):
+        calls.append(w)
+        return descent_set(self, w)
+
+    monkeypatch.setattr(type(g), "left_descent_set", counted)
+    assert find_duality(g, deltas) == want
+    assert sorted(calls) == sorted(dp.w for dp in deltas.values())
