@@ -34,6 +34,8 @@ def commands() -> list[list[str]]:
             out.append(["tables", "dump", "--what", what, "--type", t])
     out.append(["sl3"])
     out.append(["sl3", "--orbits"])
+    for p in ("31", "61", "97"):  # where the Singer rank does most of its work
+        out.append(["sl3", "--p", p])
     return out
 
 
