@@ -13,25 +13,32 @@ act between the sum-zero function spaces F1, F2 (dimension p^2 + p each).
 
 The incidence is held as its Singer labelling (Singer, Trans. AMS 43,
 1938).  For a primitive cubic f over F_p, the powers x^i (i < n = p^2 + p +
-1) of x in F_p[x]/(f) run once over the projective points, and the planes
-are the translates j + D of the perfect difference set D = {i : x^i has
-coordinate 0 equal to 0}.  With line pi[i] the point x^i and plane sigma[j]
-the plane through the points j + D, the incident (plane, line) pairs are
-(sigma[j], pi[j + d]) for d in D, indices mod n.  ``build_incidence``
-certifies the labelling: every pair's two normals have dot product 0 mod p,
-and the n (p + 1) pairs are distinct (D is a set, sigma and pi are
-bijections).  PG(2, p) has exactly n (p + 1) incident pairs, so the pairs are
-the whole incidence, and no n x n array is built.
+1) of x in the Singer field F_p[x]/(f) run once over the projective points,
+and x^n is the scalar lambda, the norm of x, which generates F_p^*.  The
+planes are the translates j + D of the perfect difference set D = {i : x^i
+has coordinate 0 equal to 0}.  With line pi[i] the point x^i and plane
+sigma[j] the plane through the points j + D, the incident (plane, line)
+pairs are (sigma[j], pi[j + d]) for d in D, indices mod n.
+``build_incidence`` certifies the labelling: every pair's two normals have
+dot product 0 mod p, and the n (p + 1) pairs are distinct (D is a set, sigma
+and pi are bijections).  PG(2, p) has exactly n (p + 1) incident pairs, so
+the pairs are the whole incidence, and no n x n array is built.
 
 In that order the incidence is the circulant of a(x) = sum of x^d over d in
-D, so (MacWilliams and Mann, Information and Control 12, 1968)
+D, and tau maps onto the cyclic code of (x - 1) a(x) in F_p[x]/(x^n - 1).
+n = 1 mod p, so x^n - 1 has n distinct roots, the powers of zeta = x^(p-1),
+and the code's dimension is n less the number of its zeros (MacWilliams and
+Sloane, The Theory of Error-Correcting Codes, ch. 8; MacWilliams and Mann,
+Information and Control 12, 1968):
 
-    rank tau = n - deg gcd((x - 1) a(x), x^n - 1)  over F_p,
+    rank tau = n - #{k in Z/n : (zeta^k - 1) a(zeta^k) = 0}.
 
-and tau o tau' vanishes iff (x - 1) a(x) a(1/x) = 0 in F_p[x]/(x^n - 1).
-The dense ``tau_maps`` and ``rank_mod`` (a blocked LU whose bulk steps are
-float64 products on integers kept below 2**53) are on no command path; the
-tests compare against them.
+Each zeta^(kd) = lambda^q x^r, (p - 1)(kd mod n) = q n + r, is read off the
+power table.  tau o tau' vanishes iff (x - 1) a(x) a(1/x) = 0 in
+F_p[x]/(x^n - 1), a count over the differences D - D.  The dense
+``tau_maps`` and ``rank_mod`` (a blocked LU whose bulk steps are float64
+products on integers kept below 2**53) are on no command path; the tests
+compare against them.
 
 The principal-series check enumerates the free orbits of the rank-2 Weyl
 group action on weights mod (p-1); each regular residue lifts uniquely into
@@ -47,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import poly
 from .coxeter import generate
 from .rootdata import CartanType, Weight, build_root_system, weyl_dim
 
@@ -59,9 +67,9 @@ class TooLarge(ValueError):
     """Prime exceeds the configured bound."""
 
 
-# The incidence is n (p + 1) pairs, but the gcd of _group_ring_kernel does
-# O(n^2) work, which grows as p^4: at p = 97 (n = 9507) a run takes about
-# 1.3 s and 70 MB
+# The incidence is n (p + 1) pairs and the equivariance sample moves all of
+# them 20 times, work that grows as p^3: at p = 97 (n = 9507) a run takes
+# about 0.3 s after import and 68 MB
 DEFAULT_PRIME_BOUND = 97
 EQUIVARIANCE_SAMPLES = 20
 
@@ -73,20 +81,23 @@ def _check_prime(p: int) -> None:
 
 @dataclass(eq=False)
 class IncidenceSpace:
-    """Lines and planes of PG(2, p) as normal forms, and the incidence as its
-    Singer labelling: line pi[i] is the point x^i and plane sigma[j] is the
-    plane through the points j + D, indices mod n."""
+    """PG(2, p) and its Singer field, with the incidence as its Singer
+    labelling: line pi[i] is the point x^i and plane sigma[j] is the plane
+    through the points j + D, indices mod n.  Lines and planes share the
+    ascending normal forms ``points``; ``powers[i]`` is x^i on the basis 1,
+    x, x^2 and ``norm`` the scalar x^n."""
 
     p: int
-    lines: tuple[tuple[int, int, int], ...]
-    planes: tuple[tuple[int, int, int], ...]
+    points: np.ndarray
+    powers: np.ndarray
+    norm: int
     D: np.ndarray
     pi: np.ndarray
     sigma: np.ndarray
 
     @property
     def n_points(self) -> int:
-        return len(self.lines)
+        return len(self.points)
 
     def incident_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Plane and line positions of the pairs (sigma[j], pi[j + d]), d in D."""
@@ -95,31 +106,24 @@ class IncidenceSpace:
                 self.pi[(np.arange(n)[:, None] + self.D) % n].ravel())
 
 
-def _projective_points(p: int) -> list[tuple[int, int, int]]:
-    pts = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    pts += [(0, 1, z) for z in range(1, p)]
-    pts += [(1, 0, z) for z in range(1, p)]
-    pts += [(1, y, 0) for y in range(1, p)]
-    pts += [(1, y, z) for y in range(1, p) for z in range(1, p)]
-    return sorted(pts)
+def _projective_points(p: int) -> np.ndarray:
+    """The normal forms (0, 0, 1), (0, 1, z) and (1, y, z), whose keys are 1,
+    p + z and p^2 + p y + z, as an ascending (n, 3) array."""
+    keys = np.concatenate(([1], np.arange(p, 2 * p), np.arange(p * p, 2 * p * p)))
+    return np.stack((keys // (p * p), keys // p % p, keys % p), axis=1)
 
 
 def build_incidence(p: int) -> IncidenceSpace:
-    """The points of PG(2, p) and its certified Singer incidence."""
+    """The points of PG(2, p), its Singer field and its certified incidence."""
     if p > DEFAULT_PRIME_BOUND:  # before the trial division, which is O(sqrt p)
         raise TooLarge(f"p = {p} exceeds bound {DEFAULT_PRIME_BOUND}")
     _check_prime(p)
-    pts = _projective_points(p)
-    n = p * p + p + 1
-    if len(pts) != n:
-        raise AssertionError("projective point count is off")
-    lines = tuple(pts)
-    planes = tuple(pts)  # dual space, same normal forms
-    space = IncidenceSpace(p, lines, planes, *_singer_labelling(p, lines, planes))
+    points = _projective_points(p)
+    powers, norm = _singer_field(p)
+    space = IncidenceSpace(p, points, powers, norm, *_singer_labelling(p, points, powers))
+    n = space.n_points
     at_plane, at_line = space.incident_pairs()
-    P = np.array(planes, dtype=np.int64)
-    L = np.array(lines, dtype=np.int64)
-    if (sum(P[at_plane, k] * L[at_line, k] for k in range(3)) % p).any():
+    if (sum(points[at_plane, k] * points[at_line, k] for k in range(3)) % p).any():
         raise AssertionError("a Singer pair is not incident")
     # The pairs are distinct when D is a set and sigma and pi are bijections,
     # which p + 1 pairs at each plane and each line force.  PG(2, p) has
@@ -212,42 +216,29 @@ def rank_mod(M: np.ndarray, p: int) -> int:
     return r
 
 
-def _trim(a: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(a)
-    return a[:nz[-1] + 1] if nz.size else a[:0]
-
-
-def _gcd_degree(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    """Degree of gcd(a, b) over F_p, for coefficient arrays (lowest degree
-    first, values in [0, p)) not both zero.  Euclid in int64: every product
-    is below p**2 and every value is reduced back into [0, p)."""
-    a, b = _trim(a), _trim(b)
-    while b.size:
-        r = a.copy()
-        top = b.size - 1
-        monic = b * pow(int(b[top]), -1, p) % p
-        for k in range(r.size - 1, top - 1, -1):
-            c = int(r[k])
-            if c:
-                r[k - top:k + 1] = (r[k - top:k + 1] - c * monic) % p
-        a, b = b, _trim(r[:top])
-    return a.size - 1
-
-
-def _group_ring_kernel(n: int, D: np.ndarray, p: int) -> tuple[int, bool]:
+def _group_ring_kernel(space: IncidenceSpace) -> tuple[int, bool]:
     """Rank of tau, and whether tau o tau' vanishes, for the circulant
     incidence C[j, i] = [i - j in D] on Z/n over F_p.
 
     tau maps the sum-zero functions, the ideal (x - 1) of F_p[x]/(x^n - 1),
     onto the ideal of (x - 1) a(x) (up to x -> 1/x, which keeps dimensions),
-    of dimension n - deg gcd((x - 1) a(x), x^n - 1).  C C^T is multiplication
-    by a(x) a(1/x), the count of each difference in D - D.
+    whose dimension is n less its number of zeros zeta^k (see the module
+    docstring).  a has coefficients in F_p, so a(zeta^(kp)) = a(zeta^k)^p:
+    one k is evaluated per orbit {k, kp, kp^2} (p^3 = 1 mod n).  C C^T is
+    multiplication by a(x) a(1/x), the count of each difference in D - D.
     """
-    a = np.bincount(D, minlength=n)
-    shifted = (np.roll(a, 1) - a) % p  # (x - 1) a(x) mod x^n - 1
-    modulus = np.zeros(n + 1, dtype=np.int64)
-    modulus[[0, n]] = (p - 1, 1)  # x^n - 1
-    rank = n - _gcd_degree(modulus, shifted, p)
+    p, n, D = space.p, space.n_points, space.D
+    k = np.arange(n)
+    kp = k * p % n
+    reps = k[(k <= kp) & (k <= kp * p % n)]  # least member of each orbit
+    orbit_size = np.where(kp[reps] == reps, 1, 3)
+    norm_powers = np.array([pow(space.norm, i, p) for i in range(p - 1)], dtype=np.int64)
+    q, r = np.divmod((p - 1) * (reps[:, None] * D % n), n)
+    poly.check_magnitude(D.size * (p - 1) ** 2, "Singer zero count")
+    a = (norm_powers[q][:, :, None] * space.powers[r]).sum(axis=1) % p
+    zero = ~a.any(axis=1)
+    zero[0] = True  # zeta^0 - 1 = 0, and reps[0] = 0
+    rank = n - int(orbit_size[zero].sum())
     diffs = np.bincount((D[:, None] - D[None, :]).ravel() % n, minlength=n)
     return rank, not ((np.roll(diffs, 1) - diffs) % p).any()
 
@@ -327,30 +318,27 @@ def _is_permutation(a: np.ndarray) -> bool:
     return np.array_equal(np.sort(a), np.arange(a.size))
 
 
-def _singer_labelling(
-    p: int, lines: tuple, planes: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, pi, sigma): line pi[i] is the point x^i and plane sigma[j] is the
-    plane through the points j + D, indices taken mod n.
-
-    Refuses lines and planes that are not the normal-form points of PG(2, p),
-    before anything of size p^3 is built.
-    """
-    n = p * p + p + 1
-    if len(lines) != n:
-        raise AssertionError(f"{len(lines)} lines, but PG(2, {p}) has {n} points")
-    if lines != tuple(_projective_points(p)):
-        raise AssertionError(f"lines are not the normal-form points of PG(2, {p})")
-    if planes != lines:
-        raise AssertionError("planes are not the normal forms of the lines")
+def _singer_field(p: int) -> tuple[np.ndarray, int]:
+    """The Singer field F_p[x]/(f) of the first primitive cubic f: the power
+    table x^i (i < n) on the basis 1, x, x^2, and the norm x^n, which is
+    -f0 for the monic cubic x^3 + f2 x^2 + f1 x + f0."""
     f0, f1, f2 = _primitive_cubic(p)
     powers = []
     c = (1, 0, 0)
-    for _ in range(n):
+    for _ in range(p * p + p + 1):
         powers.append(c)
         c = ((-f0 * c[2]) % p, (c[0] - f1 * c[2]) % p, (c[1] - f2 * c[2]) % p)
-    powers = np.array(powers, dtype=np.int64)
-    keys = np.array(lines, dtype=np.int64) @ (p * p, p, 1)  # ascending
+    return np.array(powers, dtype=np.int64), -f0 % p
+
+
+def _singer_labelling(
+    p: int, points: np.ndarray, powers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, pi, sigma): line pi[i] is the point x^i and plane sigma[j] is the
+    plane through the points j + D, indices taken mod n, as positions in the
+    ascending ``points``."""
+    n = len(powers)
+    keys = points @ (p * p, p, 1)
     pi = np.searchsorted(keys, _normal_keys(powers, p))
     D = np.flatnonzero(powers[:, 0] == 0)
     if D.size != p + 1:
@@ -408,11 +396,11 @@ def kernel_analysis(space: IncidenceSpace) -> KernelReport:
     one rank serves both.  tau o tau' vanishes iff im tau' lies in ker tau,
     and equal dimensions then make the two equal; tau' o tau is the same
     product, so the same two facts decide ker tau' = im tau.  Both the rank
-    and the composite come from the difference set D (see the module
-    docstring).
+    and the composite come from the difference set D and the Singer field
+    (see the module docstring).
     """
     p, dim = space.p, space.n_points - 1
-    rank, composite_zero = _group_ring_kernel(space.n_points, space.D, p)
+    rank, composite_zero = _group_ring_kernel(space)
     return KernelReport(
         p=p,
         dim_f1=dim,
@@ -435,17 +423,16 @@ def equivariance_spot_check(space: IncidenceSpace) -> bool:
     """
     p, n = space.p, space.n_points
     rng = random.Random(10007 * p)
-    lines = np.array(space.lines, dtype=np.int64)
-    planes = np.array(space.planes, dtype=np.int64)
-    keys = lines @ (p * p, p, 1)  # ascending
+    points = space.points
+    keys = points @ (p * p, p, 1)  # ascending
     pi_inv, sigma_inv = np.argsort(space.pi), np.argsort(space.sigma)
     in_D = np.zeros(2 * n, dtype=bool)  # in_D[k + n]: k mod n in D, for |k| < n
     in_D[space.D] = in_D[space.D + n] = True
     at_line = (np.arange(n)[:, None] + space.D) % n  # row j: the pairs of plane j
 
-    def image(m, pts):
-        """Positions in space.lines of the normalised images m v of pts."""
-        return np.searchsorted(keys, _normal_keys((pts @ np.array(m, dtype=np.int64).T) % p, p))
+    def image(m):
+        """Positions in space.points of the normalised images m v of the points."""
+        return np.searchsorted(keys, _normal_keys((points @ np.array(m, dtype=np.int64).T) % p, p))
 
     done = 0
     while done < EQUIVARIANCE_SAMPLES:
@@ -456,7 +443,7 @@ def equivariance_spot_check(space: IncidenceSpace) -> bool:
         if sum(x * c for x, c in zip(m[0], cof[0])) % p == 0:
             continue
         done += 1
-        ip, il = image(cof, planes), image(m, lines)
+        ip, il = image(cof), image(m)
         if not (_is_permutation(ip) and _is_permutation(il)):
             return False
         # Singer positions of the moved plane sigma[j] and the moved line pi[i]

@@ -1,8 +1,10 @@
-"""Dense references for the sl3 lab, for the small primes of the tests.
+"""References for the sl3 lab, for the primes of the tests.
 
 The incidence of PG(2, p) from all n^2 dot products of normal forms, and
 the test whether tau o tau' vanishes by one exact float64 GEMM.  Each n x n
-array is O(p^4), so these stay here, off every ``cellred sl3`` path.
+array is O(p^4), so these stay here, off every ``cellred sl3`` path.  The
+rank of tau as n - deg gcd((x - 1) a(x), x^n - 1), by Euclid over F_p in
+O(n^2), against which the zero count of the lab is checked.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from cellred.sl3lab import _exactness_guard, _projective_points, _reduce
 
 def dense_incidence(p: int) -> np.ndarray:
     """The 0/1 incidence, rows planes and columns lines, from P @ L.T."""
-    pts = np.array(_projective_points(p), dtype=np.int64)
+    pts = _projective_points(p)
     return ((pts @ pts.T) % p == 0).astype(np.int64)
 
 
@@ -29,3 +31,35 @@ def composite_is_zero(A: np.ndarray, B: np.ndarray, p: int) -> bool:
     prod = (A % p).astype(np.float64) @ (B % p).astype(np.float64)
     _reduce(prod, p)
     return not prod.any()
+
+
+def _trim(a: np.ndarray) -> np.ndarray:
+    nz = np.flatnonzero(a)
+    return a[:nz[-1] + 1] if nz.size else a[:0]
+
+
+def _gcd_degree(a: np.ndarray, b: np.ndarray, p: int) -> int:
+    """Degree of gcd(a, b) over F_p, for coefficient arrays (lowest degree
+    first, values in [0, p)) not both zero.  Euclid in int64: every product
+    is below p**2 and every value is reduced back into [0, p)."""
+    a, b = _trim(a), _trim(b)
+    while b.size:
+        r = a.copy()
+        top = b.size - 1
+        monic = b * pow(int(b[top]), -1, p) % p
+        for k in range(r.size - 1, top - 1, -1):
+            c = int(r[k])
+            if c:
+                r[k - top:k + 1] = (r[k - top:k + 1] - c * monic) % p
+        a, b = b, _trim(r[:top])
+    return a.size - 1
+
+
+def euclid_rank(n: int, D: np.ndarray, p: int) -> int:
+    """Rank over F_p of tau for the circulant incidence of D on Z/n:
+    n - deg gcd((x - 1) a(x), x^n - 1), a(x) the sum of x^d over D."""
+    a = np.bincount(D, minlength=n)
+    shifted = (np.roll(a, 1) - a) % p  # (x - 1) a(x) mod x^n - 1
+    modulus = np.zeros(n + 1, dtype=np.int64)
+    modulus[[0, n]] = (p - 1, 1)  # x^n - 1
+    return n - _gcd_degree(modulus, shifted, p)

@@ -11,7 +11,9 @@ from cellred import sl3lab
 from cellred.cli import main
 from cellred.sl3lab import (
     _PANEL,
+    _cubic_pow,
     _group_ring_kernel,
+    _primitive_cubic,
     _projective_points,
     _reduce,
     _singer_labelling,
@@ -25,9 +27,10 @@ from cellred.sl3lab import (
     tau_maps,
 )
 
-from sl3ref import composite_is_zero, dense_incidence, dense_tau
+from sl3ref import composite_is_zero, dense_incidence, dense_tau, euclid_rank
 
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+PRIMES_TO_97 = PRIMES_TO_31 + [37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
 def test_prime_checks():
@@ -163,18 +166,40 @@ def test_exactness_guards_raise():
         composite_is_zero(zero, zero[1:], p)
 
 
-def test_singer_labelling_refuses_a_foreign_space():
-    # at p = 8388593 no array of size p^3 could even be allocated, so the
-    # point count is checked before anything is built from p
-    pts = tuple((0, 0, i) for i in range(201))
-    with pytest.raises(AssertionError, match=r"201 lines, but PG\(2, 8388593\) has"):
-        _singer_labelling(8388593, pts, pts)
-    pts = tuple((0, 0, i) for i in range(13))
-    with pytest.raises(AssertionError, match=r"not the normal-form points of PG\(2, 3\)"):
-        _singer_labelling(3, pts, pts)
-    pts = tuple(_projective_points(3))
-    with pytest.raises(AssertionError, match="planes are not the normal forms"):
-        _singer_labelling(3, pts, pts[::-1])
+@pytest.mark.parametrize("p", PRIMES_TO_31 + [97])
+def test_projective_points_are_the_sorted_normal_forms(p):
+    # every nonzero vector of F_p^3, scaled so its first nonzero coordinate
+    # is 1; distinct keys x p^2 + y p + z in ascending order
+    v = np.indices((p, p, p)).reshape(3, -1).T[1:]
+    lead = v[np.arange(len(v)), (v != 0).argmax(axis=1)]
+    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)])
+    forms = np.unique((v * inverse[lead][:, None] % p) @ (p * p, p, 1))
+    points = _projective_points(p)
+    assert points.dtype == np.int64 and ((0 <= points) & (points < p)).all()
+    assert np.array_equal(points @ (p * p, p, 1), forms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 97])
+def test_singer_field_is_the_powers_of_a_primitive_root(p):
+    space = build_incidence(p)
+    n = space.n_points
+    f = _primitive_cubic(p)
+    assert space.powers.shape == (n, 3)
+    rng = np.random.default_rng(p)
+    for i in [0, 1, 2, 3, n - 1, *rng.integers(0, n, 20)]:
+        assert tuple(space.powers[i]) == _cubic_pow(f, int(i), p), i
+    assert _cubic_pow(f, n, p) == (space.norm, 0, 0)
+    # the norm generates F_p^*
+    assert sorted(pow(space.norm, i, p) for i in range(p - 1)) == list(range(1, p))
+
+
+def test_sl3_builds_each_singer_field_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sl3lab, "_primitive_cubic",
+                        lambda p: calls.append(p) or _primitive_cubic(p))
+    with redirect_stdout(io.StringIO()):
+        assert main(["sl3", "--p", "7", "--p", "11"]) == 0
+    assert calls == [7, 11]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -212,7 +237,7 @@ def d_replaced(D, pi, sigma):
 def all_on_one_line(D, pi, sigma):
     """Every line named pi[0], and the planes through it in turn as sigma."""
     p = D.size - 1
-    pts = np.array(_projective_points(p), dtype=np.int64)
+    pts = _projective_points(p)
     through = np.flatnonzero(pts @ pts[pi[0]] % p == 0)
     return D, np.full_like(pi, pi[0]), through[np.arange(pi.size) % through.size]
 
@@ -249,10 +274,11 @@ def test_kernel_analysis_decides_identities_by_the_composite(monkeypatch, vanish
     # dim ker tau holds; only whether tau o tau' vanishes tells the cases
     # apart.  {0, 1, 3, 9} is the perfect difference set of PG(2, 3)
     D = np.array([0, 1, 3, 9] if vanishes else [0, 1, 2, 3, 6, 10])
-    assert _group_ring_kernel(13, D, 3) == (6, vanishes)
+    space = build_incidence(3)
+    assert _group_ring_kernel(dataclasses.replace(space, D=D)) == (6, vanishes)
     monkeypatch.setattr(sl3lab, "_group_ring_kernel",
-                        lambda n, _, p: _group_ring_kernel(n, D, p))
-    rep = kernel_analysis(build_incidence(3))
+                        lambda sp: _group_ring_kernel(dataclasses.replace(sp, D=D)))
+    rep = kernel_analysis(space)
     assert rep.dim_f1 == 12
     assert rep.dim_ker_tau == rep.dim_ker_tau_prime == 6
     assert rep.ker_tau_eq_im_tau_prime is vanishes
@@ -269,6 +295,7 @@ def circulant(n, D):
 
 def test_group_ring_kernel_matches_the_dense_circulant():
     n, p = 13, 3
+    space = build_incidence(p)  # the Singer field of F_3, for any subset D
     rng = np.random.default_rng(13)
     subsets = [[], list(range(n)), [0, 1, 3, 9], [0, 1, 2, 3, 6, 10]]
     subsets += [np.flatnonzero(rng.integers(0, 2, n)) for _ in range(200)]
@@ -276,7 +303,8 @@ def test_group_ring_kernel_matches_the_dense_circulant():
         C = circulant(n, D)
         tau, tau_prime = dense_tau(C, p)
         want = (rank_mod(tau, p), composite_is_zero(tau, tau_prime[1:], p))
-        assert _group_ring_kernel(n, np.asarray(D, dtype=np.int64), p) == want, D
+        D = np.asarray(D, dtype=np.int64)
+        assert _group_ring_kernel(dataclasses.replace(space, D=D)) == want, D
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_31)
@@ -285,10 +313,16 @@ def test_singer_kernel_matches_the_dense_reference(p):
     rank = rank_mod(tau, p)
     composite_zero = composite_is_zero(tau, tau_prime[1:], p)
     space = build_incidence(p)
-    assert _group_ring_kernel(space.n_points, space.D, p) == (rank, composite_zero)
+    assert _group_ring_kernel(space) == (rank, composite_zero)
     assert kernel_analysis(space).dim_ker_tau == space.n_points - 1 - rank
     maps = tau_maps(space)  # scattered from the certified pairs
     assert np.array_equal(maps.tau, tau) and np.array_equal(maps.tau_prime, tau_prime)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_97)
+def test_zero_count_is_the_euclid_rank(p):
+    space = build_incidence(p)
+    assert _group_ring_kernel(space)[0] == euclid_rank(space.n_points, space.D, p)
 
 
 @pytest.mark.parametrize("p", [41, 97])
@@ -298,7 +332,7 @@ def test_singer_rank_is_hamadas_beyond_the_dense_bound(p):
     # reference shows for p <= 31
     space = build_incidence(p)
     assert space.D.size == p + 1 and space.n_points == p * p + p + 1
-    assert _group_ring_kernel(space.n_points, space.D, p) == (p * (p + 1) // 2, True)
+    assert _group_ring_kernel(space) == (p * (p + 1) // 2, True)
 
 
 def test_kernel_analysis_takes_no_dense_step(monkeypatch):
@@ -349,6 +383,17 @@ def test_equivariance_sample(p):
         D, pi, sigma = corrupt(sp.D, sp.pi, sp.sigma)
         bad = dataclasses.replace(sp, D=D, pi=pi, sigma=sigma)
         assert not equivariance_spot_check(bad), corrupt.__name__
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_equivariance_refuses_a_repeated_point(p):
+    # with a point listed twice no g permutes the points; at i = n - 1 an
+    # image also falls past the last key
+    sp = build_incidence(p)
+    for i in range(1, sp.n_points):
+        points = sp.points.copy()
+        points[i] = points[i - 1]
+        assert not equivariance_spot_check(dataclasses.replace(sp, points=points)), i
 
 
 def test_principal_series_p5_spot_orbit():
