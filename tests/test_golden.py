@@ -36,6 +36,7 @@ def commands() -> list[list[str]]:
     out.append(["sl3", "--orbits"])
     for p in ("31", "61", "97"):  # where the Singer rank does most of its work
         out.append(["sl3", "--p", p])
+    out.append(["sl3", "--orbits", "--p", "97"])  # 1488 orbit entries
     return out
 
 
