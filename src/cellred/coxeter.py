@@ -28,12 +28,6 @@ class BadGeneratorIndex(ValueError):
     """A word contains a character that is not a generator index."""
 
 
-_EXPECTED_ORDER = {
-    ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
-    ("B", 2): 8, ("G", 2): 12,
-}
-
-
 @dataclass(eq=False)
 class WeylGroup:
     """Fully enumerated Weyl group, held as read-only int64 index arrays.
@@ -125,8 +119,8 @@ def generate(ct: CartanType) -> WeylGroup:
         rmul.append(row)
 
     n = len(keys)
-    if n != _EXPECTED_ORDER[ct.key]:
-        raise AssertionError(f"{ct}: |W| = {n}, expected {_EXPECTED_ORDER[ct.key]}")
+    if n != ct.weyl_group_order:
+        raise AssertionError(f"{ct}: |W| = {n}, expected {ct.weyl_group_order}")
     nu = len(words[-1])
     if [len(w) for w in words].count(nu) != 1:
         raise AssertionError(f"{ct}: longest element is not unique")

@@ -64,11 +64,6 @@ class IntPoly:
     def monomial(cls, k: int, coeff: Scalar = 1) -> "IntPoly":
         return cls({k: coeff})
 
-    @classmethod
-    def from_array(cls, row: np.ndarray, off: int) -> "IntPoly":
-        """The polynomial held by one Laurent-array row with offset ``off``."""
-        return cls({k - off: int(c) for k, c in enumerate(row) if c})
-
     # -- inspection
 
     def coeffs(self) -> dict[int, Scalar]:

@@ -27,31 +27,18 @@ class NonDominantWeight(ValueError):
     """weyl_dim requires a dominant weight."""
 
 
-_SUPPORTED = {("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("G", 2)}
-
-# rows i, cols j: <alpha_j, alpha_i^vee>
-_CARTAN = {
-    ("A", 1): ((2,),),
-    ("A", 2): ((2, -1), (-1, 2)),
-    ("A", 3): ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
-    ("A", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
-    ("B", 2): ((2, -2), (-1, 2)),
-    ("G", 2): ((2, -3), (-1, 2)),
-}
-
-# squared lengths of the simple roots, normalised so the short root has 2
-_NORMS = {
-    ("A", 1): (2,),
-    ("A", 2): (2, 2),
-    ("A", 3): (2, 2, 2),
-    ("A", 4): (2, 2, 2, 2),
-    ("B", 2): (2, 4),
-    ("G", 2): (2, 6),
-}
-
-_NUM_POSITIVE = {
-    ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
-    ("B", 2): 4, ("G", 2): 6,
+# The supported types, in order, each with its Cartan matrix (row i, column
+# j: <alpha_j, alpha_i^vee>), the squared lengths of its simple roots
+# normalised so the short root has 2, and two literals its enumerations are
+# checked against: the number of positive roots and |W|.
+_TYPES = {
+    ("A", 1): (((2,),), (2,), 1, 2),
+    ("A", 2): (((2, -1), (-1, 2)), (2, 2), 3, 6),
+    ("A", 3): (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (2, 2, 2), 6, 24),
+    ("A", 4): (((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+               (2, 2, 2, 2), 10, 120),
+    ("B", 2): (((2, -2), (-1, 2)), (2, 4), 4, 8),
+    ("G", 2): (((2, -3), (-1, 2)), (2, 6), 6, 12),
 }
 
 
@@ -61,10 +48,10 @@ class CartanType:
     rank: int
 
     def __post_init__(self):
-        if (self.family, self.rank) not in _SUPPORTED:
+        if (self.family, self.rank) not in _TYPES:
             raise UnsupportedType(
                 f"unsupported Cartan type {self.family}{self.rank}; "
-                f"supported: A1 A2 A3 A4 B2 G2"
+                f"supported: {' '.join(f + str(r) for f, r in _TYPES)}"
             )
 
     @classmethod
@@ -83,20 +70,21 @@ class CartanType:
         return (self.family, self.rank)
 
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return _CARTAN[self.key]
+        return _TYPES[self.key][0]
 
     @property
     def num_positive_roots(self) -> int:
-        return _NUM_POSITIVE[self.key]
+        return _TYPES[self.key][2]
+
+    @property
+    def weyl_group_order(self) -> int:
+        return _TYPES[self.key][3]
 
     def __str__(self):
         return self.name
 
 
-ALL_TYPES = tuple(
-    CartanType(f, r) for f, r in
-    (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("G", 2))
-)
+ALL_TYPES = tuple(CartanType(f, r) for f, r in _TYPES)
 
 
 @dataclass(frozen=True)
@@ -163,8 +151,7 @@ def _positive_roots(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def build_root_system(ct: CartanType) -> RootSystem:
     """Construct the root system; validates counts and the rank-2 convention."""
-    rank = ct.rank
-    norms = _NORMS[ct.key]
+    rank, cartan, norms = ct.rank, ct.cartan_matrix(), _TYPES[ct.key][1]
     pos = _positive_roots(ct)
     if len(pos) != ct.num_positive_roots:
         raise AssertionError(
@@ -176,8 +163,8 @@ def build_root_system(ct: CartanType) -> RootSystem:
         norm = Fraction(0)
         for i in range(rank):
             for j in range(rank):
-                # (alpha_i, alpha_j) in the normalisation fixed by _NORMS
-                aij = Fraction(_CARTAN[ct.key][i][j] * norms[i], 2)
+                # (alpha_i, alpha_j) in the normalisation fixed by norms
+                aij = Fraction(cartan[i][j] * norms[i], 2)
                 norm += gamma[i] * gamma[j] * aij
         row = []
         for i in range(rank):

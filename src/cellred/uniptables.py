@@ -33,7 +33,6 @@ class DataIntegrityFailure(ValueError):
 class UnipotentChar:
     label: str
     degree: IntPoly
-    ref: str
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         )
 
     unip = tuple(
-        UnipotentChar(
-            u["label"], _parse(ct, "unipotent", u["label"], u["degree"], refs),
-            u.get("ref", ""),
-        )
+        UnipotentChar(u["label"], _parse(ct, "unipotent", u["label"], u["degree"], refs))
         for u in raw["unipotent"]
     )
     labels = [u.label for u in unip]

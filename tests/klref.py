@@ -1,5 +1,6 @@
 """Reference computations that tests check the engine against.
 
+* :func:`from_array`: the polynomial held by one Laurent-array row.
 * :func:`mult`: the group product of two element indices.
 * :func:`bruhat_lower_set`: the Bruhat interval below w, from subwords.
 * :func:`h_pass`: the structure constants h_{x,y,z} on a left cone, by the
@@ -17,6 +18,11 @@ import numpy as np
 from cellred import klcells
 from cellred.coxeter import WeylGroup
 from cellred.poly import IntPoly, check_magnitude, check_window, window_offset
+
+
+def from_array(row: np.ndarray, off: int) -> IntPoly:
+    """The polynomial held by one Laurent-array row with offset ``off``."""
+    return IntPoly({k - off: int(c) for k, c in enumerate(row) if c})
 
 
 def mult(g: WeylGroup, a: int, b: int) -> int:
@@ -63,7 +69,7 @@ def h_row(kl: klcells.KLData, x: int, y: int) -> dict[int, IntPoly]:
     row = h_pass(g, kl.cs, np.arange(g.size), [y])[x, :, 0]
     off = window_offset(g.nu)
     return {
-        z: IntPoly.from_array(row[z], off)
+        z: from_array(row[z], off)
         for z in np.flatnonzero(row.any(axis=1)).tolist()
     }
 

@@ -5,8 +5,10 @@ criterion.  All comparisons are exact integer / exact rational equalities;
 there are no numeric tolerances anywhere.
 """
 
+import io
 import itertools
 import json
+from contextlib import redirect_stdout
 
 from cellred.audit import get_context
 from cellred.cli import main
@@ -154,13 +156,22 @@ def test_08_hecke_trace_consistency():
 
 
 def test_09_incidence_lab():
-    for p in (2, 3, 5, 7, 11):
+    primes = (2, 3, 5, 7, 11)
+    for p in primes:
         rep = kernel_analysis(build_incidence(p))
         want = p * (p + 1) // 2
         assert rep.dim_ker_tau == want
-        assert rep.dim_ker_tau_prime == want
         assert rep.ker_tau_eq_im_tau_prime
-        assert rep.ker_tau_prime_eq_im_tau
+    # tau' is tau: the command writes its facts from the same report
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["sl3"] + [a for p in primes for a in ("--p", str(p))]) == 0
+    results = json.loads(out.getvalue())["results"]
+    assert [r["p"] for r in results] == list(primes)
+    for p, r in zip(primes, results):
+        want = p * (p + 1) // 2
+        assert r["kernel"]["dim_ker_tau"] == r["kernel"]["dim_ker_tau_prime"] == want
+        assert r["kernel"]["ker_tau_eq_im_tau_prime"] is True
+        assert r["kernel"]["ker_tau_prime_eq_im_tau"] is True
     _ok(9, "kernel dimensions p(p+1)/2 and kernel/image identities for p in {2,3,5,7,11}")
 
 

@@ -10,6 +10,7 @@ from cellred.poly import IntPoly
 from cellred.rootdata import CartanType
 
 from conftest import TYPE_NAMES, char_value
+from klref import from_array
 
 
 @lru_cache(maxsize=None)
@@ -83,8 +84,8 @@ def test_one_dim_modules_forced():
     mods = {m.label: m for m in mod_list}
     # T_s acts by u on the trivial module and by -1 on the sign module;
     # the arrays hold Tt_s = v^-1 T_s with offset 1
-    assert IntPoly.from_array(mods["triv"].gens[0, 0, 0], 1) == IntPoly({1: 1})
-    assert IntPoly.from_array(mods["sign"].gens[1, 0, 0], 1) == IntPoly({-1: -1})
+    assert from_array(mods["triv"].gens[0, 0, 0], 1) == IntPoly({1: 1})
+    assert from_array(mods["sign"].gens[1, 0, 0], 1) == IntPoly({-1: -1})
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)

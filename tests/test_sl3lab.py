@@ -13,6 +13,7 @@ from cellred.sl3lab import (
     _PANEL,
     _cubic_pow,
     _group_ring_kernel,
+    _positions,
     _primitive_cubic,
     _projective_points,
     _reduce,
@@ -179,6 +180,24 @@ def test_projective_points_are_the_sorted_normal_forms(p):
     assert np.array_equal(points @ (p * p, p, 1), forms)
 
 
+@pytest.mark.parametrize("p", PRIMES_TO_31 + [97])
+def test_positions_are_the_closed_form_of_the_points(p):
+    points = _projective_points(p)
+    every = np.arange(len(points))
+    assert np.array_equal(_positions(points, p), every)
+    # every nonzero multiple c v lands on the position of v: each c for
+    # p <= 31, and seeded per-point multipliers at p = 97
+    rng = np.random.default_rng(p)
+    if p <= 31:
+        multipliers = [np.full(len(points), c) for c in range(1, p)]
+    else:
+        multipliers = [rng.integers(1, p, len(points)) for _ in range(20)]
+    for c in multipliers:
+        assert np.array_equal(_positions(points * c[:, None] % p, p), every)
+    with pytest.raises(AssertionError, match="^zero vector$"):
+        _positions(np.vstack([points[:2], np.zeros((1, 3), dtype=np.int64)]), p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 31, 97])
 def test_singer_field_is_the_powers_of_a_primitive_root(p):
     space = build_incidence(p)
@@ -210,16 +229,28 @@ def test_tau_preserves_sum_zero_functions(p):
     assert (maps.tau_prime.sum(axis=0) % p == 0).all()
 
 
+def sl3_result(p):
+    """Exit code and the one result of ``cellred sl3 --p p``."""
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["sl3", "--p", str(p)])
+    return code, json.loads(out.getvalue())["results"][0]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_kernel_dimensions_and_subspace_identities(p):
     rep = kernel_analysis(build_incidence(p))
     assert rep.dim_f1 == p * p + p
     want = p * (p + 1) // 2
     assert rep.dim_ker_tau == want
-    assert rep.dim_ker_tau_prime == want
-    assert rep.dim_ker_tau + rep.dim_ker_tau_prime == p * p + p
     assert rep.ker_tau_eq_im_tau_prime
-    assert rep.ker_tau_prime_eq_im_tau
+    # tau' is tau: the command writes its facts from the same report
+    code, result = sl3_result(p)
+    kernel = result["kernel"]
+    assert code == 0 and result["dim_f1"] == rep.dim_f1
+    assert kernel["dim_ker_tau"] == kernel["dim_ker_tau_prime"] == want
+    assert kernel["dim_ker_tau"] + kernel["dim_ker_tau_prime"] == p * p + p
+    assert kernel["ker_tau_eq_im_tau_prime"] is True
+    assert kernel["ker_tau_prime_eq_im_tau"] is True
 
 
 def sigma_swapped(D, pi, sigma):
@@ -280,9 +311,14 @@ def test_kernel_analysis_decides_identities_by_the_composite(monkeypatch, vanish
                         lambda sp: _group_ring_kernel(dataclasses.replace(sp, D=D)))
     rep = kernel_analysis(space)
     assert rep.dim_f1 == 12
-    assert rep.dim_ker_tau == rep.dim_ker_tau_prime == 6
+    assert rep.dim_ker_tau == 6
     assert rep.ker_tau_eq_im_tau_prime is vanishes
-    assert rep.ker_tau_prime_eq_im_tau is vanishes
+    code, result = sl3_result(3)
+    kernel = result["kernel"]
+    assert kernel["dim_ker_tau"] == kernel["dim_ker_tau_prime"] == 6
+    assert kernel["ker_tau_eq_im_tau_prime"] is vanishes
+    assert kernel["ker_tau_prime_eq_im_tau"] is vanishes
+    assert (code, result["ok"]) == ((0, True) if vanishes else (1, False))
 
 
 def circulant(n, D):
@@ -387,8 +423,7 @@ def test_equivariance_sample(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_equivariance_refuses_a_repeated_point(p):
-    # with a point listed twice no g permutes the points; at i = n - 1 an
-    # image also falls past the last key
+    # with a point listed twice no g permutes the points
     sp = build_incidence(p)
     for i in range(1, sp.n_points):
         points = sp.points.copy()
