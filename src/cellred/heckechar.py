@@ -293,8 +293,9 @@ def _match_label(table: WCharTable, traces: np.ndarray) -> str:
     )
 
 
-def _dihedral_gens(g: WeylGroup) -> dict[str, np.ndarray]:
-    """Explicit modules for B2/G2: label -> generator arrays.
+def _dihedral_gens(g: WeylGroup) -> list[np.ndarray]:
+    """Explicit modules for B2/G2, as generator arrays: the four
+    one-dimensional modules, then the 2-dimensional deformations.
 
     Each T_s is given as C + u U with integer matrices (C, U), so that
     Tt_s = v^-1 C + v U.
@@ -306,22 +307,16 @@ def _dihedral_gens(g: WeylGroup) -> dict[str, np.ndarray]:
         )
 
     u, mone = ([[0]], [[1]]), ([[-1]], [[0]])
-    out = {
-        "triv": tt(u, u),
-        "sign": tt(mone, mone),
-        "sgn1": tt(mone, u),
-        "sgn2": tt(u, mone),
-    }
+    out = [tt(u, u), tt(mone, mone), tt(mone, u), tt(u, mone)]
     # 2-dimensional deformations: T1 upper, T2 lower triangular, with
     # T2[1][0] = u * (2 + 2cos(2 pi k / m)), an integer for m = 4, 6.
     m = g.nu
     for k in range(1, m // 2):
         csq = 2 + _DIHEDRAL_COS[m][k % m]
-        lab = "refl" if k == 1 else f"refl{k}"
-        out[lab] = tt(
+        out.append(tt(
             ([[-1, 1], [0, 0]], [[0, 0], [0, 1]]),    # T1 = ((-1, 1), (0, u))
             ([[0, 0], [0, -1]], [[1, 0], [csq, 0]]),  # T2 = ((u, 0), (csq u, -1))
-        )
+        ))
     return out
 
 
@@ -329,30 +324,25 @@ def build_hecke_modules(
     g: WeylGroup, kl: KLData, cells: CellPartition, table: WCharTable
 ) -> tuple[HModule, ...]:
     """One verified H-module per irreducible W-character of ``table``."""
-    modules: dict[str, HModule] = {}
     if g.type.family == "A":
+        candidates = []
         for tc in cells.two_sided_cells:
             idx = next(c for c in cells.left_cells if c[0] in tc)
             # terms of c_s c_w outside the cell lie strictly below it in the
             # left preorder, so the slice is the action on the cell module
             gens = kl.cs[:, idx][:, :, idx]
             gens[:, range(len(idx)), range(len(idx)), 0] -= 1  # Tt_s = c_s - v^-1
-            _verify_module(g, gens)
-            traces = _trace_table(g, gens)
-            lab = _match_label(table, traces)
-            if lab in modules:
-                raise ConstructionIncomplete(f"two cells matched label {lab}")
-            modules[lab] = HModule(lab, len(idx), gens, traces)
+            candidates.append(gens)
     else:
-        for lab, gens in _dihedral_gens(g).items():
-            _verify_module(g, gens)
-            traces = _trace_table(g, gens)
-            found = _match_label(table, traces)
-            if found != lab:
-                raise ConstructionIncomplete(
-                    f"dihedral module {lab} matched character {found}"
-                )
-            modules[lab] = HModule(lab, gens.shape[1], gens, traces)
+        candidates = _dihedral_gens(g)
+    modules: dict[str, HModule] = {}
+    for gens in candidates:
+        _verify_module(g, gens)
+        traces = _trace_table(g, gens)
+        lab = _match_label(table, traces)
+        if lab in modules:
+            raise ConstructionIncomplete(f"two modules matched label {lab}")
+        modules[lab] = HModule(lab, gens.shape[1], gens, traces)
     if set(modules) != set(table.labels):
         missing = set(table.labels) - set(modules)
         raise ConstructionIncomplete(f"missing modules for {sorted(missing)}")

@@ -41,6 +41,10 @@ gamma[d,z,z] is nonzero.  From the h's:
   stored as its nonzero entries (``GammaEntries``): int64 arrays x, y, z and
   value, sorted by (x, y, z).  Only ``KLData.gamma_tensor`` builds n^3 arrays.
 
+:func:`j_ring` checks that these constants are associative by joining the
+entries with themselves in Python ints: exact with no magnitude bound, and
+no dense block of any cell is formed.
+
 The support of ``cs`` generates the left preorder (c_z occurs in c_s c_y).
 Left cells are its strong components, right cells those of its mirror
 through inversion, and two-sided cells those of the union of the two.
@@ -48,6 +52,7 @@ through inversion, and two-sided cells those of the union of the two.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -378,15 +383,17 @@ def j_ring(kl: KLData, cells: CellPartition) -> GammaEntries:
     """The nonzero constants of the asymptotic ring t_x t_y = sum_z
     gamma[x,y,z] t_z, once their support and associativity are verified.
 
-    Support is checked first (gamma vanishes unless x, y, z share a two-sided
-    cell), which makes the exhaustive associativity check decompose into
-    blocks, one per two-sided cell, each checked over chunks of x.  The pass
-    that found the entries pairs only y ~_L z, so y and z share a cell and
-    an a-value by construction; the checks stay for x, which the pass does
-    not restrict, and for entries that did not come from the pass.
+    Support is checked first: gamma vanishes unless x, y, z share a
+    two-sided cell and an a-value.  The pass that found the entries pairs
+    only y ~_L z, so y and z share both by construction; the checks stay for
+    x, which the pass does not restrict, and for entries that did not come
+    from the pass.  Associativity is checked exactly, in Python ints, by
+    joining the entries with themselves: each entry (x, y, w, c) meets the
+    entries (w, u, z, d) in (t_x t_y) t_u and the entries (x', w, z, d) in
+    t_x' (t_x t_y), and the two sides must agree on every (x, y, u, z).
     """
     g = kl.group
-    xs, ys, zs, vals = gamma = kl._top[1]
+    xs, ys, zs, _ = gamma = kl._top[1]
     cell_id = np.zeros(g.size, dtype=np.int64)
     for k, idx in enumerate(cells.two_sided_cells):
         cell_id[list(idx)] = k
@@ -397,23 +404,21 @@ def j_ring(kl: KLData, cells: CellPartition) -> GammaEntries:
     if not (np.array_equal(a[xs], a[ys]) and np.array_equal(a[xs], a[zs])):
         raise AssociativityFailure("gamma support mixes a-values")
 
-    gmax = int(np.abs(vals).max(initial=0))
-    for k, idx in enumerate(cells.two_sided_cells):
-        d = len(idx)
-        # float64 BLAS is exact below the guard and much faster than int64
-        check_magnitude(d * max(gmax, 1) ** 2, "gamma")
-        mine = cell_id[xs] == k
-        sub = np.zeros((d, d, d))
-        sub[tuple(np.searchsorted(idx, v[mine]) for v in (xs, ys, zs))] = vals[mine]
-        step = max(1, (1 << 18) // d**3)  # x per chunk: 2 MB per product
-        for x0 in range(0, d, step):
-            part = sub[x0:x0 + step]  # (t_x t_y) t_w against t_x (t_y t_w)
-            lhs = np.tensordot(part, sub, axes=(2, 0))
-            rhs = np.tensordot(sub, part, axes=(2, 1)).transpose(2, 0, 1, 3)
-            if not np.array_equal(lhs, rhs):
-                raise AssociativityFailure(
-                    f"associativity fails on the cell of {g.word(idx[0])}"
-                )
+    rows = list(zip(*(v.tolist() for v in gamma)))
+    by_first, by_second = defaultdict(list), defaultdict(list)
+    for row in rows:
+        by_first[row[0]].append(row)
+        by_second[row[1]].append(row)
+    diff = defaultdict(int)  # (x, y, u, z): (t_x t_y) t_u - t_x (t_y t_u) at t_z
+    for x, y, w, c in rows:
+        for _, u, z, d in by_first[w]:
+            diff[x, y, u, z] += c * d
+        for x2, _, z, d in by_second[w]:
+            diff[x2, x, y, z] -= c * d
+    bad = min((key for key, value in diff.items() if value), default=None)
+    if bad is not None:
+        first = cells.two_sided_cells[cell_id[bad[0]]][0]
+        raise AssociativityFailure(f"associativity fails on the cell of {g.word(first)}")
     return gamma
 
 

@@ -318,8 +318,8 @@ def reverse_at(nu: int, f: IntPoly) -> IntPoly:
 # Laurent arrays: int64 coefficient windows over a stated offset
 # ---------------------------------------------------------------------------
 
-# Every integer a bulk step forms stays below this bound: far inside int64,
-# and inside the 2**53 up to which float64 holds integers exactly.
+# Every integer an int64 bulk step forms stays below this bound, far inside
+# int64, so that no step overflows silently.
 MAGNITUDE_GUARD = 2 ** 50
 
 

@@ -2,9 +2,9 @@
 
 Supported Cartan types are exactly A1, A2, A3, A4, B2, G2.  Weights are
 always written in fundamental-weight coordinates (the integers ``n_i`` of
-``lambda = sum n_i w_i``); roots always in simple-root coordinates.  The
-pairing matrix ``<w_i, alpha^vee>`` over the positive roots mediates between
-the two, so no inner product ever appears explicitly.
+``lambda = sum n_i w_i``); coroots in simple-coroot coordinates, which are
+their pairings ``<w_i, alpha^vee>`` with the fundamental weights, so no
+inner product or root length ever appears.
 
 The index convention for the non-simply-laced types (which simple root is
 short) is pinned by the closed-form dimension polynomials for rank-2 types:
@@ -15,7 +15,6 @@ system that disagrees.  For B2 and G2 the first simple root is the short one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -28,17 +27,15 @@ class NonDominantWeight(ValueError):
 
 
 # The supported types, in order, each with its Cartan matrix (row i, column
-# j: <alpha_j, alpha_i^vee>), the squared lengths of its simple roots
-# normalised so the short root has 2, and two literals its enumerations are
-# checked against: the number of positive roots and |W|.
+# j: <alpha_j, alpha_i^vee>) and two literals its enumerations are checked
+# against: the number of positive roots and |W|.
 _TYPES = {
-    ("A", 1): (((2,),), (2,), 1, 2),
-    ("A", 2): (((2, -1), (-1, 2)), (2, 2), 3, 6),
-    ("A", 3): (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (2, 2, 2), 6, 24),
-    ("A", 4): (((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
-               (2, 2, 2, 2), 10, 120),
-    ("B", 2): (((2, -2), (-1, 2)), (2, 4), 4, 8),
-    ("G", 2): (((2, -3), (-1, 2)), (2, 6), 6, 12),
+    ("A", 1): (((2,),), 1, 2),
+    ("A", 2): (((2, -1), (-1, 2)), 3, 6),
+    ("A", 3): (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), 6, 24),
+    ("A", 4): (((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 10, 120),
+    ("B", 2): (((2, -2), (-1, 2)), 4, 8),
+    ("G", 2): (((2, -3), (-1, 2)), 6, 12),
 }
 
 
@@ -74,11 +71,11 @@ class CartanType:
 
     @property
     def num_positive_roots(self) -> int:
-        return _TYPES[self.key][2]
+        return _TYPES[self.key][1]
 
     @property
     def weyl_group_order(self) -> int:
-        return _TYPES[self.key][3]
+        return _TYPES[self.key][2]
 
     def __str__(self):
         return self.name
@@ -109,25 +106,25 @@ class Weight:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Positive-root data for one Cartan type.
+    """Positive-coroot data for one Cartan type.
 
     ``coroot_pairings[k][i]`` is ``<w_i, alpha_k^vee>`` for the k-th positive
-    root, so ``<lambda, alpha_k^vee> = sum_i n_i * coroot_pairings[k][i]``.
+    coroot, its i-th coordinate in simple coroots, so
+    ``<lambda, alpha_k^vee> = sum_i n_i * coroot_pairings[k][i]``.
     ``weyl_vector_pairings[k]`` is the same pairing against the sum of the
     fundamental weights.
     """
 
     type: CartanType
-    positive_roots: tuple[tuple[int, ...], ...]
     coroot_pairings: tuple[tuple[int, ...], ...]
     weyl_vector_pairings: tuple[int, ...]
 
 
-def _positive_roots(ct: CartanType) -> tuple[tuple[int, ...], ...]:
+def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     # Orbit of the simple roots under all simple reflections, intersected
-    # with the positive cone.  Small ranks, so brute closure is fine.
-    cartan = ct.cartan_matrix()
-    rank = ct.rank
+    # with the positive cone, in simple-root coordinates.  Small ranks, so
+    # brute closure is fine.
+    rank = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen = set(simple)
     frontier = list(simple)
@@ -150,35 +147,18 @@ def _positive_roots(ct: CartanType) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def build_root_system(ct: CartanType) -> RootSystem:
-    """Construct the root system; validates counts and the rank-2 convention."""
-    rank, cartan, norms = ct.rank, ct.cartan_matrix(), _TYPES[ct.key][1]
-    pos = _positive_roots(ct)
-    if len(pos) != ct.num_positive_roots:
+    """Construct the root system; validates counts and the rank-2 convention.
+
+    The positive coroots, in simple-coroot coordinates, are the positive
+    roots of the transposed Cartan matrix, and their coordinates are the
+    pairings with the fundamental weights.
+    """
+    coroots = _positive_roots(tuple(zip(*ct.cartan_matrix())))
+    if len(coroots) != ct.num_positive_roots:
         raise AssertionError(
-            f"{ct}: found {len(pos)} positive roots, expected {ct.num_positive_roots}"
+            f"{ct}: found {len(coroots)} positive roots, expected {ct.num_positive_roots}"
         )
-
-    pairings = []
-    for gamma in pos:
-        norm = Fraction(0)
-        for i in range(rank):
-            for j in range(rank):
-                # (alpha_i, alpha_j) in the normalisation fixed by norms
-                aij = Fraction(cartan[i][j] * norms[i], 2)
-                norm += gamma[i] * gamma[j] * aij
-        row = []
-        for i in range(rank):
-            c = Fraction(gamma[i] * norms[i], 1) / norm
-            if c.denominator != 1:
-                raise AssertionError(f"{ct}: non-integral coroot coordinate")
-            row.append(int(c))
-        pairings.append(tuple(row))
-    rho = tuple(sum(row) for row in pairings)
-
-    rs = RootSystem(ct, pos, tuple(pairings), rho)
-    for k, gamma in enumerate(pos):
-        if sum(gamma) == 1 and rho[k] != 1:
-            raise AssertionError(f"{ct}: <rho, alpha_i^vee> != 1 on a simple root")
+    rs = RootSystem(ct, coroots, tuple(sum(row) for row in coroots))
     _self_test_closed_forms(rs)
     return rs
 

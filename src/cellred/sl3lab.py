@@ -313,10 +313,6 @@ def _positions(v: np.ndarray, p: int) -> np.ndarray:
     return np.where(x == 1, 1 + p + p * y + z, y * (1 + z))  # x = 0: y is 0 or 1
 
 
-def _cross(a: list[int], b: list[int]) -> list[int]:
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
 def _is_permutation(a: np.ndarray) -> bool:
     return np.array_equal(np.sort(a), np.arange(a.size))
 
@@ -432,15 +428,15 @@ def equivariance_spot_check(space: IncidenceSpace) -> bool:
 
     def image(m):
         """Positions of the images m v of the points."""
-        return _positions((points @ np.array(m, dtype=np.int64).T) % p, p)
+        return _positions((points @ m.T) % p, p)
 
     done = 0
     while done < EQUIVARIANCE_SAMPLES:
-        m = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+        m = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(3)], dtype=np.int64)
         # the cofactor rows, det(m) m^-T: projectively m^-T, which is all
         # the normal forms see
-        cof = [_cross(m[(i + 1) % 3], m[(i + 2) % 3]) for i in range(3)]
-        if sum(x * c for x, c in zip(m[0], cof[0])) % p == 0:
+        cof = np.cross(m[[1, 2, 0]], m[[2, 0, 1]])
+        if m[0] @ cof[0] % p == 0:
             continue
         done += 1
         ip, il = image(cof), image(m)

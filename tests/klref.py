@@ -9,6 +9,8 @@
 * :func:`cone_top`: a per element and the nonzero gamma entries from one
   :func:`h_pass` per left cell on that cell's cone, the merge of the cells
   taken at the highest slot per z.  ``klcells._compute_top`` must agree.
+* :func:`dense_associative`: associativity of gamma from one dense block
+  per two-sided cell, the form ``klcells.j_ring`` must agree with.
 """
 
 from __future__ import annotations
@@ -108,3 +110,19 @@ def cone_top(g: WeylGroup, cs: np.ndarray) -> tuple[tuple[int, ...], klcells.Gam
     order = np.lexsort((z[keep], y[keep], x[keep]))
     a = top - off
     return tuple(int(v) for v in a), tuple(v[keep][order] for v in (x, y, z, value))
+
+
+def dense_associative(gamma: klcells.GammaEntries, two_sided_cells: klcells.Cells) -> bool:
+    """Whether the constants ``gamma``, supported in ``two_sided_cells``, are
+    associative: per cell of d elements, the d^3 int64 block of gamma and the
+    products (t_x t_y) t_u and t_x (t_y t_u) as two whole ``tensordot``s."""
+    xs, ys, zs, vals = gamma
+    for idx in two_sided_cells:
+        mine = np.isin(xs, idx)
+        sub = np.zeros((len(idx),) * 3, dtype=np.int64)
+        sub[tuple(np.searchsorted(idx, v[mine]) for v in (xs, ys, zs))] = vals[mine]
+        lhs = np.tensordot(sub, sub, axes=(2, 0))
+        rhs = np.tensordot(sub, sub, axes=(2, 1)).transpose(2, 0, 1, 3)
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True

@@ -175,13 +175,14 @@ def test_a4_row_support_is_flagged_derived(ctx):
     assert used == set(c.leading.labels)
 
 
-def _b2_with(monkeypatch, label, gen, slot, value):
-    """B2 modules with one entry of one generator array replaced."""
+def _b2_with(monkeypatch, module, gen, slot, value):
+    """B2 modules with one entry of one generator array replaced; ``module``
+    is a position in ``_dihedral_gens``: 0 the trivial, 4 the reflection."""
     dihedral = heckechar._dihedral_gens
 
     def patched(g):
         out = dihedral(g)
-        out[label][(gen,) + slot] = value
+        out[module][(gen,) + slot] = value
         return out
 
     monkeypatch.setattr(heckechar, "_dihedral_gens", patched)
@@ -190,14 +191,14 @@ def _b2_with(monkeypatch, label, gen, slot, value):
 
 
 def test_quadratic_relation_guard_raises(monkeypatch):
-    build = _b2_with(monkeypatch, "triv", 0, (0, 0, 2), 2)  # T_1 = 2u
+    build = _b2_with(monkeypatch, 0, 0, (0, 0, 2), 2)  # T_1 = 2u
     with pytest.raises(heckechar.ConstructionIncomplete, match="quadratic relation fails"):
         build()
 
 
 def test_braid_relation_guard_raises(monkeypatch):
     # T_2[1][0] = 3u keeps the quadratic relation but breaks (T1 T2)^2 = (T2 T1)^2
-    build = _b2_with(monkeypatch, "refl", 1, (1, 0, 2), 3)
+    build = _b2_with(monkeypatch, 4, 1, (1, 0, 2), 3)
     with pytest.raises(heckechar.ConstructionIncomplete, match="braid relation fails"):
         build()
 

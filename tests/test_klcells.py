@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from cellred.poly import IntPoly, laurent_matmul
 from cellred.rootdata import CartanType
 
 from conftest import TYPE_NAMES
-from klref import bruhat_lower_set, cone_top, h_pass, h_row, left_cones, mult
+from klref import (
+    bruhat_lower_set, cone_top, dense_associative, h_pass, h_row, left_cones, mult,
+)
 
 
 def test_group_too_large_guard(monkeypatch):
@@ -278,7 +281,7 @@ def test_gamma_support_stays_in_cells(name, ctx):
 
 @pytest.mark.parametrize("name", ("A1", "A2", "B2"))
 def test_associativity_brute_force(name, ctx):
-    # independent of the blocked tensor check inside j_ring
+    # independent of the join inside j_ring
     c = ctx(name)
     g = c.group
 
@@ -563,8 +566,6 @@ def test_magnitude_guards_raise(monkeypatch):
     monkeypatch.setattr(poly, "MAGNITUDE_GUARD", 2)
     with pytest.raises(AssertionError, match="structure-constant magnitude guard tripped"):
         compute_kl(g).a_values
-    with pytest.raises(AssertionError, match="gamma magnitude guard tripped"):
-        klcells.j_ring(kl, cells)
     with pytest.raises(AssertionError, match="centrality magnitude guard tripped"):
         is_central(g, gamma, {g.parse_word("1"): 2})
 
@@ -605,8 +606,7 @@ def test_j_ring_refuses_gamma_that_joins_two_cells(monkeypatch, merge, message):
 
 @pytest.mark.parametrize("name", TYPE_NAMES[1:])  # A1's cells have one element
 def test_j_ring_refuses_one_changed_value(monkeypatch, name):
-    # the last entry of the largest cell: on A4 (36 elements) its x lies in
-    # the last chunk of the associativity check
+    # the last entry of the largest cell (36 elements on A4)
     g = generate(CartanType.parse(name))
     cells = klcells.compute_cells(compute_kl(g))
     largest = max(cells.two_sided_cells, key=len)
@@ -624,10 +624,10 @@ def test_j_ring_refuses_one_changed_value(monkeypatch, name):
         klcells.j_ring(kl, cells)
 
 
-def test_j_ring_checks_every_chunk_of_x(monkeypatch):
+def test_j_ring_finds_a_fault_in_one_triple(monkeypatch):
     # gamma reduced to t_b t_a = t_b for the first a and last b of A4's
     # 36-element cell: (t_b t_a) t_a = t_b but t_b (t_a t_a) = 0, and no other
-    # triple differs, so only the chunk that holds x = b can see the fault
+    # triple differs
     g = generate(CartanType.parse("A4"))
     cells = klcells.compute_cells(compute_kl(g))
     largest = max(cells.two_sided_cells, key=len)
@@ -640,6 +640,43 @@ def test_j_ring_checks_every_chunk_of_x(monkeypatch):
     with pytest.raises(klcells.AssociativityFailure,
                        match=f"associativity fails on the cell of {g.word(a)}$"):
         klcells.j_ring(compute_kl(g), cells)
+
+
+def single_changes(n_entries, sample):
+    """Every (entry, +-1) change, or ``sample`` of them drawn with a fixed seed."""
+    changes = [(i, delta) for i in range(n_entries) for delta in (1, -1)]
+    return changes if sample is None else random.Random(18).sample(changes, sample)
+
+
+@pytest.mark.parametrize("name, sample", [
+    ("A1", None), ("A2", None), ("A3", None), ("B2", None), ("G2", None), ("A4", 5),
+])
+def test_j_ring_refuses_exactly_what_the_dense_check_refuses(monkeypatch, ctx, name, sample):
+    # the clean entries, then each single-entry change: j_ring raises iff the
+    # dense per-cell reference finds the changed constants non-associative
+    c = ctx(name)
+    g, two_sided = c.group, c.cells.two_sided_cells
+    entries = c.kl._top[1]
+    held = [entries]
+    monkeypatch.setattr(klcells, "_compute_top", lambda *args: (c.kl.a_values, held[0]))
+
+    def refusal(gamma):
+        held[0] = gamma
+        try:
+            klcells.j_ring(dataclasses.replace(c.kl), c.cells)
+        except klcells.AssociativityFailure as exc:
+            return str(exc)
+        return None
+
+    assert dense_associative(entries, two_sided) and refusal(entries) is None
+    for i, delta in single_changes(len(entries[0]), sample):
+        value = entries[3].copy()
+        value[i] += delta
+        changed = entries[:3] + (value,)
+        first = next(tc[0] for tc in two_sided if entries[0][i] in tc)
+        expected = None if dense_associative(changed, two_sided) else (
+            f"associativity fails on the cell of {g.word(first)}")
+        assert refusal(changed) == expected, (i, delta)
 
 
 def test_kl_degree_bound_guard_raises(monkeypatch):

@@ -34,9 +34,9 @@ def test_unsupported_types_rejected():
 @pytest.mark.parametrize("name,count", sorted(POSITIVE_COUNTS.items()))
 def test_positive_root_counts(name, count):
     rs = build_root_system(CartanType.parse(name))
-    assert len(rs.positive_roots) == count
-    # simple roots pair to 1 against the Weyl vector
-    for gamma, rho in zip(rs.positive_roots, rs.weyl_vector_pairings):
+    assert len(rs.coroot_pairings) == count
+    # simple coroots pair to 1 against the Weyl vector
+    for gamma, rho in zip(rs.coroot_pairings, rs.weyl_vector_pairings):
         if sum(gamma) == 1:
             assert rho == 1
 
