@@ -37,6 +37,9 @@ def commands() -> list[list[str]]:
     for p in ("31", "61", "97"):  # where the Singer rank does most of its work
         out.append(["sl3", "--p", p])
     out.append(["sl3", "--orbits", "--p", "97"])  # 1488 orbit entries
+    # the other accepted primes in one command; p = 89 tries the most cubics
+    rest = (13, 17, 19, 23, 29, 37, 41, 43, 47, 53, 59, 67, 71, 73, 79, 83, 89)
+    out.append(["sl3", *(arg for p in rest for arg in ("--p", str(p)))])
     return out
 
 
