@@ -42,22 +42,22 @@ def _write_output(text: str, path: str | None) -> None:
             sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cellred-")
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from exc
     umask = os.umask(0)
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cellred-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file as 0600
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # a missing directory, a directory as path, ...
+            raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 

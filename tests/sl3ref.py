@@ -4,7 +4,9 @@ The incidence of PG(2, p) from all n^2 dot products of normal forms, and
 the test whether tau o tau' vanishes by one exact float64 GEMM.  Each n x n
 array is O(p^4), so these stay here, off every ``cellred sl3`` path.  The
 rank of tau as n - deg gcd((x - 1) a(x), x^n - 1), by Euclid over F_p in
-O(n^2), against which the zero count of the lab is checked.
+O(n^2), against which the zero count of the lab is checked.  The first
+primitive cubic over F_p by the order of its root, from the primes of
+p^3 - 1, against which the Singer field of the lab is checked.
 """
 
 from __future__ import annotations
@@ -63,3 +65,56 @@ def euclid_rank(n: int, D: np.ndarray, p: int) -> int:
     modulus = np.zeros(n + 1, dtype=np.int64)
     modulus[[0, n]] = (p - 1, 1)  # x^n - 1
     return n - _gcd_degree(modulus, shifted, p)
+
+
+def cubic_pow(f: tuple[int, int, int], e: int, p: int) -> tuple[int, ...]:
+    """x**e in F_p[x]/(x^3 + f2 x^2 + f1 x + f0), as coefficients on 1, x, x^2."""
+
+    def mul(u, v):
+        r = [0] * 5
+        for i in range(3):
+            for j in range(3):
+                r[i + j] += u[i] * v[j]
+        for k in (4, 3):  # x^3 = -(f0 + f1 x + f2 x^2)
+            c, r[k] = r[k], 0
+            for i in range(3):
+                r[k - 3 + i] -= c * f[i]
+        return tuple(c % p for c in r[:3])
+
+    out, base = (1, 0, 0), (0, 1, 0)
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        e >>= 1
+    return out
+
+
+def _prime_factors(m: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out + [m] if m > 1 else out
+
+
+def first_primitive_cubic(p: int) -> tuple[int, int, int]:
+    """(f0, f1, f2) of the first monic cubic x^3 + f2 x^2 + f1 x + f0 over
+    F_p, in the order f2, f1, then g = -f0 over 1..p-1, whose root x has
+    order p^3 - 1: x^(p^3 - 1) = 1 and x^((p^3 - 1)/q) != 1 for each prime
+    q of p^3 - 1."""
+    order = p ** 3 - 1
+    qs = _prime_factors(order)
+    one = (1, 0, 0)
+    for f2 in range(p):
+        for f1 in range(p):
+            for g in range(1, p):
+                f = (-g % p, f1, f2)
+                if cubic_pow(f, order, p) == one and all(
+                    cubic_pow(f, order // q, p) != one for q in qs
+                ):
+                    return f
+    raise AssertionError(f"no primitive cubic over F_{p}")

@@ -45,6 +45,7 @@ def assert_usage_error(capsys, *argv):
     assert code == 2
     assert out == ""
     assert err.startswith("cellred: ")
+    return err
 
 
 def test_audit_unsupported_type_is_usage_error(capsys):
@@ -82,8 +83,17 @@ def test_audit_output_file_mode_follows_umask(tmp_path, capsys, umask, mode):
 
 def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "report.json"
-    assert_usage_error(capsys, "audit", "--type", "A1", "-o", str(target))
+    err = assert_usage_error(capsys, "audit", "--type", "A1", "-o", str(target))
+    assert "cannot write" in err
     assert list(tmp_path.iterdir()) == []
+    # a path naming a directory: the temporary file is written next to it
+    # and cannot replace it
+    target = tmp_path / "report.json"
+    target.mkdir()
+    err = assert_usage_error(capsys, "audit", "--type", "A1", "-o", str(target))
+    assert "cannot write" in err and "Is a directory" in err
+    assert list(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_corrupt_data_file_fails_only_its_type(data_copy, capsys):

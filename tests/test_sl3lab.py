@@ -11,12 +11,12 @@ from cellred import sl3lab
 from cellred.cli import main
 from cellred.sl3lab import (
     _PANEL,
-    _cubic_pow,
+    _check_prime,
     _group_ring_kernel,
     _positions,
-    _primitive_cubic,
     _projective_points,
     _reduce,
+    _singer_field,
     _singer_labelling,
     NotPrime,
     TooLarge,
@@ -28,7 +28,14 @@ from cellred.sl3lab import (
     tau_maps,
 )
 
-from sl3ref import composite_is_zero, dense_incidence, dense_tau, euclid_rank
+from sl3ref import (
+    composite_is_zero,
+    cubic_pow,
+    dense_incidence,
+    dense_tau,
+    euclid_rank,
+    first_primitive_cubic,
+)
 
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 PRIMES_TO_97 = PRIMES_TO_31 + [37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -42,6 +49,18 @@ def test_prime_checks():
         build_incidence(9)
     with pytest.raises(TooLarge):
         build_incidence(101)
+    # trial division against a sieve, squares of primes included
+    sieve = [False, False] + [True] * 120  # 0..121
+    for d in range(2, 12):
+        sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert not any(sieve[k] for k in (4, 9, 25, 49, 121))
+    assert sum(sieve) == 30
+    for k in range(-2, 122):
+        if k >= 0 and sieve[k]:
+            _check_prime(k)
+        else:
+            with pytest.raises(NotPrime, match=f"^{k} is not prime$"):
+                _check_prime(k)
 
 
 def test_fano_plane():
@@ -198,24 +217,27 @@ def test_positions_are_the_closed_form_of_the_points(p):
         _positions(np.vstack([points[:2], np.zeros((1, 3), dtype=np.int64)]), p)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 31, 97])
+@pytest.mark.parametrize("p", PRIMES_TO_97)
 def test_singer_field_is_the_powers_of_a_primitive_root(p):
+    # the first cubic whose root has order p^3 - 1, found with no filter on
+    # the norm, is the one the walk accepts
     space = build_incidence(p)
     n = space.n_points
-    f = _primitive_cubic(p)
+    f = first_primitive_cubic(p)
+    assert space.norm == -f[0] % p
     assert space.powers.shape == (n, 3)
     rng = np.random.default_rng(p)
     for i in [0, 1, 2, 3, n - 1, *rng.integers(0, n, 20)]:
-        assert tuple(space.powers[i]) == _cubic_pow(f, int(i), p), i
-    assert _cubic_pow(f, n, p) == (space.norm, 0, 0)
+        assert tuple(space.powers[i]) == cubic_pow(f, int(i), p), i
+    assert cubic_pow(f, n, p) == (space.norm, 0, 0)
     # the norm generates F_p^*
     assert sorted(pow(space.norm, i, p) for i in range(p - 1)) == list(range(1, p))
 
 
 def test_sl3_builds_each_singer_field_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(sl3lab, "_primitive_cubic",
-                        lambda p: calls.append(p) or _primitive_cubic(p))
+    monkeypatch.setattr(sl3lab, "_singer_field",
+                        lambda p: calls.append(p) or _singer_field(p))
     with redirect_stdout(io.StringIO()):
         assert main(["sl3", "--p", "7", "--p", "11"]) == 0
     assert calls == [7, 11]
