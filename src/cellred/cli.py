@@ -10,11 +10,15 @@ Output is deterministic for fixed flags: no timestamps, stable ordering.
 Reports are written atomically when an output path is given, with mode 0666
 less the umask, as a plain ``open`` would create them.  Exit status is 0 iff
 every executed check passed (skips allowed), 1 if a check failed, 2 on usage
-errors (the message goes to stderr), and 3 if an audit row records an
-internal error: a check that crashed, or a context stage it read that
-raised, such as a type whose data could not be loaded.  A reader that
-closes stdout early ends the command with status 141 (128 + SIGPIPE) and
-nothing on stderr.
+errors (the message goes to stderr), and 3 on an internal failure reported
+in place of a traceback: for ``audit``, a row records a check that crashed
+or a context stage it read that raised, such as a type whose data could not
+be loaded; for ``sl3``, a prime's entry is ``{"p", "ok": false, "error":
+"<stage>: <Class>: <message>"}``, naming the sl3lab stage that raised, and
+the other primes are reported as usual; for ``tables dump``, a data file
+that fails its checks prints ``cellred: <label>`` on stderr and nothing on
+stdout.  A reader that closes stdout early ends the command with status 141
+(128 + SIGPIPE) and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import tempfile
 
 from . import audit, sl3lab, weylmod
 from .rootdata import ALL_TYPES, CartanType, UnsupportedType
+from .uniptables import DataIntegrityFailure
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11)
 
@@ -76,56 +81,78 @@ def _cmd_audit(args) -> int:
     return 1 if any(r.failed for r in reports) else 0
 
 
+class _StageFailure(Exception):
+    """An sl3lab stage raised; the message is ``<stage>: <Class>: <message>``."""
+
+
+def _sl3_stage(name: str, arg):
+    """``sl3lab.<name>(arg)``, with any failure but a usage error re-raised
+    as a _StageFailure that names the stage."""
+    try:
+        return getattr(sl3lab, name)(arg)
+    except _USAGE_ERRORS:
+        raise
+    except Exception as exc:
+        raise _StageFailure(f"{name}: {type(exc).__name__}: {exc}") from exc
+
+
+def _sl3_entry(p: int, orbits: bool) -> dict:
+    space = _sl3_stage("build_incidence", p)
+    rep = _sl3_stage("kernel_analysis", space)
+    want = p * (p + 1) // 2
+    entry = {
+        "p": p,
+        "lines": space.n_points,
+        "planes": space.n_points,
+        "dim_f1": rep.dim_f1,
+        "kernel": {  # tau' is tau, so each fact of tau' is written from tau's
+            "dim_ker_tau": rep.dim_ker_tau,
+            "dim_ker_tau_prime": rep.dim_ker_tau,
+            "expected_dim": want,
+            "ker_tau_eq_im_tau_prime": rep.ker_tau_eq_im_tau_prime,
+            "ker_tau_prime_eq_im_tau": rep.ker_tau_eq_im_tau_prime,
+        },
+        "equivariance_sample_ok": _sl3_stage("equivariance_spot_check", space),
+    }
+    entry_ok = (
+        rep.dim_ker_tau == want
+        and rep.ker_tau_eq_im_tau_prime
+        and entry["equivariance_sample_ok"]
+    )
+    if orbits:
+        if p < 5:
+            entry["orbits"] = None
+            entry["orbits_note"] = "principal-series check needs p >= 5"
+        else:
+            ps = _sl3_stage("principal_series_check", p)
+            entry["orbits"] = [
+                {
+                    "rep": list(o.rep),
+                    "lifts": [list(z) for z in o.lifts],
+                    "dims": list(o.dims),
+                    "total": o.total,
+                    "expected": o.expected,
+                    "ok": o.ok,
+                }
+                for o in ps.orbits
+            ]
+            entry_ok = entry_ok and ps.all_ok
+    entry["ok"] = entry_ok
+    return entry
+
+
 def _cmd_sl3(args) -> int:
     primes = tuple(args.p) if args.p else DEFAULT_PRIMES
     results = []
-    ok = True
     for p in primes:
-        space = sl3lab.build_incidence(p)
-        rep = sl3lab.kernel_analysis(space)
-        want = p * (p + 1) // 2
-        entry = {
-            "p": p,
-            "lines": space.n_points,
-            "planes": space.n_points,
-            "dim_f1": rep.dim_f1,
-            "kernel": {  # tau' is tau, so each fact of tau' is written from tau's
-                "dim_ker_tau": rep.dim_ker_tau,
-                "dim_ker_tau_prime": rep.dim_ker_tau,
-                "expected_dim": want,
-                "ker_tau_eq_im_tau_prime": rep.ker_tau_eq_im_tau_prime,
-                "ker_tau_prime_eq_im_tau": rep.ker_tau_eq_im_tau_prime,
-            },
-            "equivariance_sample_ok": sl3lab.equivariance_spot_check(space),
-        }
-        entry_ok = (
-            rep.dim_ker_tau == want
-            and rep.ker_tau_eq_im_tau_prime
-            and entry["equivariance_sample_ok"]
-        )
-        if args.orbits:
-            if p < 5:
-                entry["orbits"] = None
-                entry["orbits_note"] = "principal-series check needs p >= 5"
-            else:
-                ps = sl3lab.principal_series_check(p)
-                entry["orbits"] = [
-                    {
-                        "rep": list(o.rep),
-                        "lifts": [list(z) for z in o.lifts],
-                        "dims": list(o.dims),
-                        "total": o.total,
-                        "expected": o.expected,
-                        "ok": o.ok,
-                    }
-                    for o in ps.orbits
-                ]
-                entry_ok = entry_ok and ps.all_ok
-        entry["ok"] = entry_ok
-        ok = ok and entry_ok
-        results.append(entry)
+        try:
+            results.append(_sl3_entry(p, args.orbits))
+        except _StageFailure as exc:
+            results.append({"p": p, "ok": False, "error": str(exc)})
     _write_output(json.dumps({"results": results}, indent=2), args.output)
-    return 0 if ok else 1
+    if any("error" in entry for entry in results):
+        return 3
+    return 0 if all(entry["ok"] for entry in results) else 1
 
 
 def _dump_klpoly(ctx: audit.TypeContext) -> dict:
@@ -198,7 +225,11 @@ _DUMPERS = {
 
 def _cmd_tables(args) -> int:
     ct = CartanType.parse(args.type)
-    payload = _DUMPERS[args.what](audit.get_context(ct))
+    try:
+        payload = _DUMPERS[args.what](audit.get_context(ct))
+    except DataIntegrityFailure as exc:  # labelled with its file and table
+        print(f"cellred: {exc}", file=sys.stderr)
+        return 3
     _write_output(json.dumps(payload, indent=2), args.output)
     return 0
 

@@ -44,23 +44,24 @@ F_p[x]/(x^n - 1), a count over the differences D - D.  The dense
 products on integers kept below 2**53) are on no command path; the tests
 compare against them.
 
-The principal-series check enumerates the free orbits of the rank-2 Weyl
-group action on weights mod (p-1); each regular residue lifts uniquely into
-coordinates 1..p-2, and the lifted dimensions over one orbit must sum to
-(p+1)(p^2+p+1), the index of a Borel subgroup.
+GL_3(F_p) preserves the incidence: ``equivariance_spot_check`` proves it on
+five generators of the group.  The principal-series check finds the free
+orbits of the rank-2 Weyl group on weights mod (p-1) as one array
+computation; each regular residue lifts uniquely into coordinates 1..p-2,
+and the lifted dimensions over one orbit must sum to (p+1)(p^2+p+1), the
+index of a Borel subgroup.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import poly
 from .coxeter import generate
-from .rootdata import CartanType, Weight, build_root_system, weyl_dim
+from .rootdata import CartanType, Weight, build_root_system
 
 
 class NotPrime(ValueError):
@@ -71,11 +72,10 @@ class TooLarge(ValueError):
     """Prime exceeds the configured bound."""
 
 
-# The incidence is n (p + 1) pairs and the equivariance sample moves all of
-# them 20 times, work that grows as p^3: at p = 97 (n = 9507) a run takes
-# about 0.28 s after import and 67 MB peak RSS (2-vCPU Intel Xeon)
+# The incidence is n (p + 1) pairs and the equivariance check moves all of
+# them under five generators, work that grows as p^3: at p = 97 (n = 9507) a
+# run takes about 0.22 s after import and 68 MB peak RSS (2-vCPU Intel Xeon)
 DEFAULT_PRIME_BOUND = 97
-EQUIVARIANCE_SAMPLES = 20
 
 
 def _check_prime(p: int) -> None:
@@ -268,6 +268,18 @@ def _is_permutation(a: np.ndarray) -> bool:
     return np.array_equal(np.sort(a), np.arange(a.size))
 
 
+def _unit_generators(p: int) -> list[int]:
+    """The generators of F_p^*, ascending: the powers g0^k, gcd(k, p - 1) =
+    1, of the least g0 whose powers first reach 1 at exponent p - 1."""
+    for g0 in range(1, p):
+        x, order = g0, 1
+        while x != 1:
+            x, order = x * g0 % p, order + 1
+        if order == p - 1:
+            return sorted(pow(g0, k, p) for k in range(1, p) if math.gcd(k, p - 1) == 1)
+    raise AssertionError(f"F_{p}^* has no generator")
+
+
 def _singer_field(p: int) -> tuple[np.ndarray, int]:
     """The Singer field F_p[x]/(f) of the first primitive cubic f: the power
     table x^i (i < n) on the basis 1, x, x^2, and the norm x^n.
@@ -280,8 +292,7 @@ def _singer_field(p: int) -> tuple[np.ndarray, int]:
     has order (p - 1) n = p^3 - 1 iff i = n.  Each walk takes at most n steps.
     """
     n = p * p + p + 1
-    # g generates F_p^* iff its p - 1 powers are distinct
-    norms = [g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1]
+    norms = _unit_generators(p)
     for f2 in range(p):
         for f1 in range(p):
             for g in norms:  # x^3 = g - f1 x - f2 x^2
@@ -371,41 +382,34 @@ def kernel_analysis(space: IncidenceSpace) -> KernelReport:
     )
 
 
-def equivariance_spot_check(space: IncidenceSpace) -> bool:
-    """g maps incident pairs to incident pairs, for a deterministic sample of
-    ``EQUIVARIANCE_SAMPLES`` g in GL_3(F_p) acting on lines by g and on plane
-    normals by g^-T.
+def _generators(p: int) -> np.ndarray:
+    """E12, E21, E23, E32 (I plus a single 1) and diag(g0, 1, 1), g0 the
+    least generator of F_p^*."""
+    gens = np.repeat(np.eye(3, dtype=np.int64)[None], 5, axis=0)
+    gens[range(5), [0, 1, 1, 2, 0], [1, 0, 2, 1, 0]] = [1, 1, 1, 1, _unit_generators(p)[0]]
+    return gens
 
-    Each g must permute the lines and the planes; then it preserves the
-    incidence iff it maps each of its n (p + 1) pairs into it.  The images
-    of the points are placed by the closed form ``_positions``, and a moved
-    pair (gP, gL) is incident iff its Singer positions differ by an element
-    of D: pi^-1(gL) - sigma^-1(gP) in D mod n.
+
+def equivariance_spot_check(space: IncidenceSpace) -> bool:
+    """GL_3(F_p), acting on lines by g and on plane normals by g^-T, maps
+    incident pairs to incident pairs, proved on its ``_generators``: E12,
+    E21, E23, E32 generate SL_3(F_p) (Artin, Geometric Algebra, ch. IV) and
+    diag(g0, 1, 1) adds every determinant.  A g that permutes the lines and
+    the planes and maps each of the n (p + 1) pairs into the pair set
+    permutes that finite set, and so does every product of such g.  The
+    images of the points are placed by the closed form ``_positions``, and a
+    moved pair (gP, gL) is incident iff pi^-1(gL) - sigma^-1(gP) is in D.
     """
-    p, n = space.p, space.n_points
-    rng = random.Random(10007 * p)
-    points = space.points
+    p, n, points = space.p, space.n_points, space.points
     pi_inv, sigma_inv = np.argsort(space.pi), np.argsort(space.sigma)
     in_D = np.zeros(2 * n, dtype=bool)  # in_D[k + n]: k mod n in D, for |k| < n
     in_D[space.D] = in_D[space.D + n] = True
     at_line = (np.arange(n)[:, None] + space.D) % n  # row j: the pairs of plane j
-
-    def image(m):
-        """Positions of the images m v of the points."""
-        return _positions((points @ m.T) % p, p)
-
-    done = 0
-    while done < EQUIVARIANCE_SAMPLES:
-        rows = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        if (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p == 0:
-            continue  # singular: only accepted draws reach numpy
-        m = np.array(rows, dtype=np.int64)
+    for m in _generators(p):
         # the cofactor rows, det(m) m^-T: projectively m^-T, which is all
         # the normal forms see
         cof = np.cross(m[[1, 2, 0]], m[[2, 0, 1]])
-        done += 1
-        ip, il = image(cof), image(m)
+        ip, il = (_positions(points @ a.T % p, p) for a in (cof, m))
         if not (_is_permutation(ip) and _is_permutation(il)):
             return False
         # Singer positions of the moved plane sigma[j] and the moved line pi[i]
@@ -446,48 +450,34 @@ class PrincipalSeriesReport:
 def principal_series_check(p: int) -> PrincipalSeriesReport:
     """Free-orbit dimension sums for the rank-2 symmetric Weyl group at p.
 
-    Stabilisers are computed honestly (an orbit is free iff it has |W|
-    elements); freeness forces every coordinate nonzero mod p-1, which makes
-    the lift into 1..p-2 unique.
+    W acts linearly: its |W| integer 2 x 2 matrices map all (p-1)^2 residues
+    at once.  An orbit is free iff its |W| images are distinct, and it is
+    listed at the residue that is its least image.  Freeness forces every
+    coordinate nonzero mod p-1, which makes the lift into 1..p-2 unique.
     """
     _check_prime(p)
     if p < 5:
         raise ValueError("principal-series check needs p >= 5")
     ct = CartanType.parse("A2")
-    g = generate(ct)
-    rs = build_root_system(ct)
-    q = p - 1
-    expected = (p + 1) * (p * p + p + 1)
-
-    def act(w, zeta):
-        img = g.act_on_weight(w, Weight(zeta))
-        return (img.coords[0] % q, img.coords[1] % q)
-
-    seen: set[tuple[int, int]] = set()
-    orbits: list[OrbitResult] = []
-    for a in range(q):
-        for b in range(q):
-            zeta = (a, b)
-            if zeta in seen:
-                continue
-            orbit = sorted({act(w, zeta) for w in range(g.size)})
-            seen.update(orbit)
-            if len(orbit) != g.size:
-                continue  # nontrivial stabiliser
-            lifts = []
-            dims = []
-            for z in orbit:
-                if z[0] == 0 or z[1] == 0:
-                    raise AssertionError("free orbit contains a zero coordinate")
-                lift = ((z[0] - 1) % q + 1, (z[1] - 1) % q + 1)
-                lifts.append(lift)
-                dims.append(weyl_dim(rs, Weight(lift)))
-            orbits.append(OrbitResult(
-                rep=orbit[0],
-                members=tuple(orbit),
-                lifts=tuple(lifts),
-                dims=tuple(dims),
-                total=sum(dims),
-                expected=expected,
-            ))
-    return PrincipalSeriesReport(p=p, orbits=tuple(orbits))
+    g, rs = generate(ct), build_root_system(ct)
+    q, expected = p - 1, (p + 1) * (p * p + p + 1)
+    # mats[w] has column i the image of the i-th fundamental weight under w
+    mats = np.array([[g.act_on_weight(w, Weight(e)).coords for e in ((1, 0), (0, 1))]
+                     for w in range(g.size)], dtype=np.int64).transpose(0, 2, 1)
+    residues = np.arange(q * q)
+    images = mats @ np.stack(np.divmod(residues, q)) % q  # (|W|, 2, q^2)
+    keys = np.sort(images[:, 0] * q + images[:, 1], axis=0)  # each column ascending
+    reps = np.flatnonzero((keys[0] == residues) & (np.diff(keys, axis=0) != 0).all(axis=0))
+    members = np.stack(np.divmod(keys[:, reps].T, q), axis=-1)  # (orbits, |W|, 2)
+    if not members.all():
+        raise AssertionError("free orbit contains a zero coordinate")
+    lifts = (members - 1) % q + 1
+    dims, rem = np.divmod(((lifts + 1) @ np.array(rs.coroot_pairings).T).prod(axis=-1),
+                          math.prod(rs.weyl_vector_pairings))
+    if rem.any():
+        raise AssertionError("Weyl dimension quotient is not integral")
+    return PrincipalSeriesReport(p=p, orbits=tuple(
+        OrbitResult(tuple(orbit[0]), tuple(map(tuple, orbit)), tuple(map(tuple, lift)),
+                    tuple(dim), sum(dim), expected)
+        for orbit, lift, dim in zip(members.tolist(), lifts.tolist(), dims.tolist())
+    ))

@@ -6,14 +6,29 @@ array is O(p^4), so these stay here, off every ``cellred sl3`` path.  The
 rank of tau as n - deg gcd((x - 1) a(x), x^n - 1), by Euclid over F_p in
 O(n^2), against which the zero count of the lab is checked.  The first
 primitive cubic over F_p by the order of its root, from the primes of
-p^3 - 1, against which the Singer field of the lab is checked.
+p^3 - 1, against which the Singer field of the lab is checked.  The seeded
+sample of 20 invertible g that checked equivariance before the generators
+did, and the per-residue orbit loop with one ``weyl_dim`` per weight that
+the array orbit search replaced.
 """
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
-from cellred.sl3lab import _exactness_guard, _projective_points, _reduce
+from cellred.coxeter import generate
+from cellred.rootdata import CartanType, Weight, build_root_system, weyl_dim
+from cellred.sl3lab import (
+    OrbitResult,
+    PrincipalSeriesReport,
+    _exactness_guard,
+    _is_permutation,
+    _positions,
+    _projective_points,
+    _reduce,
+)
 
 
 def dense_incidence(p: int) -> np.ndarray:
@@ -118,3 +133,60 @@ def first_primitive_cubic(p: int) -> tuple[int, int, int]:
                 ):
                     return f
     raise AssertionError(f"no primitive cubic over F_{p}")
+
+
+def sampled_equivariance(space, samples: int = 20) -> bool:
+    """Whether each of ``samples`` seeded random g in GL_3(F_p), drawn by
+    rejecting singular matrices, permutes the lines and planes and maps the
+    labelled pairs of ``space`` into themselves."""
+    p, n = space.p, space.n_points
+    rng = random.Random(10007 * p)
+    pi_inv, sigma_inv = np.argsort(space.pi), np.argsort(space.sigma)
+    in_D = np.zeros(2 * n, dtype=bool)  # in_D[k + n]: k mod n in D, for |k| < n
+    in_D[space.D] = in_D[space.D + n] = True
+    at_line = (np.arange(n)[:, None] + space.D) % n
+    done = 0
+    while done < samples:
+        rows = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        if (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p == 0:
+            continue
+        m = np.array(rows, dtype=np.int64)
+        cof = np.cross(m[[1, 2, 0]], m[[2, 0, 1]])  # det(m) m^-T
+        done += 1
+        ip, il = (_positions(space.points @ x.T % p, p) for x in (cof, m))
+        if not (_is_permutation(ip) and _is_permutation(il)):
+            return False
+        moved_plane, moved_line = sigma_inv[ip[space.sigma]], pi_inv[il[space.pi]]
+        if not in_D[moved_line[at_line] + (n - moved_plane)[:, None]].all():
+            return False
+    return True
+
+
+def orbit_loop(p: int) -> PrincipalSeriesReport:
+    """The free W(A2) orbits on weights mod p - 1, one residue at a time:
+    each orbit from ``act_on_weight`` on its least member, free iff it has
+    |W| elements, and each lifted dimension from ``weyl_dim``."""
+    ct = CartanType.parse("A2")
+    g, rs = generate(ct), build_root_system(ct)
+    q = p - 1
+    seen: set[tuple[int, int]] = set()
+    orbits = []
+    for a in range(q):
+        for b in range(q):
+            if (a, b) in seen:
+                continue
+            orbit = sorted({
+                tuple(c % q for c in g.act_on_weight(w, Weight((a, b))).coords)
+                for w in range(g.size)
+            })
+            seen.update(orbit)
+            if len(orbit) != g.size:
+                continue
+            if any(0 in z for z in orbit):
+                raise AssertionError("free orbit contains a zero coordinate")
+            lifts = [tuple((c - 1) % q + 1 for c in z) for z in orbit]
+            dims = [weyl_dim(rs, Weight(lift)) for lift in lifts]
+            orbits.append(OrbitResult(orbit[0], tuple(orbit), tuple(lifts), tuple(dims),
+                                      sum(dims), (p + 1) * (p * p + p + 1)))
+    return PrincipalSeriesReport(p, tuple(orbits))

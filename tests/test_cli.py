@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cellred import audit
+from cellred import audit, sl3lab
 from cellred.cli import main
 
 from conftest import TYPE_NAMES
@@ -183,6 +183,27 @@ def test_sl3_refuses_a_huge_p_before_testing_it_for_primality(capsys):
     assert err.startswith("cellred: ") and "exceeds bound" in err
 
 
+def test_sl3_stage_failure_is_an_entry_and_exit_3(monkeypatch, capsys):
+    clean = json.loads(run(capsys, "sl3", "--p", "5")[1])["results"][0]
+    analyse = sl3lab.kernel_analysis
+
+    def kernel_analysis(space):
+        if space.p == 7:
+            raise AssertionError("rank guard tripped")
+        return analyse(space)
+
+    monkeypatch.setattr(sl3lab, "kernel_analysis", kernel_analysis)
+    code, out, err = run(capsys, "sl3", "--p", "5", "--p", "7")
+    assert (code, err) == (3, "")
+    five, seven = json.loads(out)["results"]
+    assert five == clean
+    assert seven == {"p": 7, "ok": False,
+                     "error": "kernel_analysis: AssertionError: rank guard tripped"}
+    # a usage error still ends the command before any output
+    assert_usage_error(capsys, "sl3", "--p", "4")
+    assert_usage_error(capsys, "sl3", "--p", "7", "--p", "101")
+
+
 def test_sl3_orbits_skip_below_five(capsys):
     code, out, _ = run(capsys, "sl3", "--orbits")
     assert code == 0
@@ -201,6 +222,16 @@ def test_tables_dump_delta_g2(capsys):
     row = payload["rows"]["121212"]
     assert row["pi"] == "t^6"
     assert row["partner"] == "e" and row["sign"] == "+"
+
+
+def test_tables_dump_over_a_corrupt_data_file_is_exit_3(data_copy, capsys):
+    raw = json.loads((data_copy / "B2.json").read_text(encoding="utf-8"))
+    raw["unipotent"][1]["degree"] = "t/0"
+    (data_copy / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, "tables", "dump", "--what", "delta", "--type", "B2")
+    assert (code, out) == (3, "")
+    assert err.startswith("cellred: B2 tables, unipotent (ref 1.3): ")
+    assert "cannot parse 't/0'" in err and "Traceback" not in err
 
 
 def test_tables_dump_delta_a4_fails_cleanly(capsys):

@@ -12,12 +12,14 @@ from cellred.cli import main
 from cellred.sl3lab import (
     _PANEL,
     _check_prime,
+    _generators,
     _group_ring_kernel,
     _positions,
     _projective_points,
     _reduce,
     _singer_field,
     _singer_labelling,
+    _unit_generators,
     NotPrime,
     TooLarge,
     build_incidence,
@@ -35,6 +37,8 @@ from sl3ref import (
     dense_tau,
     euclid_rank,
     first_primitive_cubic,
+    orbit_loop,
+    sampled_equivariance,
 )
 
 PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -232,6 +236,13 @@ def test_singer_field_is_the_powers_of_a_primitive_root(p):
     assert cubic_pow(f, n, p) == (space.norm, 0, 0)
     # the norm generates F_p^*
     assert sorted(pow(space.norm, i, p) for i in range(p - 1)) == list(range(1, p))
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_97)
+def test_unit_generators_are_the_elements_of_order_p_minus_1(p):
+    # g generates F_p^* iff its p - 1 powers are distinct
+    want = [g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1]
+    assert _unit_generators(p) == want
 
 
 def test_sl3_builds_each_singer_field_once(monkeypatch):
@@ -451,6 +462,65 @@ def test_equivariance_refuses_a_repeated_point(p):
         points = sp.points.copy()
         points[i] = points[i - 1]
         assert not equivariance_spot_check(dataclasses.replace(sp, points=points)), i
+
+
+def single_swaps(space):
+    """Every labelling with two entries of sigma, or two of pi, swapped."""
+    n = space.n_points
+    for field in ("sigma", "pi"):
+        for i in range(n):
+            for j in range(i + 1, n):
+                labels = getattr(space, field).copy()
+                labels[[i, j]] = labels[[j, i]]
+                yield (field, i, j), dataclasses.replace(space, **{field: labels})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generators_refuse_every_swap_the_sample_refuses(p):
+    space = build_incidence(p)
+    assert sampled_equivariance(space) and equivariance_spot_check(space)
+    by_sample, by_generators = set(), set()
+    for swap, bad in single_swaps(space):
+        if not sampled_equivariance(bad):
+            by_sample.add(swap)
+        if not equivariance_spot_check(bad):
+            by_generators.add(swap)
+    assert by_sample <= by_generators
+    # both refuse every single swap: 42, 156 and 930 at p = 2, 3 and 5
+    n = space.n_points
+    assert len(by_sample) == len(by_generators) == n * (n - 1)
+
+
+@pytest.mark.parametrize("p, order", [(2, 168), (3, 11232)])
+def test_generators_generate_gl3(p, order):
+    # breadth-first search over left multiplication by the generators,
+    # each matrix keyed by its nine entries in base p
+    gens = _generators(p)
+    assert gens.dtype == np.int64 and gens.shape == (5, 3, 3)
+    digits = p ** np.arange(9)
+    seen = np.zeros(p ** 9, dtype=bool)
+    frontier = np.eye(3, dtype=np.int64)[None]
+    seen[frontier.reshape(-1, 9) @ digits] = True
+    while frontier.size:
+        products = (gens[:, None] @ frontier[None] % p).reshape(-1, 3, 3)
+        keys, first = np.unique(products.reshape(-1, 9) @ digits, return_index=True)
+        new = ~seen[keys]
+        seen[keys[new]] = True
+        frontier = products[first[new]]
+    assert seen.sum() == order  # |GL_3(F_p)| = (p^3 - 1)(p^3 - p)(p^3 - p^2)
+    assert order == (p**3 - 1) * (p**3 - p) * (p**3 - p * p)
+
+
+@pytest.mark.parametrize("p", [q for q in PRIMES_TO_97 if 5 <= q <= 61])
+def test_principal_series_matches_the_orbit_loop(p):
+    got, want = principal_series_check(p), orbit_loop(p)
+    assert got.p == want.p == p
+    assert len(got.orbits) == len(want.orbits)
+    for o, w in zip(got.orbits, want.orbits):
+        for field in ("rep", "members", "lifts", "dims", "total", "expected"):
+            assert getattr(o, field) == getattr(w, field), (field, o.rep)
+            assert type(getattr(o, field)) is type(getattr(w, field)), field
+        assert all(type(d) is int for d in o.dims + o.rep + o.members[0])
 
 
 def test_principal_series_p5_spot_orbit():
