@@ -148,16 +148,16 @@ class TypeContext:
         return self.tables.r_alpha is None
 
     @stage
-    def deltas(self) -> dict[str, weylmod.DeltaPoly]:
+    def deltas(self) -> dict[int, IntPoly]:
         return weylmod.delta_table(self.tables)
 
     @stage
     def duality(self) -> weylmod.DualityResult:
-        return weylmod.find_duality(self.group, self.deltas)
+        return weylmod.find_duality(self.group, self.deltas, self.tables.words)
 
     @stage
-    def unip_rows(self) -> dict[str, dict[str, int]]:
-        """label -> {word: multiplicity}"""
+    def unip_rows(self) -> dict[str, dict[int, int]]:
+        """label -> {element: multiplicity}"""
         rows = self.tables.r_alpha
         if self.derived_rows:
             rows = uniptables.derived_r_alpha(self.group, self.leading.alpha, self.jset)
@@ -185,8 +185,8 @@ def check_bookkeeping(ctx: TypeContext) -> CheckResult:
     failures = []
     for u in ctx.tables.unipotent:
         combo = IntPoly.zero()
-        for word, mult in ctx.unip_rows[u.label].items():
-            combo = combo + mult * ctx.deltas[word].pi
+        for w, mult in ctx.unip_rows[u.label].items():
+            combo = combo + mult * ctx.deltas[w]
         if combo != u.degree:
             failures.append(
                 f"{u.label}: sum gives {combo.render()}, degree is {u.degree.render()}"
@@ -198,17 +198,15 @@ def check_bookkeeping(ctx: TypeContext) -> CheckResult:
 def check_duality(ctx: TypeContext) -> CheckResult:
     res = ctx.duality
     problems = list(res.problems)
-    g = ctx.group
+    g, words = ctx.group, ctx.tables.words
     full = frozenset(range(1, g.rank + 1))
     computed = {w: partner for w, (partner, _) in res.pairs.items()}
     if computed != ctx.tables.duality:
         problems.append("computed involution differs from the shipped table")
     for w, partner in ctx.tables.duality.items():
-        cl_w = g.left_descent_set(g.parse_word(w))
-        cl_p = g.left_descent_set(g.parse_word(partner))
-        if cl_p != full - cl_w:
-            problems.append(f"descent complementation fails at {w} <-> {partner}")
-    signs = {w: ("+" if s > 0 else "-") for w, (_, s) in sorted(res.pairs.items())}
+        if g.left_descent_set(partner) != full - g.left_descent_set(w):
+            problems.append(f"descent complementation fails at {words[w]} <-> {words[partner]}")
+    signs = dict(sorted((words[w], "+" if s > 0 else "-") for w, (_, s) in res.pairs.items()))
     note = "all signs +" if set(signs.values()) == {"+"} else "negative sign observed"
     return _row(
         "duality", problems, f"{len(res.pairs)} rows paired as shipped; {note}",
@@ -220,15 +218,16 @@ def check_a_values(ctx: TypeContext) -> CheckResult:
     failures = []
     cell_of = {i: k for k, c in enumerate(ctx.cells.two_sided_cells) for i in c}
     by_cell: dict[int, set[int]] = {}
-    for word, dp in ctx.deltas.items():
-        a = ctx.kl.a_values[dp.w]
-        if dp.c != a:
-            failures.append(f"{word}: lowest degree {dp.c} != a-value {a}")
-        by_cell.setdefault(cell_of[dp.w], set()).add(dp.c)
+    c_of = {w: pi.lowest_degree() for w, pi in ctx.deltas.items()}
+    for w, c in c_of.items():
+        a = ctx.kl.a_values[w]
+        if c != a:
+            failures.append(f"{ctx.tables.words[w]}: lowest degree {c} != a-value {a}")
+        by_cell.setdefault(cell_of[w], set()).add(c)
     for cs in by_cell.values():
         if len(cs) != 1:
             failures.append(f"c not constant on a two-sided cell: {sorted(cs)}")
-    values = sorted(dp.c for dp in ctx.deltas.values())
+    values = sorted(c_of.values())
     return _row("a_values", failures, f"{len(ctx.deltas)} rows; c-values {values}")
 
 
@@ -236,11 +235,7 @@ def check_centrality(ctx: TypeContext) -> CheckResult:
     failures = []
     labels = sorted(ctx.unip_rows)
     for lab in labels:
-        z = {
-            ctx.group.parse_word(word): mult
-            for word, mult in ctx.unip_rows[lab].items()
-        }
-        if not klcells.is_central(ctx.group, ctx.gamma, z):
+        if not klcells.is_central(ctx.group, ctx.gamma, ctx.unip_rows[lab]):
             failures.append(f"z_{lab} is not central")
     origin = "derived multiplicities" if ctx.derived_rows else "shipped multiplicities"
     return _row(
@@ -254,7 +249,7 @@ def check_j_criterion(ctx: TypeContext) -> CheckResult:
     failures = []
     if cells_based != alpha_based:
         failures.append("cell-based set differs from the alpha-support set")
-    shipped = ctx.tables.j_elements()
+    shipped = None if ctx.derived_rows else frozenset(ctx.tables.r_alpha)
     if shipped is not None and shipped != cells_based:
         failures.append("computed set differs from the shipped list")
     g = ctx.group
@@ -272,20 +267,20 @@ def check_j_criterion(ctx: TypeContext) -> CheckResult:
 
 def check_proximity(ctx: TypeContext) -> CheckResult:
     bound = ctx.tables.proximity_bound
-    g = ctx.group
+    g, words = ctx.group, ctx.tables.words
     failures = []
     worst = 0
-    for word, terms in ctx.tables.m_w.items():
-        cl = g.left_descent_set(g.parse_word(word))
+    for w, terms in ctx.tables.m_w.items():
+        cl = g.left_descent_set(w)
         for _, tmpl in terms:
             for i, (c0, c1) in enumerate(tmpl.coords, start=1):
                 indicator = 1 if i in cl else 0
                 if c1 != indicator:
-                    failures.append(f"{word}: p-pattern differs from descents at slot {i}")
+                    failures.append(f"{words[w]}: p-pattern differs from descents at slot {i}")
                 corr = abs(c0 + indicator)
                 worst = max(worst, corr)
                 if corr > bound:
-                    failures.append(f"{word}: correction {corr} exceeds bound {bound}")
+                    failures.append(f"{words[w]}: correction {corr} exceeds bound {bound}")
     return _row(
         "proximity", failures,
         f"all templates within {bound} of the descent-indicator weight "

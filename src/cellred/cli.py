@@ -17,8 +17,9 @@ be loaded; for ``sl3``, a prime's entry is ``{"p", "ok": false, "error":
 "<stage>: <Class>: <message>"}``, naming the sl3lab stage that raised, and
 the other primes are reported as usual; for ``tables dump``, a data file
 that fails its checks prints ``cellred: <label>`` on stderr and nothing on
-stdout.  A reader that closes stdout early ends the command with status 141
-(128 + SIGPIPE) and nothing on stderr.
+stdout, and so does any other failure, as ``cellred: internal error:
+<Class>: <message>``.  A reader that closes stdout early ends the command
+with status 141 (128 + SIGPIPE) and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -86,12 +87,10 @@ class _StageFailure(Exception):
 
 
 def _sl3_stage(name: str, arg):
-    """``sl3lab.<name>(arg)``, with any failure but a usage error re-raised
-    as a _StageFailure that names the stage."""
+    """``sl3lab.<name>(arg)``, with any failure re-raised as a _StageFailure
+    that names the stage; every ``--p`` passed ``sl3lab.check_p`` before."""
     try:
         return getattr(sl3lab, name)(arg)
-    except _USAGE_ERRORS:
-        raise
     except Exception as exc:
         raise _StageFailure(f"{name}: {type(exc).__name__}: {exc}") from exc
 
@@ -143,6 +142,8 @@ def _sl3_entry(p: int, orbits: bool) -> dict:
 
 def _cmd_sl3(args) -> int:
     primes = tuple(args.p) if args.p else DEFAULT_PRIMES
+    for p in primes:  # a usage error on any prime, before the first is built
+        sl3lab.check_p(p)
     results = []
     for p in primes:
         try:
@@ -202,13 +203,13 @@ def _dump_cwe(ctx: audit.TypeContext) -> dict:
 
 
 def _dump_delta(ctx: audit.TypeContext) -> dict:
-    rows = {}
-    for word, dp in ctx.deltas.items():
-        partner, sign = ctx.duality.pairs.get(word, (None, 0))
-        rows[word] = {
-            "pi": dp.pi.render(),
-            "c": dp.c,
-            "partner": partner,
+    words, rows = ctx.tables.words, {}
+    for w, pi in ctx.deltas.items():
+        partner, sign = ctx.duality.pairs.get(w, (None, 0))
+        rows[words[w]] = {
+            "pi": pi.render(),
+            "c": pi.lowest_degree(),
+            "partner": words.get(partner),
             "sign": "+" if sign > 0 else ("-" if sign < 0 else None),
         }
     return {"type": ctx.ct.name, "what": "delta", "rows": rows}
@@ -227,8 +228,13 @@ def _cmd_tables(args) -> int:
     ct = CartanType.parse(args.type)
     try:
         payload = _DUMPERS[args.what](audit.get_context(ct))
+    except _USAGE_ERRORS:
+        raise
     except DataIntegrityFailure as exc:  # labelled with its file and table
         print(f"cellred: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"cellred: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     _write_output(json.dumps(payload, indent=2), args.output)
     return 0

@@ -83,6 +83,14 @@ def _check_prime(p: int) -> None:
         raise NotPrime(f"{p} is not prime")
 
 
+def check_p(p: int) -> None:
+    """Refuse a ``p`` the lab cannot serve: TooLarge beyond the bound, else
+    NotPrime.  The bound comes first, because trial division is O(sqrt p)."""
+    if p > DEFAULT_PRIME_BOUND:
+        raise TooLarge(f"p = {p} exceeds bound {DEFAULT_PRIME_BOUND}")
+    _check_prime(p)
+
+
 @dataclass(eq=False)
 class IncidenceSpace:
     """PG(2, p) and its Singer field, with the incidence as its Singer
@@ -120,9 +128,7 @@ def _projective_points(p: int) -> np.ndarray:
 
 def build_incidence(p: int) -> IncidenceSpace:
     """The points of PG(2, p), its Singer field and its certified incidence."""
-    if p > DEFAULT_PRIME_BOUND:  # before the trial division, which is O(sqrt p)
-        raise TooLarge(f"p = {p} exceeds bound {DEFAULT_PRIME_BOUND}")
-    _check_prime(p)
+    check_p(p)
     points = _projective_points(p)
     powers, norm = _singer_field(p)
     space = IncidenceSpace(p, points, powers, norm, *_singer_labelling(p, powers))
@@ -382,11 +388,11 @@ def kernel_analysis(space: IncidenceSpace) -> KernelReport:
     )
 
 
-def _generators(p: int) -> np.ndarray:
-    """E12, E21, E23, E32 (I plus a single 1) and diag(g0, 1, 1), g0 the
-    least generator of F_p^*."""
+def _generators(space: IncidenceSpace) -> np.ndarray:
+    """E12, E21, E23, E32 (I plus a single 1) and diag(norm, 1, 1): the
+    Singer field's norm is drawn from ``_unit_generators``."""
     gens = np.repeat(np.eye(3, dtype=np.int64)[None], 5, axis=0)
-    gens[range(5), [0, 1, 1, 2, 0], [1, 0, 2, 1, 0]] = [1, 1, 1, 1, _unit_generators(p)[0]]
+    gens[range(5), [0, 1, 1, 2, 0], [1, 0, 2, 1, 0]] = [1, 1, 1, 1, space.norm]
     return gens
 
 
@@ -394,18 +400,19 @@ def equivariance_spot_check(space: IncidenceSpace) -> bool:
     """GL_3(F_p), acting on lines by g and on plane normals by g^-T, maps
     incident pairs to incident pairs, proved on its ``_generators``: E12,
     E21, E23, E32 generate SL_3(F_p) (Artin, Geometric Algebra, ch. IV) and
-    diag(g0, 1, 1) adds every determinant.  A g that permutes the lines and
-    the planes and maps each of the n (p + 1) pairs into the pair set
-    permutes that finite set, and so does every product of such g.  The
-    images of the points are placed by the closed form ``_positions``, and a
-    moved pair (gP, gL) is incident iff pi^-1(gL) - sigma^-1(gP) is in D.
+    diag(norm, 1, 1), the norm a generator of F_p^*, adds every determinant.
+    A g that permutes the lines and the planes and maps each of the n (p + 1)
+    pairs into the pair set permutes that finite set, and so does every
+    product of such g.  The images of the points are placed by the closed
+    form ``_positions``, and a moved pair (gP, gL) is incident iff
+    pi^-1(gL) - sigma^-1(gP) is in D.
     """
     p, n, points = space.p, space.n_points, space.points
     pi_inv, sigma_inv = np.argsort(space.pi), np.argsort(space.sigma)
     in_D = np.zeros(2 * n, dtype=bool)  # in_D[k + n]: k mod n in D, for |k| < n
     in_D[space.D] = in_D[space.D + n] = True
     at_line = (np.arange(n)[:, None] + space.D) % n  # row j: the pairs of plane j
-    for m in _generators(p):
+    for m in _generators(space):
         # the cofactor rows, det(m) m^-T: projectively m^-T, which is all
         # the normal forms see
         cof = np.cross(m[[1, 2, 0]], m[[2, 0, 1]])

@@ -59,8 +59,10 @@ class WeightTemplate:
 class TypeTables:
     """All shipped tables for one type; slots are None where no data exists.
 
-    The shipped decomposition table is not kept: the loader checks that it
-    is ``transpose(r_alpha)``, which readers build instead.
+    Rows are keyed by element index, in file order; ``words`` holds the
+    file's spelling of each row, for printing only.  The shipped
+    decomposition table is not kept: the loader checks that it is
+    ``transpose(r_alpha)``, which readers build instead.
     """
 
     type: CartanType
@@ -68,19 +70,15 @@ class TypeTables:
     min_prime: int
     proximity_bound: int
     unipotent: tuple[UnipotentChar, ...] | None
-    r_alpha: dict[str, dict[str, int]] | None
-    m_w: dict[str, tuple[tuple[int, WeightTemplate], ...]] | None
-    delta: dict[str, IntPoly] | None
-    duality: dict[str, str] | None
+    words: dict[int, str] | None
+    r_alpha: dict[int, dict[str, int]] | None
+    m_w: dict[int, tuple[tuple[int, WeightTemplate], ...]] | None
+    delta: dict[int, IntPoly] | None
+    duality: dict[int, int] | None
 
     @property
     def has_m_w_data(self) -> bool:
         return self.m_w is not None
-
-    def j_elements(self) -> frozenset[int] | None:
-        if self.r_alpha is None:
-            return None
-        return frozenset(map(self.group.parse_word, self.r_alpha))
 
 
 def data_dir() -> str:
@@ -104,10 +102,31 @@ def _parse(ct: CartanType, where: str, key: str, text: str, refs: dict) -> IntPo
         raise _fail(ct, where, f"{key}: cannot parse {text!r}: {exc}", refs) from exc
 
 
+def _rows(ct: CartanType, table: str, refs: dict, rows, read) -> dict:
+    """``{key: read(key, value)}`` over the rows of one table, a JSON object
+    or, keyed by position, a list.  A KeyError, TypeError or ValueError
+    while a row is read, such as a missing field, a leaf of the wrong JSON
+    type or a bad generator in a word, is a :class:`DataIntegrityFailure`
+    naming the table and the row."""
+    out, key = {}, None
+    try:
+        for key, value in rows.items() if isinstance(rows, dict) else enumerate(rows):
+            out[key] = read(key, value)
+    except DataIntegrityFailure:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        at = "" if key is None else f"row {key!r}: "
+        raise _fail(ct, table, f"{at}{type(exc).__name__}: {exc}", refs) from exc
+    return out
+
+
 def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     """Load and verify the tables for a type (A4: partial) from
     ``directory``, by default :func:`data_dir`.  Not cached: the audit
-    context that holds the result is the per-directory cache."""
+    context that holds the result is the per-directory cache.
+
+    The one reader of row words: each is parsed once, here, and the tables
+    returned are keyed by element index."""
     path = Path(directory or data_dir()) / f"{ct.name}.json"
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -119,19 +138,18 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         if key not in raw:  # every file names every key; A4 writes its absent tables as null
             raise _fail(ct, key, "missing", refs)
 
-    min_prime = int(raw["min_prime"])
-    bound = int(raw.get("proximity_bound", 4))
+    header = {"min_prime": raw["min_prime"], "proximity_bound": raw.get("proximity_bound", 4)}
+    min_prime, bound = _rows(ct, "header", refs, header, lambda _, v: int(v)).values()
 
     if raw.get("unipotent") is None:
         return TypeTables(
             type=ct, group=g, min_prime=min_prime, proximity_bound=bound,
-            unipotent=None, r_alpha=None, m_w=None, delta=None, duality=None,
+            unipotent=None, words=None, r_alpha=None, m_w=None, delta=None, duality=None,
         )
 
-    unip = tuple(
-        UnipotentChar(u["label"], _parse(ct, "unipotent", u["label"], u["degree"], refs))
-        for u in raw["unipotent"]
-    )
+    unip = tuple(_rows(ct, "unipotent", refs, raw["unipotent"], lambda _, u: UnipotentChar(
+        u["label"], _parse(ct, "unipotent", u["label"], u["degree"], refs),
+    )).values())
     labels = [u.label for u in unip]
     if len(set(labels)) != len(labels):
         raise _fail(ct, "unipotent", "duplicate labels", refs)
@@ -144,13 +162,14 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         if u.degree.leading_coefficient() <= 0:
             raise _fail(ct, "unipotent", f"{u.label}: non-positive leading coefficient", refs)
 
-    r_alpha = {w: dict(row) for w, row in raw["r_alpha"].items()}
-    seen_elements = set()
-    for w, row in r_alpha.items():
+    words: dict[int, str] = {}  # element -> the file's spelling of its row
+
+    def r_row(w, row):
         wi = g.parse_word(w)
-        if wi in seen_elements:
+        if wi in words:
             raise _fail(ct, "r_alpha", f"duplicate element for word {w!r}", refs)
-        seen_elements.add(wi)
+        words[wi] = w
+        row = dict(row)
         if not row:
             raise _fail(ct, "r_alpha", f"empty row for {w!r}", refs)
         for lab, mult in row.items():
@@ -158,56 +177,64 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
                 raise _fail(ct, "r_alpha", f"unknown label {lab!r} in row {w!r}", refs)
             if not (isinstance(mult, int) and mult > 0):
                 raise _fail(ct, "r_alpha", f"bad multiplicity {mult!r} at ({w},{lab})", refs)
+        return row
+
+    r_alpha = _rows(ct, "r_alpha", refs, raw["r_alpha"], r_row)
+    index = {w: i for i, w in words.items()}
     covered = {lab for row in r_alpha.values() for lab in row}
     if covered != set(labels):
         raise _fail(ct, "r_alpha", f"labels never used: {sorted(set(labels) - covered)}", refs)
 
-    m_w = {}
-    for w, terms in raw["m_w"].items():
-        parsed = []
-        for term in terms:
-            coef = int(term["coef"])
-            if coef not in (1, -1):
-                raise _fail(ct, "m_w", f"coefficient {coef} at {w!r} is not +-1", refs)
-            tmpl = WeightTemplate(tuple((int(a), int(b)) for a, b in term["template"]))
-            if len(tmpl.coords) != ct.rank:
-                raise _fail(ct, "m_w", f"template rank mismatch at {w!r}", refs)
-            if any(c1 not in (0, 1) for _, c1 in tmpl.coords):
-                raise _fail(ct, "m_w", f"template p-coefficient outside {{0,1}} at {w!r}", refs)
-            if not tmpl.instantiate(min_prime).is_restricted(min_prime):
-                raise _fail(
-                    ct, "m_w",
-                    f"template {tmpl} not restricted at the minimum prime {min_prime}",
-                    refs,
-                )
-            parsed.append((coef, tmpl))
-        m_w[w] = tuple(parsed)
+    def m_term(w, term):
+        coef = int(term["coef"])
+        if coef not in (1, -1):
+            raise _fail(ct, "m_w", f"coefficient {coef} at {w!r} is not +-1", refs)
+        tmpl = WeightTemplate(tuple((int(a), int(b)) for a, b in term["template"]))
+        if len(tmpl.coords) != ct.rank:
+            raise _fail(ct, "m_w", f"template rank mismatch at {w!r}", refs)
+        if any(c1 not in (0, 1) for _, c1 in tmpl.coords):
+            raise _fail(ct, "m_w", f"template p-coefficient outside {{0,1}} at {w!r}", refs)
+        if not tmpl.instantiate(min_prime).is_restricted(min_prime):
+            raise _fail(
+                ct, "m_w",
+                f"template {tmpl} not restricted at the minimum prime {min_prime}",
+                refs,
+            )
+        return coef, tmpl
 
-    delta = {w: _parse(ct, "delta", w, s, refs) for w, s in raw["delta"].items()}
-    if not (set(m_w) == set(r_alpha) == set(delta)):
+    m_w = _rows(ct, "m_w", refs, raw["m_w"],
+                lambda w, terms: tuple(m_term(w, term) for term in terms))
+    delta = _rows(ct, "delta", refs, raw["delta"],
+                  lambda w, text: _parse(ct, "delta", w, text, refs))
+    if not (set(m_w) == set(index) == set(delta)):
         raise _fail(ct, "m_w/delta", "row keys differ from the r_alpha keys", refs)
 
-    decomp = {lab: dict(row) for lab, row in raw["decomp"].items()}
+    decomp = _rows(ct, "decomp", refs, raw["decomp"], lambda _, row: dict(row))
     if set(decomp) != set(labels):
         raise _fail(ct, "decomp", "rows do not match the unipotent labels", refs)
     if decomp != transpose(r_alpha):  # every label has a row: checked above
         raise _fail(ct, "decomp", "table is not the transpose of r_alpha", refs)
 
-    duality = dict(raw["duality"])
-    if set(duality) != set(r_alpha):
+    duality = _rows(ct, "duality", refs, raw["duality"], lambda _, wt: index.get(wt))
+    if set(duality) != set(index):
         raise _fail(ct, "duality", "involution not defined on exactly the R rows", refs)
+    duality = {index[w]: wt for w, wt in duality.items()}
     for w, wt in duality.items():
         if duality.get(wt) != w:
-            raise _fail(ct, "duality", f"not involutive at {w!r}", refs)
+            raise _fail(ct, "duality", f"not involutive at {words[w]!r}", refs)
 
     return TypeTables(
         type=ct, group=g, min_prime=min_prime, proximity_bound=bound,
-        unipotent=unip, r_alpha=r_alpha, m_w=m_w, delta=delta, duality=duality,
+        unipotent=unip, words=words,
+        r_alpha={index[w]: row for w, row in r_alpha.items()},
+        m_w={index[w]: terms for w, terms in m_w.items()},
+        delta={index[w]: pi for w, pi in delta.items()},
+        duality=duality,
     )
 
 
-def transpose(rows: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
-    """{a: {b: m}} as {b: {a: m}}: R rows by word as rows by label."""
+def transpose(rows: dict) -> dict:
+    """{a: {b: m}} as {b: {a: m}}: R rows by element as rows by label."""
     inner = dict.fromkeys(b for row in rows.values() for b in row)  # in first-seen order
     return {b: {a: row[b] for a, row in rows.items() if b in row} for b in inner}
 
@@ -216,14 +243,14 @@ def derived_r_alpha(
     g: WeylGroup,
     alpha: dict[int, dict[str, int]],
     j_members: frozenset[int],
-) -> dict[str, dict[str, int]]:
+) -> dict[int, dict[str, int]]:
     """R rows generated from the leading coefficients ``alpha[w][label]``
     (type A without shipped data).
 
-    Rows are keyed by canonical words; multiplicities must come out
+    Rows are keyed by element index, ascending; multiplicities must come out
     non-negative, which is checked.
     """
-    rows: dict[str, dict[str, int]] = {}
+    rows: dict[int, dict[str, int]] = {}
     for w in sorted(j_members):
         row = alpha[w]
         for lab, mult in row.items():
@@ -233,5 +260,5 @@ def derived_r_alpha(
                 )
         if not row:
             raise DataIntegrityFailure(f"empty derived row at {g.word(w)}")
-        rows[g.word(w)] = dict(row)
+        rows[w] = dict(row)
     return rows

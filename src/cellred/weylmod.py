@@ -66,20 +66,9 @@ def dim_template(rs: RootSystem, tmpl: WeightTemplate, min_prime: int = 2) -> In
     return pi
 
 
-@dataclass(frozen=True)
-class DeltaPoly:
-    """One row of the dimension table: the element index, its word, its
-    polynomial, and the lowest degree c(w)."""
-
-    w: int
-    word: str
-    pi: IntPoly
-    c: int
-
-
-def delta_table(tables: TypeTables) -> dict[str, DeltaPoly]:
+def delta_table(tables: TypeTables) -> dict[int, IntPoly]:
     """Signed template dimensions for every row of ``tables``, keyed by
-    shipped word.
+    element index; the lowest degree of a row's polynomial is c(w).
 
     Each polynomial is checked exactly against the transcribed closed form
     and for integer values and a positive leading coefficient.
@@ -88,12 +77,13 @@ def delta_table(tables: TypeTables) -> dict[str, DeltaPoly]:
     if not tables.has_m_w_data:
         raise MissingMwData(f"{ct.name} ships no weight-template data")
     rs = build_root_system(ct)
-    out: dict[str, DeltaPoly] = {}
-    for word, terms in tables.m_w.items():
+    out: dict[int, IntPoly] = {}
+    for w, terms in tables.m_w.items():
+        word = tables.words[w]
         pi = IntPoly.zero()
         for coef, tmpl in terms:
             pi = pi + coef * dim_template(rs, tmpl, tables.min_prime)
-        expected = tables.delta[word]
+        expected = tables.delta[w]
         if pi != expected:
             raise DataIntegrityFailure(
                 f"{ct.name} row {word!r}: templates give {pi.render()} "
@@ -103,9 +93,7 @@ def delta_table(tables: TypeTables) -> dict[str, DeltaPoly]:
             raise DataIntegrityFailure(f"{ct.name} row {word!r}: non-positive leading term")
         if not pi.is_integer_valued():
             raise DataIntegrityFailure(f"{ct.name} row {word!r}: not integer valued")
-        out[word] = DeltaPoly(
-            w=tables.group.parse_word(word), word=word, pi=pi, c=pi.lowest_degree()
-        )
+        out[w] = pi
     return out
 
 
@@ -113,13 +101,13 @@ def delta_table(tables: TypeTables) -> dict[str, DeltaPoly]:
 class DualityResult:
     """Outcome of the involution search over the table rows.
 
-    ``pairs`` maps each word to its unique partner and the observed sign of
-    the reversal identity.  ``problems`` lists rows with no or ambiguous
+    ``pairs`` maps each row's element to its unique partner and the observed
+    sign of the reversal identity.  ``problems`` lists rows with no or ambiguous
     matches; the search succeeded iff it is empty and the pairing is an
     involution.
     """
 
-    pairs: dict[str, tuple[str, int]]
+    pairs: dict[int, tuple[int, int]]
     problems: tuple[str, ...]
 
     @property
@@ -127,33 +115,34 @@ class DualityResult:
         return not self.problems
 
 
-def find_duality(g: WeylGroup, deltas: dict[str, DeltaPoly]) -> DualityResult:
+def find_duality(
+    g: WeylGroup, deltas: dict[int, IntPoly], words: dict[int, str]
+) -> DualityResult:
     """Search for w~ with t^nu pi_w(1/t) = +- pi_{w~} and complementary
-    left-descent sets."""
+    left-descent sets; problems spell each row as ``words`` does."""
     full = frozenset(range(1, g.rank + 1))
-    nu = g.nu
-    descents = {word: g.left_descent_set(dp.w) for word, dp in deltas.items()}
-    pairs: dict[str, tuple[str, int]] = {}
+    descents = {w: g.left_descent_set(w) for w in deltas}
+    pairs: dict[int, tuple[int, int]] = {}
     problems: list[str] = []
-    for word, dp in deltas.items():
-        rev = reverse_at(nu, dp.pi)
-        want_descents = full - descents[word]
+    for w, pi in deltas.items():
+        rev = reverse_at(g.nu, pi)
+        want_descents = full - descents[w]
         matches = []
-        for word2, dp2 in deltas.items():
-            if descents[word2] != want_descents:
+        for w2, pi2 in deltas.items():
+            if descents[w2] != want_descents:
                 continue
-            if rev == dp2.pi:
-                matches.append((word2, 1))
-            elif rev == -dp2.pi:
-                matches.append((word2, -1))
+            if rev == pi2:
+                matches.append((w2, 1))
+            elif rev == -pi2:
+                matches.append((w2, -1))
         if not matches:
-            problems.append(f"{word}: no reversal partner")
+            problems.append(f"{words[w]}: no reversal partner")
         elif len(matches) > 1:
-            problems.append(f"{word}: ambiguous partners {[m[0] for m in matches]}")
+            problems.append(f"{words[w]}: ambiguous partners {[words[m] for m, _ in matches]}")
         else:
-            pairs[word] = matches[0]
-    for word, (partner, _) in pairs.items():
+            pairs[w] = matches[0]
+    for w, (partner, _) in pairs.items():
         back = pairs.get(partner)
-        if back is None or back[0] != word:
-            problems.append(f"{word} <-> {partner}: pairing is not an involution")
+        if back is None or back[0] != w:
+            problems.append(f"{words[w]} <-> {words[partner]}: pairing is not an involution")
     return DualityResult(pairs=pairs, problems=tuple(problems))

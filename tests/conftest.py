@@ -17,6 +17,12 @@ def char_value(table, label: str, w: int) -> int:
     return table.values[table.labels.index(label)][k]
 
 
+def by_word(tables, rows: dict) -> dict:
+    """A table's ``rows``, keyed by element index, keyed by the data file's
+    spelling instead."""
+    return {tables.words[w]: row for w, row in rows.items()}
+
+
 @pytest.fixture(scope="session")
 def ctx():
     """Shared per-type computation contexts (the A4 build is the heavy one)."""

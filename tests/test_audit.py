@@ -1,4 +1,5 @@
 import json
+import traceback
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from cellred.audit import (
     run_checks,
 )
 from cellred.cli import main
+from cellred.coxeter import WeylGroup
 from cellred.rootdata import CartanType
 
 from conftest import DATA_TYPE_NAMES, TYPE_NAMES
@@ -165,7 +167,7 @@ def test_context_keeps_the_data_directory_it_was_built_for(data_copy, monkeypatc
     ctx = get_context(b2)  # fresh: keyed by the pristine copy
     monkeypatch.setenv("CELLRED_DATA_DIR", str(non_involutive_copy(tmp_path / "bad")))
     assert ctx.tables.duality == want.duality
-    assert weylmod.find_duality(ctx.group, ctx.deltas).ok
+    assert weylmod.find_duality(ctx.group, ctx.deltas, ctx.tables.words).ok
     assert set(ctx.deltas) == set(want.delta)
     with pytest.raises(uniptables.DataIntegrityFailure, match="not involutive"):
         get_context(b2).tables  # a new directory gets a new context
@@ -245,6 +247,32 @@ def test_audit_and_delta_dump_find_each_duality_once(data_copy, monkeypatch, cap
         assert main(["tables", "dump", "--what", "delta", "--type", t]) == 0
     capsys.readouterr()
     assert calls == {"find_duality": 2}
+
+
+def test_only_load_tables_parses_words_once_per_shipped_row(data_copy, monkeypatch, capsys):
+    parse_word = WeylGroup.parse_word
+    parsed = []
+
+    def recorded(self, text):
+        in_loader = any(
+            f.name == "load_tables" and Path(f.filename).name == "uniptables.py"
+            for f in traceback.extract_stack()
+        )
+        parsed.append((self.type.name, text, in_loader))
+        return parse_word(self, text)
+
+    monkeypatch.setattr(WeylGroup, "parse_word", recorded)
+    # fresh contexts: a new data directory
+    assert main(["audit", "--all"]) == 0
+    for name in DATA_TYPE_NAMES:
+        assert main(["tables", "dump", "--what", "delta", "--type", name]) == 0
+    capsys.readouterr()
+    shipped = [
+        (name, word) for name in DATA_TYPE_NAMES
+        for word in json.loads((data_copy / f"{name}.json").read_text(encoding="utf-8"))["r_alpha"]
+    ]
+    assert len(shipped) == 30
+    assert sorted(parsed) == sorted((name, word, True) for name, word in shipped)
 
 
 @pytest.mark.parametrize("module, name, reader", [

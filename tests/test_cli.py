@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cellred import audit, sl3lab
+from cellred import audit, klcells, sl3lab
 from cellred.cli import main
 
 from conftest import TYPE_NAMES
@@ -232,6 +232,28 @@ def test_tables_dump_over_a_corrupt_data_file_is_exit_3(data_copy, capsys):
     assert (code, out) == (3, "")
     assert err.startswith("cellred: B2 tables, unipotent (ref 1.3): ")
     assert "cannot parse 't/0'" in err and "Traceback" not in err
+
+
+def test_tables_dump_internal_failure_is_one_line_and_exit_3(data_copy, monkeypatch, capsys):
+    def compute_kl(group):
+        raise RuntimeError("kl broke")
+
+    monkeypatch.setattr(klcells, "compute_kl", compute_kl)
+    # fresh context: a new data directory
+    for what in ("klpoly", "cells", "gamma"):
+        code, out, err = run(capsys, "tables", "dump", "--what", what, "--type", "A3")
+        assert (code, out) == (3, "")
+        assert err == "cellred: internal error: RuntimeError: kl broke\n"
+    # a labelled data failure, a usage error and a bad -o keep their own lines
+    raw = json.loads((data_copy / "B2.json").read_text(encoding="utf-8"))
+    raw["m_w"]["1"][0].pop("coef")
+    (data_copy / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, "tables", "dump", "--what", "delta", "--type", "B2")
+    assert (code, out) == (3, "")
+    assert err == "cellred: B2 tables, m_w (ref 2.1): row '1': KeyError: 'coef'\n"
+    assert_usage_error(capsys, "tables", "dump", "--what", "delta", "--type", "A4")
+    assert_usage_error(capsys, "tables", "dump", "--what", "delta", "--type", "G2",
+                       "-o", str(data_copy))
 
 
 def test_tables_dump_delta_a4_fails_cleanly(capsys):

@@ -254,6 +254,28 @@ def test_sl3_builds_each_singer_field_once(monkeypatch):
     assert calls == [7, 11]
 
 
+def test_sl3_searches_the_generators_of_each_unit_group_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sl3lab, "_unit_generators",
+                        lambda p: calls.append(p) or _unit_generators(p))
+    with redirect_stdout(io.StringIO()):
+        assert main(["sl3", "--p", "7", "--p", "11"]) == 0
+    assert calls == [7, 11]
+
+
+def test_sl3_checks_every_p_before_building_any(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(sl3lab, "build_incidence", built.append)
+    assert main(["sl3", "--p", "97", "--p", "101"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, built) == ("", [])
+    assert err == "cellred: p = 101 exceeds bound 97\n"
+    assert main(["sl3", "--p", "5", "--p", "9"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, built) == ("", [])
+    assert err == "cellred: 9 is not prime\n"
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_tau_preserves_sum_zero_functions(p):
     maps = tau_maps(build_incidence(p))
@@ -495,7 +517,7 @@ def test_generators_refuse_every_swap_the_sample_refuses(p):
 def test_generators_generate_gl3(p, order):
     # breadth-first search over left multiplication by the generators,
     # each matrix keyed by its nine entries in base p
-    gens = _generators(p)
+    gens = _generators(build_incidence(p))
     assert gens.dtype == np.int64 and gens.shape == (5, 3, 3)
     digits = p ** np.arange(9)
     seen = np.zeros(p ** 9, dtype=bool)

@@ -15,7 +15,7 @@ from cellred.uniptables import (
     transpose,
 )
 
-from conftest import DATA_TYPE_NAMES, TYPE_NAMES
+from conftest import DATA_TYPE_NAMES, TYPE_NAMES, by_word
 
 
 def _shipped_decomp(name):
@@ -29,11 +29,13 @@ def test_all_files_load(name):
     assert tables.type.name == name
     if name == "A4":
         assert tables.unipotent is None
-        assert tables.r_alpha is None
+        assert tables.r_alpha is None and tables.words is None
         assert not tables.has_m_w_data
     else:
         assert tables.has_m_w_data
-        assert tables.j_elements() is not None
+        assert tables.r_alpha is not None
+        # one spelling per row, each the file's own key
+        assert list(tables.words) == list(tables.r_alpha)
 
 
 def test_degree_examples():
@@ -47,7 +49,7 @@ def test_degree_examples():
 
 def test_g2_template_example():
     g2 = load_tables(CartanType.parse("G2"))
-    (coef, tmpl), = g2.m_w["121"]
+    (coef, tmpl), = by_word(g2, g2.m_w)["121"]
     assert coef == 1
     assert tmpl == WeightTemplate(((-4, 1), (1, 0)))
     assert str(tmpl) == "(p-4,1)"
@@ -57,20 +59,21 @@ def test_g2_template_example():
 def test_a3_decomposition_example():
     a3 = load_tables(CartanType.parse("A3"))
     assert _shipped_decomp("A3")["r''"] == {"121": 1, "13231": 1, "232": 1}
-    assert transpose(a3.r_alpha)["r''"] == {"121": 1, "13231": 1, "232": 1}
+    assert transpose(by_word(a3, a3.r_alpha))["r''"] == {"121": 1, "13231": 1, "232": 1}
     # signed template combination for the interesting rows
-    assert [c for c, _ in a3.m_w["2"]] == [1, -1]
-    assert [c for c, _ in a3.m_w["2132"]] == [1, 1]
+    m_w = by_word(a3, a3.m_w)
+    assert [c for c, _ in m_w["2"]] == [1, -1]
+    assert [c for c, _ in m_w["2132"]] == [1, 1]
 
 
 def test_r_alpha_multiplicities():
     b2 = load_tables(CartanType.parse("B2"))
-    assert b2.r_alpha["121"]["theta"] == 1
+    assert by_word(b2, b2.r_alpha)["121"]["theta"] == 1
     g2 = load_tables(CartanType.parse("G2"))
-    assert g2.r_alpha["212"]["g"] == 1
+    assert by_word(g2, g2.r_alpha)["212"]["g"] == 1
     for name in DATA_TYPE_NAMES:
         t = load_tables(CartanType.parse(name))
-        assert "S" not in t.r_alpha["e"]
+        assert "S" not in by_word(t, t.r_alpha)["e"]
 
 
 def test_transpose_swaps_row_and_column_keys():
@@ -83,10 +86,11 @@ def test_transpose_swaps_row_and_column_keys():
 def test_decomp_is_transpose_of_r_alpha(name):
     t = load_tables(CartanType.parse(name))
     decomp = _shipped_decomp(name)
+    r_alpha = by_word(t, t.r_alpha)
     for lab, row in decomp.items():
         for word, mult in row.items():
-            assert t.r_alpha[word][lab] == mult
-    for word, row in t.r_alpha.items():
+            assert r_alpha[word][lab] == mult
+    for word, row in r_alpha.items():
         for lab, mult in row.items():
             assert decomp[lab][word] == mult
 
@@ -112,7 +116,7 @@ def test_near_involution_words_match_computed(name, ctx):
     t = load_tables(CartanType.parse(name))
     if t.r_alpha is None:
         return
-    assert t.j_elements() == ctx(name).jset
+    assert frozenset(t.r_alpha) == ctx(name).jset
 
 
 def test_loader_rejects_corrupted_table(tmp_path, monkeypatch):
@@ -140,12 +144,14 @@ def test_loader_rejects_corrupted_table(tmp_path, monkeypatch):
     monkeypatch.setenv("CELLRED_DATA_DIR", str(tmp_path))
     with pytest.raises(DataIntegrityFailure):
         load_tables(CartanType.parse("A1"))
-    assert transpose(src.r_alpha)["S"] == {"1": 1}
+    assert transpose(by_word(src, src.r_alpha))["S"] == {"1": 1}
 
 
 def test_derived_rows_for_a4(ctx):
     c = ctx("A4")
     rows = derived_r_alpha(c.group, c.leading.alpha, c.jset)
+    assert list(rows) == sorted(c.jset)
+    rows = {c.group.word(w): row for w, row in rows.items()}
     assert len(rows) == 26
     assert rows["e"] == {"5": 1}
     w0 = c.group.word(c.group.size - 1)
@@ -208,6 +214,24 @@ LOADER_FAULTS = [
                  lambda raw: raw["duality"].update(e="1"), id="not-involutive"),
     *(pytest.param(key, "missing", lambda raw, key=key: raw.pop(key), id=f"{key}-missing")
       for key in ("min_prime", "unipotent", "r_alpha", "m_w", "delta", "decomp", "duality")),
+    # a leaf of the wrong shape: the loader's own KeyError, TypeError or
+    # ValueError, labelled with the table and the row
+    pytest.param("m_w", "row '1': KeyError: 'coef'",
+                 lambda raw: raw["m_w"]["1"][0].pop("coef"), id="coef-missing"),
+    pytest.param("r_alpha", "row '1': TypeError: 'int' object is not iterable",
+                 lambda raw: raw["r_alpha"].update({"1": 5}), id="row-not-object"),
+    pytest.param("r_alpha", "row '13': BadGeneratorIndex: '3' is not a generator index of B2",
+                 lambda raw: raw["r_alpha"].update({"13": raw["r_alpha"].pop("1")}),
+                 id="word-bad-generator"),
+    pytest.param("m_w",
+                 r"row 'e': ValueError: not enough values to unpack \(expected 2, got 1\)",
+                 lambda raw: raw["m_w"]["e"][0].update(template=[[0], [0, 0]]),
+                 id="one-entry-template-pair"),
+    pytest.param("header", "row 'min_prime': ValueError: invalid literal for int"
+                 r"\(\) with base 10: 'seven'",
+                 lambda raw: raw.update(min_prime="seven"), id="min-prime-not-int"),
+    pytest.param("unipotent", "row 1: KeyError: 'label'",
+                 lambda raw: raw["unipotent"][1].pop("label"), id="label-missing"),
 ]
 
 

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from cellred.cli import main
 from cellred.coxeter import generate
 from cellred.poly import IntPoly
 from cellred.rootdata import CartanType, build_root_system, weyl_dim
@@ -12,7 +15,7 @@ from cellred.weylmod import (
     find_duality,
 )
 
-from conftest import DATA_TYPE_NAMES
+from conftest import DATA_TYPE_NAMES, by_word
 
 
 def _deltas(name):
@@ -20,7 +23,14 @@ def _deltas(name):
 
 
 def _duality(name):
-    return find_duality(generate(CartanType.parse(name)), _deltas(name))
+    tables = load_tables(CartanType.parse(name))
+    return find_duality(generate(CartanType.parse(name)), delta_table(tables), tables.words)
+
+
+def _pairs_by_word(name):
+    """The duality pairs of ``name`` as {word: (partner word, sign)}."""
+    words = load_tables(CartanType.parse(name)).words
+    return {words[w]: (words[p], s) for w, (p, s) in _duality(name).pairs.items()}
 
 
 def test_dim_template_examples():
@@ -43,14 +53,17 @@ def test_dim_template_rejects_non_dominant():
 
 
 def test_delta_table_examples():
-    a3 = _deltas("A3")
-    assert a3["2"].pi == IntPoly.parse("t(2t^2+1)/3")
-    assert a3["13"].pi == IntPoly.parse("t^2(5t^2+1)/6")
-    a2 = _deltas("A2")
-    assert a2["121"].pi == IntPoly.monomial(3)
-    b2 = _deltas("B2")
-    assert b2["121"].pi == IntPoly.parse("t(t-1)(t-2)/6")
-    assert b2["121"].c == 1
+    def deltas(name):
+        return by_word(load_tables(CartanType.parse(name)), _deltas(name))
+
+    a3 = deltas("A3")
+    assert a3["2"] == IntPoly.parse("t(2t^2+1)/3")
+    assert a3["13"] == IntPoly.parse("t^2(5t^2+1)/6")
+    a2 = deltas("A2")
+    assert a2["121"] == IntPoly.monomial(3)
+    b2 = deltas("B2")
+    assert b2["121"] == IntPoly.parse("t(t-1)(t-2)/6")
+    assert b2["121"].lowest_degree() == 1
 
 
 def test_delta_table_missing_for_a4():
@@ -64,12 +77,12 @@ def test_delta_matches_weyl_dim_at_primes(name):
     tables = load_tables(ct)
     rs = build_root_system(ct)
     deltas = delta_table(tables)
-    for word, dp in deltas.items():
+    for w, pi in deltas.items():
         for p in (5, 7, 11, 13):
             total = 0
-            for coef, tmpl in tables.m_w[word]:
+            for coef, tmpl in tables.m_w[w]:
                 total += coef * weyl_dim(rs, tmpl.instantiate(p))
-            assert dp.pi(p) == total
+            assert pi(p) == total
 
 
 @pytest.mark.parametrize("name", DATA_TYPE_NAMES)
@@ -77,28 +90,32 @@ def test_delta_positive_from_min_prime(name):
     ct = CartanType.parse(name)
     tables = load_tables(ct)
     deltas = delta_table(tables)
-    for dp in deltas.values():
+    for pi in deltas.values():
         for p in range(tables.min_prime, tables.min_prime + 20):
-            assert dp.pi(p) > 0
+            assert pi(p) > 0
 
 
 @pytest.mark.parametrize("name", DATA_TYPE_NAMES)
-def test_lowest_degrees_recorded(name):
-    deltas = _deltas(name)
-    for dp in deltas.values():
-        assert dp.c == dp.pi.lowest_degree()
+def test_lowest_degrees_recorded(name, capsys):
+    tables = load_tables(CartanType.parse(name))
+    deltas = by_word(tables, delta_table(tables))
+    assert main(["tables", "dump", "--what", "delta", "--type", name]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert list(rows) == list(deltas)
+    for word, row in rows.items():
+        assert row["c"] == deltas[word].lowest_degree()
 
 
 def test_find_duality_examples():
-    b2 = _duality("B2")
-    assert b2.ok
-    assert b2.pairs["1"] == ("2", 1)
-    assert b2.pairs["e"] == ("1212", 1)
-    a3 = _duality("A3")
-    assert a3.pairs["2"] == ("13231", 1)
-    assert a3.pairs["e"] == ("121321", 1)
-    a1 = _duality("A1")
-    assert a1.pairs["e"] == ("1", 1)
+    assert _duality("B2").ok
+    b2 = _pairs_by_word("B2")
+    assert b2["1"] == ("2", 1)
+    assert b2["e"] == ("1212", 1)
+    a3 = _pairs_by_word("A3")
+    assert a3["2"] == ("13231", 1)
+    assert a3["e"] == ("121321", 1)
+    a1 = _pairs_by_word("A1")
+    assert a1["e"] == ("1", 1)
 
 
 @pytest.mark.parametrize("name", DATA_TYPE_NAMES)
@@ -114,8 +131,9 @@ def test_duality_matches_shipped_tables(name):
 @pytest.mark.parametrize("name", DATA_TYPE_NAMES)
 def test_find_duality_reads_each_descent_set_once(name, monkeypatch):
     g = generate(CartanType.parse(name))
-    deltas = _deltas(name)
-    want = find_duality(g, deltas)
+    tables = load_tables(CartanType.parse(name))
+    deltas = delta_table(tables)
+    want = find_duality(g, deltas, tables.words)
     calls = []
     descent_set = type(g).left_descent_set
 
@@ -124,5 +142,5 @@ def test_find_duality_reads_each_descent_set_once(name, monkeypatch):
         return descent_set(self, w)
 
     monkeypatch.setattr(type(g), "left_descent_set", counted)
-    assert find_duality(g, deltas) == want
-    assert sorted(calls) == sorted(dp.w for dp in deltas.values())
+    assert find_duality(g, deltas, tables.words) == want
+    assert sorted(calls) == sorted(deltas)
