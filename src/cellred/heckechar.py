@@ -18,6 +18,23 @@ is itself built from scratch (Murnaghan-Nakayama over cycle types for the
 symmetric groups, closed dihedral forms for B2/G2, with row orthogonality
 checked).
 
+The traces follow Geck and Pfeiffer (*Characters of Finite Coxeter Groups
+and Iwahori-Hecke Algebras*, 2000, Thm 3.2.9 and section 8.2).  A cyclic
+shift w -> sws with l(sws) = l(w) keeps tr(Tt_w), and since
+Tt_s^2 = (v - v^-1) Tt_s + 1,
+
+    tr(Tt_w) = (v - v^-1) tr(Tt_{sw}) + tr(Tt_{sws})   when l(sws) = l(w) - 2.
+
+A cyclic-shift class that no s shortens consists of elements of minimal
+length in their conjugacy class (Thm 3.2.9), and only there is Tt_w formed as
+a matrix product; the recursion fills in the rest one length at a time.  The
+group data of the recursion (:class:`TracePlan`) is built once per
+:func:`build_hecke_modules` call.  Two theorems are checked on the way, and a
+failure of either is :class:`ConstructionIncomplete`: every minimal-length
+cyclic-shift class has the least length of its conjugacy class (Thm 3.2.9),
+and minimal-length elements of one conjugacy class have equal traces
+(Thm 8.2.6).
+
 The leading data extracts, per module, the unique a_E >= 0 such that
 v^(-l(w)) tr(T_w, E(u)) has valuation >= -a_E for all w, together with the
 integers c_{w,E} reading off the coefficient of v^(-a_E) (sign (-1)^l(w)
@@ -26,13 +43,13 @@ stripped), and the virtual characters alpha_w = sum_E c_{w,E} E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .coxeter import WeylGroup
-from .klcells import Cells, KLData, CellPartition, _sccs
+from .klcells import Cells, KLData, CellPartition
 from .poly import check_magnitude, check_window, laurent_matmul, window_offset
 
 
@@ -53,7 +70,8 @@ class WCharTable:
     """Integer character table with stable row labels.
 
     ``classes`` are the conjugacy classes as sorted index tuples, listed by
-    least member.  Rows are indexed by ``labels``; ``values[r][c]`` is the
+    least member: the orbits of ``conj``, where ``conj[w, i - 1]`` is
+    s_i w s_i.  Rows are indexed by ``labels``; ``values[r][c]`` is the
     character of row r at class c.  The first row is always the trivial
     character.
     """
@@ -62,6 +80,7 @@ class WCharTable:
     classes: Cells
     labels: tuple[str, ...]
     values: tuple[tuple[int, ...], ...]
+    conj: np.ndarray = field(repr=False)
 
     @property
     def sign_label(self) -> str:
@@ -72,12 +91,24 @@ class WCharTable:
         raise AssertionError("no sign character found")
 
 
-def _conjugacy_classes(g: WeylGroup) -> Cells:
-    """The classes, listed by least member: the strong components of the
-    graph x -> s_i x s_i."""
-    adj = np.zeros((g.size, g.size), dtype=bool)
-    adj[np.arange(g.size)[:, None], g.lmul[g.rmul, np.arange(g.rank)]] = True
-    return _sccs(adj)
+def _orbits(conj: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The least member of each element's orbit under the moves
+    w -> ``conj[w, i]`` where ``keep[w, i]``; both moves of a pair must be
+    kept or dropped together.  Breadth first: each pass lowers every label
+    to the least label one move away."""
+    label = np.arange(len(conj))
+    while True:
+        near = np.minimum(label, np.where(keep, label[conj], label[:, None]).min(axis=1))
+        if np.array_equal(near, label):
+            return label
+        label = near
+
+
+def _conjugacy_classes(conj: np.ndarray) -> Cells:
+    """The classes, listed by least member: the orbits of w -> s_i w s_i."""
+    label = _orbits(conj, np.ones(conj.shape, dtype=bool))
+    least = np.flatnonzero(label == np.arange(len(label)))
+    return tuple(tuple(np.flatnonzero(label == c).tolist()) for c in least)
 
 
 # -- symmetric groups: Murnaghan-Nakayama over cycle types
@@ -144,15 +175,14 @@ def _mn_char(lam: tuple[int, ...], alpha: tuple[int, ...]) -> int:
     return total
 
 
-def _symmetric_table(g: WeylGroup) -> WCharTable:
-    classes = _conjugacy_classes(g)
+def _symmetric_rows(g: WeylGroup, classes: Cells):
     types = [_cycle_type(_perm_of(g, c[0])) for c in classes]
     labels = tuple("".join(str(p) for p in lam) for lam in _partitions(g.rank + 1))
     values = tuple(
         tuple(_mn_char(lam, alpha) for alpha in types)
         for lam in _partitions(g.rank + 1)
     )
-    return WCharTable(g, classes, labels, values)
+    return labels, values
 
 
 # -- dihedral groups B2, G2
@@ -163,9 +193,8 @@ _DIHEDRAL_COS = {
 }
 
 
-def _dihedral_table(g: WeylGroup) -> WCharTable:
+def _dihedral_rows(g: WeylGroup, classes: Cells):
     m = g.nu  # order 2m, rotations (s1 s2)^k
-    classes = _conjugacy_classes(g)
 
     def tag(c: tuple[int, ...]):
         # rotation classes tagged by k (length 2k); reflections by generator
@@ -194,15 +223,15 @@ def _dihedral_table(g: WeylGroup) -> WCharTable:
         rows.append(tuple(
             ctab[(t[1] * k) % m] if t[0] == "rot" else 0 for t in tags
         ))
-    return WCharTable(g, classes, tuple(labels), tuple(rows))
+    return tuple(labels), tuple(rows)
 
 
 def w_character_table(g: WeylGroup) -> WCharTable:
     """Complete rational character table with stable labels."""
-    if g.type.family == "A":
-        table = _symmetric_table(g)
-    else:
-        table = _dihedral_table(g)
+    conj = g.lmul[g.rmul, np.arange(g.rank)]  # s_i w s_i
+    classes = _conjugacy_classes(conj)
+    rows = _symmetric_rows if g.type.family == "A" else _dihedral_rows
+    table = WCharTable(g, classes, *rows(g, classes), conj=conj)
     _check_orthogonality(table)
     return table
 
@@ -233,7 +262,9 @@ class HModule:
 
     ``gens[s - 1]`` is the matrix of Tt_s = v^-1 T_s, a (dim, dim, 3) Laurent
     array with offset 1.  ``traces[w]`` is tr(Tt_w, E(u)) = v^(-l(w)) tr(T_w),
-    a Laurent array with offset ``window_offset(nu)``.
+    a Laurent array with offset ``window_offset(nu)``: a matrix product at
+    the minimal-length elements of a :class:`TracePlan`, the Geck-Pfeiffer
+    recursion everywhere else.
     """
 
     label: str
@@ -267,19 +298,149 @@ def _verify_module(g: WeylGroup, gens: np.ndarray) -> None:
                 raise ConstructionIncomplete(f"braid relation fails for ({i},{j})")
 
 
-def _trace_table(g: WeylGroup, gens: np.ndarray) -> np.ndarray:
-    """tr(Tt_w) for all w: an (n, D) Laurent array, offset ``window_offset(nu)``."""
+@dataclass(eq=False)
+class TracePlan:
+    """The group data of the trace recursion, shared by all modules of a type.
+
+    ``minimal`` holds the least element of each cyclic-shift class that no s
+    shortens, ascending; ``peer[k]`` is the position in ``minimal`` of the
+    first one in the conjugacy class of ``minimal[k]``.  Tt_w is a matrix
+    product only at ``prefixes``, the prefixes of the canonical words of
+    ``minimal``, ascending: ``prefixes[k]`` is ``prefixes[parent[k]]`` times
+    s_{letter[k] + 1}, for k >= 1, and ``minimal`` sits at positions
+    ``at_minimal``; ``prefix_levels`` slices the positions k >= 1 by
+    length.  Each cyclic-shift class that some s shortens has one w chosen,
+    with its s, and element x has the trace of ``source[x]``: the chosen w
+    of its class, or the least element of a class in ``minimal``.
+    ``levels`` has one (3, k) array per length that has a chosen w, by
+    length: the chosen w of that length and the sources of their sw and sws.
+    """
+
+    minimal: np.ndarray
+    peer: np.ndarray
+    prefixes: np.ndarray
+    parent: np.ndarray
+    letter: np.ndarray
+    at_minimal: np.ndarray
+    prefix_levels: tuple[slice, ...]
+    levels: tuple[np.ndarray, ...]
+    source: np.ndarray
+
+
+def _trace_plan(g: WeylGroup, table: WCharTable) -> TracePlan:
+    """Cyclic-shift classes and their reductions, from ``table.conj``.
+
+    Raises :class:`ConstructionIncomplete` if a cyclic-shift class that no s
+    shortens is longer than the least element of its conjugacy class
+    (Geck-Pfeiffer Thm 3.2.9)."""
+    conj, length = table.conj, g.length
+    ids = np.arange(g.size)
+    step = length[conj] - length[:, None]  # l(s w s) - l(w): -2, 0 or 2
+    shift_class = _orbits(conj, step == 0)
+    # per class, by its least member: the least member that some s shortens
+    short = step == -2
+    shortened = np.flatnonzero(short.any(axis=1))
+    chosen = np.full(g.size, g.size)
+    np.minimum.at(chosen, shift_class[shortened], shortened)
+    w = chosen[chosen < g.size]
+    s = short[w].argmax(axis=1)
+    source = np.where(chosen < g.size, chosen, ids)[shift_class]
+    minimal = np.flatnonzero((shift_class == ids) & (chosen == g.size))
+
+    class_of = np.empty(g.size, dtype=np.int64)
+    for k, c in enumerate(table.classes):
+        class_of[list(c)] = k
+    least = np.array([c[0] for c in table.classes])[class_of[minimal]]
+    longer = np.flatnonzero(length[minimal] > length[least])
+    if longer.size:
+        k = longer[0]
+        raise ConstructionIncomplete(
+            f"{g.word(minimal[k])} is shortened by no cyclic shift but is longer than "
+            f"{g.word(least[k])} in its conjugacy class (Geck-Pfeiffer Thm 3.2.9)"
+        )
+    head = np.full(len(table.classes), len(minimal))
+    np.minimum.at(head, class_of[minimal], np.arange(len(minimal)))
+
+    last = np.array([word[-1] - 1 if word else 0 for word in g.words])
+    up = g.rmul[ids, last]  # x s_i, i the last letter of x
+    keep = np.zeros(g.size, dtype=bool)
+    x = minimal
+    while x.size:
+        keep[x] = True
+        x = up[x[x > 0]]
+    prefixes = np.flatnonzero(keep)
+
+    triples = np.stack([w, source[g.lmul[w, s]], source[conj[w, s]]])
+    cuts = np.searchsorted(length[w], np.arange(g.nu + 2))
+    steps = np.searchsorted(length[prefixes], np.arange(1, length[prefixes[-1]] + 2))
+    return TracePlan(
+        minimal=minimal,
+        peer=head[class_of[minimal]],
+        prefixes=prefixes,
+        parent=np.searchsorted(prefixes, up[prefixes]),
+        letter=last[prefixes],
+        at_minimal=np.searchsorted(prefixes, minimal),
+        prefix_levels=tuple(slice(a, b) for a, b in zip(steps[:-1], steps[1:])),
+        levels=tuple(triples[:, a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b > a),
+        source=source,
+    )
+
+
+def _minimal_traces(g: WeylGroup, gens: np.ndarray, plan: TracePlan) -> np.ndarray:
+    """tr(Tt_w) for w in ``plan.minimal``, offset ``window_offset(nu)``, by
+    one chain product per prefix, all prefixes of one length at once.  The
+    products hold v-degrees up to the longest prefix length L only, in the
+    window of ``window_offset(L)``."""
     d = gens.shape[1]
-    off = window_offset(g.nu)
-    mats = np.zeros((g.size, d, d, 2 * off + 1), dtype=np.int64)
-    mats[0, np.arange(d), np.arange(d), off] = 1
-    for x in range(1, g.size):
-        i = g.words[x][-1]
-        # Tt_x = Tt_{x s_i} Tt_{s_i}; the product has offset off + 1
-        mats[x] = laurent_matmul(mats[g.rmul[x, i - 1]], gens[i - 1])[:, :, 1:-1]
-    check_window(mats, "trace")
+    off = window_offset(int(g.length[plan.prefixes[-1]]))
+    width = 2 * off + 1
+    # Tt_{s_i} as one (d, 3d) block row: its v^-1, v^0 and v^1 parts
+    blocks = gens.transpose(0, 1, 3, 2).reshape(g.rank, d, 3 * d)
+    # mats[k, j] is the coefficient of v^(j - off) in Tt_{prefixes[k]}
+    mats = np.zeros((len(plan.prefixes), width, d, d), dtype=np.int64)
+    mats[0, off] = np.eye(d, dtype=np.int64)
+    for k in plan.prefix_levels:
+        # Tt_x = Tt_{x s_i} Tt_{s_i}; parts[:, j, :, e] is the v^(j - off)
+        # part of Tt_{x s_i} times the v^(e - 1) part of Tt_{s_i}
+        parts = mats[plan.parent[k]].reshape(-1, width * d, d) @ blocks[plan.letter[k]]
+        parts = parts.reshape(-1, width, d, 3, d)
+        mats[k, :-1] = parts[:, 1:, :, 0]
+        mats[k] += parts[:, :, :, 1]
+        mats[k, 1:] += parts[:, :-1, :, 2]
+    check_window(mats.transpose(0, 2, 3, 1), "trace")
     check_magnitude(int(np.abs(mats).max()), "trace")
-    return mats.trace(axis1=1, axis2=2)
+    full = window_offset(g.nu)
+    out = np.zeros((len(plan.minimal), 2 * full + 1), dtype=np.int64)
+    out[:, full - off:full + off + 1] = mats[plan.at_minimal].trace(axis1=2, axis2=3)
+    return out
+
+
+def _trace_table(g: WeylGroup, gens: np.ndarray, plan: TracePlan) -> np.ndarray:
+    """tr(Tt_w) for all w: an (n, D) Laurent array, offset ``window_offset(nu)``.
+
+    Raises :class:`ConstructionIncomplete` if two minimal-length elements of
+    one conjugacy class have different traces (Geck-Pfeiffer Thm 8.2.6)."""
+    at_minimal = _minimal_traces(g, gens, plan)
+    differ = np.flatnonzero((at_minimal != at_minimal[plan.peer]).any(axis=1))
+    if differ.size:
+        k = differ[0]
+        raise ConstructionIncomplete(
+            f"minimal-length elements {g.word(plan.minimal[plan.peer[k]])} and "
+            f"{g.word(plan.minimal[k])} of one conjugacy class have different "
+            "traces (Geck-Pfeiffer Thm 8.2.6)"
+        )
+    traces = np.zeros((g.size, at_minimal.shape[1]), dtype=np.int64)
+    traces[plan.minimal] = at_minimal
+    for w, sw, sws in plan.levels:
+        below = traces[sw]
+        step = traces[sws]  # + (v - v^-1) tr(Tt_{sw})
+        step[:, 1:] += below[:, :-1]
+        step[:, :-1] -= below[:, 1:]
+        traces[w] = step
+    traces = traces[plan.source]
+    check_window(traces, "trace")
+    check_magnitude(int(np.abs(traces).max()), "trace")
+    return traces
 
 
 def _match_label(table: WCharTable, traces: np.ndarray) -> str:
@@ -335,10 +496,11 @@ def build_hecke_modules(
             candidates.append(gens)
     else:
         candidates = _dihedral_gens(g)
+    plan = _trace_plan(g, table)
     modules: dict[str, HModule] = {}
     for gens in candidates:
         _verify_module(g, gens)
-        traces = _trace_table(g, gens)
+        traces = _trace_table(g, gens, plan)
         lab = _match_label(table, traces)
         if lab in modules:
             raise ConstructionIncomplete(f"two modules matched label {lab}")

@@ -350,10 +350,14 @@ def laurent_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of matrices with Laurent entries, as a full convolution.
 
     ``(i, k, Da) x (k, j, Db) -> (i, j, Da + Db - 1)``; the offset of the
-    product is the sum of the offsets of the factors.
+    product is the sum of the offsets of the factors.  Every pair of slots
+    is multiplied in one integer matrix product, then the pairs are summed
+    along the diagonals of equal degree.
     """
-    da = a.shape[2]
-    out = np.zeros((a.shape[0], b.shape[1], da + b.shape[2] - 1), dtype=np.int64)
-    for e in range(b.shape[2]):
-        out[:, :, e:e + da] += np.einsum("ikf,kj->ijf", a, b[:, :, e])
+    (i, k, da), (j, db) = a.shape, b.shape[1:]
+    # parts[f, :, :, e] = a[:, :, f] @ b[:, :, e]
+    parts = (a.transpose(2, 0, 1).reshape(da * i, k) @ b.reshape(k, j * db)).reshape(da, i, j, db)
+    out = np.zeros((i, j, da + db - 1), dtype=np.int64)
+    for e in range(db):
+        out[:, :, e:e + da] += parts[..., e].transpose(1, 2, 0)
     return out

@@ -102,6 +102,14 @@ def _parse(ct: CartanType, where: str, key: str, text: str, refs: dict) -> IntPo
         raise _fail(ct, where, f"{key}: cannot parse {text!r}: {exc}", refs) from exc
 
 
+def _int(value) -> int:
+    """A JSON integer leaf; a float, a string or a boolean is a TypeError,
+    not truncated or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not a JSON integer: {value!r}")
+    return value
+
+
 def _rows(ct: CartanType, table: str, refs: dict, rows, read) -> dict:
     """``{key: read(key, value)}`` over the rows of one table, a JSON object
     or, keyed by position, a list.  A KeyError, TypeError or ValueError
@@ -130,16 +138,20 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     path = Path(directory or data_dir()) / f"{ct.name}.json"
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise _fail(ct, "header", f"file holds a {type(raw).__name__}, not a JSON object")
     if raw.get("type") != ct.name:
         raise _fail(ct, "header", f"file declares type {raw.get('type')!r}")
     g = generate(ct)
-    refs = dict(raw.get("refs", {}))
+    refs = raw.get("refs", {})
+    if not isinstance(refs, dict):
+        raise _fail(ct, "refs", f"a {type(refs).__name__}, not a JSON object")
     for key in ("min_prime", "unipotent", "r_alpha", "m_w", "delta", "decomp", "duality"):
         if key not in raw:  # every file names every key; A4 writes its absent tables as null
             raise _fail(ct, key, "missing", refs)
 
     header = {"min_prime": raw["min_prime"], "proximity_bound": raw.get("proximity_bound", 4)}
-    min_prime, bound = _rows(ct, "header", refs, header, lambda _, v: int(v)).values()
+    min_prime, bound = _rows(ct, "header", refs, header, lambda _, v: _int(v)).values()
 
     if raw.get("unipotent") is None:
         return TypeTables(
@@ -186,10 +198,10 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         raise _fail(ct, "r_alpha", f"labels never used: {sorted(set(labels) - covered)}", refs)
 
     def m_term(w, term):
-        coef = int(term["coef"])
+        coef = _int(term["coef"])
         if coef not in (1, -1):
             raise _fail(ct, "m_w", f"coefficient {coef} at {w!r} is not +-1", refs)
-        tmpl = WeightTemplate(tuple((int(a), int(b)) for a, b in term["template"]))
+        tmpl = WeightTemplate(tuple((_int(a), _int(b)) for a, b in term["template"]))
         if len(tmpl.coords) != ct.rank:
             raise _fail(ct, "m_w", f"template rank mismatch at {w!r}", refs)
         if any(c1 not in (0, 1) for _, c1 in tmpl.coords):

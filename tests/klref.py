@@ -11,6 +11,9 @@
   taken at the highest slot per z.  ``klcells._compute_top`` must agree.
 * :func:`dense_associative`: associativity of gamma from one dense block
   per two-sided cell, the form ``klcells.j_ring`` must agree with.
+* :func:`chain_traces`: tr(Tt_w) on a Hecke module for every w, by one
+  matrix product per element, the table ``heckechar._trace_table`` must
+  reproduce by its recursion.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from cellred import klcells
 from cellred.coxeter import WeylGroup
-from cellred.poly import IntPoly, check_magnitude, check_window, window_offset
+from cellred.poly import IntPoly, check_magnitude, check_window, laurent_matmul, window_offset
 
 
 def from_array(row: np.ndarray, off: int) -> IntPoly:
@@ -126,3 +129,20 @@ def dense_associative(gamma: klcells.GammaEntries, two_sided_cells: klcells.Cell
         if not np.array_equal(lhs, rhs):
             return False
     return True
+
+
+def chain_traces(g: WeylGroup, gens: np.ndarray) -> np.ndarray:
+    """tr(Tt_w) for all w, an (n, D) Laurent array with offset
+    ``window_offset(nu)``: Tt_x = Tt_{x s_i} Tt_{s_i}, s_i the last letter of
+    x, for every x in turn."""
+    d = gens.shape[1]
+    off = window_offset(g.nu)
+    mats = np.zeros((g.size, d, d, 2 * off + 1), dtype=np.int64)
+    mats[0, np.arange(d), np.arange(d), off] = 1
+    for x in range(1, g.size):
+        i = g.words[x][-1]
+        # the product has offset off + 1
+        mats[x] = laurent_matmul(mats[g.rmul[x, i - 1]], gens[i - 1])[:, :, 1:-1]
+    check_window(mats, "trace")
+    check_magnitude(int(np.abs(mats).max()), "trace")
+    return mats.trace(axis1=1, axis2=2)

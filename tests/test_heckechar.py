@@ -1,16 +1,18 @@
+import dataclasses
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from cellred import heckechar, poly
+from cellred import heckechar, klcells, poly
 from cellred.audit import get_context
 from cellred.coxeter import generate
 from cellred.heckechar import build_hecke_modules, w_character_table
-from cellred.poly import IntPoly
+from cellred.poly import IntPoly, window_offset
 from cellred.rootdata import CartanType
 
 from conftest import TYPE_NAMES, char_value
-from klref import from_array
+from klref import chain_traces, from_array
 
 
 @lru_cache(maxsize=None)
@@ -211,3 +213,102 @@ def test_trace_guards_raise(monkeypatch):
     monkeypatch.setattr(poly, "MAGNITUDE_GUARD", 2)  # tr(Tt_e) = dim reaches 2
     with pytest.raises(AssertionError, match="trace magnitude guard tripped"):
         build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
+
+
+
+def test_product_window_guard_raises(monkeypatch):
+    # A3: the products stop at length 3 (123, a 4-cycle), in the window of
+    # window_offset(3); without its guard slot the 4-cycle's v^3 term overflows
+    # there, while the full table's window is untouched
+    c = get_context(CartanType.parse("A3"))
+    monkeypatch.setattr(heckechar, "window_offset", lambda nu: nu if nu < c.group.nu else nu + 2)
+    with pytest.raises(AssertionError, match="trace exponent window exceeded"):
+        build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
+
+
+# -- the Geck-Pfeiffer trace recursion
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_trace_table_equals_the_chain_product(name):
+    c, mods = modules_for(name)
+    for mod in mods:
+        assert np.array_equal(mod.traces, chain_traces(c.group, mod.gens)), mod.label
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_classes_are_the_strong_components_of_the_conjugation_graph(name):
+    g = generate(CartanType.parse(name))
+    table = w_character_table(g)
+    conj = table.conj
+    assert np.array_equal(conj, g.lmul[g.rmul, np.arange(g.rank)])
+    rows = np.arange(g.size)[:, None]
+    adj = np.zeros((g.size, g.size), dtype=bool)
+    adj[rows, conj] = True
+    assert table.classes == klcells._sccs(adj)
+    # cyclic-shift classes: the moves that keep the length
+    same = g.length[conj] == g.length[:, None]
+    adj = np.zeros((g.size, g.size), dtype=bool)
+    adj[np.broadcast_to(rows, conj.shape)[same], conj[same]] = True
+    plan = heckechar._trace_plan(g, table)
+    by_source = {}
+    for x, src in enumerate(plan.source.tolist()):
+        by_source.setdefault(src, []).append(x)
+    assert sorted(tuple(c) for c in by_source.values()) == list(klcells._sccs(adj))
+
+
+def test_a4_plan_sizes():
+    g = generate(CartanType.parse("A4"))
+    plan = heckechar._trace_plan(g, w_character_table(g))
+    assert len(set(plan.source.tolist())) == 49  # cyclic-shift classes
+    assert len(plan.minimal) == 16  # products: one per minimal-length class
+    assert np.array_equal(plan.prefixes, plan.minimal)
+    assert int(g.length[plan.minimal].max()) == 4
+
+
+def test_minimal_class_longer_than_its_conjugacy_class_raises():
+    # the A2 table with the classes of e and of the 3-cycles merged: the
+    # 3-cycle 12 is shortened by no s but is longer than e (Thm 3.2.9)
+    g = generate(CartanType.parse("A2"))
+    table = w_character_table(g)
+    e, refl, rot = table.classes
+    merged = dataclasses.replace(table, classes=(tuple(sorted(e + rot)), refl))
+    with pytest.raises(heckechar.ConstructionIncomplete, match=r"12 .* longer than e .*Thm 3\.2\.9"):
+        heckechar._trace_plan(g, merged)
+
+
+def test_perturbed_minimal_trace_fails_the_class_comparison(monkeypatch):
+    # a mutation: one minimal-length trace changed in a conjugacy class that
+    # holds two minimal-length cyclic-shift classes (A3: 12 and 23)
+    minimal_traces = heckechar._minimal_traces
+
+    def perturbed(g, gens, plan):
+        out = minimal_traces(g, gens, plan)
+        k = np.flatnonzero(plan.peer != np.arange(len(plan.peer)))[0]
+        out[k, window_offset(g.nu)] += 1
+        return out
+
+    monkeypatch.setattr(heckechar, "_minimal_traces", perturbed)
+    c = get_context(CartanType.parse("A3"))
+    with pytest.raises(heckechar.ConstructionIncomplete, match=r"Thm 8\.2\.6"):
+        build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
+
+
+def test_generator_changed_after_verification_breaks_the_reference(monkeypatch):
+    # a mutation: Tt_1 on each one-dimensional B2 module changed from v (or
+    # -v^-1) after _verify_module by v - v^-1, its value at v = 1 kept so
+    # that the module still matches its character; the recursion assumes the
+    # quadratic relation, so its table no longer equals the chain product of
+    # the same generators
+    verify = heckechar._verify_module
+
+    def verify_then_change(g, gens):
+        verify(g, gens)
+        if gens.shape[1] == 1:
+            gens[0, 0, 0] += (-1, 0, 1)
+
+    monkeypatch.setattr(heckechar, "_verify_module", verify_then_change)
+    c = get_context(CartanType.parse("B2"))
+    mods = build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
+    for mod in mods[:4]:
+        assert mod.dim == 1
+        assert not np.array_equal(mod.traces, chain_traces(c.group, mod.gens)), mod.label

@@ -494,26 +494,12 @@ def regular_module(kl):
     return gens
 
 
-def character_at_one(g, gens):
-    """tr(T_w) at v = 1 for every w."""
-    if g.size <= 24:
-        return heckechar._trace_table(g, gens).sum(axis=1)
-    # _trace_table on the 120-dimensional A4 module takes about 30 s and
-    # 0.7 GB, so evaluate the generators at v = 1 first, then multiply
-    at_one = gens.sum(axis=3)
-    mats = np.zeros((g.size,) + at_one.shape[1:], dtype=np.int64)
-    mats[0] = np.eye(g.size, dtype=np.int64)
-    for x in range(1, g.size):
-        i = g.words[x][-1]
-        mats[x] = mats[g.rmul[x, i - 1]] @ at_one[i - 1]
-    return mats.trace(axis1=1, axis2=2)
-
-
 @pytest.mark.parametrize("name", TYPE_NAMES)
 def test_cs_is_the_regular_representation(name, ctx):
     # oracle (Kazhdan-Lusztig 1979): c_s acting on the canonical basis is the
     # regular module of the Hecke algebra
-    kl = ctx(name).kl
+    c = ctx(name)
+    kl = c.kl
     g = kl.group
     gens = regular_module(kl)
     heckechar._verify_module(g, gens)  # quadratic and braid relations
@@ -523,7 +509,11 @@ def test_cs_is_the_regular_representation(name, ctx):
         want[..., :3] += op  # v^-1 c_s
         want[..., 2:] += op  # v c_s
         assert np.array_equal(square, want)
-    chi = character_at_one(g, gens)
+    # the regular module is the sum of dim(E) copies of each irreducible E,
+    # as Laurent arrays; at v = 1 its character is |W| at e and 0 elsewhere
+    traces = heckechar._trace_table(g, gens, heckechar._trace_plan(g, c.chartable))
+    assert np.array_equal(traces, sum(m.dim * m.traces for m in c.modules))
+    chi = traces.sum(axis=1)
     assert chi[0] == g.size and not chi[1:].any()
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -159,8 +160,15 @@ def test_derived_rows_for_a4(ctx):
     assert all(all(m > 0 for m in row.values()) for row in rows.values())
 
 
+@dataclass
+class Whole:
+    """A corruption that writes ``doc`` in place of the whole file."""
+
+    doc: object
+
+
 # One case per invariant the loader checks: (where, message, corruption of
-# the shipped B2 file).
+# the shipped B2 file, which edits it in place or returns a Whole).
 LOADER_FAULTS = [
     pytest.param("header", "file declares type 'A2'",
                  lambda raw: raw.update(type="A2"), id="header"),
@@ -227,9 +235,27 @@ LOADER_FAULTS = [
                  r"row 'e': ValueError: not enough values to unpack \(expected 2, got 1\)",
                  lambda raw: raw["m_w"]["e"][0].update(template=[[0], [0, 0]]),
                  id="one-entry-template-pair"),
-    pytest.param("header", "row 'min_prime': ValueError: invalid literal for int"
-                 r"\(\) with base 10: 'seven'",
+    pytest.param("header", "row 'min_prime': TypeError: not a JSON integer: 'seven'",
                  lambda raw: raw.update(min_prime="seven"), id="min-prime-not-int"),
+    # integer leaves refuse what int() would truncate or convert
+    *(pytest.param("header", f"row 'min_prime': TypeError: not a JSON integer: {value!r}",
+                   lambda raw, value=value: raw.update(min_prime=value), id=f"min-prime-{name}")
+      for name, value in (("float", 3.9), ("string", "7"), ("bool", True))),
+    pytest.param("header", "row 'proximity_bound': TypeError: not a JSON integer: 4.0",
+                 lambda raw: raw.update(proximity_bound=4.0), id="proximity-bound-float"),
+    pytest.param("m_w", "row 'e': TypeError: not a JSON integer: 1.0",
+                 lambda raw: raw["m_w"]["e"][0].update(coef=1.0), id="coef-float"),
+    pytest.param("m_w", "row 'e': TypeError: not a JSON integer: 0.5",
+                 lambda raw: raw["m_w"]["e"][0].update(template=[[0.5, 0], [0, 0]]),
+                 id="template-float"),
+    pytest.param("m_w", "row 'e': TypeError: not a JSON integer: '1'",
+                 lambda raw: raw["m_w"]["e"][0].update(template=[[0, "1"], [0, 0]]),
+                 id="template-string"),
+    # a document or a refs that is not a JSON object
+    pytest.param("header", "file holds a list, not a JSON object",
+                 lambda raw: Whole([raw]), id="file-not-object"),
+    pytest.param("refs", "a list, not a JSON object",
+                 lambda raw: raw.update(refs=[["header", "x"]]), id="refs-not-object"),
     pytest.param("unipotent", "row 1: KeyError: 'label'",
                  lambda raw: raw["unipotent"][1].pop("label"), id="label-missing"),
 ]
@@ -239,8 +265,9 @@ LOADER_FAULTS = [
 def test_loader_names_each_violated_invariant(data_copy, where, message, corrupt):
     path = data_copy / "B2.json"
     raw = json.loads(path.read_text(encoding="utf-8"))
-    corrupt(raw)
-    path.write_text(json.dumps(raw), encoding="utf-8")
+    whole = corrupt(raw)
+    doc = whole.doc if isinstance(whole, Whole) else raw
+    path.write_text(json.dumps(doc), encoding="utf-8")
     pattern = rf"^B2 tables, {re.escape(where)}( \(ref [^)]*\))?: {message}$"
     with pytest.raises(DataIntegrityFailure, match=pattern):
         load_tables(CartanType.parse("B2"))
