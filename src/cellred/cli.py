@@ -25,6 +25,7 @@ with status 141 (128 + SIGPIPE) and nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -240,6 +241,7 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; each parse_args fills a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellred",

@@ -24,8 +24,12 @@ both inductions run on it:
   h_{x,y,z} (c_x c_y = sum_z h_{x,y,z} c_z) for all x and z ~_L y.
 
 Both run on the Laurent arrays of :mod:`cellred.poly`, under their window
-and magnitude guards.  The structure-constant pass runs once, for every left
-cell at once, on the pairs (z, y) with z ~_L y.  For y in a left cell Gamma,
+and magnitude guards.  The structure-constant pass holds degrees 0..off
+only: it starts from c_e c_y = c_y and each step applies c_s, whose entries
+are v + v^-1 and integers, then subtracts integer mu multiples, so every h
+it forms is bar-invariant (Kazhdan and Lusztig 1979), with equal v^d and
+v^-d coefficients.  It runs once, for every left cell at once, on the pairs
+(z, y) with z ~_L y.  For y in a left cell Gamma,
 c_x c_y lies in span{c_z : z <=_L Gamma}, and on the cell module, its
 quotient by span{c_z : z <_L Gamma}, c_s acts on the c_z with z in Gamma
 through the rows of ``cs`` for those z alone; so the induction restricted to
@@ -201,7 +205,7 @@ def compute_kl(g: WeylGroup) -> KLData:
         cs[s_idx[up], lm[up, x], x, 1] = 1
         cs[s_idx[~up], x, x, ::2] = 1
     check_window(cb, "canonical-basis")
-    check_magnitude(int(np.abs(cb).max()), "canonical-basis")
+    check_magnitude(int(max(cb.max(), -cb.min())), "canonical-basis")
 
     # the nonzero coefficients of the p_{y,w}, in order of (w, y, slot); slot
     # k holds the coefficient of q^(e/2) in P_{y,w} = v^gap p_{y,w}, where
@@ -236,7 +240,7 @@ def compute_kl(g: WeylGroup) -> KLData:
 
 
 # ---------------------------------------------------------------------------
-# Structure constants: the c-basis induction over a fixed exponent window
+# Structure constants: the c-basis induction on nonnegative degrees
 # ---------------------------------------------------------------------------
 
 _Gather = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -261,13 +265,19 @@ def _gather_tables(cs: np.ndarray) -> list[_Gather]:
 
 
 def _cs_apply(tab: _Gather, A: np.ndarray) -> np.ndarray:
-    """Coefficient vectors of c_s * (sum_w A[w] c_w) in the c-basis; the
-    trailing axes of ``A`` are carried along."""
+    """Coefficient vectors of c_s * (sum_w A[w] c_w) in the c-basis, for
+    bar-invariant data held in degrees 0..D-1 on the last axis of ``A``;
+    the axes between are carried along.  Row z with sz < z gets
+    ``val[r, k]`` times row ``src[r, k]`` in each degree, and (v + v^-1)
+    times itself: degree d >= 1 reads degrees d - 1 and d + 1, and degree 0
+    reads v^-1 and v^1, both the coefficient of v^1."""
     rows, src, val = tab
+    own, mixed = A[rows], np.einsum("rk,rk...->r...", val, A[src])
+    mixed[..., 1:] += own[..., :-1]
+    mixed[..., :-1] += own[..., 1:]
+    mixed[..., 0] += own[..., 1]
     out = np.zeros_like(A)
-    out[rows] = np.einsum("rk,rk...->r...", val, A[src])
-    out[rows, ..., 1:] += A[rows, ..., :-1]
-    out[rows, ..., :-1] += A[rows, ..., 1:]
+    out[rows] = mixed
     return out
 
 
@@ -275,8 +285,12 @@ def _compute_top(
     g: WeylGroup, cs: np.ndarray, left_cells: Cells
 ) -> tuple[tuple[int, ...], GammaEntries]:
     """a per element and the nonzero gamma entries, from one pass over the
-    pairs (z, y) with z ~_L y: the state ``big[x, p]`` of pair p = (z, y) is
-    h_{x,y,z}, the coefficient of c_z in c_x c_y on the cell module of y."""
+    pairs (z, y) with z ~_L y: the state ``big[x, p, d]`` of pair p = (z, y)
+    is the coefficient of v^d in h_{x,y,z}, the coefficient of c_z in c_x c_y
+    on the cell module of y, for d = 0..off.  That is all of h, which is
+    bar-invariant (see the module docstring), and slot ``off`` stands for
+    the two guard slots -off and off of the full window, which mirror each
+    other."""
     n = g.size
     off = window_offset(g.nu)
     cell_of = np.zeros(n, dtype=np.int64)
@@ -291,19 +305,18 @@ def _compute_top(
         k = np.searchsorted(rows, z[r])
         p = pair[src[k], y[r, None]]  # -1 where z' is not in the cell of y
         tabs.append((r, np.maximum(p, 0), val[k] * (p >= 0)))
-    big = np.zeros((n, len(z), 2 * off + 1), dtype=np.int64)
-    big[0, pair[range(n), range(n)], off] = 1  # c_e c_y = c_y
+    big = np.zeros((n, len(z), off + 1), dtype=np.int64)
+    big[0, pair[range(n), range(n)], 0] = 1  # c_e c_y = c_y
     for x in range(1, n):
         _induction_step(g, cs, big, lambda s, A: _cs_apply(tabs[s - 1], A), x)
-    check_window(big, "structure-constant")
+    check_window(big[..., off:], "structure-constant")  # both ends of this slice are slot off
     check_magnitude(int(max(big.max(), -big.min())), "structure-constant")
-    # the highest slot occupied in some h_{x,y,z}, per z; its coefficients are gamma
-    top = np.zeros(n, dtype=np.int64)
-    np.maximum.at(top, z, (big.any(axis=0) * np.arange(2 * off + 1)).max(axis=1))
-    lead = big[:, np.arange(len(z)), top[z]]  # (x, pair)
+    # the highest degree occupied in some h_{x,y,z}, per z, is a(z); its coefficients are gamma
+    a = np.zeros(n, dtype=np.int64)
+    np.maximum.at(a, z, (big.any(axis=0) * np.arange(off + 1)).max(axis=1))
+    lead = big[:, np.arange(len(z)), a[z]]  # (x, pair)
     x, p = np.nonzero(lead)
     order = np.lexsort((z[p], y[p], x))
-    a = top - off
     if a[0] != 0:
         raise AssertionError("a(e) != 0: basis convention broken")
     if a[n - 1] != g.nu:

@@ -4,8 +4,9 @@
 * :func:`mult`: the group product of two element indices.
 * :func:`bruhat_lower_set`: the Bruhat interval below w, from subwords.
 * :func:`h_pass`: the structure constants h_{x,y,z} on a left cone, by the
-  c-basis induction on the full span{c_z : z in cone}.  With the cone all of
-  W it is the plain definition c_x c_y = sum_z h_{x,y,z} c_z.
+  c-basis induction on the full span{c_z : z in cone}, over the full window
+  of degrees -off..off.  With the cone all of W it is the plain definition
+  c_x c_y = sum_z h_{x,y,z} c_z.
 * :func:`cone_top`: a per element and the nonzero gamma entries from one
   :func:`h_pass` per left cell on that cell's cone, the merge of the cells
   taken at the highest slot per z.  ``klcells._compute_top`` must agree.
@@ -59,7 +60,13 @@ def h_pass(g: WeylGroup, cs: np.ndarray, cone: np.ndarray, ys: list[int]) -> np.
     big[0, np.searchsorted(cone, ys), np.arange(len(ys)), off] = 1
 
     def cs_apply(s: int, A: np.ndarray) -> np.ndarray:
-        return klcells._cs_apply(tabs[s - 1], A)
+        # c_s on the c-basis over the full window; the engine's apply keeps degrees >= 0
+        rows, src, val = tabs[s - 1]
+        out = np.zeros_like(A)
+        out[rows] = np.einsum("rk,rk...->r...", val, A[src])
+        out[rows, ..., 1:] += A[rows, ..., :-1]
+        out[rows, ..., :-1] += A[rows, ..., 1:]
+        return out
 
     for x in range(1, n):
         klcells._induction_step(g, cs, big, cs_apply, x)

@@ -290,13 +290,32 @@ def test_usage_error_on_missing_subcommand(capsys):
     assert exc.value.code == 2
 
 
+def cli_env():
+    """The environment of a fresh ``python -m cellred.cli`` on this checkout."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def test_second_main_call_keeps_nothing_of_the_first(tmp_path, capsys):
+    # one parser serves every main call in a process: the first call's
+    # appended --type values and -o path must not reach the second
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "audit", "--type", "A1", "--type", "B2", "-o", str(target))
+    assert code == 0 and out == ""
+    assert [r["type"] for r in json.loads(target.read_text())] == ["A1", "B2"]
+    code, out, _ = run(capsys, "audit", "--format", "md")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "cellred.cli", "audit", "--format", "md"],
+        capture_output=True, text=True, env=cli_env(), timeout=120,
+    )
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert out.count("## ") == len(TYPE_NAMES)
+
+
 def test_closed_stdout_exits_141_quietly():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cellred.cli",
          "tables", "dump", "--what", "klpoly", "--type", "A3"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
     )
     proc.stdout.close()  # before the dump is written: every write fails
     err = proc.stderr.read()

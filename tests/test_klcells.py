@@ -399,6 +399,44 @@ def test_cone_pass_equals_full_pass(name, ctx):
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
+def test_cone_pass_is_bar_invariant(name, ctx):
+    # the premise of the engine's pass, which keeps only degrees >= 0: every
+    # h_{x,y,z} of the full-window reference has equal v^d and v^-d coefficients
+    kl = ctx(name).kl
+    for ys, cone in left_cones(kl.cs):
+        big = h_pass(kl.group, kl.cs, cone, ys)
+        assert big.any() and np.array_equal(big, big[..., ::-1])
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_pair_state_is_the_nonnegative_half_of_the_cone_pass(name, ctx, monkeypatch):
+    # big[x, p, d] of the pair pass, p = (z, y) in order of (z, y), is the
+    # coefficient of v^d in h_{x,y,z}, d = 0..off, with the guard slot off zero
+    kl = ctx(name).kl
+    g = kl.group
+    step, states = klcells._induction_step, []
+
+    def kept(g, cs, big, apply, x):
+        step(g, cs, big, apply, x)
+        states.append(big)
+
+    monkeypatch.setattr(klcells, "_induction_step", kept)
+    klcells._compute_top(g, kl.cs, kl.left_cells)
+    big = states[-1]
+    off = klcells.window_offset(g.nu)
+    want = {}
+    for ys, cone in left_cones(kl.cs):
+        full = h_pass(g, kl.cs, cone, ys)
+        for j, y in enumerate(ys):
+            for z in ys:
+                want[z, y] = full[:, np.searchsorted(cone, z), j, off:]
+    assert big.shape == (g.size, len(want), off + 1)
+    for p, key in enumerate(sorted(want)):
+        assert np.array_equal(big[:, p], want[key]), key
+    assert not big[..., off].any()
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
 def test_pair_pass_equals_cone_pass(name, ctx):
     # the pair pass keeps only the z ~_L y of each cone, which holds every
     # nonzero gamma[x, y, z] (Lusztig, CRM 18, 14.2 P8) and reaches a(z)
@@ -708,14 +746,13 @@ def test_kl_coefficient_guards_raise(monkeypatch, slot, message):
 def test_a_function_guards_raise(monkeypatch, z, exponent, message):
     g = _a2()
     zi = g.parse_word(z)
-    off = klcells.window_offset(g.nu)
     step = klcells._induction_step
 
     def step_with_extra_term(g, cs, big, apply, x):
         step(g, cs, big, apply, x)
         if x == g.size - 1:  # add v^exponent to h_{e,z,z}, at the pair (z, z)
-            diagonal = np.flatnonzero(big[0, :, off])  # c_e c_y = c_y, in order of y
-            big[0, diagonal[zi], off + exponent] += 1
+            diagonal = np.flatnonzero(big[0, :, 0])  # c_e c_y = c_y, in order of y
+            big[0, diagonal[zi], exponent] += 1
 
     kl = compute_kl(g)
     monkeypatch.setattr(klcells, "_induction_step", step_with_extra_term)
