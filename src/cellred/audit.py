@@ -142,11 +142,6 @@ class TypeContext:
     def leading(self) -> heckechar.LeadingData:
         return heckechar.leading_data(self.group, self.modules)
 
-    @property
-    def derived_rows(self) -> bool:
-        """No shipped decomposition: rows come from leading coefficients."""
-        return self.tables.r_alpha is None
-
     @stage
     def deltas(self) -> dict[int, IntPoly]:
         return weylmod.delta_table(self.tables)
@@ -157,9 +152,10 @@ class TypeContext:
 
     @stage
     def unip_rows(self) -> dict[str, dict[int, int]]:
-        """label -> {element: multiplicity}"""
+        """label -> {element: multiplicity}; without 2.1 tables the rows are
+        derived from the leading coefficients."""
         rows = self.tables.r_alpha
-        if self.derived_rows:
+        if not self.tables.has_m_w_data:
             rows = uniptables.derived_r_alpha(self.group, self.leading.alpha, self.jset)
         return uniptables.transpose(rows)
 
@@ -237,7 +233,7 @@ def check_centrality(ctx: TypeContext) -> CheckResult:
     for lab in labels:
         if not klcells.is_central(ctx.group, ctx.gamma, ctx.unip_rows[lab]):
             failures.append(f"z_{lab} is not central")
-    origin = "derived multiplicities" if ctx.derived_rows else "shipped multiplicities"
+    origin = "shipped multiplicities" if ctx.tables.has_m_w_data else "derived multiplicities"
     return _row(
         "centrality", failures, f"{len(labels)}/{len(labels)} central ({origin})"
     )
@@ -249,7 +245,7 @@ def check_j_criterion(ctx: TypeContext) -> CheckResult:
     failures = []
     if cells_based != alpha_based:
         failures.append("cell-based set differs from the alpha-support set")
-    shipped = None if ctx.derived_rows else frozenset(ctx.tables.r_alpha)
+    shipped = frozenset(ctx.tables.r_alpha) if ctx.tables.has_m_w_data else None
     if shipped is not None and shipped != cells_based:
         failures.append("computed set differs from the shipped list")
     g = ctx.group

@@ -11,12 +11,12 @@ Z[v, v^-1] (u = v^2, quadratic relation (T_s - u)(T_s + 1) = 0):
   deformations of the rotation representations.
 
 Modules are held as Laurent arrays (see :mod:`cellred.poly`) of the
-normalised generators Tt_s = v^-1 T_s.  Every module is verified against the
-braid and quadratic relations, and the traces of all Tt_w are computed once;
-their v = 1 values are matched against the ordinary character table, which
-is itself built from scratch (Murnaghan-Nakayama over cycle types for the
-symmetric groups, closed dihedral forms for B2/G2, with row orthogonality
-checked).
+normalised generators Tt_s = v^-1 T_s.  The traces of all Tt_w are computed
+once, and the products they start from verify the module against the
+quadratic and braid relations; their v = 1 values are matched against the
+ordinary character table, which is itself built from scratch
+(Murnaghan-Nakayama over cycle types for the symmetric groups, closed
+dihedral forms for B2/G2, with row orthogonality checked).
 
 The traces follow Geck and Pfeiffer (*Characters of Finite Coxeter Groups
 and Iwahori-Hecke Algebras*, 2000, Thm 3.2.9 and section 8.2).  A cyclic
@@ -26,14 +26,15 @@ Tt_s^2 = (v - v^-1) Tt_s + 1,
     tr(Tt_w) = (v - v^-1) tr(Tt_{sw}) + tr(Tt_{sws})   when l(sws) = l(w) - 2.
 
 A cyclic-shift class that no s shortens consists of elements of minimal
-length in their conjugacy class (Thm 3.2.9), and only there is Tt_w formed as
-a matrix product; the recursion fills in the rest one length at a time.  The
-group data of the recursion (:class:`TracePlan`) is built once per
-:func:`build_hecke_modules` call.  Two theorems are checked on the way, and a
-failure of either is :class:`ConstructionIncomplete`: every minimal-length
-cyclic-shift class has the least length of its conjugacy class (Thm 3.2.9),
-and minimal-length elements of one conjugacy class have equal traces
-(Thm 8.2.6).
+length in their conjugacy class (Thm 3.2.9), and only there is a trace read
+off a matrix product; the recursion fills in the rest one length at a time.
+Formed along every reduced-word step, the products also check the braid
+relations (Matsumoto's theorem).  The group data of the recursion
+(:class:`TracePlan`) is built once per :func:`build_hecke_modules` call.
+Two theorems are checked on the way, and a failure of either is
+:class:`ConstructionIncomplete`: every minimal-length cyclic-shift class has
+the least length of its conjugacy class (Thm 3.2.9), and minimal-length
+elements of one conjugacy class have equal traces (Thm 8.2.6).
 
 The leading data extracts, per module, the unique a_E >= 0 such that
 v^(-l(w)) tr(T_w, E(u)) has valuation >= -a_E for all w, together with the
@@ -50,7 +51,7 @@ import numpy as np
 
 from .coxeter import WeylGroup
 from .klcells import Cells, KLData, CellPartition
-from .poly import check_magnitude, check_window, laurent_matmul, window_offset
+from .poly import check_magnitude, check_window, window_offset
 
 
 class ConstructionIncomplete(AssertionError):
@@ -262,9 +263,9 @@ class HModule:
 
     ``gens[s - 1]`` is the matrix of Tt_s = v^-1 T_s, a (dim, dim, 3) Laurent
     array with offset 1.  ``traces[w]`` is tr(Tt_w, E(u)) = v^(-l(w)) tr(T_w),
-    a Laurent array with offset ``window_offset(nu)``: a matrix product at
-    the minimal-length elements of a :class:`TracePlan`, the Geck-Pfeiffer
-    recursion everywhere else.
+    a Laurent array with offset ``window_offset(nu)``: read off a matrix
+    product at the minimal-length elements of a :class:`TracePlan`, the
+    Geck-Pfeiffer recursion everywhere else.
     """
 
     label: str
@@ -279,50 +280,25 @@ def _coxeter_m(g: WeylGroup, i: int, j: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}[prod]
 
 
-def _verify_module(g: WeylGroup, gens: np.ndarray) -> None:
-    eye = np.eye(gens.shape[1], dtype=np.int64)
-    for T in gens:
-        # (T - u)(T + 1) = 0, divided by v^2: (Tt - v)(Tt + v^-1) = 0
-        left, right = T.copy(), T.copy()
-        left[:, :, 2] -= eye
-        right[:, :, 0] += eye
-        if laurent_matmul(left, right).any():
-            raise ConstructionIncomplete("quadratic relation fails")
-    for i in range(1, g.rank + 1):
-        for j in range(i + 1, g.rank + 1):
-            left, right = gens[i - 1], gens[j - 1]
-            for k in range(1, _coxeter_m(g, i, j)):
-                left = laurent_matmul(left, gens[(i, j)[k % 2] - 1])
-                right = laurent_matmul(right, gens[(j, i)[k % 2] - 1])
-            if not np.array_equal(left, right):
-                raise ConstructionIncomplete(f"braid relation fails for ({i},{j})")
-
-
 @dataclass(eq=False)
 class TracePlan:
     """The group data of the trace recursion, shared by all modules of a type.
 
     ``minimal`` holds the least element of each cyclic-shift class that no s
     shortens, ascending; ``peer[k]`` is the position in ``minimal`` of the
-    first one in the conjugacy class of ``minimal[k]``.  Tt_w is a matrix
-    product only at ``prefixes``, the prefixes of the canonical words of
-    ``minimal``, ascending: ``prefixes[k]`` is ``prefixes[parent[k]]`` times
-    s_{letter[k] + 1}, for k >= 1, and ``minimal`` sits at positions
-    ``at_minimal``; ``prefix_levels`` slices the positions k >= 1 by
-    length.  Each cyclic-shift class that some s shortens has one w chosen,
-    with its s, and element x has the trace of ``source[x]``: the chosen w
-    of its class, or the least element of a class in ``minimal``.
-    ``levels`` has one (3, k) array per length that has a chosen w, by
-    length: the chosen w of that length and the sources of their sw and sws.
+    first one in the conjugacy class of ``minimal[k]``.  Tt_x is a matrix
+    product for every x of length at most ``top``: the longest element of
+    ``minimal`` or the longest braid relation m_ij, whichever is longer.
+    Each cyclic-shift class that some s shortens has one w chosen, with its
+    s, and element x has the trace of ``source[x]``: the chosen w of its
+    class, or the least element of a class in ``minimal``.  ``levels`` has
+    one (3, k) array per length that has a chosen w, by length: the chosen
+    w of that length and the sources of their sw and sws.
     """
 
     minimal: np.ndarray
     peer: np.ndarray
-    prefixes: np.ndarray
-    parent: np.ndarray
-    letter: np.ndarray
-    at_minimal: np.ndarray
-    prefix_levels: tuple[slice, ...]
+    top: int
     levels: tuple[np.ndarray, ...]
     source: np.ndarray
 
@@ -361,65 +337,85 @@ def _trace_plan(g: WeylGroup, table: WCharTable) -> TracePlan:
     head = np.full(len(table.classes), len(minimal))
     np.minimum.at(head, class_of[minimal], np.arange(len(minimal)))
 
-    last = np.array([word[-1] - 1 if word else 0 for word in g.words])
-    up = g.rmul[ids, last]  # x s_i, i the last letter of x
-    keep = np.zeros(g.size, dtype=bool)
-    x = minimal
-    while x.size:
-        keep[x] = True
-        x = up[x[x > 0]]
-    prefixes = np.flatnonzero(keep)
-
     triples = np.stack([w, source[g.lmul[w, s]], source[conj[w, s]]])
     cuts = np.searchsorted(length[w], np.arange(g.nu + 2))
-    steps = np.searchsorted(length[prefixes], np.arange(1, length[prefixes[-1]] + 2))
+    braids = [_coxeter_m(g, i, j) for i in range(1, g.rank) for j in range(i + 1, g.rank + 1)]
     return TracePlan(
         minimal=minimal,
         peer=head[class_of[minimal]],
-        prefixes=prefixes,
-        parent=np.searchsorted(prefixes, up[prefixes]),
-        letter=last[prefixes],
-        at_minimal=np.searchsorted(prefixes, minimal),
-        prefix_levels=tuple(slice(a, b) for a, b in zip(steps[:-1], steps[1:])),
+        top=max([int(length[minimal[-1]])] + braids),
         levels=tuple(triples[:, a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b > a),
         source=source,
     )
 
 
+def _right_times(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The products mats[k] Tt_{s_k}, where ``mats`` is a (k, width, d, d)
+    stack of Laurent matrices by v-degree slot and ``blocks[k]`` is Tt_{s_k}
+    as one (d, 3d) block row: its v^-1, v^0 and v^1 parts.  A product keeps
+    the window of ``mats``."""
+    k, width, d, _ = mats.shape
+    # parts[:, j, :, e] is the slot-j part of mats times the v^(e - 1) part of Tt_s
+    parts = (mats.reshape(k, width * d, d) @ blocks).reshape(k, width, d, 3, d)
+    out = parts[:, :, :, 1].copy()
+    out[:, :-1] += parts[:, 1:, :, 0]
+    out[:, 1:] += parts[:, :-1, :, 2]
+    return out
+
+
 def _minimal_traces(g: WeylGroup, gens: np.ndarray, plan: TracePlan) -> np.ndarray:
-    """tr(Tt_w) for w in ``plan.minimal``, offset ``window_offset(nu)``, by
-    one chain product per prefix, all prefixes of one length at once.  The
-    products hold v-degrees up to the longest prefix length L only, in the
-    window of ``window_offset(L)``."""
+    """tr(Tt_w) for w in ``plan.minimal``, offset ``window_offset(nu)``.
+
+    One pass forms Tt_x for every x of length at most ``plan.top``, one
+    length at a time, as Tt_y Tt_s for every pair (y, s) with ys = x and
+    l(y) < l(x), all pairs of one length in one batched product.  The
+    products hold v-degrees up to ``plan.top`` only, in the window of
+    ``window_offset(plan.top)``.  By Matsumoto's theorem the braid relations
+    hold exactly when all products that land on one x agree, and the pass
+    reaches every braid relation; it runs after a check of the quadratic
+    relation Tt_s^2 = (v - v^-1) Tt_s + 1.  A failure of either is
+    :class:`ConstructionIncomplete`."""
     d = gens.shape[1]
-    off = window_offset(int(g.length[plan.prefixes[-1]]))
-    width = 2 * off + 1
-    # Tt_{s_i} as one (d, 3d) block row: its v^-1, v^0 and v^1 parts
+    off = window_offset(plan.top)
+    eye = np.eye(d, dtype=np.int64)
     blocks = gens.transpose(0, 1, 3, 2).reshape(g.rank, d, 3 * d)
-    # mats[k, j] is the coefficient of v^(j - off) in Tt_{prefixes[k]}
-    mats = np.zeros((len(plan.prefixes), width, d, d), dtype=np.int64)
-    mats[0, off] = np.eye(d, dtype=np.int64)
-    for k in plan.prefix_levels:
-        # Tt_x = Tt_{x s_i} Tt_{s_i}; parts[:, j, :, e] is the v^(j - off)
-        # part of Tt_{x s_i} times the v^(e - 1) part of Tt_{s_i}
-        parts = mats[plan.parent[k]].reshape(-1, width * d, d) @ blocks[plan.letter[k]]
-        parts = parts.reshape(-1, width, d, 3, d)
-        mats[k, :-1] = parts[:, 1:, :, 0]
-        mats[k] += parts[:, :, :, 1]
-        mats[k, 1:] += parts[:, :-1, :, 2]
+    formed = np.searchsorted(g.length, plan.top, side="right")  # the x with l(x) <= top
+    # mats[x, j] is the coefficient of v^(j - off) in Tt_x; x = i is s_i
+    mats = np.zeros((formed, 2 * off + 1, d, d), dtype=np.int64)
+    mats[0, off] = eye
+    # Tt_x for l(x) = k holds degrees -k..k only, so each step works in those slots
+    tt = mats[1:g.rank + 1, off - 2:off + 3]
+    tt[:, 1:4] = gens.transpose(0, 3, 1, 2)
+    want = np.zeros_like(tt)  # (v - v^-1) Tt_s + 1
+    want[:, 1:] += tt[:, :-1]
+    want[:, :-1] -= tt[:, 1:]
+    want[:, 2] += eye
+    if not np.array_equal(_right_times(tt, blocks), want):
+        raise ConstructionIncomplete("quadratic relation fails")
+    x, s = np.nonzero(g.length[g.rmul[:formed]] < g.length[:formed, None])  # l(xs) < l(x)
+    cuts = np.searchsorted(g.length[x], np.arange(2, plan.top + 2))
+    for k, level in enumerate(map(slice, cuts[:-1], cuts[1:]), start=2):
+        band = slice(off - k, off + k + 1)
+        products = _right_times(mats[g.rmul[x[level], s[level]], band], blocks[s[level]])
+        mats[x[level], band] = products  # keeps one of the products that land on each x
+        bad = np.flatnonzero((mats[x[level], band] != products).any(axis=(1, 2, 3)))
+        if bad.size:
+            raise ConstructionIncomplete(f"braid relation fails at {g.word(x[level][bad[0]])}")
     check_window(mats.transpose(0, 2, 3, 1), "trace")
     check_magnitude(int(np.abs(mats).max()), "trace")
     full = window_offset(g.nu)
     out = np.zeros((len(plan.minimal), 2 * full + 1), dtype=np.int64)
-    out[:, full - off:full + off + 1] = mats[plan.at_minimal].trace(axis1=2, axis2=3)
+    out[:, full - off:full + off + 1] = mats[plan.minimal].trace(axis1=2, axis2=3)
     return out
 
 
 def _trace_table(g: WeylGroup, gens: np.ndarray, plan: TracePlan) -> np.ndarray:
     """tr(Tt_w) for all w: an (n, D) Laurent array, offset ``window_offset(nu)``.
 
-    Raises :class:`ConstructionIncomplete` if two minimal-length elements of
-    one conjugacy class have different traces (Geck-Pfeiffer Thm 8.2.6)."""
+    Raises :class:`ConstructionIncomplete` if the quadratic or a braid
+    relation fails (see :func:`_minimal_traces`), or if two minimal-length
+    elements of one conjugacy class have different traces (Geck-Pfeiffer
+    Thm 8.2.6)."""
     at_minimal = _minimal_traces(g, gens, plan)
     differ = np.flatnonzero((at_minimal != at_minimal[plan.peer]).any(axis=1))
     if differ.size:
@@ -499,7 +495,6 @@ def build_hecke_modules(
     plan = _trace_plan(g, table)
     modules: dict[str, HModule] = {}
     for gens in candidates:
-        _verify_module(g, gens)
         traces = _trace_table(g, gens, plan)
         lab = _match_label(table, traces)
         if lab in modules:

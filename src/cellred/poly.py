@@ -86,9 +86,10 @@ class IntPoly:
     def leading_coefficient(self) -> Scalar:
         return self._c[self.degree()]
 
-    def __call__(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        return sum((a * x ** k for k, a in self._c.items()), Fraction(0))
+    def __call__(self, x: Scalar) -> Scalar:
+        """The value at ``x``, exact: at an int it is an int unless a
+        ``Fraction`` coefficient or a negative exponent makes it a fraction."""
+        return sum(a * (x ** k if k >= 0 else Fraction(1, x) ** -k) for k, a in self._c.items())
 
     def is_integer_valued(self) -> bool:
         """Whether every integer maps to an integer; the values at
@@ -344,20 +345,3 @@ def check_magnitude(bound: int, what: str) -> None:
     below :data:`MAGNITUDE_GUARD`."""
     if bound >= MAGNITUDE_GUARD:
         raise AssertionError(f"{what} magnitude guard tripped")
-
-
-def laurent_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of matrices with Laurent entries, as a full convolution.
-
-    ``(i, k, Da) x (k, j, Db) -> (i, j, Da + Db - 1)``; the offset of the
-    product is the sum of the offsets of the factors.  Every pair of slots
-    is multiplied in one integer matrix product, then the pairs are summed
-    along the diagonals of equal degree.
-    """
-    (i, k, da), (j, db) = a.shape, b.shape[1:]
-    # parts[f, :, :, e] = a[:, :, f] @ b[:, :, e]
-    parts = (a.transpose(2, 0, 1).reshape(da * i, k) @ b.reshape(k, j * db)).reshape(da, i, j, db)
-    out = np.zeros((i, j, da + db - 1), dtype=np.int64)
-    for e in range(db):
-        out[:, :, e:e + da] += parts[..., e].transpose(1, 2, 0)
-    return out

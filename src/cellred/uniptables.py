@@ -66,7 +66,6 @@ class TypeTables:
     """
 
     type: CartanType
-    group: WeylGroup
     min_prime: int
     proximity_bound: int
     unipotent: tuple[UnipotentChar, ...] | None
@@ -78,6 +77,8 @@ class TypeTables:
 
     @property
     def has_m_w_data(self) -> bool:
+        """Whether the type ships its 2.1 tables: :func:`load_tables` fills
+        every 2.1 slot or nulls them all."""
         return self.m_w is not None
 
 
@@ -146,16 +147,17 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     refs = raw.get("refs", {})
     if not isinstance(refs, dict):
         raise _fail(ct, "refs", f"a {type(refs).__name__}, not a JSON object")
-    for key in ("min_prime", "unipotent", "r_alpha", "m_w", "delta", "decomp", "duality"):
+    for key in ("min_prime", "proximity_bound", "unipotent", "r_alpha", "m_w", "delta", "decomp",
+                "duality"):
         if key not in raw:  # every file names every key; A4 writes its absent tables as null
             raise _fail(ct, key, "missing", refs)
 
-    header = {"min_prime": raw["min_prime"], "proximity_bound": raw.get("proximity_bound", 4)}
+    header = {key: raw[key] for key in ("min_prime", "proximity_bound")}
     min_prime, bound = _rows(ct, "header", refs, header, lambda _, v: _int(v)).values()
 
     if raw.get("unipotent") is None:
         return TypeTables(
-            type=ct, group=g, min_prime=min_prime, proximity_bound=bound,
+            type=ct, min_prime=min_prime, proximity_bound=bound,
             unipotent=None, words=None, r_alpha=None, m_w=None, delta=None, duality=None,
         )
 
@@ -236,7 +238,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
             raise _fail(ct, "duality", f"not involutive at {words[w]!r}", refs)
 
     return TypeTables(
-        type=ct, group=g, min_prime=min_prime, proximity_bound=bound,
+        type=ct, min_prime=min_prime, proximity_bound=bound,
         unipotent=unip, words=words,
         r_alpha={index[w]: row for w, row in r_alpha.items()},
         m_w={index[w]: terms for w, terms in m_w.items()},

@@ -12,6 +12,7 @@
   taken at the highest slot per z.  ``klcells._compute_top`` must agree.
 * :func:`dense_associative`: associativity of gamma from one dense block
   per two-sided cell, the form ``klcells.j_ring`` must agree with.
+* :func:`laurent_matmul`: the product of two matrices with Laurent entries.
 * :func:`chain_traces`: tr(Tt_w) on a Hecke module for every w, by one
   matrix product per element, the table ``heckechar._trace_table`` must
   reproduce by its recursion.
@@ -23,7 +24,7 @@ import numpy as np
 
 from cellred import klcells
 from cellred.coxeter import WeylGroup
-from cellred.poly import IntPoly, check_magnitude, check_window, laurent_matmul, window_offset
+from cellred.poly import IntPoly, check_magnitude, check_window, window_offset
 
 
 def from_array(row: np.ndarray, off: int) -> IntPoly:
@@ -136,6 +137,23 @@ def dense_associative(gamma: klcells.GammaEntries, two_sided_cells: klcells.Cell
         if not np.array_equal(lhs, rhs):
             return False
     return True
+
+
+def laurent_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of matrices with Laurent entries, as a full convolution.
+
+    ``(i, k, Da) x (k, j, Db) -> (i, j, Da + Db - 1)``; the offset of the
+    product is the sum of the offsets of the factors.  Every pair of slots
+    is multiplied in one integer matrix product, then the pairs are summed
+    along the diagonals of equal degree.
+    """
+    (i, k, da), (j, db) = a.shape, b.shape[1:]
+    # parts[f, :, :, e] = a[:, :, f] @ b[:, :, e]
+    parts = (a.transpose(2, 0, 1).reshape(da * i, k) @ b.reshape(k, j * db)).reshape(da, i, j, db)
+    out = np.zeros((i, j, da + db - 1), dtype=np.int64)
+    for e in range(db):
+        out[:, :, e:e + da] += parts[..., e].transpose(1, 2, 0)
+    return out
 
 
 def chain_traces(g: WeylGroup, gens: np.ndarray) -> np.ndarray:

@@ -170,7 +170,7 @@ def test_type_a_r_table_equals_leading_coefficients(name, ctx):
 
 def test_a4_row_support_is_flagged_derived(ctx):
     c = ctx("A4")
-    assert c.derived_rows
+    assert not c.tables.has_m_w_data
     # the derived rows must use every W-character label at least once
     used = {lab for lab in c.unip_rows}
     assert used == set(c.leading.labels)
@@ -202,6 +202,21 @@ def test_braid_relation_guard_raises(monkeypatch):
     build = _b2_with(monkeypatch, 4, 1, (1, 0, 2), 3)
     with pytest.raises(heckechar.ConstructionIncomplete, match="braid relation fails"):
         build()
+
+
+@pytest.mark.parametrize("label, gen, word", [("22", 1, "13"), ("31", 2, "232")])
+def test_type_a_braid_relation_guard_raises(label, gen, word):
+    # a mutation: Tt_gen on one A3 module conjugated by the signed permutation
+    # that negates the first basis vector, so every quadratic relation still
+    # holds; on module 22 the m = 2 relation of s1 and s3 fails, and on
+    # module 31 an m = 3 relation of s2, which commutes with no generator of A3
+    c, mods = modules_for("A3")
+    gens = next(m for m in mods if m.label == label).gens.copy()
+    gens[gen - 1, 0] *= -1
+    gens[gen - 1, :, 0] *= -1
+    plan = heckechar._trace_plan(c.group, c.chartable)
+    with pytest.raises(heckechar.ConstructionIncomplete, match=f"braid relation fails at {word}$"):
+        heckechar._trace_table(c.group, gens, plan)
 
 
 def test_trace_guards_raise(monkeypatch):
@@ -260,9 +275,12 @@ def test_a4_plan_sizes():
     g = generate(CartanType.parse("A4"))
     plan = heckechar._trace_plan(g, w_character_table(g))
     assert len(set(plan.source.tolist())) == 49  # cyclic-shift classes
-    assert len(plan.minimal) == 16  # products: one per minimal-length class
-    assert np.array_equal(plan.prefixes, plan.minimal)
+    assert len(plan.minimal) == 16  # one per minimal-length class
     assert int(g.length[plan.minimal].max()) == 4
+    # products: every element of length <= 4, the longest of minimal and
+    # longer than every braid relation (m = 2, 3)
+    assert plan.top == 4
+    assert np.count_nonzero(g.length <= plan.top) == 49
 
 
 def test_minimal_class_longer_than_its_conjugacy_class_raises():
@@ -291,24 +309,3 @@ def test_perturbed_minimal_trace_fails_the_class_comparison(monkeypatch):
     c = get_context(CartanType.parse("A3"))
     with pytest.raises(heckechar.ConstructionIncomplete, match=r"Thm 8\.2\.6"):
         build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
-
-
-def test_generator_changed_after_verification_breaks_the_reference(monkeypatch):
-    # a mutation: Tt_1 on each one-dimensional B2 module changed from v (or
-    # -v^-1) after _verify_module by v - v^-1, its value at v = 1 kept so
-    # that the module still matches its character; the recursion assumes the
-    # quadratic relation, so its table no longer equals the chain product of
-    # the same generators
-    verify = heckechar._verify_module
-
-    def verify_then_change(g, gens):
-        verify(g, gens)
-        if gens.shape[1] == 1:
-            gens[0, 0, 0] += (-1, 0, 1)
-
-    monkeypatch.setattr(heckechar, "_verify_module", verify_then_change)
-    c = get_context(CartanType.parse("B2"))
-    mods = build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
-    for mod in mods[:4]:
-        assert mod.dim == 1
-        assert not np.array_equal(mod.traces, chain_traces(c.group, mod.gens)), mod.label

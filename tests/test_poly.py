@@ -11,12 +11,11 @@ from cellred.poly import (
     ZeroPolynomial,
     check_magnitude,
     check_window,
-    laurent_matmul,
     reverse_at,
     window_offset,
 )
 
-from klref import from_array
+from klref import from_array, laurent_matmul
 
 V = IntPoly({1: 1})
 VI = IntPoly({-1: 1})
@@ -119,6 +118,16 @@ def test_intpoly_parse_render_examples():
     assert IntPoly.parse("1").render() == "1"
     assert IntPoly.parse("t(t+1)^2(t^2-t+1)/2")(2) == 2 * 9 * 3 / 2
     assert IntPoly.parse("t^2(5t^2+1)/6") == IntPoly.parse("(5t^4+t^2)/6")
+
+
+def test_evaluation_is_exact():
+    # at an int: an int for integer coefficients; a Fraction coefficient or a
+    # negative exponent gives a Fraction, never a float
+    value = IntPoly.parse("t^2+1")(3)
+    assert value == 10 and type(value) is int
+    assert IntPoly({-2: 3, 1: Fraction(1, 2)})(2) == Fraction(7, 4)
+    assert IntPoly({-1: 1})(Fraction(2, 3)) == Fraction(3, 2)
+    assert IntPoly.zero()(5) == 0
 
 
 def test_intpoly_parse_rejects_junk():

@@ -221,7 +221,8 @@ LOADER_FAULTS = [
     pytest.param("duality", "not involutive at 'e'",
                  lambda raw: raw["duality"].update(e="1"), id="not-involutive"),
     *(pytest.param(key, "missing", lambda raw, key=key: raw.pop(key), id=f"{key}-missing")
-      for key in ("min_prime", "unipotent", "r_alpha", "m_w", "delta", "decomp", "duality")),
+      for key in ("min_prime", "proximity_bound", "unipotent", "r_alpha", "m_w", "delta",
+                  "decomp", "duality")),
     # a leaf of the wrong shape: the loader's own KeyError, TypeError or
     # ValueError, labelled with the table and the row
     pytest.param("m_w", "row '1': KeyError: 'coef'",
