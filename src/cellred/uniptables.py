@@ -94,20 +94,32 @@ def _fail(ct: CartanType, where: str, msg: str, refs: dict | None = None) -> Dat
     return DataIntegrityFailure(f"{ct.name} tables, {where}{tag}: {msg}")
 
 
-def _parse(ct: CartanType, where: str, key: str, text: str, refs: dict) -> IntPoly:
-    """``IntPoly.parse`` of the ``where`` entry ``key``; a malformed
-    polynomial is a :class:`DataIntegrityFailure` at that location."""
+def _parse(ct: CartanType, where: str, key: str, text, refs: dict) -> IntPoly:
+    """``IntPoly.parse`` of the ``where`` entry ``key``, a JSON string; a
+    malformed polynomial is a :class:`DataIntegrityFailure` at that
+    location."""
     try:
-        return IntPoly.parse(text)
+        return IntPoly.parse(_json(text, str))
     except (ValueError, ZeroDivisionError) as exc:
         raise _fail(ct, where, f"{key}: cannot parse {text!r}: {exc}", refs) from exc
 
 
-def _int(value) -> int:
-    """A JSON integer leaf; a float, a string or a boolean is a TypeError,
-    not truncated or converted."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"not a JSON integer: {value!r}")
+_JSON_NAMES = {int: "integer", str: "string", dict: "object", list: "array"}
+
+
+def _json(value, kind: type):
+    """``value``, if a JSON ``kind`` (int, str, dict or list); anything
+    else, a boolean for an integer too, is a TypeError, never converted."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"not a JSON {_JSON_NAMES[kind]}: {value!r}")
+    return value
+
+
+def _table(ct: CartanType, where: str, value, kind: type, refs: dict | None = None):
+    """``value``, if a JSON object (``kind`` dict) or array (list); anything
+    else is a :class:`DataIntegrityFailure` at ``where``."""
+    if not isinstance(value, kind):
+        raise _fail(ct, where, f"a {type(value).__name__}, not a JSON {_JSON_NAMES[kind]}", refs)
     return value
 
 
@@ -129,6 +141,14 @@ def _rows(ct: CartanType, table: str, refs: dict, rows, read) -> dict:
     return out
 
 
+_TABLES = ("unipotent", "r_alpha", "m_w", "delta", "decomp", "duality")
+
+
+def _multiplicities(row) -> dict:
+    """A JSON object of JSON integers: an R row or a decomposition row."""
+    return {key: _json(mult, int) for key, mult in _json(row, dict).items()}
+
+
 def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     """Load and verify the tables for a type (A4: partial) from
     ``directory``, by default :func:`data_dir`.  Not cached: the audit
@@ -144,25 +164,27 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     if raw.get("type") != ct.name:
         raise _fail(ct, "header", f"file declares type {raw.get('type')!r}")
     g = generate(ct)
-    refs = raw.get("refs", {})
-    if not isinstance(refs, dict):
-        raise _fail(ct, "refs", f"a {type(refs).__name__}, not a JSON object")
-    for key in ("min_prime", "proximity_bound", "unipotent", "r_alpha", "m_w", "delta", "decomp",
-                "duality"):
+    refs = _table(ct, "refs", raw.get("refs", {}), dict)
+    for key in ("min_prime", "proximity_bound", *_TABLES):
         if key not in raw:  # every file names every key; A4 writes its absent tables as null
             raise _fail(ct, key, "missing", refs)
 
     header = {key: raw[key] for key in ("min_prime", "proximity_bound")}
-    min_prime, bound = _rows(ct, "header", refs, header, lambda _, v: _int(v)).values()
+    min_prime, bound = _rows(ct, "header", refs, header, lambda _, v: _json(v, int)).values()
 
-    if raw.get("unipotent") is None:
+    if raw["unipotent"] is None:  # no tables: every slot is null
+        for key in _TABLES:
+            if raw[key] is not None:
+                raise _fail(ct, key, "given, but unipotent is null", refs)
         return TypeTables(
             type=ct, min_prime=min_prime, proximity_bound=bound,
             unipotent=None, words=None, r_alpha=None, m_w=None, delta=None, duality=None,
         )
+    for key in _TABLES:
+        _table(ct, key, raw[key], list if key == "unipotent" else dict, refs)
 
     unip = tuple(_rows(ct, "unipotent", refs, raw["unipotent"], lambda _, u: UnipotentChar(
-        u["label"], _parse(ct, "unipotent", u["label"], u["degree"], refs),
+        _json(u["label"], str), _parse(ct, "unipotent", u["label"], u["degree"], refs),
     )).values())
     labels = [u.label for u in unip]
     if len(set(labels)) != len(labels):
@@ -183,13 +205,13 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         if wi in words:
             raise _fail(ct, "r_alpha", f"duplicate element for word {w!r}", refs)
         words[wi] = w
-        row = dict(row)
+        row = _multiplicities(row)
         if not row:
             raise _fail(ct, "r_alpha", f"empty row for {w!r}", refs)
         for lab, mult in row.items():
             if lab not in by_label:
                 raise _fail(ct, "r_alpha", f"unknown label {lab!r} in row {w!r}", refs)
-            if not (isinstance(mult, int) and mult > 0):
+            if mult <= 0:
                 raise _fail(ct, "r_alpha", f"bad multiplicity {mult!r} at ({w},{lab})", refs)
         return row
 
@@ -200,10 +222,10 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         raise _fail(ct, "r_alpha", f"labels never used: {sorted(set(labels) - covered)}", refs)
 
     def m_term(w, term):
-        coef = _int(term["coef"])
+        coef = _json(term["coef"], int)
         if coef not in (1, -1):
             raise _fail(ct, "m_w", f"coefficient {coef} at {w!r} is not +-1", refs)
-        tmpl = WeightTemplate(tuple((_int(a), _int(b)) for a, b in term["template"]))
+        tmpl = WeightTemplate(tuple((_json(a, int), _json(b, int)) for a, b in term["template"]))
         if len(tmpl.coords) != ct.rank:
             raise _fail(ct, "m_w", f"template rank mismatch at {w!r}", refs)
         if any(c1 not in (0, 1) for _, c1 in tmpl.coords):
@@ -217,13 +239,13 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         return coef, tmpl
 
     m_w = _rows(ct, "m_w", refs, raw["m_w"],
-                lambda w, terms: tuple(m_term(w, term) for term in terms))
+                lambda w, terms: tuple(m_term(w, term) for term in _json(terms, list)))
     delta = _rows(ct, "delta", refs, raw["delta"],
                   lambda w, text: _parse(ct, "delta", w, text, refs))
     if not (set(m_w) == set(index) == set(delta)):
         raise _fail(ct, "m_w/delta", "row keys differ from the r_alpha keys", refs)
 
-    decomp = _rows(ct, "decomp", refs, raw["decomp"], lambda _, row: dict(row))
+    decomp = _rows(ct, "decomp", refs, raw["decomp"], lambda _, row: _multiplicities(row))
     if set(decomp) != set(labels):
         raise _fail(ct, "decomp", "rows do not match the unipotent labels", refs)
     if decomp != transpose(r_alpha):  # every label has a row: checked above

@@ -1,7 +1,9 @@
 """References for the sl3 lab, for the primes of the tests.
 
 The incidence of PG(2, p) from all n^2 dot products of normal forms, and
-the test whether tau o tau' vanishes by one exact float64 GEMM.  Each n x n
+the test whether tau o tau' vanishes by one exact float64 GEMM.  The
+certificate of the Singer labelling from its n (p + 1) pairs, one dot
+product each, that the Singer cycle of the lab replaced.  Each n x n
 array is O(p^4), so these stay here, off every ``cellred sl3`` path.  The
 rank of tau as n - deg gcd((x - 1) a(x), x^n - 1), by Euclid over F_p in
 O(n^2), against which the zero count of the lab is checked.  The first
@@ -35,6 +37,22 @@ def dense_incidence(p: int) -> np.ndarray:
     """The 0/1 incidence, rows planes and columns lines, from P @ L.T."""
     pts = _projective_points(p)
     return ((pts @ pts.T) % p == 0).astype(np.int64)
+
+
+def pair_certificate(space) -> None:
+    """Certify the labelling of ``space`` from its pairs (sigma[j], pi[j + d]),
+    d in D: each pair's two normals have dot product 0 mod p, and there are
+    n (p + 1) distinct pairs (D a set, p + 1 pairs at each plane and at each
+    line), as many as PG(2, p) has.  Refuses with the messages of
+    ``build_incidence``."""
+    p, n, points = space.p, space.n_points, space.points
+    at_plane, at_line = space.incident_pairs()
+    if (sum(points[at_plane, k] * points[at_line, k] for k in range(3)) % p).any():
+        raise AssertionError("a Singer pair is not incident")
+    if np.bincount(space.D % n).max() > 1 or any(
+        (np.bincount(at, minlength=n) != p + 1).any() for at in (at_plane, at_line)
+    ):
+        raise AssertionError("incidence regularity fails")
 
 
 def dense_tau(inc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,6 +38,7 @@ from sl3ref import (
     euclid_rank,
     first_primitive_cubic,
     orbit_loop,
+    pair_certificate,
     sampled_equivariance,
 )
 
@@ -328,9 +329,18 @@ def all_on_one_line(D, pi, sigma):
     return D, np.full_like(pi, pi[0]), through[np.arange(pi.size) % through.size]
 
 
-# Labellings whose pairs are not the incidence of PG(2, p), and the part of
-# the certificate that refuses each: all its pairs incident, or n (p + 1)
-# distinct pairs (D a set, p + 1 pairs at each plane and each line)
+def pi_swapped(D, pi, sigma):
+    """pi with two lines swapped that are neither x^0 nor an x^d, d in D:
+    only the line step of the Singer cycle sees it."""
+    pi = pi.copy()
+    i, j = np.setdiff1d(np.arange(1, pi.size), D)[:2]
+    pi[[i, j]] = pi[[j, i]]
+    return D, pi, sigma
+
+
+# Labellings whose pairs are not the incidence of PG(2, p), and the message
+# each certificate, the lab's Singer cycle and the reference's pairs, refuses
+# it with: a pair not incident, or pairs that are not n (p + 1) distinct ones
 CORRUPTED_LABELLINGS = {
     "sigma_swapped": (sigma_swapped, "a Singer pair is not incident"),
     "planes_labelled_like_lines": (lambda D, pi, _: (D, pi, pi),
@@ -341,10 +351,15 @@ CORRUPTED_LABELLINGS = {
     "D_element_dropped": (lambda D, pi, sigma: (D[1:], pi, sigma),
                           "incidence regularity fails"),
     "all_on_one_line": (all_on_one_line, "incidence regularity fails"),
+    "pi_swapped": (pi_swapped, "a Singer pair is not incident"),
+    "sigma_rotated": (lambda D, pi, sigma: (D, pi, np.roll(sigma, 1)),
+                      "a Singer pair is not incident"),
+    "D_shifted": (lambda D, pi, sigma: ((D + 1) % pi.size, pi, sigma),
+                  "a Singer pair is not incident"),
 }
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
 @pytest.mark.parametrize("case", sorted(CORRUPTED_LABELLINGS))
 def test_certificate_refuses_a_corrupted_labelling(monkeypatch, case, p):
     corrupt, message = CORRUPTED_LABELLINGS[case]
@@ -352,6 +367,21 @@ def test_certificate_refuses_a_corrupted_labelling(monkeypatch, case, p):
     monkeypatch.setattr(sl3lab, "_singer_labelling", lambda *a: corrupt(*labelling(*a)))
     with pytest.raises(AssertionError, match=message):
         build_incidence(p)
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_97)
+def test_reference_certificate_accepts_the_lab_incidence(p):
+    pair_certificate(build_incidence(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+@pytest.mark.parametrize("case", sorted(CORRUPTED_LABELLINGS))
+def test_reference_certificate_refuses_a_corrupted_labelling(case, p):
+    corrupt, message = CORRUPTED_LABELLINGS[case]
+    space = build_incidence(p)
+    D, pi, sigma = corrupt(space.D, space.pi, space.sigma)
+    with pytest.raises(AssertionError, match=message):
+        pair_certificate(dataclasses.replace(space, D=D, pi=pi, sigma=sigma))
 
 
 @pytest.mark.parametrize("vanishes", [True, False])
@@ -449,6 +479,20 @@ def test_sl3_command_never_builds_the_dense_maps(monkeypatch):
     assert calls == ["build_incidence", "kernel_analysis"]
     sl3lab.rank_mod(sl3lab.tau_maps(sl3lab.build_incidence(7)).tau, 7)
     assert calls[2:] == ["build_incidence", "tau_maps", "rank_mod"]
+
+
+def test_sl3_command_never_lists_the_incident_pairs(monkeypatch):
+    calls = []
+    pairs = sl3lab.IncidenceSpace.incident_pairs
+    monkeypatch.setattr(sl3lab.IncidenceSpace, "incident_pairs",
+                        lambda space: calls.append(space.p) or pairs(space))
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["sl3", "--p", "31"]) == 0
+    assert json.loads(out.getvalue())["results"][0]["ok"]
+    assert calls == []
+    # the counter counts: the dense maps scatter the pairs
+    sl3lab.tau_maps(sl3lab.build_incidence(5))
+    assert calls == [5]
 
 
 def test_sl3_p61_peaks_under_40_mib():

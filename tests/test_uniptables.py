@@ -167,6 +167,8 @@ class Whole:
     doc: object
 
 
+TABLES = ("unipotent", "r_alpha", "m_w", "delta", "decomp", "duality")
+
 # One case per invariant the loader checks: (where, message, corruption of
 # the shipped B2 file, which edits it in place or returns a Whole).
 LOADER_FAULTS = [
@@ -227,7 +229,7 @@ LOADER_FAULTS = [
     # ValueError, labelled with the table and the row
     pytest.param("m_w", "row '1': KeyError: 'coef'",
                  lambda raw: raw["m_w"]["1"][0].pop("coef"), id="coef-missing"),
-    pytest.param("r_alpha", "row '1': TypeError: 'int' object is not iterable",
+    pytest.param("r_alpha", "row '1': TypeError: not a JSON object: 5",
                  lambda raw: raw["r_alpha"].update({"1": 5}), id="row-not-object"),
     pytest.param("r_alpha", "row '13': BadGeneratorIndex: '3' is not a generator index of B2",
                  lambda raw: raw["r_alpha"].update({"13": raw["r_alpha"].pop("1")}),
@@ -259,6 +261,37 @@ LOADER_FAULTS = [
                  lambda raw: raw.update(refs=[["header", "x"]]), id="refs-not-object"),
     pytest.param("unipotent", "row 1: KeyError: 'label'",
                  lambda raw: raw["unipotent"][1].pop("label"), id="label-missing"),
+    # leaves of the right value and the wrong JSON type: a multiplicity is an
+    # integer, a label or a polynomial a string
+    pytest.param("r_alpha", "row 'e': TypeError: not a JSON integer: True",
+                 lambda raw: raw["r_alpha"]["e"].update({"1": True}), id="multiplicity-bool"),
+    *(pytest.param("decomp", f"row '1': TypeError: not a JSON integer: {value!r}",
+                   lambda raw, value=value: raw["decomp"]["1"].update(e=value),
+                   id=f"decomp-{name}")
+      for name, value in (("float", 1.0), ("bool", True))),
+    pytest.param("r_alpha", r"row 'e': TypeError: not a JSON object: \[\['1', 1\]\]",
+                 lambda raw: raw["r_alpha"].update(e=[["1", 1]]), id="row-pairs"),
+    pytest.param("delta", r"row '1': TypeError: not a JSON string: \['t'\]",
+                 lambda raw: raw["delta"].update({"1": ["t"]}), id="delta-list"),
+    pytest.param("unipotent", r"row 1: TypeError: not a JSON string: \['t'\]",
+                 lambda raw: raw["unipotent"][1].update(degree=["t"]), id="degree-list"),
+    pytest.param("unipotent", r"row 1: TypeError: not a JSON string: \['r'\]",
+                 lambda raw: raw["unipotent"][1].update(label=["r"]), id="label-list"),
+    # a table of the wrong JSON type, or null beside tables that are given
+    pytest.param("r_alpha", "a list, not a JSON object",
+                 lambda raw: raw.update(r_alpha=list(raw["r_alpha"].values())),
+                 id="r-alpha-list"),
+    pytest.param("r_alpha", "a str, not a JSON object",
+                 lambda raw: raw.update(r_alpha="e"), id="r-alpha-string"),
+    pytest.param("unipotent", "a dict, not a JSON array",
+                 lambda raw: raw.update(unipotent={u["label"]: u for u in raw["unipotent"]}),
+                 id="unipotent-object"),
+    *(pytest.param(key, "a NoneType, not a JSON object",
+                   lambda raw, key=key: raw.update({key: None}), id=f"{key}-null")
+      for key in ("r_alpha", "m_w", "delta", "decomp", "duality")),
+    pytest.param("r_alpha", "given, but unipotent is null",
+                 lambda raw: raw.update(dict.fromkeys(TABLES, None), r_alpha=7),
+                 id="given-beside-null"),
 ]
 
 
