@@ -18,8 +18,10 @@ be loaded; for ``sl3``, a prime's entry is ``{"p", "ok": false, "error":
 the other primes are reported as usual; for ``tables dump``, a data file
 that fails its checks prints ``cellred: <label>`` on stderr and nothing on
 stdout, and so does any other failure, as ``cellred: internal error:
-<Class>: <message>``.  A reader that closes stdout early ends the command
-with status 141 (128 + SIGPIPE) and nothing on stderr.
+<Class>: <message>``.  A data file that cannot be read (missing, not UTF-8,
+not JSON) fails the checks of its header.  A reader that closes stdout
+early ends the command with status 141 (128 + SIGPIPE) and nothing on
+stderr.
 """
 
 from __future__ import annotations

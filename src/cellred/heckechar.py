@@ -18,23 +18,20 @@ ordinary character table, which is itself built from scratch
 (Murnaghan-Nakayama over cycle types for the symmetric groups, closed
 dihedral forms for B2/G2, with row orthogonality checked).
 
-The traces follow Geck and Pfeiffer (*Characters of Finite Coxeter Groups
-and Iwahori-Hecke Algebras*, 2000, Thm 3.2.9 and section 8.2).  A cyclic
-shift w -> sws with l(sws) = l(w) keeps tr(Tt_w), and since
+One pass forms Tt_x for every x up to a length ``top``, along every
+reduced-word step, so the products check the braid relations (Matsumoto's
+theorem), and the trace of each is read off its product.  Beyond ``top``
+the traces follow Geck and Pfeiffer (*Characters of Finite Coxeter Groups
+and Iwahori-Hecke Algebras*, 2000, section 8.2).  A cyclic shift
+w -> sws with l(sws) = l(w) keeps tr(Tt_w), as tr(AB) = tr(BA), and since
 Tt_s^2 = (v - v^-1) Tt_s + 1,
 
     tr(Tt_w) = (v - v^-1) tr(Tt_{sw}) + tr(Tt_{sws})   when l(sws) = l(w) - 2.
 
-A cyclic-shift class that no s shortens consists of elements of minimal
-length in their conjugacy class (Thm 3.2.9), and only there is a trace read
-off a matrix product; the recursion fills in the rest one length at a time.
-Formed along every reduced-word step, the products also check the braid
-relations (Matsumoto's theorem).  The group data of the recursion
-(:class:`TracePlan`) is built once per :func:`build_hecke_modules` call.
-Two theorems are checked on the way, and a failure of either is
-:class:`ConstructionIncomplete`: every minimal-length cyclic-shift class has
-the least length of its conjugacy class (Thm 3.2.9), and minimal-length
-elements of one conjugacy class have equal traces (Thm 8.2.6).
+``top`` is at least the length of every cyclic-shift class that no s
+shortens, so the recursion fills in every length beyond it, one at a time.
+The group data of the recursion (:class:`TracePlan`) is built once per
+:func:`build_hecke_modules` call.
 
 The leading data extracts, per module, the unique a_E >= 0 such that
 v^(-l(w)) tr(T_w, E(u)) has valuation >= -a_E for all w, together with the
@@ -44,7 +41,7 @@ stripped), and the virtual characters alpha_w = sum_E c_{w,E} E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,17 +68,15 @@ class WCharTable:
     """Integer character table with stable row labels.
 
     ``classes`` are the conjugacy classes as sorted index tuples, listed by
-    least member: the orbits of ``conj``, where ``conj[w, i - 1]`` is
-    s_i w s_i.  Rows are indexed by ``labels``; ``values[r][c]`` is the
-    character of row r at class c.  The first row is always the trivial
-    character.
+    least member: the orbits of the moves w -> s_i w s_i.  Rows are indexed
+    by ``labels``; ``values[r][c]`` is the character of row r at class c.
+    The first row is always the trivial character.
     """
 
     group: WeylGroup
     classes: Cells
     labels: tuple[str, ...]
     values: tuple[tuple[int, ...], ...]
-    conj: np.ndarray = field(repr=False)
 
     @property
     def sign_label(self) -> str:
@@ -229,10 +224,9 @@ def _dihedral_rows(g: WeylGroup, classes: Cells):
 
 def w_character_table(g: WeylGroup) -> WCharTable:
     """Complete rational character table with stable labels."""
-    conj = g.lmul[g.rmul, np.arange(g.rank)]  # s_i w s_i
-    classes = _conjugacy_classes(conj)
+    classes = _conjugacy_classes(g.lmul[g.rmul, np.arange(g.rank)])  # s_i w s_i
     rows = _symmetric_rows if g.type.family == "A" else _dihedral_rows
-    table = WCharTable(g, classes, *rows(g, classes), conj=conj)
+    table = WCharTable(g, classes, *rows(g, classes))
     _check_orthogonality(table)
     return table
 
@@ -264,8 +258,8 @@ class HModule:
     ``gens[s - 1]`` is the matrix of Tt_s = v^-1 T_s, a (dim, dim, 3) Laurent
     array with offset 1.  ``traces[w]`` is tr(Tt_w, E(u)) = v^(-l(w)) tr(T_w),
     a Laurent array with offset ``window_offset(nu)``: read off a matrix
-    product at the minimal-length elements of a :class:`TracePlan`, the
-    Geck-Pfeiffer recursion everywhere else.
+    product up to the ``top`` of a :class:`TracePlan`, the Geck-Pfeiffer
+    recursion beyond it.
     """
 
     label: str
@@ -284,67 +278,45 @@ def _coxeter_m(g: WeylGroup, i: int, j: int) -> int:
 class TracePlan:
     """The group data of the trace recursion, shared by all modules of a type.
 
-    ``minimal`` holds the least element of each cyclic-shift class that no s
-    shortens, ascending; ``peer[k]`` is the position in ``minimal`` of the
-    first one in the conjugacy class of ``minimal[k]``.  Tt_x is a matrix
-    product for every x of length at most ``top``: the longest element of
-    ``minimal`` or the longest braid relation m_ij, whichever is longer.
-    Each cyclic-shift class that some s shortens has one w chosen, with its
-    s, and element x has the trace of ``source[x]``: the chosen w of its
-    class, or the least element of a class in ``minimal``.  ``levels`` has
-    one (3, k) array per length that has a chosen w, by length: the chosen
-    w of that length and the sources of their sw and sws.
+    Tt_x is a matrix product, and its trace read off it, for every x of
+    length at most ``top``: the longest cyclic-shift class that no s
+    shortens or the longest braid relation m_ij, whichever is longer.  Each
+    cyclic-shift class beyond ``top`` has one w chosen, with an s that
+    shortens it, and element x has the trace of ``source[x]``: x itself up
+    to ``top``, the chosen w of its class beyond.  ``levels`` has one (3, k)
+    array per length beyond ``top``, by length: the chosen w of that length
+    and the sources of their sw and sws.
     """
 
-    minimal: np.ndarray
-    peer: np.ndarray
     top: int
     levels: tuple[np.ndarray, ...]
     source: np.ndarray
 
 
-def _trace_plan(g: WeylGroup, table: WCharTable) -> TracePlan:
-    """Cyclic-shift classes and their reductions, from ``table.conj``.
-
-    Raises :class:`ConstructionIncomplete` if a cyclic-shift class that no s
-    shortens is longer than the least element of its conjugacy class
-    (Geck-Pfeiffer Thm 3.2.9)."""
-    conj, length = table.conj, g.length
+def _trace_plan(g: WeylGroup) -> TracePlan:
+    """Cyclic-shift classes and their reductions, from the moves
+    w -> s_i w s_i."""
+    conj, length = g.lmul[g.rmul, np.arange(g.rank)], g.length
     ids = np.arange(g.size)
     step = length[conj] - length[:, None]  # l(s w s) - l(w): -2, 0 or 2
     shift_class = _orbits(conj, step == 0)
-    # per class, by its least member: the least member that some s shortens
+    # per class, by its least member: the least member that some s shortens, or n
     short = step == -2
     shortened = np.flatnonzero(short.any(axis=1))
     chosen = np.full(g.size, g.size)
     np.minimum.at(chosen, shift_class[shortened], shortened)
-    w = chosen[chosen < g.size]
-    s = short[w].argmax(axis=1)
-    source = np.where(chosen < g.size, chosen, ids)[shift_class]
-    minimal = np.flatnonzero((shift_class == ids) & (chosen == g.size))
-
-    class_of = np.empty(g.size, dtype=np.int64)
-    for k, c in enumerate(table.classes):
-        class_of[list(c)] = k
-    least = np.array([c[0] for c in table.classes])[class_of[minimal]]
-    longer = np.flatnonzero(length[minimal] > length[least])
-    if longer.size:
-        k = longer[0]
-        raise ConstructionIncomplete(
-            f"{g.word(minimal[k])} is shortened by no cyclic shift but is longer than "
-            f"{g.word(least[k])} in its conjugacy class (Geck-Pfeiffer Thm 3.2.9)"
-        )
-    head = np.full(len(table.classes), len(minimal))
-    np.minimum.at(head, class_of[minimal], np.arange(len(minimal)))
-
-    triples = np.stack([w, source[g.lmul[w, s]], source[conj[w, s]]])
-    cuts = np.searchsorted(length[w], np.arange(g.nu + 2))
+    chosen = chosen[shift_class]  # per element: the chosen w of its class, or n
     braids = [_coxeter_m(g, i, j) for i in range(1, g.rank) for j in range(i + 1, g.rank + 1)]
+    top = max([int(length[chosen == g.size].max())] + braids)
+    beyond = length > top
+    source = np.where(beyond, chosen, ids)
+    w = np.flatnonzero(beyond & (source == ids))  # the chosen w, ascending, so by length
+    s = short[w].argmax(axis=1)
+    triples = np.stack([w, source[g.lmul[w, s]], source[conj[w, s]]])
+    cuts = np.searchsorted(length[w], np.arange(top + 1, g.nu + 2))
     return TracePlan(
-        minimal=minimal,
-        peer=head[class_of[minimal]],
-        top=max([int(length[minimal[-1]])] + braids),
-        levels=tuple(triples[:, a:b] for a, b in zip(cuts[:-1], cuts[1:]) if b > a),
+        top=top,
+        levels=tuple(triples[:, a:b] for a, b in zip(cuts[:-1], cuts[1:])),
         source=source,
     )
 
@@ -363,18 +335,18 @@ def _right_times(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minimal_traces(g: WeylGroup, gens: np.ndarray, plan: TracePlan) -> np.ndarray:
-    """tr(Tt_w) for w in ``plan.minimal``, offset ``window_offset(nu)``.
+def _product_traces(g: WeylGroup, gens: np.ndarray, plan: TracePlan) -> np.ndarray:
+    """tr(Tt_x), read off Tt_x, for every x of length at most ``plan.top``:
+    an (n, D) Laurent array, offset ``window_offset(nu)``, zero beyond.
 
-    One pass forms Tt_x for every x of length at most ``plan.top``, one
-    length at a time, as Tt_y Tt_s for every pair (y, s) with ys = x and
-    l(y) < l(x), all pairs of one length in one batched product.  The
-    products hold v-degrees up to ``plan.top`` only, in the window of
-    ``window_offset(plan.top)``.  By Matsumoto's theorem the braid relations
-    hold exactly when all products that land on one x agree, and the pass
-    reaches every braid relation; it runs after a check of the quadratic
-    relation Tt_s^2 = (v - v^-1) Tt_s + 1.  A failure of either is
-    :class:`ConstructionIncomplete`."""
+    One pass forms these Tt_x, one length at a time, as Tt_y Tt_s for every
+    pair (y, s) with ys = x and l(y) < l(x), all pairs of one length in one
+    batched product.  The products hold v-degrees up to ``plan.top`` only,
+    in the window of ``window_offset(plan.top)``.  By Matsumoto's theorem
+    the braid relations hold exactly when all products that land on one x
+    agree, and the pass reaches every braid relation; it runs after a check
+    of the quadratic relation Tt_s^2 = (v - v^-1) Tt_s + 1.  A failure of
+    either is :class:`ConstructionIncomplete`."""
     d = gens.shape[1]
     off = window_offset(plan.top)
     eye = np.eye(d, dtype=np.int64)
@@ -404,29 +376,18 @@ def _minimal_traces(g: WeylGroup, gens: np.ndarray, plan: TracePlan) -> np.ndarr
     check_window(mats.transpose(0, 2, 3, 1), "trace")
     check_magnitude(int(np.abs(mats).max()), "trace")
     full = window_offset(g.nu)
-    out = np.zeros((len(plan.minimal), 2 * full + 1), dtype=np.int64)
-    out[:, full - off:full + off + 1] = mats[plan.minimal].trace(axis1=2, axis2=3)
+    out = np.zeros((g.size, 2 * full + 1), dtype=np.int64)
+    out[:formed, full - off:full + off + 1] = mats.trace(axis1=2, axis2=3)
     return out
 
 
 def _trace_table(g: WeylGroup, gens: np.ndarray, plan: TracePlan) -> np.ndarray:
-    """tr(Tt_w) for all w: an (n, D) Laurent array, offset ``window_offset(nu)``.
+    """tr(Tt_w) for all w: an (n, D) Laurent array, offset ``window_offset(nu)``,
+    read off a matrix product up to ``plan.top`` and by the recursion beyond.
 
     Raises :class:`ConstructionIncomplete` if the quadratic or a braid
-    relation fails (see :func:`_minimal_traces`), or if two minimal-length
-    elements of one conjugacy class have different traces (Geck-Pfeiffer
-    Thm 8.2.6)."""
-    at_minimal = _minimal_traces(g, gens, plan)
-    differ = np.flatnonzero((at_minimal != at_minimal[plan.peer]).any(axis=1))
-    if differ.size:
-        k = differ[0]
-        raise ConstructionIncomplete(
-            f"minimal-length elements {g.word(plan.minimal[plan.peer[k]])} and "
-            f"{g.word(plan.minimal[k])} of one conjugacy class have different "
-            "traces (Geck-Pfeiffer Thm 8.2.6)"
-        )
-    traces = np.zeros((g.size, at_minimal.shape[1]), dtype=np.int64)
-    traces[plan.minimal] = at_minimal
+    relation fails (see :func:`_product_traces`)."""
+    traces = _product_traces(g, gens, plan)
     for w, sw, sws in plan.levels:
         below = traces[sw]
         step = traces[sws]  # + (v - v^-1) tr(Tt_{sw})
@@ -492,7 +453,7 @@ def build_hecke_modules(
             candidates.append(gens)
     else:
         candidates = _dihedral_gens(g)
-    plan = _trace_plan(g, table)
+    plan = _trace_plan(g)
     modules: dict[str, HModule] = {}
     for gens in candidates:
         traces = _trace_table(g, gens, plan)

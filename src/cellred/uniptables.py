@@ -155,10 +155,14 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     context that holds the result is the per-directory cache.
 
     The one reader of row words: each is parsed once, here, and the tables
-    returned are keyed by element index."""
+    returned are keyed by element index.  A file that cannot be opened,
+    decoded as UTF-8 or parsed as JSON fails its header."""
     path = Path(directory or data_dir()) / f"{ct.name}.json"
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: JSON and UTF-8 decoding
+        raise _fail(ct, "header", f"cannot read {path.name}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(raw, dict):
         raise _fail(ct, "header", f"file holds a {type(raw).__name__}, not a JSON object")
     if raw.get("type") != ct.name:

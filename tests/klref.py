@@ -15,7 +15,8 @@
 * :func:`laurent_matmul`: the product of two matrices with Laurent entries.
 * :func:`chain_traces`: tr(Tt_w) on a Hecke module for every w, by one
   matrix product per element, the table ``heckechar._trace_table`` must
-  reproduce by its recursion.
+  reproduce: read off its own products up to ``top``, by its recursion
+  beyond.
 """
 
 from __future__ import annotations

@@ -234,6 +234,21 @@ def test_tables_dump_over_a_corrupt_data_file_is_exit_3(data_copy, capsys):
     assert "cannot parse 't/0'" in err and "Traceback" not in err
 
 
+def test_an_unreadable_data_file_is_exit_3_naming_its_header(data_copy, capsys):
+    path = data_copy / "B2.json"
+    path.write_bytes(path.read_bytes()[:500])  # cut short
+    label = "B2 tables, header: cannot read B2.json: JSONDecodeError: "
+    code, out, _ = run(capsys, "audit", "--type", "B2")
+    assert code == 3
+    rows = json.loads(out)["checks"]
+    assert len(rows) == 6
+    for row in rows:
+        assert row["details"].startswith(f"internal error: DataIntegrityFailure: {label}")
+    code, out, err = run(capsys, "tables", "dump", "--what", "delta", "--type", "B2")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"cellred: {label}") and err.count("\n") == 1
+
+
 def test_tables_dump_internal_failure_is_one_line_and_exit_3(data_copy, monkeypatch, capsys):
     def compute_kl(group):
         raise RuntimeError("kl broke")

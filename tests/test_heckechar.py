@@ -1,4 +1,3 @@
-import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -8,7 +7,7 @@ from cellred import heckechar, klcells, poly
 from cellred.audit import get_context
 from cellred.coxeter import generate
 from cellred.heckechar import build_hecke_modules, w_character_table
-from cellred.poly import IntPoly, window_offset
+from cellred.poly import IntPoly
 from cellred.rootdata import CartanType
 
 from conftest import TYPE_NAMES, char_value
@@ -214,7 +213,7 @@ def test_type_a_braid_relation_guard_raises(label, gen, word):
     gens = next(m for m in mods if m.label == label).gens.copy()
     gens[gen - 1, 0] *= -1
     gens[gen - 1, :, 0] *= -1
-    plan = heckechar._trace_plan(c.group, c.chartable)
+    plan = heckechar._trace_plan(c.group)
     with pytest.raises(heckechar.ConstructionIncomplete, match=f"braid relation fails at {word}$"):
         heckechar._trace_table(c.group, gens, plan)
 
@@ -241,7 +240,7 @@ def test_product_window_guard_raises(monkeypatch):
         build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
 
 
-# -- the Geck-Pfeiffer trace recursion
+# -- the traces: read off products up to top, the recursion beyond
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
 def test_trace_table_equals_the_chain_product(name):
@@ -253,59 +252,36 @@ def test_trace_table_equals_the_chain_product(name):
 @pytest.mark.parametrize("name", TYPE_NAMES)
 def test_classes_are_the_strong_components_of_the_conjugation_graph(name):
     g = generate(CartanType.parse(name))
-    table = w_character_table(g)
-    conj = table.conj
-    assert np.array_equal(conj, g.lmul[g.rmul, np.arange(g.rank)])
+    conj = g.lmul[g.rmul, np.arange(g.rank)]  # s_i w s_i
     rows = np.arange(g.size)[:, None]
     adj = np.zeros((g.size, g.size), dtype=bool)
     adj[rows, conj] = True
-    assert table.classes == klcells._sccs(adj)
+    assert w_character_table(g).classes == klcells._sccs(adj)
     # cyclic-shift classes: the moves that keep the length
     same = g.length[conj] == g.length[:, None]
     adj = np.zeros((g.size, g.size), dtype=bool)
     adj[np.broadcast_to(rows, conj.shape)[same], conj[same]] = True
-    plan = heckechar._trace_plan(g, table)
-    by_source = {}
+    shift_class = {x: c for c in klcells._sccs(adj) for x in c}
+    plan = heckechar._trace_plan(g)
     for x, src in enumerate(plan.source.tolist()):
-        by_source.setdefault(src, []).append(x)
-    assert sorted(tuple(c) for c in by_source.values()) == list(klcells._sccs(adj))
+        if g.length[x] <= plan.top:
+            assert src == x
+        else:  # a member of x's cyclic-shift class that some s shortens
+            assert src in shift_class[x]
+            assert (g.length[conj[src]] < g.length[src]).any()
 
 
 def test_a4_plan_sizes():
     g = generate(CartanType.parse("A4"))
-    plan = heckechar._trace_plan(g, w_character_table(g))
-    assert len(set(plan.source.tolist())) == 49  # cyclic-shift classes
-    assert len(plan.minimal) == 16  # one per minimal-length class
-    assert int(g.length[plan.minimal].max()) == 4
-    # products: every element of length <= 4, the longest of minimal and
-    # longer than every braid relation (m = 2, 3)
+    plan = heckechar._trace_plan(g)
+    # products: every element of length <= 4, the longest cyclic-shift class
+    # that no s shortens (the 5-cycles) and longer than every braid relation
     assert plan.top == 4
     assert np.count_nonzero(g.length <= plan.top) == 49
-
-
-def test_minimal_class_longer_than_its_conjugacy_class_raises():
-    # the A2 table with the classes of e and of the 3-cycles merged: the
-    # 3-cycle 12 is shortened by no s but is longer than e (Thm 3.2.9)
-    g = generate(CartanType.parse("A2"))
-    table = w_character_table(g)
-    e, refl, rot = table.classes
-    merged = dataclasses.replace(table, classes=(tuple(sorted(e + rot)), refl))
-    with pytest.raises(heckechar.ConstructionIncomplete, match=r"12 .* longer than e .*Thm 3\.2\.9"):
-        heckechar._trace_plan(g, merged)
-
-
-def test_perturbed_minimal_trace_fails_the_class_comparison(monkeypatch):
-    # a mutation: one minimal-length trace changed in a conjugacy class that
-    # holds two minimal-length cyclic-shift classes (A3: 12 and 23)
-    minimal_traces = heckechar._minimal_traces
-
-    def perturbed(g, gens, plan):
-        out = minimal_traces(g, gens, plan)
-        k = np.flatnonzero(plan.peer != np.arange(len(plan.peer)))[0]
-        out[k, window_offset(g.nu)] += 1
-        return out
-
-    monkeypatch.setattr(heckechar, "_minimal_traces", perturbed)
-    c = get_context(CartanType.parse("A3"))
-    with pytest.raises(heckechar.ConstructionIncomplete, match=r"Thm 8\.2\.6"):
-        build_hecke_modules(c.group, c.kl, c.cells, c.chartable)
+    # the recursion: the other 71 traces from 24 chosen w at lengths 5..10
+    assert np.count_nonzero(g.length > plan.top) == 71
+    assert [int(g.length[w[0]]) for w, _, _ in plan.levels] == list(range(5, 11))
+    assert [len(w) for w, _, _ in plan.levels] == [7, 6, 4, 4, 2, 1]
+    assert len(set(plan.source[g.length > plan.top].tolist())) == 24
+    for name in ("A1", "A2", "B2", "G2"):
+        assert heckechar._trace_plan(generate(CartanType.parse(name))).levels == ()

@@ -550,7 +550,7 @@ def test_cs_is_the_regular_representation(name, ctx):
     # the regular module is the sum of dim(E) copies of each irreducible E,
     # as Laurent arrays; at v = 1 its character is |W| at e and 0 elsewhere.
     # The trace table checks the quadratic and braid relations on the way
-    traces = heckechar._trace_table(g, gens, heckechar._trace_plan(g, c.chartable))
+    traces = heckechar._trace_table(g, gens, heckechar._trace_plan(g))
     assert np.array_equal(traces, sum(m.dim * m.traces for m in c.modules))
     chi = traces.sum(axis=1)
     assert chi[0] == g.size and not chi[1:].any()
@@ -564,7 +564,7 @@ def test_flipped_mu_breaks_the_hecke_relations(name, ctx):
     # a genuine mu(z, w) entry has z < w, so it is not the c_{sw} term
     s, z, w = next(zip(*np.nonzero(np.triu(kl.cs[..., 1], k=1))))
     gens[s, z, w, 1] *= -1
-    plan = heckechar._trace_plan(kl.group, c.chartable)
+    plan = heckechar._trace_plan(kl.group)
     with pytest.raises(heckechar.ConstructionIncomplete, match="relation fails"):
         heckechar._trace_table(kl.group, gens, plan)
 

@@ -307,6 +307,25 @@ def test_loader_names_each_violated_invariant(data_copy, where, message, corrupt
         load_tables(CartanType.parse("B2"))
 
 
+def _cut_short(path):
+    path.write_bytes(path.read_bytes()[:500])
+
+
+def _not_utf8(path):
+    path.write_bytes(path.read_bytes().replace(b'"B2"', b'"B\xff2"', 1))
+
+
+@pytest.mark.parametrize("damage, error", [
+    (_cut_short, r"JSONDecodeError: .*line \d+ column \d+"),
+    (_not_utf8, "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+    (Path.unlink, "FileNotFoundError: "),
+], ids=("cut-short", "not-utf8", "missing"))
+def test_an_unreadable_file_fails_its_header(data_copy, damage, error):
+    damage(data_copy / "B2.json")
+    with pytest.raises(DataIntegrityFailure, match=rf"^B2 tables, header: cannot read B2\.json: {error}"):
+        load_tables(CartanType.parse("B2"))
+
+
 @pytest.mark.parametrize("fault, message", [
     ("negative", r"negative derived multiplicity at \(1,21\)"),
     ("empty", "empty derived row at 1"),
