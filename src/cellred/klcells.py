@@ -28,8 +28,10 @@ and magnitude guards.  The structure-constant pass holds degrees 0..off
 only: it starts from c_e c_y = c_y and each step applies c_s, whose entries
 are v + v^-1 and integers, then subtracts integer mu multiples, so every h
 it forms is bar-invariant (Kazhdan and Lusztig 1979), with equal v^d and
-v^-d coefficients.  It runs once, for every left cell at once, on the pairs
-(z, y) with z ~_L y.  For y in a left cell Gamma,
+v^-d coefficients.  It runs once, on the pairs (z, y) with z ~_L y of one
+representative left cell per class of cells linked by right star operations
+(in type A, one per two-sided cell); the other cells of a class read their
+h's through the relabelling.  For y in a left cell Gamma,
 c_x c_y lies in span{c_z : z <=_L Gamma}, and on the cell module, its
 quotient by span{c_z : z <_L Gamma}, c_s acts on the c_z with z in Gamma
 through the rows of ``cs`` for those z alone; so the induction restricted to
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Mapping
 
 import numpy as np
@@ -116,18 +119,30 @@ class stage:
 class KLData:
     """Canonical-basis data for one Weyl group.
 
-    ``P`` maps the index pair (y, w) with y <= w to the coefficient tuple of
-    P_{y,w} in q, inserted in order of (w, y); ``mu`` maps (y, w) to the
-    nonzero mu values.  ``cs[s - 1, z, w]`` is the coefficient of c_z in
-    c_s c_w, a (rank, n, n, 3) Laurent array with offset 1.  ``a_values``
-    (a(z) per element index) and the nonzero gamma entries come from one
-    structure-constant pass, run on first read.
+    ``mu`` maps the index pair (y, w) to the nonzero mu(y, w).
+    ``cs[s - 1, z, w]`` is the coefficient of c_z in c_s c_w, a
+    (rank, n, n, 3) Laurent array with offset 1.  ``p_terms`` holds the
+    decoded P_{y,w} in order of (w, y): arrays w, y and deg P, and the rows
+    of coefficients in q.  ``P``, ``a_values`` (a(z) per element index) and
+    the nonzero gamma entries are built on first read.
     """
 
     group: WeylGroup
-    P: dict[tuple[int, int], tuple[int, ...]]
     mu: dict[tuple[int, int], int]
     cs: np.ndarray = field(repr=False)
+    p_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+
+    @stage
+    def P(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The index pair (y, w) with y <= w to the coefficient tuple of
+        P_{y,w} in q, inserted in order of (w, y)."""
+        w, y, deg, coeffs = self.p_terms
+        # one flat list, not one per row, whose freed blocks stay resident among P's tuples
+        flat, width = coeffs.ravel().tolist(), coeffs.shape[1]
+        return {
+            (yi, wi): tuple(flat[r * width:r * width + d + 1])
+            for r, (wi, yi, d) in enumerate(zip(w.tolist(), y.tolist(), deg.tolist()))
+        }
 
     @stage
     def left_cells(self) -> Cells:
@@ -173,8 +188,9 @@ def _induction_step(
 
 
 def compute_kl(g: WeylGroup) -> KLData:
-    """Run the canonical-basis induction for the whole group: P, mu and the
-    c_s operators.  ``a_values`` and gamma wait for their first read."""
+    """Run the canonical-basis induction for the whole group: mu, the c_s
+    operators and the P_{y,w}, decoded and checked here.  The ``P`` dict,
+    ``a_values`` and gamma wait for their first read."""
     if g.size > GROUP_BOUND:
         raise GroupTooLarge(f"|W| = {g.size} exceeds bound {GROUP_BOUND}")
     n = g.size
@@ -225,18 +241,10 @@ def compute_kl(g: WeylGroup) -> KLData:
         raise AssertionError("KL degree bound violated")
     coeffs = np.zeros((int(first.sum()), int(e.max()) // 2 + 1), dtype=np.int64)
     coeffs[np.cumsum(first) - 1, e // 2] = val
-    # one flat list, not one per row, whose freed blocks stay resident among P's tuples
-    flat, width = coeffs.ravel().tolist(), coeffs.shape[1]
-    P = {
-        (yi, wi): tuple(flat[r * width:r * width + d + 1])
-        for r, (wi, yi, d) in enumerate(
-            zip(w[first].tolist(), y[first].tolist(), (e[last] // 2).tolist())
-        )
-    }
     m = k == off - 1  # the coefficient of v^-1 in p_{y,w} is mu(y, w)
     mu = {(yi, wi): v for wi, yi, v in zip(w[m].tolist(), y[m].tolist(), val[m].tolist())}
 
-    return KLData(group=g, P=P, mu=mu, cs=cs)
+    return KLData(group=g, mu=mu, cs=cs, p_terms=(w[first], y[first], e[last] // 2, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -281,40 +289,85 @@ def _cs_apply(tab: _Gather, A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _star_links(g: WeylGroup, cs: np.ndarray, left_cells: Cells) -> np.ndarray:
+    """``rep[w]``: the element that w stands for in the representative of
+    its class of left cells linked by right star operations (w itself in a
+    representative).
+
+    For s, t with m_st = 3, w* is whichever of ws, wt has exactly one of s, t
+    in its right descent set; in type A it maps each left cell onto one with
+    the same W-graph (Kazhdan and Lusztig 1979, section 4).  That only
+    proposes a link: it is kept when the image of a cell is a whole left cell
+    on which the block of ``cs`` equals the representative's, since the pass
+    on a cell reads only that block and the mu columns of ``cs``.  A cell
+    that no link has reached, visited in order, becomes a representative,
+    and the links are followed from it breadth first.
+    """
+    cart = g.type.cartan_matrix()
+    rdesc = g.length[g.rmul] < g.length[:, None]  # (n, rank)
+    stars = []
+    for s, t in combinations(range(g.rank), 2):
+        if cart[s][t] * cart[t][s] == 1:
+            ws, wt = g.rmul[:, s], g.rmul[:, t]
+            one = rdesc[:, s] != rdesc[:, t]
+            stars.append(np.where(one, np.where(one[ws], ws, wt), -1))
+    cell_of = _labels(g.size, left_cells)
+    rep = np.full(g.size, -1)
+    for cell in left_cells:
+        if rep[cell[0]] >= 0:
+            continue
+        block = cs[:, cell][:, :, cell]
+        rep[list(cell)] = cell
+        queue = [np.array(cell)]  # members in the order of the representative's
+        for members in queue:
+            for star in stars:
+                img = star[members]
+                if (img < 0).any() or rep[img[0]] >= 0:
+                    continue
+                if (np.array_equal(np.sort(img), left_cells[cell_of[img[0]]])
+                        and np.array_equal(cs[:, img][:, :, img], block)):
+                    rep[img] = cell
+                    queue.append(img)
+    return rep
+
+
 def _compute_top(
     g: WeylGroup, cs: np.ndarray, left_cells: Cells
 ) -> tuple[tuple[int, ...], GammaEntries]:
     """a per element and the nonzero gamma entries, from one pass over the
-    pairs (z, y) with z ~_L y: the state ``big[x, p, d]`` of pair p = (z, y)
-    is the coefficient of v^d in h_{x,y,z}, the coefficient of c_z in c_x c_y
-    on the cell module of y, for d = 0..off.  That is all of h, which is
-    bar-invariant (see the module docstring), and slot ``off`` stands for
-    the two guard slots -off and off of the full window, which mirror each
-    other."""
+    pairs (z, y) with z ~_L y in representative cells (``_star_links``):
+    the state ``big[x, p, d]`` of pair p = (z, y) is the coefficient of v^d
+    in h_{x,y,z}, the coefficient of c_z in c_x c_y on the cell module of y,
+    for d = 0..off.  That is all of h, which is bar-invariant (see the
+    module docstring), and slot ``off`` stands for the two guard slots -off
+    and off of the full window, which mirror each other.  A linked cell
+    reads a and gamma through the relabelling: h_{x,y,z} = h_{x,rep y,rep z}."""
     n = g.size
     off = window_offset(g.nu)
-    cell_of = np.zeros(n, dtype=np.int64)
-    for k, cell in enumerate(left_cells):
-        cell_of[list(cell)] = k
-    z, y = np.nonzero(cell_of[:, None] == cell_of)
+    rep = _star_links(g, cs, left_cells)
+    cell_of = _labels(n, left_cells)
+    z, y = np.nonzero(cell_of[:, None] == cell_of)  # every pair, in order of (z, y)
+    own = rep[y] == y  # the pairs of representative cells
+    zr, yr = z[own], y[own]
     pair = np.full((n, n), -1)
-    pair[z, y] = np.arange(len(z))
+    pair[zr, yr] = np.arange(len(zr))
     tabs = []  # c_s on the pairs: row (z, y) reads the rows (z', y) with z' ~_L y
     for rows, src, val in _gather_tables(cs):
-        r = np.flatnonzero(np.isin(z, rows))
-        k = np.searchsorted(rows, z[r])
-        p = pair[src[k], y[r, None]]  # -1 where z' is not in the cell of y
+        r = np.flatnonzero(np.isin(zr, rows))
+        k = np.searchsorted(rows, zr[r])
+        p = pair[src[k], yr[r, None]]  # -1 where z' is not in the cell of y
         tabs.append((r, np.maximum(p, 0), val[k] * (p >= 0)))
-    big = np.zeros((n, len(z), off + 1), dtype=np.int64)
-    big[0, pair[range(n), range(n)], 0] = 1  # c_e c_y = c_y
+    big = np.zeros((n, len(zr), off + 1), dtype=np.int64)
+    big[0, zr == yr, 0] = 1  # c_e c_y = c_y
     for x in range(1, n):
         _induction_step(g, cs, big, lambda s, A: _cs_apply(tabs[s - 1], A), x)
     check_window(big[..., off:], "structure-constant")  # both ends of this slice are slot off
     check_magnitude(int(max(big.max(), -big.min())), "structure-constant")
     # the highest degree occupied in some h_{x,y,z}, per z, is a(z); its coefficients are gamma
     a = np.zeros(n, dtype=np.int64)
-    np.maximum.at(a, z, (big.any(axis=0) * np.arange(off + 1)).max(axis=1))
-    lead = big[:, np.arange(len(z)), a[z]]  # (x, pair)
+    np.maximum.at(a, zr, (big.any(axis=0) * np.arange(off + 1)).max(axis=1))
+    a = a[rep]
+    lead = big[:, np.arange(len(zr)), a[zr]][:, pair[rep[z], rep[y]]]  # (x, every pair)
     x, p = np.nonzero(lead)
     order = np.lexsort((z[p], y[p], x))
     if a[0] != 0:
@@ -348,6 +401,14 @@ def _closure(adj: np.ndarray) -> np.ndarray:
     for k in range(len(adj)):
         reach |= reach[:, k, None] & reach[k]
     return reach
+
+
+def _labels(n: int, cells: Cells) -> np.ndarray:
+    """``k`` at each member of ``cells[k]``, an int64 array of length n."""
+    out = np.zeros(n, dtype=np.int64)
+    for k, cell in enumerate(cells):
+        out[list(cell)] = k
+    return out
 
 
 def _sccs(adj: np.ndarray) -> Cells:
@@ -407,9 +468,7 @@ def j_ring(kl: KLData, cells: CellPartition) -> GammaEntries:
     """
     g = kl.group
     xs, ys, zs, _ = gamma = kl._top[1]
-    cell_id = np.zeros(g.size, dtype=np.int64)
-    for k, idx in enumerate(cells.two_sided_cells):
-        cell_id[list(idx)] = k
+    cell_id = _labels(g.size, cells.two_sided_cells)
     if not (np.array_equal(cell_id[xs], cell_id[ys])
             and np.array_equal(cell_id[xs], cell_id[zs])):
         raise AssociativityFailure("gamma supported outside two-sided cells")

@@ -17,6 +17,9 @@
   matrix product per element, the table ``heckechar._trace_table`` must
   reproduce: read off its own products up to ``top``, by its recursion
   beyond.
+* :func:`regular_traces`: tr(Tt_w) on the regular module for every w, in
+  the Tt basis by the multiplication rule alone, the sum over the
+  irreducible modules with multiplicity their dimension must equal.
 """
 
 from __future__ import annotations
@@ -172,3 +175,28 @@ def chain_traces(g: WeylGroup, gens: np.ndarray) -> np.ndarray:
     check_window(mats, "trace")
     check_magnitude(int(np.abs(mats).max()), "trace")
     return mats.trace(axis1=1, axis2=2)
+
+
+def regular_traces(g: WeylGroup) -> np.ndarray:
+    """tr(Tt_w) on the regular module for all w, an (n, D) Laurent array with
+    offset ``window_offset(nu)``.  Each w in turn applies its letters, last
+    first, to the identity matrix on the Tt basis by the rule
+    Tt_s Tt_y = Tt_{sy}, plus (v - v^-1) Tt_y where sy < y, and keeps only
+    the trace; no product is stored."""
+    n = g.size
+    off = window_offset(g.nu)
+    out = np.zeros((n, 2 * off + 1), dtype=np.int64)
+    for w in range(n):
+        mat = np.zeros((n, n, 2 * off + 1), dtype=np.int64)  # column y is Tt_y
+        mat[range(n), range(n), off] = 1
+        for s in reversed(g.words[w]):
+            sy = g.lmul[:, s - 1]
+            down = g.length[sy] < g.length
+            step = np.zeros_like(mat)
+            step[sy] = mat
+            step[down, :, 1:] += mat[down, :, :-1]
+            step[down, :, :-1] -= mat[down, :, 1:]
+            mat = step
+        check_window(mat, "regular-trace")
+        out[w] = mat.trace(axis1=0, axis2=1).T
+    return out

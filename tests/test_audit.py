@@ -193,6 +193,16 @@ def test_klpoly_dump_never_runs_the_structure_constant_pass(data_copy, monkeypat
     assert calls == {"compute_kl": 1}
 
 
+def test_only_the_klpoly_dump_builds_the_kl_polynomial_dict(data_copy, capsys):
+    # fresh context: a new data directory
+    assert main(["audit", "--type", "A3"]) == 0
+    kl = get_context(CartanType.parse("A3")).kl
+    assert "_P_kept" not in vars(kl)  # the key of the P stage
+    assert main(["tables", "dump", "--what", "klpoly", "--type", "A3"]) == 0
+    capsys.readouterr()
+    assert get_context(CartanType.parse("A3")).kl is kl and "_P_kept" in vars(kl)
+
+
 @pytest.mark.parametrize("argv", [
     ["audit", "--type", "A4"],
     ["tables", "dump", "--what", "gamma", "--type", "A4"],

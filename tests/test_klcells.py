@@ -13,7 +13,7 @@ from cellred.rootdata import CartanType
 from conftest import TYPE_NAMES
 from klref import (
     bruhat_lower_set, cone_top, dense_associative, h_pass, h_row, laurent_matmul, left_cones,
-    mult,
+    mult, regular_traces,
 )
 
 
@@ -411,8 +411,10 @@ def test_cone_pass_is_bar_invariant(name, ctx):
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
 def test_pair_state_is_the_nonnegative_half_of_the_cone_pass(name, ctx, monkeypatch):
-    # big[x, p, d] of the pair pass, p = (z, y) in order of (z, y), is the
-    # coefficient of v^d in h_{x,y,z}, d = 0..off, with the guard slot off zero
+    # big[x, p, d] of the pair pass, p = (z, y) of the representative cells in
+    # order of (z, y), is the coefficient of v^d in h_{x,y,z}, d = 0..off, with
+    # the guard slot off zero; a linked cell's cone pass is its
+    # representative's, relabelled
     kl = ctx(name).kl
     g = kl.group
     step, states = klcells._induction_step, []
@@ -424,17 +426,60 @@ def test_pair_state_is_the_nonnegative_half_of_the_cone_pass(name, ctx, monkeypa
     monkeypatch.setattr(klcells, "_induction_step", kept)
     klcells._compute_top(g, kl.cs, kl.left_cells)
     big = states[-1]
+    rep = klcells._star_links(g, kl.cs, kl.left_cells)
     off = klcells.window_offset(g.nu)
-    want = {}
+    want, linked = {}, {}
     for ys, cone in left_cones(kl.cs):
         full = h_pass(g, kl.cs, cone, ys)
         for j, y in enumerate(ys):
             for z in ys:
-                want[z, y] = full[:, np.searchsorted(cone, z), j, off:]
+                h = full[:, np.searchsorted(cone, z), j, off:]
+                (want if rep[y] == y else linked)[z, y] = h
     assert big.shape == (g.size, len(want), off + 1)
     for p, key in enumerate(sorted(want)):
         assert np.array_equal(big[:, p], want[key]), key
     assert not big[..., off].any()
+    for (z, y), h in linked.items():
+        assert np.array_equal(h, want[rep[z], rep[y]]), (z, y)
+    assert len(want) + len(linked) == sum(len(c) ** 2 for c in kl.left_cells)
+
+
+@pytest.mark.parametrize("name, pairs", [
+    ("A1", 2), ("A2", 6), ("A3", 24), ("A4", 120), ("B2", 20), ("G2", 52),
+])
+def test_star_links_join_the_left_cells_of_each_two_sided_cell(name, pairs, ctx):
+    # in type A the left cells of a two-sided cell carry one W-graph, and the
+    # right star operations link them all; B2 and G2 have no m_st = 3
+    c = ctx(name)
+    kl, g = c.kl, c.group
+    rep = klcells._star_links(g, kl.cs, kl.left_cells)
+    cell_of = klcells._labels(g.size, kl.left_cells)
+    classes = {}
+    for cell in kl.left_cells:
+        # rep maps each cell onto the members of one representative cell
+        target = kl.left_cells[cell_of[rep[cell[0]]]]
+        assert sorted(rep[list(cell)].tolist()) == list(target)
+        classes.setdefault(target, []).extend(cell)
+    assert sum(len(cell) ** 2 for cell in classes) == pairs
+    if name[0] == "A":
+        assert sorted(tuple(sorted(m)) for m in classes.values()) == list(c.cells.two_sided_cells)
+        assert len(classes) == {"A1": 2, "A2": 3, "A3": 5, "A4": 7}[name]
+    else:
+        assert np.array_equal(rep, np.arange(g.size))
+
+
+@pytest.mark.parametrize("name", ("A2", "A3", "A4"))
+def test_a_changed_mu_entry_leaves_its_cell_unlinked(name, ctx):
+    kl = ctx(name).kl
+    g = kl.group
+    rep = klcells._star_links(g, kl.cs, kl.left_cells)
+    cell = next(c for c in kl.left_cells if rep[c[0]] != c[0] and len(c) > 1)
+    cs = kl.cs.copy()
+    block = cs[:, cell][:, :, cell][..., 1]
+    # a mu(z, w) entry has z < w; the c_{sw} entries lie below the diagonal
+    s, i, j = next(zip(*np.nonzero(np.triu(block, k=1))))
+    cs[s, cell[i], cell[j], 1] *= 2
+    assert np.array_equal(klcells._star_links(g, cs, kl.left_cells)[list(cell)], cell)
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
@@ -548,12 +593,14 @@ def test_cs_is_the_regular_representation(name, ctx):
         want[..., 2:] += op  # v c_s
         assert np.array_equal(square, want)
     # the regular module is the sum of dim(E) copies of each irreducible E,
-    # as Laurent arrays; at v = 1 its character is |W| at e and 0 elsewhere.
-    # The trace table checks the quadratic and braid relations on the way
-    traces = heckechar._trace_table(g, gens, heckechar._trace_plan(g))
-    assert np.array_equal(traces, sum(m.dim * m.traces for m in c.modules))
-    chi = traces.sum(axis=1)
+    # as Laurent arrays; its traces come from the multiplication rule alone,
+    # and at v = 1 its character is |W| at e and 0 elsewhere
+    regular = regular_traces(g)
+    assert np.array_equal(sum(m.dim * m.traces for m in c.modules), regular)
+    chi = regular.sum(axis=1)
     assert chi[0] == g.size and not chi[1:].any()
+    # the trace table of cs checks the quadratic and braid relations on the way
+    assert np.array_equal(heckechar._trace_table(g, gens, heckechar._trace_plan(g)), regular)
 
 
 @pytest.mark.parametrize("name", ("A2", "A3", "A4", "B2", "G2"))
@@ -741,23 +788,30 @@ def test_kl_coefficient_guards_raise(monkeypatch, slot, message):
         compute_kl(g)
 
 
-@pytest.mark.parametrize("z, exponent, message", [
-    ("e", 1, "a\\(e\\) != 0"),
-    ("121", 4, "a\\(w0\\) != nu"),
-    ("12", 3, "not inversion-invariant"),
-])
-def test_a_function_guards_raise(monkeypatch, z, exponent, message):
-    g = _a2()
-    zi = g.parse_word(z)
+_A_GUARD_CASES = [
+    ("A2", "e", 1, "a\\(e\\) != 0"),
+    ("A2", "121", 4, "a\\(w0\\) != nu"),
+    # B2 has no star links: the pair (z, z) is z's own, and z^-1 keeps its a-value
+    ("B2", "12", 3, "not inversion-invariant"),
+]
+
+
+@pytest.mark.parametrize("name, z, exponent, message", _A_GUARD_CASES,
+                         ids=["-".join(map(str, case[1:])) for case in _A_GUARD_CASES])
+def test_a_function_guards_raise(monkeypatch, name, z, exponent, message):
+    g = generate(CartanType.parse(name))
+    kl = compute_kl(g)
+    rep = klcells._star_links(g, kl.cs, kl.left_cells)
+    # the position of z's representative among the representative y's
+    at = np.searchsorted(np.flatnonzero(rep == np.arange(g.size)), rep[g.parse_word(z)])
     step = klcells._induction_step
 
     def step_with_extra_term(g, cs, big, apply, x):
         step(g, cs, big, apply, x)
-        if x == g.size - 1:  # add v^exponent to h_{e,z,z}, at the pair (z, z)
+        if x == g.size - 1:  # add v^exponent to h_{e,z,z}, at the pair of z's representative
             diagonal = np.flatnonzero(big[0, :, 0])  # c_e c_y = c_y, in order of y
-            big[0, diagonal[zi], exponent] += 1
+            big[0, diagonal[at], exponent] += 1
 
-    kl = compute_kl(g)
     monkeypatch.setattr(klcells, "_induction_step", step_with_extra_term)
     with pytest.raises(AssertionError, match=message):
         kl.a_values
