@@ -359,7 +359,7 @@ CORRUPTED_LABELLINGS = {
 }
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 31])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
 @pytest.mark.parametrize("case", sorted(CORRUPTED_LABELLINGS))
 def test_certificate_refuses_a_corrupted_labelling(monkeypatch, case, p):
     corrupt, message = CORRUPTED_LABELLINGS[case]
@@ -510,14 +510,54 @@ def test_sl3_p61_peaks_under_40_mib():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_equivariance_sample(p):
-    sp = build_incidence(p)
-    assert equivariance_spot_check(sp)
-    # labellings whose pairs are not the incidence, though the lines and
-    # planes are: the sampled g move some labelled pair outside them
-    for corrupt in (sigma_swapped, d_replaced):
-        D, pi, sigma = corrupt(sp.D, sp.pi, sp.sigma)
-        bad = dataclasses.replace(sp, D=D, pi=pi, sigma=sigma)
-        assert not equivariance_spot_check(bad), corrupt.__name__
+    # the proof reads no labelled pair: a labelling whose pairs are not the
+    # incidence is refused by ``build_incidence`` (see CORRUPTED_LABELLINGS)
+    assert equivariance_spot_check(build_incidence(p))
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("singular", [lambda p: np.diag([0, 1, 1]), lambda p: np.diag([p, 1, 1]),
+                                      lambda p: np.ones((3, 3), dtype=np.int64)],
+                         ids=["diag(0,1,1)", "diag(p,1,1)", "ones"])
+def test_equivariance_refuses_a_singular_generator(monkeypatch, singular, p):
+    # singular mod p: g sends a point to 0, so it permutes no point set
+    monkeypatch.setattr(sl3lab, "_generators", lambda space: singular(p)[None])
+    assert not equivariance_spot_check(build_incidence(p))
+
+
+def test_equivariance_checks_both_position_maps(monkeypatch):
+    # with det g != 0 the plane and line maps are permutations together, so
+    # only a fault in ``_positions`` shows that each is checked: one entry of
+    # each of the ten maps (two per generator) repeated in turn, then none
+    space = build_incidence(3)
+    positions = sl3lab._positions
+    for fault in range(11):
+        calls = []
+
+        def faulty(v, p, calls=calls, fault=fault):
+            at = positions(v, p)
+            if len(calls) == fault:
+                at[1] = at[0]
+            calls.append(fault)
+            return at
+
+        monkeypatch.setattr(sl3lab, "_positions", faulty)
+        assert equivariance_spot_check(space) is (fault == 10), fault
+    assert len(calls) == 10
+
+
+def test_sl3_stages_at_p97_peak_under_4_mib():
+    # neither stage forms an n (p + 1) array (7.1 MiB of int64 at p = 97,
+    # n = 9507) nor the (n/3, p + 1) exponent pair of the zero count (4.7 MiB)
+    space = build_incidence(97)
+    for stage in (kernel_analysis, equivariance_spot_check):
+        tracemalloc.start()
+        try:
+            stage(space)
+            peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mib < 4, (stage.__name__, peak_mib)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -542,19 +582,18 @@ def single_swaps(space):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_generators_refuse_every_swap_the_sample_refuses(p):
+def test_certificate_refuses_every_swap_the_sample_refuses(monkeypatch, p):
     space = build_incidence(p)
-    assert sampled_equivariance(space) and equivariance_spot_check(space)
-    by_sample, by_generators = set(), set()
+    assert sampled_equivariance(space)
+    by_sample = 0
     for swap, bad in single_swaps(space):
-        if not sampled_equivariance(bad):
-            by_sample.add(swap)
-        if not equivariance_spot_check(bad):
-            by_generators.add(swap)
-    assert by_sample <= by_generators
+        monkeypatch.setattr(sl3lab, "_singer_labelling", lambda *a: (bad.D, bad.pi, bad.sigma))
+        with pytest.raises(AssertionError, match="a Singer pair is not incident"):
+            build_incidence(p)
+        by_sample += not sampled_equivariance(bad)
     # both refuse every single swap: 42, 156 and 930 at p = 2, 3 and 5
     n = space.n_points
-    assert len(by_sample) == len(by_generators) == n * (n - 1)
+    assert by_sample == n * (n - 1)
 
 
 @pytest.mark.parametrize("p, order", [(2, 168), (3, 11232)])
