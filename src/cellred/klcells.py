@@ -24,7 +24,9 @@ both inductions run on it:
   h_{x,y,z} (c_x c_y = sum_z h_{x,y,z} c_z) for all x and z ~_L y.
 
 Both run on the Laurent arrays of :mod:`cellred.poly`, under their window
-and magnitude guards.  The structure-constant pass holds degrees 0..off
+and magnitude guards.  The canonical-basis pass holds degrees -off..+1:
+every p_{y,w} lives in degrees <= 0, and the top slot, degree +1, is the
+window guard.  The structure-constant pass holds degrees 0..off
 only: it starts from c_e c_y = c_y and each step applies c_s, whose entries
 are v + v^-1 and integers, then subtracts integer mu multiples, so every h
 it forms is bar-invariant (Kazhdan and Lusztig 1979), with equal v^d and
@@ -207,8 +209,13 @@ def compute_kl(g: WeylGroup) -> KLData:
         out[~d, :-1] += A[~d, 1:]
         return out
 
-    # cb[w, y] holds p_{y,w}, the coefficient of Tt_y in c_w
-    cb = np.zeros((n, n, 2 * off + 1), dtype=np.int64)
+    # cb[w, y, k] holds the coefficient of v^(k - off) in p_{y,w}, the
+    # coefficient of Tt_y in c_w.  Every p_{y,w} lives in degrees <= 0, and
+    # the step to x shifts by v only the Tt_y with sy < y (s the first
+    # letter of x), whose p_{y,sx} has degree < 0 unless y = sx, which s
+    # lengthens; so degrees -off..+1 suffice, and the top slot is the guard
+    # that check_window reads
+    cb = np.zeros((n, n, off + 2), dtype=np.int64)
     cb[0, 0, off] = 1
     cs = np.zeros((g.rank, n, n, 3), dtype=np.int64)
     for x in range(n):
@@ -367,7 +374,9 @@ def _compute_top(
     a = np.zeros(n, dtype=np.int64)
     np.maximum.at(a, zr, (big.any(axis=0) * np.arange(off + 1)).max(axis=1))
     a = a[rep]
-    lead = big[:, np.arange(len(zr)), a[zr]][:, pair[rep[z], rep[y]]]  # (x, every pair)
+    lead = big[:, np.arange(len(zr)), a[zr]]  # (x, representative pair)
+    del big  # before the gather to every pair
+    lead = lead[:, pair[rep[z], rep[y]]]  # (x, every pair)
     x, p = np.nonzero(lead)
     order = np.lexsort((z[p], y[p], x))
     if a[0] != 0:

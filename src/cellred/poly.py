@@ -330,7 +330,9 @@ def window_offset(nu: int) -> int:
     The window has width ``2 * off + 1``.  One slot beyond ``nu`` on each
     side holds a product by ``v + v**-1`` before it cancels; the outermost
     slot is a guard that :func:`check_window` requires to be zero, which
-    proves that no shift pushed a coefficient out of the window.
+    proves that no shift pushed a coefficient out of the window.  The
+    canonical-basis pass of :mod:`cellred.klcells` holds one side only,
+    degrees ``-off..+1`` (``off + 2`` slots), with degree +1 its guard.
     """
     return nu + 2
 

@@ -758,11 +758,14 @@ def test_kl_degree_bound_guard_raises(monkeypatch):
     g = _a2()
     off = klcells.window_offset(g.nu)
     step = klcells._induction_step
+    w0 = g.size - 1
+    y = int(np.flatnonzero(g.length == 1)[0])  # a simple reflection s
 
     def step_with_q_term(g, cs, big, apply, x):
         step(g, cs, big, apply, x)
-        if x == 1:  # P_{e,s} = 1 + q violates deg P <= (l(s) - 1) / 2
-            big[1, 0, off + 1] += 1
+        if x == w0:  # the last step, so nothing reads it: P_{s,w0} = 1 + q
+            # violates deg P <= (l(w0) - l(s) - 1) / 2
+            big[w0, y, off] += 1
 
     monkeypatch.setattr(klcells, "_induction_step", step_with_q_term)
     with pytest.raises(AssertionError, match="KL degree bound violated"):
@@ -772,6 +775,9 @@ def test_kl_degree_bound_guard_raises(monkeypatch):
 @pytest.mark.parametrize("slot, message", [
     (0, "canonical-basis exponent out of range"),  # p_{e,s} gets a v^0 term
     (-1, "KL polynomial without constant term 1"),  # P_{e,s} = 2
+    # P_{e,s} = 1 + q: the v^+1 slot is the window guard, which so implies
+    # the degree bound for every term at v-degree >= +1
+    (1, "canonical-basis exponent window exceeded"),
 ])
 def test_kl_coefficient_guards_raise(monkeypatch, slot, message):
     g = _a2()
