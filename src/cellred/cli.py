@@ -161,9 +161,10 @@ def _cmd_sl3(args) -> int:
 
 def _dump_klpoly(ctx: audit.TypeContext) -> dict:
     g = ctx.group
+    w, y, _, coeffs = ctx.kl.p_terms  # in (w, y) index order; rows padded with zeros
     entries = [
-        {"y": g.word(y), "w": g.word(w), "coeffs": {str(i): c for i, c in enumerate(coeffs) if c}}
-        for (y, w), coeffs in ctx.kl.P.items()  # in (w, y) index order
+        {"y": g.word(yi), "w": g.word(wi), "coeffs": {str(i): c for i, c in enumerate(row) if c}}
+        for wi, yi, row in zip(w.tolist(), y.tolist(), coeffs.tolist())
     ]
     return {"type": ctx.ct.name, "what": "klpoly", "entries": entries}
 

@@ -6,7 +6,8 @@ Z[v, v^-1] (u = v^2, quadratic relation (T_s - u)(T_s + 1) = 0):
 * type A: the left-cell modules of the canonical basis, one cell per
   two-sided cell; these are irreducible in type A, and the action of c_s is
   the slice ``kl.cs[:, cell][:, :, cell]`` of the W-graph operator that
-  :func:`cellred.klcells.compute_kl` builds (Tt_s = c_s - v^-1);
+  :func:`cellred.klcells.compute_kl` builds, plus (v + v^-1) on the diagonal
+  at the left descents (``KLData.tt_generators`` forms Tt_s = c_s - v^-1);
 * dihedral B2/G2: the four one-dimensional modules and explicit 2x2
   deformations of the rotation representations.
 
@@ -448,9 +449,7 @@ def build_hecke_modules(
             idx = next(c for c in cells.left_cells if c[0] in tc)
             # terms of c_s c_w outside the cell lie strictly below it in the
             # left preorder, so the slice is the action on the cell module
-            gens = kl.cs[:, idx][:, :, idx]
-            gens[:, range(len(idx)), range(len(idx)), 0] -= 1  # Tt_s = c_s - v^-1
-            candidates.append(gens)
+            candidates.append(kl.tt_generators(idx))
     else:
         candidates = _dihedral_gens(g)
     plan = _trace_plan(g)

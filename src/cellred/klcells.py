@@ -15,9 +15,10 @@ Kazhdan and Lusztig:
     c_s c_w = c_{sw} + sum_{z < w, sz < z} mu(z, w) c_z     (sw > w).
 
 :func:`compute_kl` builds this operator once, as ``KLData.cs``, filling
-column w as soon as the mu(., w) are known.  Read backwards, column sx gives
-c_x = c_s c_{sx} - sum_z mu(z, sx) c_z for s the first letter of x, and
-both inductions run on it:
+column w as soon as the mu(., w) are known.  It holds the integers alone, the
+mu(z, w) and the c_{sw}: the (v + v^-1) diagonal sits at the left descents,
+``KLData.desc``.  Read backwards, column sx gives c_x = c_s c_{sx} -
+sum_z mu(z, sx) c_z for s the first letter of x, and both inductions run on it:
 
 * on the Tt basis it yields the c_w, hence the classical P_{y,w} and mu;
 * on the c-basis expansion of c_x c_y it yields the structure constants
@@ -121,17 +122,18 @@ class stage:
 class KLData:
     """Canonical-basis data for one Weyl group.
 
-    ``mu`` maps the index pair (y, w) to the nonzero mu(y, w).
-    ``cs[s - 1, z, w]`` is the coefficient of c_z in c_s c_w, a
-    (rank, n, n, 3) Laurent array with offset 1.  ``p_terms`` holds the
-    decoded P_{y,w} in order of (w, y): arrays w, y and deg P, and the rows
-    of coefficients in q.  ``P``, ``a_values`` (a(z) per element index) and
-    the nonzero gamma entries are built on first read.
+    ``mu`` maps the index pair (y, w) to the nonzero mu(y, w).  The
+    (rank, n, n) int64 ``cs[s - 1, z, w]`` is the integer coefficient of c_z
+    in c_s c_w, which adds (v + v^-1) c_w where sw < w, at ``desc[s - 1, w]``.
+    ``p_terms`` holds the decoded P_{y,w} in order of (w, y): arrays w, y and
+    deg P, and the rows of coefficients in q.  ``P``, ``a_values`` (a(z) per
+    element index) and the nonzero gamma entries are built on first read.
     """
 
     group: WeylGroup
     mu: dict[tuple[int, int], int]
     cs: np.ndarray = field(repr=False)
+    desc: np.ndarray = field(repr=False)
     p_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @stage
@@ -149,15 +151,22 @@ class KLData:
     @stage
     def left_cells(self) -> Cells:
         """The left cells, as sorted index tuples listed by least member."""
-        return _sccs(self.cs.any(axis=(0, 3)))
+        return _sccs(self.cs.any(axis=0))
 
     @stage
     def _top(self) -> tuple[tuple[int, ...], GammaEntries]:
-        return _compute_top(self.group, self.cs, self.left_cells)
+        return _compute_top(self.group, self.cs, self.desc, self.left_cells)
 
     @property
     def a_values(self) -> tuple[int, ...]:
         return self._top[0]
+
+    def tt_generators(self, idx) -> np.ndarray:
+        """Tt_s = c_s - v^-1 on span{c_z : z in idx}, a (rank, d, d, 3) Laurent
+        array with offset 1: v on the diagonal where sz < z, else -v^-1."""
+        eye = np.eye(len(idx), dtype=np.int64)
+        down = self.desc[:, idx, None] * eye
+        return np.stack([down - eye, self.cs[:, idx][:, :, idx], down], axis=-1)
 
     def gamma_tensor(self) -> np.ndarray:
         """Dense gamma[x, y, z] by element index, n^3 entries built anew per call."""
@@ -183,7 +192,7 @@ def _induction_step(
     s = g.words[x][0]
     xp = g.lmul[x, s - 1]
     row = apply(s, big[xp])
-    col = cs[s - 1, :, xp, 1]
+    col = cs[s - 1, :, xp]
     for z in np.flatnonzero(col[:xp]):  # the mu(z, sx); col[x] is c_x itself
         row -= col[z] * big[z]
     big[x] = row
@@ -198,7 +207,7 @@ def compute_kl(g: WeylGroup) -> KLData:
     n = g.size
     off = window_offset(g.nu)
     lm = g.lmul.T
-    desc = g.length[lm] < g.length
+    desc = g.length[lm] < g.length  # desc[s - 1, w]: sw < w
     s_idx = np.arange(g.rank)
 
     def tt_apply(s: int, A: np.ndarray) -> np.ndarray:
@@ -217,16 +226,15 @@ def compute_kl(g: WeylGroup) -> KLData:
     # that check_window reads
     cb = np.zeros((n, n, off + 2), dtype=np.int64)
     cb[0, 0, off] = 1
-    cs = np.zeros((g.rank, n, n, 3), dtype=np.int64)
+    cs = np.zeros((g.rank, n, n), dtype=np.int64)
     for x in range(n):
         if x:
             _induction_step(g, cs, cb, tt_apply, x)
-        # column x of each c_s: v + v^-1 where sx < x, else c_{sx} plus
-        # mu(z, x) c_z over the z with sz < z
+        # the integers of column x of each c_s: none where sx < x (c_s c_x is
+        # (v + v^-1) c_x), else c_{sx} plus mu(z, x) c_z over the z with sz < z
         up = ~desc[:, x]
-        cs[:, :, x, 1] = (desc & up[:, None]) * cb[x, :, off - 1]
-        cs[s_idx[up], lm[up, x], x, 1] = 1
-        cs[s_idx[~up], x, x, ::2] = 1
+        cs[:, :, x] = (desc & up[:, None]) * cb[x, :, off - 1]
+        cs[s_idx[up], lm[up, x], x] = 1
     check_window(cb, "canonical-basis")
     check_magnitude(int(max(cb.max(), -cb.min())), "canonical-basis")
 
@@ -251,7 +259,8 @@ def compute_kl(g: WeylGroup) -> KLData:
     m = k == off - 1  # the coefficient of v^-1 in p_{y,w} is mu(y, w)
     mu = {(yi, wi): v for wi, yi, v in zip(w[m].tolist(), y[m].tolist(), val[m].tolist())}
 
-    return KLData(group=g, mu=mu, cs=cs, p_terms=(w[first], y[first], e[last] // 2, coeffs))
+    p_terms = (w[first], y[first], e[last] // 2, coeffs)
+    return KLData(group=g, mu=mu, cs=cs, desc=desc, p_terms=p_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +270,18 @@ def compute_kl(g: WeylGroup) -> KLData:
 _Gather = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _gather_tables(cs: np.ndarray) -> list[_Gather]:
+def _gather_tables(cs: np.ndarray, desc: np.ndarray) -> list[_Gather]:
     """Per generator s, ``cs[s - 1]`` as a row gather (rows, src, val).
 
-    ``rows`` are the z with sz < z, the only rows c_s reaches.  Row z gets
-    (v + v^-1) times itself plus ``val[r, k]`` times row ``src[r, k]``: the
-    off-diagonal entries of row z, all in degree 0, padded with zero weights
-    to a common width.
+    ``rows`` are the z with sz < z (``desc[s - 1]``), the only rows c_s
+    reaches.  Row z gets (v + v^-1) times itself plus ``val[r, k]`` times row
+    ``src[r, k]``: the integer entries of row z, padded with zero weights to
+    a common width.
     """
     out = []
-    for op in cs:
-        rows = np.flatnonzero(op.diagonal()[2])
-        flat = op[rows, :, 1]
+    for op, down in zip(cs, desc):
+        rows = np.flatnonzero(down)
+        flat = op[rows]
         width = int((flat != 0).sum(axis=1).max())
         src = np.argsort(flat == 0, axis=1, kind="stable")[:, :width]
         out.append((rows, src, np.take_along_axis(flat, src, axis=1)))
@@ -296,7 +305,7 @@ def _cs_apply(tab: _Gather, A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _star_links(g: WeylGroup, cs: np.ndarray, left_cells: Cells) -> np.ndarray:
+def _star_links(g: WeylGroup, cs: np.ndarray, desc: np.ndarray, left_cells: Cells) -> np.ndarray:
     """``rep[w]``: the element that w stands for in the representative of
     its class of left cells linked by right star operations (w itself in a
     representative).
@@ -305,10 +314,10 @@ def _star_links(g: WeylGroup, cs: np.ndarray, left_cells: Cells) -> np.ndarray:
     in its right descent set; in type A it maps each left cell onto one with
     the same W-graph (Kazhdan and Lusztig 1979, section 4).  That only
     proposes a link: it is kept when the image of a cell is a whole left cell
-    on which the block of ``cs`` equals the representative's, since the pass
-    on a cell reads only that block and the mu columns of ``cs``.  A cell
-    that no link has reached, visited in order, becomes a representative,
-    and the links are followed from it breadth first.
+    on which the block of ``cs`` and the left descents ``desc`` equal the
+    representative's, since the pass on a cell reads only those and the mu
+    columns of ``cs``.  A cell that no link has reached, visited in order,
+    becomes a representative, and the links are followed from it breadth first.
     """
     cart = g.type.cartan_matrix()
     rdesc = g.length[g.rmul] < g.length[:, None]  # (n, rank)
@@ -323,7 +332,7 @@ def _star_links(g: WeylGroup, cs: np.ndarray, left_cells: Cells) -> np.ndarray:
     for cell in left_cells:
         if rep[cell[0]] >= 0:
             continue
-        block = cs[:, cell][:, :, cell]
+        block, down = cs[:, cell][:, :, cell], desc[:, cell]
         rep[list(cell)] = cell
         queue = [np.array(cell)]  # members in the order of the representative's
         for members in queue:
@@ -332,14 +341,15 @@ def _star_links(g: WeylGroup, cs: np.ndarray, left_cells: Cells) -> np.ndarray:
                 if (img < 0).any() or rep[img[0]] >= 0:
                     continue
                 if (np.array_equal(np.sort(img), left_cells[cell_of[img[0]]])
-                        and np.array_equal(cs[:, img][:, :, img], block)):
+                        and np.array_equal(cs[:, img][:, :, img], block)
+                        and np.array_equal(desc[:, img], down)):
                     rep[img] = cell
                     queue.append(img)
     return rep
 
 
 def _compute_top(
-    g: WeylGroup, cs: np.ndarray, left_cells: Cells
+    g: WeylGroup, cs: np.ndarray, desc: np.ndarray, left_cells: Cells
 ) -> tuple[tuple[int, ...], GammaEntries]:
     """a per element and the nonzero gamma entries, from one pass over the
     pairs (z, y) with z ~_L y in representative cells (``_star_links``):
@@ -351,7 +361,7 @@ def _compute_top(
     reads a and gamma through the relabelling: h_{x,y,z} = h_{x,rep y,rep z}."""
     n = g.size
     off = window_offset(g.nu)
-    rep = _star_links(g, cs, left_cells)
+    rep = _star_links(g, cs, desc, left_cells)
     cell_of = _labels(n, left_cells)
     z, y = np.nonzero(cell_of[:, None] == cell_of)  # every pair, in order of (z, y)
     own = rep[y] == y  # the pairs of representative cells
@@ -359,7 +369,7 @@ def _compute_top(
     pair = np.full((n, n), -1)
     pair[zr, yr] = np.arange(len(zr))
     tabs = []  # c_s on the pairs: row (z, y) reads the rows (z', y) with z' ~_L y
-    for rows, src, val in _gather_tables(cs):
+    for rows, src, val in _gather_tables(cs, desc):
         r = np.flatnonzero(np.isin(zr, rows))
         k = np.searchsorted(rows, zr[r])
         p = pair[src[k], yr[r, None]]  # -1 where z' is not in the cell of y
@@ -438,7 +448,7 @@ def compute_cells(kl: KLData) -> CellPartition:
     g = kl.group
     inv = g.inv
     # left[z, y]: c_z occurs in some c_s c_y; left[np.ix_(inv, inv)] is the right graph
-    left = kl.cs.any(axis=(0, 3))
+    left = kl.cs.any(axis=0)
     two_sided = _sccs(left | left[np.ix_(inv, inv)])
     a = kl.a_values
     if any(len({a[i] for i in tc}) != 1 for tc in two_sided):

@@ -51,16 +51,17 @@ def bruhat_lower_set(g: WeylGroup, w: int) -> frozenset[int]:
     return frozenset(reach)
 
 
-def h_pass(g: WeylGroup, cs: np.ndarray, cone: np.ndarray, ys: list[int]) -> np.ndarray:
+def h_pass(kl: klcells.KLData, cone: np.ndarray, ys: list[int]) -> np.ndarray:
     """h_{x, y, z} for all x, z in ``cone`` and y in ``ys``, as an
     (n, len(cone), len(ys), D) Laurent array.
 
     ``cone`` must contain every z <=_L y for y in ``ys``, so that c_s maps
     span{c_z : z in cone} to itself; all of W always qualifies.
     """
+    g, cs = kl.group, kl.cs
     n = g.size
     off = window_offset(g.nu)
-    tabs = klcells._gather_tables(cs[:, cone][:, :, cone])
+    tabs = klcells._gather_tables(cs[:, cone][:, :, cone], kl.desc[:, cone])
     big = np.zeros((n, len(cone), len(ys), 2 * off + 1), dtype=np.int64)
     big[0, np.searchsorted(cone, ys), np.arange(len(ys)), off] = 1
 
@@ -83,7 +84,7 @@ def h_pass(g: WeylGroup, cs: np.ndarray, cone: np.ndarray, ys: list[int]) -> np.
 def h_row(kl: klcells.KLData, x: int, y: int) -> dict[int, IntPoly]:
     """The nonzero h_{x,y,z}, keyed by z, from one :func:`h_pass` on all of W."""
     g = kl.group
-    row = h_pass(g, kl.cs, np.arange(g.size), [y])[x, :, 0]
+    row = h_pass(kl, np.arange(g.size), [y])[x, :, 0]
     off = window_offset(g.nu)
     return {
         z: from_array(row[z], off)
@@ -97,23 +98,24 @@ def left_cones(cs: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
     The y with equal columns of the left-preorder closure form a left cell,
     and that column is their cone.
     """
-    reach = klcells._closure(cs.any(axis=(0, 3)))
+    reach = klcells._closure(cs.any(axis=0))
     cells: dict[bytes, list[int]] = {}
     for y in range(len(reach)):
         cells.setdefault(reach[:, y].tobytes(), []).append(y)
     return [(ys, np.flatnonzero(reach[:, ys[0]])) for ys in cells.values()]
 
 
-def cone_top(g: WeylGroup, cs: np.ndarray) -> tuple[tuple[int, ...], klcells.GammaEntries]:
+def cone_top(kl: klcells.KLData) -> tuple[tuple[int, ...], klcells.GammaEntries]:
     """a per element and the nonzero gamma entries, in one pass per left cell.
     Each cell keeps its nonzero coefficients at its own highest slot per z;
     those at the highest slot over all cells, ``top[z]``, are gamma."""
+    g = kl.group
     n = g.size
     off = window_offset(g.nu)
     top = np.zeros(n, dtype=np.int64)  # slot 0 is the zero guard slot
     found = []  # per cell: x, y, z, value and slot of each nonzero coefficient
-    for ys, cone in left_cones(cs):
-        big = h_pass(g, cs, cone, ys)
+    for ys, cone in left_cones(kl.cs):
+        big = h_pass(kl, cone, ys)
         # highest slot occupied in some h_{x,y,z}, per z of the cone
         deg = (big.any(axis=(0, 2)) * np.arange(2 * off + 1)).max(axis=1)
         top[cone] = np.maximum(top[cone], deg)

@@ -193,14 +193,16 @@ def test_klpoly_dump_never_runs_the_structure_constant_pass(data_copy, monkeypat
     assert calls == {"compute_kl": 1}
 
 
-def test_only_the_klpoly_dump_builds_the_kl_polynomial_dict(data_copy, capsys):
-    # fresh context: a new data directory
+def test_no_command_builds_the_kl_polynomial_dict(data_copy, capsys):
+    # fresh context: a new data directory; the klpoly dump reads p_terms
     assert main(["audit", "--type", "A3"]) == 0
     kl = get_context(CartanType.parse("A3")).kl
-    assert "_P_kept" not in vars(kl)  # the key of the P stage
-    assert main(["tables", "dump", "--what", "klpoly", "--type", "A3"]) == 0
+    for what in ("klpoly", "cells", "gamma", "cwe", "delta"):
+        assert main(["tables", "dump", "--what", what, "--type", "A3"]) == 0
     capsys.readouterr()
-    assert get_context(CartanType.parse("A3")).kl is kl and "_P_kept" in vars(kl)
+    assert get_context(CartanType.parse("A3")).kl is kl and "_P_kept" not in vars(kl)
+    kl.P
+    assert "_P_kept" in vars(kl)  # the key of the P stage
 
 
 @pytest.mark.parametrize("argv", [
@@ -217,8 +219,9 @@ def test_commands_never_build_the_dense_gamma(data_copy, monkeypatch, capsys, ar
     assert calls == {"gamma_tensor": 1}
 
 
-def _stage_peaks_mb(ctx, names) -> dict[str, float]:
-    """The ``tracemalloc`` peak of each stage build, in MB over its start."""
+def _stage_peaks_mb(ctx, names, held_mb=None) -> dict[str, float]:
+    """The ``tracemalloc`` peak of each stage build, in MB over its start;
+    ``held_mb``, if given, gets what each build still holds after it."""
     peak_mb = {}
     tracemalloc.start()
     try:
@@ -226,7 +229,10 @@ def _stage_peaks_mb(ctx, names) -> dict[str, float]:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             getattr(ctx, name)
-            peak_mb[name] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+            now, peak = tracemalloc.get_traced_memory()
+            peak_mb[name] = (peak - base) / 2**20
+            if held_mb is not None:
+                held_mb[name] = (now - base) / 2**20
     finally:
         tracemalloc.stop()
     return peak_mb
@@ -247,6 +253,17 @@ def test_a4_kl_stage_peaks_under_3_75_mb_and_cells_under_2_mb(data_copy):
     ctx.group
     peak_mb = _stage_peaks_mb(ctx, ("kl", "cells"))
     assert peak_mb["kl"] < 3.75 and peak_mb["cells"] < 2.0, peak_mb
+
+
+def test_a4_kl_stage_peaks_under_2_75_mb_and_kl_data_holds_under_1_mb(data_copy):
+    # cs in one degree slot, the (v + v^-1) diagonal read from the left
+    # descents (3.28 MB peak and 1.51 MB held with three slots)
+    ctx = get_context(CartanType.parse("A4"))  # fresh: a new data directory
+    ctx.group
+    held_mb = {}
+    peak_mb = _stage_peaks_mb(ctx, ("kl",), held_mb)
+    assert peak_mb["kl"] < 2.75 and held_mb["kl"] < 1.0, (peak_mb, held_mb)
+    assert ctx.kl.cs.shape == (ctx.group.rank, ctx.group.size, ctx.group.size)
 
 
 def test_audit_builds_each_stage_once(data_copy, monkeypatch, capsys):

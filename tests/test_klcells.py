@@ -170,7 +170,7 @@ def test_right_cells_are_inverted_left_cells(name, ctx):
     c = ctx(name)
     g = c.group
     inv = g.inv
-    right = c.kl.cs.any(axis=(0, 3))[np.ix_(inv, inv)]
+    right = c.kl.cs.any(axis=0)[np.ix_(inv, inv)]
     want = klcells._sccs(right)
     assert c.cells.right_cells == want
     assert {tuple(sorted(inv[i] for i in lc)) for lc in c.cells.left_cells} == set(want)
@@ -391,10 +391,10 @@ def test_cone_pass_equals_full_pass(name, ctx):
     assert {tuple(ys) for ys, _ in cones} == set(c.cells.left_cells)
     everything = np.arange(g.size)
     for ys, cone in cones:
-        part = h_pass(g, kl.cs, cone, ys)
+        part = h_pass(kl, cone, ys)
         outside = np.setdiff1d(everything, cone)
         for j, y in enumerate(ys[:1] if name == "A4" else ys):
-            full = h_pass(g, kl.cs, everything, [y])[:, :, 0]
+            full = h_pass(kl, everything, [y])[:, :, 0]
             assert np.array_equal(full[:, cone], part[:, :, j])
             assert not full[:, outside].any()
 
@@ -405,7 +405,7 @@ def test_cone_pass_is_bar_invariant(name, ctx):
     # h_{x,y,z} of the full-window reference has equal v^d and v^-d coefficients
     kl = ctx(name).kl
     for ys, cone in left_cones(kl.cs):
-        big = h_pass(kl.group, kl.cs, cone, ys)
+        big = h_pass(kl, cone, ys)
         assert big.any() and np.array_equal(big, big[..., ::-1])
 
 
@@ -424,13 +424,13 @@ def test_pair_state_is_the_nonnegative_half_of_the_cone_pass(name, ctx, monkeypa
         states.append(big)
 
     monkeypatch.setattr(klcells, "_induction_step", kept)
-    klcells._compute_top(g, kl.cs, kl.left_cells)
+    klcells._compute_top(g, kl.cs, kl.desc, kl.left_cells)
     big = states[-1]
-    rep = klcells._star_links(g, kl.cs, kl.left_cells)
+    rep = klcells._star_links(g, kl.cs, kl.desc, kl.left_cells)
     off = klcells.window_offset(g.nu)
     want, linked = {}, {}
     for ys, cone in left_cones(kl.cs):
-        full = h_pass(g, kl.cs, cone, ys)
+        full = h_pass(kl, cone, ys)
         for j, y in enumerate(ys):
             for z in ys:
                 h = full[:, np.searchsorted(cone, z), j, off:]
@@ -452,7 +452,7 @@ def test_star_links_join_the_left_cells_of_each_two_sided_cell(name, pairs, ctx)
     # right star operations link them all; B2 and G2 have no m_st = 3
     c = ctx(name)
     kl, g = c.kl, c.group
-    rep = klcells._star_links(g, kl.cs, kl.left_cells)
+    rep = klcells._star_links(g, kl.cs, kl.desc, kl.left_cells)
     cell_of = klcells._labels(g.size, kl.left_cells)
     classes = {}
     for cell in kl.left_cells:
@@ -472,14 +472,28 @@ def test_star_links_join_the_left_cells_of_each_two_sided_cell(name, pairs, ctx)
 def test_a_changed_mu_entry_leaves_its_cell_unlinked(name, ctx):
     kl = ctx(name).kl
     g = kl.group
-    rep = klcells._star_links(g, kl.cs, kl.left_cells)
+    rep = klcells._star_links(g, kl.cs, kl.desc, kl.left_cells)
     cell = next(c for c in kl.left_cells if rep[c[0]] != c[0] and len(c) > 1)
     cs = kl.cs.copy()
-    block = cs[:, cell][:, :, cell][..., 1]
+    block = cs[:, cell][:, :, cell]
     # a mu(z, w) entry has z < w; the c_{sw} entries lie below the diagonal
     s, i, j = next(zip(*np.nonzero(np.triu(block, k=1))))
-    cs[s, cell[i], cell[j], 1] *= 2
-    assert np.array_equal(klcells._star_links(g, cs, kl.left_cells)[list(cell)], cell)
+    cs[s, cell[i], cell[j]] *= 2
+    assert np.array_equal(klcells._star_links(g, cs, kl.desc, kl.left_cells)[list(cell)], cell)
+
+
+@pytest.mark.parametrize("name", ("A2", "A3", "A4"))
+def test_a_flipped_left_descent_leaves_its_cell_unlinked(name, ctx):
+    # the (v + v^-1) diagonal of c_s sits at the left descents, which the
+    # block of cs does not hold: a linked cell whose descents differ by one
+    # entry from its representative's keeps its block and loses its link
+    kl = ctx(name).kl
+    g = kl.group
+    rep = klcells._star_links(g, kl.cs, kl.desc, kl.left_cells)
+    cell = next(c for c in kl.left_cells if rep[c[0]] != c[0])
+    desc = kl.desc.copy()
+    desc[0, cell[-1]] = ~desc[0, cell[-1]]
+    assert np.array_equal(klcells._star_links(g, kl.cs, desc, kl.left_cells)[list(cell)], cell)
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
@@ -487,7 +501,7 @@ def test_pair_pass_equals_cone_pass(name, ctx):
     # the pair pass keeps only the z ~_L y of each cone, which holds every
     # nonzero gamma[x, y, z] (Lusztig, CRM 18, 14.2 P8) and reaches a(z)
     kl = ctx(name).kl
-    a, entries = cone_top(kl.group, kl.cs)
+    a, entries = cone_top(kl)
     assert kl.a_values == a
     for got, want in zip(kl._top[1], entries):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -504,7 +518,7 @@ def test_cells_and_gamma_build_the_left_preorder_closure_once(monkeypatch):
     monkeypatch.setattr(klcells, "_closure", counted)
     kl = compute_kl(generate(CartanType.parse("A3")))
     klcells.j_ring(kl, klcells.compute_cells(kl))
-    left = kl.cs.any(axis=(0, 3))
+    left = kl.cs.any(axis=0)
     assert sum(np.array_equal(adj, left) for adj in graphs) == 1
 
 
@@ -572,10 +586,7 @@ def test_h_matches_direct_canonical_product(name, ctx):
 
 def regular_module(kl):
     """``kl.cs`` as the generators Tt_s = c_s - v^-1 of the regular module."""
-    gens = kl.cs.copy()
-    n = kl.group.size
-    gens[:, range(n), range(n), 0] -= 1
-    return gens
+    return kl.tt_generators(np.arange(kl.group.size))
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
@@ -586,7 +597,9 @@ def test_cs_is_the_regular_representation(name, ctx):
     kl = c.kl
     g = kl.group
     gens = regular_module(kl)
-    for op in kl.cs:
+    laurent_cs = gens.copy()  # c_s = Tt_s + v^-1, offset 1
+    laurent_cs[:, range(g.size), range(g.size), 0] += 1
+    for op in laurent_cs:
         square = laurent_matmul(op, op)  # offset 2
         want = np.zeros_like(square)
         want[..., :3] += op  # v^-1 c_s
@@ -609,7 +622,7 @@ def test_flipped_mu_breaks_the_hecke_relations(name, ctx):
     kl = c.kl
     gens = regular_module(kl)
     # a genuine mu(z, w) entry has z < w, so it is not the c_{sw} term
-    s, z, w = next(zip(*np.nonzero(np.triu(kl.cs[..., 1], k=1))))
+    s, z, w = next(zip(*np.nonzero(np.triu(kl.cs, k=1))))
     gens[s, z, w, 1] *= -1
     plan = heckechar._trace_plan(kl.group)
     with pytest.raises(heckechar.ConstructionIncomplete, match="relation fails"):
@@ -807,7 +820,7 @@ _A_GUARD_CASES = [
 def test_a_function_guards_raise(monkeypatch, name, z, exponent, message):
     g = generate(CartanType.parse(name))
     kl = compute_kl(g)
-    rep = klcells._star_links(g, kl.cs, kl.left_cells)
+    rep = klcells._star_links(g, kl.cs, kl.desc, kl.left_cells)
     # the position of z's representative among the representative y's
     at = np.searchsorted(np.flatnonzero(rep == np.arange(g.size)), rep[g.parse_word(z)])
     step = klcells._induction_step
