@@ -25,13 +25,20 @@ sum_z mu(z, sx) c_z for s the first letter of x, and both inductions run on it:
   h_{x,y,z} (c_x c_y = sum_z h_{x,y,z} c_z) for all x and z ~_L y.
 
 Both run on the Laurent arrays of :mod:`cellred.poly`, under their window
-and magnitude guards.  The canonical-basis pass holds degrees -off..+1:
-every p_{y,w} lives in degrees <= 0, and the top slot, degree +1, is the
-window guard.  The structure-constant pass holds degrees 0..off
-only: it starts from c_e c_y = c_y and each step applies c_s, whose entries
-are v + v^-1 and integers, then subtracts integer mu multiples, so every h
-it forms is bar-invariant (Kazhdan and Lusztig 1979), with equal v^d and
-v^-d coefficients.  It runs once, on the pairs (z, y) with z ~_L y of one
+and magnitude guards, and each holds one parity of degree per entry:
+p_{y,w} lives in degrees = l(y) - l(w) mod 2 (Kazhdan and Lusztig 1979),
+and h_{x,y,z} in degrees = l(x) + l(y) + l(z) mod 2.  Every step keeps that
+layout: the permutation and the integer entries of c_s read, in the state
+of sx, rows whose y or z has the length parity opposite to the row they
+feed, and the mu subtractions read the state of an element of the length
+parity of x; either way each reads its own slot, and v or v^-1 moves a row
+by no slot or by one.  The canonical-basis pass holds degrees -off..+1:
+every p_{y,w} lives in degrees <= 0, and degrees -off and +1 are the window
+guards.  The structure-constant pass holds degrees 0..off only: it starts
+from c_e c_y = c_y and each step applies c_s, whose entries are v + v^-1
+and integers, then subtracts integer mu multiples, so every h it forms is
+bar-invariant (Kazhdan and Lusztig 1979), with equal v^d and v^-d
+coefficients.  It runs once, on the pairs (z, y) with z ~_L y of one
 representative left cell per class of cells linked by right star operations
 (in type A, one per two-sided cell); the other cells of a class read their
 h's through the relabelling.  For y in a left cell Gamma,
@@ -69,7 +76,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .coxeter import WeylGroup
-from .poly import check_magnitude, check_window, window_offset
+from .poly import check_magnitude, window_offset
 
 GammaEntries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # x, y, z, value
 Cells = tuple[tuple[int, ...], ...]  # sorted index tuples, listed by least member
@@ -122,16 +129,15 @@ class stage:
 class KLData:
     """Canonical-basis data for one Weyl group.
 
-    ``mu`` maps the index pair (y, w) to the nonzero mu(y, w).  The
-    (rank, n, n) int64 ``cs[s - 1, z, w]`` is the integer coefficient of c_z
+    The (rank, n, n) int64 ``cs[s - 1, z, w]`` is the integer coefficient of c_z
     in c_s c_w, which adds (v + v^-1) c_w where sw < w, at ``desc[s - 1, w]``.
     ``p_terms`` holds the decoded P_{y,w} in order of (w, y): arrays w, y and
-    deg P, and the rows of coefficients in q.  ``P``, ``a_values`` (a(z) per
-    element index) and the nonzero gamma entries are built on first read.
+    deg P, and the rows of coefficients in q.  ``P``, ``mu``, ``a_values``
+    (a(z) per element index) and the nonzero gamma entries are built on
+    first read.
     """
 
     group: WeylGroup
-    mu: dict[tuple[int, int], int]
     cs: np.ndarray = field(repr=False)
     desc: np.ndarray = field(repr=False)
     p_terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
@@ -147,6 +153,14 @@ class KLData:
             (yi, wi): tuple(flat[r * width:r * width + d + 1])
             for r, (wi, yi, d) in enumerate(zip(w.tolist(), y.tolist(), deg.tolist()))
         }
+
+    @stage
+    def mu(self) -> dict[tuple[int, int], int]:
+        """The index pair (y, w) to the nonzero mu(y, w), the coefficient of
+        q^((l(w) - l(y) - 1)/2) in P_{y,w}, inserted in order of (w, y)."""
+        w, y, deg, coeffs = self.p_terms
+        top = 2 * deg == self.group.length[w] - self.group.length[y] - 1
+        return dict(zip(zip(y[top].tolist(), w[top].tolist()), coeffs[top, deg[top]].tolist()))
 
     @stage
     def left_cells(self) -> Cells:
@@ -180,18 +194,18 @@ def _induction_step(
     g: WeylGroup,
     cs: np.ndarray,
     big: np.ndarray,
-    apply: Callable[[int, np.ndarray], np.ndarray],
+    apply: Callable[[int, int, np.ndarray], np.ndarray],
     x: int,
 ) -> None:
     """Set ``big[x]`` to c_x times ``big[0]`` from rows of shorter elements.
 
     With s the first letter of x, column sx of ``cs[s - 1]`` is
-    c_s c_{sx} = c_x + sum_z mu(z, sx) c_z; ``apply(s, row)`` multiplies one
-    row by c_s.
+    c_s c_{sx} = c_x + sum_z mu(z, sx) c_z; ``apply(s, x, row)`` multiplies
+    ``row``, the state of sx, by c_s into the degree layout of x.
     """
     s = g.words[x][0]
     xp = g.lmul[x, s - 1]
-    row = apply(s, big[xp])
+    row = apply(s, x, big[xp])
     col = cs[s - 1, :, xp]
     for z in np.flatnonzero(col[:xp]):  # the mu(z, sx); col[x] is c_x itself
         row -= col[z] * big[z]
@@ -199,53 +213,70 @@ def _induction_step(
 
 
 def compute_kl(g: WeylGroup) -> KLData:
-    """Run the canonical-basis induction for the whole group: mu, the c_s
-    operators and the P_{y,w}, decoded and checked here.  The ``P`` dict,
-    ``a_values`` and gamma wait for their first read."""
+    """Run the canonical-basis induction for the whole group: the c_s
+    operators and the P_{y,w}, decoded and checked here.  The ``P`` and
+    ``mu`` dicts, ``a_values`` and gamma wait for their first read."""
     if g.size > GROUP_BOUND:
         raise GroupTooLarge(f"|W| = {g.size} exceeds bound {GROUP_BOUND}")
     n = g.size
     off = window_offset(g.nu)
     lm = g.lmul.T
     desc = g.length[lm] < g.length  # desc[s - 1, w]: sw < w
+    par = g.length % 2
     s_idx = np.arange(g.rank)
 
-    def tt_apply(s: int, A: np.ndarray) -> np.ndarray:
-        # c_s = Tt_s + v^-1 on the Tt basis
-        d = desc[s - 1]
-        out = A[lm[s - 1]]
-        out[d, 1:] += A[d, :-1]
-        out[~d, :-1] += A[~d, 1:]
-        return out
+    # cb[w, y, j] holds the coefficient of v^(2j - off + r) in p_{y,w}, the
+    # coefficient of Tt_y in c_w, where r = (l(y) + l(w) + off) mod 2: p_{y,w}
+    # lives in degrees = l(y) - l(w) mod 2.  Every p_{y,w} lives in degrees
+    # <= 0, and the step to x shifts by v only the Tt_y with sy < y (s the
+    # first letter of x), whose p_{y,sx} has degree < 0 unless y = sx, which s
+    # lengthens; so degrees -off..+1 suffice, and -off and those >= +1 are
+    # the window guards
+    slots = (off + 1) // 2 + 1
+    cb = np.zeros((n, n, slots), dtype=np.int64)
+    cb[0, 0, off // 2] = 1  # p_{e,e} = 1, with r = off mod 2
 
-    # cb[w, y, k] holds the coefficient of v^(k - off) in p_{y,w}, the
-    # coefficient of Tt_y in c_w.  Every p_{y,w} lives in degrees <= 0, and
-    # the step to x shifts by v only the Tt_y with sy < y (s the first
-    # letter of x), whose p_{y,sx} has degree < 0 unless y = sx, which s
-    # lengthens; so degrees -off..+1 suffice, and the top slot is the guard
-    # that check_window reads
-    cb = np.zeros((n, n, off + 2), dtype=np.int64)
-    cb[0, 0, off] = 1
+    # c_s = Tt_s + v^-1 on the Tt basis: row y of c_s A is A[sy] plus v A[y]
+    # where sy < y, else v^-1 A[y].  In A, the state of sx, row y has the r
+    # opposite to its r in the state of x, so v moves it one slot up where r
+    # is 0 in x, v^-1 one slot down where r is 1, and the other rows keep
+    # their slot.  shift[s - 1][l(x) mod 2] reads that term of every slot
+    # from A padded with a zero slot at each end, as flat indices
+    odd = (par + off) % 2 == 1  # r = 1 in the state of an x of even length
+    flat = np.arange(n)[:, None] * (slots + 2) + np.arange(1, slots + 1)
+    shift = [[flat + (~down & r)[:, None] - (down & ~r)[:, None] for r in (odd, ~odd)]
+             for down in desc]
+
+    def tt_apply(s: int, x: int, A: np.ndarray) -> np.ndarray:
+        pad = np.zeros((n, slots + 2), dtype=np.int64)
+        pad[:, 1:-1] = A
+        return A[lm[s - 1]] + pad.ravel()[shift[s - 1][par[x]]]
+
     cs = np.zeros((g.rank, n, n), dtype=np.int64)
     for x in range(n):
         if x:
             _induction_step(g, cs, cb, tt_apply, x)
         # the integers of column x of each c_s: none where sx < x (c_s c_x is
-        # (v + v^-1) c_x), else c_{sx} plus mu(z, x) c_z over the z with sz < z
+        # (v + v^-1) c_x), else c_{sx} plus mu(z, x) c_z over the z with sz < z;
+        # mu(z, x), the coefficient of v^-1, is slot (off - 1) // 2 where
+        # l(z) + l(x) is odd
         up = ~desc[:, x]
-        cs[:, :, x] = (desc & up[:, None]) * cb[x, :, off - 1]
+        cs[:, :, x] = (desc & up[:, None] & (par != par[x])) * cb[x, :, (off - 1) // 2]
         cs[s_idx[up], lm[up, x], x] = 1
-    check_window(cb, "canonical-basis")
-    check_magnitude(int(max(cb.max(), -cb.min())), "canonical-basis")
 
-    # the nonzero coefficients of the p_{y,w}, in order of (w, y, slot); slot
-    # k holds the coefficient of q^(e/2) in P_{y,w} = v^gap p_{y,w}, where
-    # e = k - off + gap
-    w, y, k = np.nonzero(cb)
-    val = cb[w, y, k]
+    # the nonzero coefficients of the p_{y,w}, in order of (w, y, slot), and
+    # their degrees d; v^d is q^(e/2) in P_{y,w} = v^gap p_{y,w}, e = d + gap,
+    # which is even
+    w, y, j = np.nonzero(cb)
+    val = cb[w, y, j]
+    del cb  # before the decode
+    d = 2 * j - off + (par[w] + par[y] + off) % 2
+    if (d <= -off).any() or (d > 0).any():
+        raise AssertionError("canonical-basis exponent window exceeded")
+    check_magnitude(int(max(val.max(), -val.min())), "canonical-basis")
     gap = g.length[w] - g.length[y]
-    e = k - off + gap
-    if (e < 0).any() or (e % 2).any():
+    e = d + gap
+    if (e < 0).any():
         raise AssertionError("canonical-basis exponent out of range")
     first = np.ones(len(w), dtype=bool)  # the lowest term of each p_{y,w}
     first[1:] = (w[1:] != w[:-1]) | (y[1:] != y[:-1])
@@ -256,11 +287,9 @@ def compute_kl(g: WeylGroup) -> KLData:
         raise AssertionError("KL degree bound violated")
     coeffs = np.zeros((int(first.sum()), int(e.max()) // 2 + 1), dtype=np.int64)
     coeffs[np.cumsum(first) - 1, e // 2] = val
-    m = k == off - 1  # the coefficient of v^-1 in p_{y,w} is mu(y, w)
-    mu = {(yi, wi): v for wi, yi, v in zip(w[m].tolist(), y[m].tolist(), val[m].tolist())}
 
     p_terms = (w[first], y[first], e[last] // 2, coeffs)
-    return KLData(group=g, mu=mu, cs=cs, desc=desc, p_terms=p_terms)
+    return KLData(group=g, cs=cs, desc=desc, p_terms=p_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +317,22 @@ def _gather_tables(cs: np.ndarray, desc: np.ndarray) -> list[_Gather]:
     return out
 
 
-def _cs_apply(tab: _Gather, A: np.ndarray) -> np.ndarray:
+def _cs_apply(tab: tuple, A: np.ndarray) -> np.ndarray:
     """Coefficient vectors of c_s * (sum_w A[w] c_w) in the c-basis, for
-    bar-invariant data held in degrees 0..D-1 on the last axis of ``A``;
-    the axes between are carried along.  Row z with sz < z gets
-    ``val[r, k]`` times row ``src[r, k]`` in each degree, and (v + v^-1)
-    times itself: degree d >= 1 reads degrees d - 1 and d + 1, and degree 0
-    reads v^-1 and v^1, both the coefficient of v^1."""
-    rows, src, val = tab
-    own, mixed = A[rows], np.einsum("rk,rk...->r...", val, A[src])
-    mixed[..., 1:] += own[..., :-1]
-    mixed[..., :-1] += own[..., 1:]
-    mixed[..., 0] += own[..., 1]
+    bar-invariant data of one degree parity per row: slot j of row z of
+    ``A`` is v^(2j + sigma) and of the result v^(2j + 1 - sigma).  Row
+    ``rows[r]``, with sz < z, gets ``val[r, k]`` times row ``src[r, k]``
+    slot by slot, and (v + v^-1) times itself: in slot j, its own slot j
+    plus the slot at ``twin[r, j]``, a flat index into the rows padded with
+    a zero slot.  Where the result has even degrees that is slot j - 1, and
+    at j = 0 slot 0 again, degree 1, the mirror of degree -1; where it has
+    odd degrees it is slot j + 1."""
+    rows, src, val, twin = tab
+    own = A[rows]
+    pad = np.zeros((len(rows), A.shape[1] + 1), dtype=np.int64)
+    pad[:, :-1] = own
     out = np.zeros_like(A)
-    out[rows] = mixed
+    out[rows] = np.einsum("rk,rkj->rj", val, A[src]) + own + pad.ravel()[twin]
     return out
 
 
@@ -353,12 +384,14 @@ def _compute_top(
 ) -> tuple[tuple[int, ...], GammaEntries]:
     """a per element and the nonzero gamma entries, from one pass over the
     pairs (z, y) with z ~_L y in representative cells (``_star_links``):
-    the state ``big[x, p, d]`` of pair p = (z, y) is the coefficient of v^d
-    in h_{x,y,z}, the coefficient of c_z in c_x c_y on the cell module of y,
-    for d = 0..off.  That is all of h, which is bar-invariant (see the
-    module docstring), and slot ``off`` stands for the two guard slots -off
-    and off of the full window, which mirror each other.  A linked cell
-    reads a and gamma through the relabelling: h_{x,y,z} = h_{x,rep y,rep z}."""
+    the state ``big[x, p, j]`` of pair p = (z, y) is the coefficient of
+    v^(2j + sigma) in h_{x,y,z}, the coefficient of c_z in c_x c_y on the
+    cell module of y, where sigma = (l(x) + l(y) + l(z)) mod 2, for degrees
+    0..off.  That is all of h, which is bar-invariant and lives in degrees
+    of parity sigma (see the module docstring); the top slot, where it
+    stands for degree off or off + 1, is the guard, whose mirror is the
+    guard -off of the full window.  A linked cell reads a and gamma through
+    the relabelling: h_{x,y,z} = h_{x,rep y,rep z}."""
     n = g.size
     off = window_offset(g.nu)
     rep = _star_links(g, cs, desc, left_cells)
@@ -368,23 +401,39 @@ def _compute_top(
     zr, yr = z[own], y[own]
     pair = np.full((n, n), -1)
     pair[zr, yr] = np.arange(len(zr))
+    par = g.length % 2
+    sig = (par[zr] + par[yr]) % 2  # sigma of each pair where l(x) is even, 1 - sig where odd
+    top = off // 2
+    j = np.arange(top + 1)
+    twins = np.array([np.maximum(j - 1, 0), j + 1])  # the twin slots of _cs_apply, by sigma
     tabs = []  # c_s on the pairs: row (z, y) reads the rows (z', y) with z' ~_L y
     for rows, src, val in _gather_tables(cs, desc):
         r = np.flatnonzero(np.isin(zr, rows))
         k = np.searchsorted(rows, zr[r])
         p = pair[src[k], yr[r, None]]  # -1 where z' is not in the cell of y
-        tabs.append((r, np.maximum(p, 0), val[k] * (p >= 0)))
-    big = np.zeros((n, len(zr), off + 1), dtype=np.int64)
+        tab = r, np.maximum(p, 0), val[k] * (p >= 0)
+        flat, sigma = np.arange(len(r))[:, None] * (top + 2), sig[r]
+        tabs.append([(*tab, flat + twins[sigma]), (*tab, flat + twins[1 - sigma])])  # by l(x) mod 2
+    big = np.zeros((n, len(zr), top + 1), dtype=np.int64)
     big[0, zr == yr, 0] = 1  # c_e c_y = c_y
     for x in range(1, n):
-        _induction_step(g, cs, big, lambda s, A: _cs_apply(tabs[s - 1], A), x)
-    check_window(big[..., off:], "structure-constant")  # both ends of this slice are slot off
+        _induction_step(g, cs, big, lambda s, x, A: _cs_apply(tabs[s - 1][par[x]], A), x)
+    # the highest degree occupied in some h_{x,y,z} per pair, over the x of
+    # each length parity q; the highest per z is a(z)
+    nz = big != 0
+    high = np.max([(nz[par == q].any(axis=0) * (2 * j + (sig[:, None] + q) % 2)).max(axis=1)
+                   for q in (0, 1)], axis=0)
+    del nz
+    if high.max() >= off:
+        raise AssertionError("structure-constant exponent window exceeded")
     check_magnitude(int(max(big.max(), -big.min())), "structure-constant")
-    # the highest degree occupied in some h_{x,y,z}, per z, is a(z); its coefficients are gamma
     a = np.zeros(n, dtype=np.int64)
-    np.maximum.at(a, zr, (big.any(axis=0) * np.arange(off + 1)).max(axis=1))
+    np.maximum.at(a, zr, high)
     a = a[rep]
-    lead = big[:, np.arange(len(zr)), a[zr]]  # (x, representative pair)
+    # v^a(z) is slot a(z) // 2 where l(x) + l(y) + l(z) = a(z) mod 2, and
+    # absent from h_{x,y,z} elsewhere; its coefficients are gamma
+    lead = big[:, np.arange(len(zr)), a[zr] // 2]  # (x, representative pair)
+    lead *= par[:, None] == (sig + a[zr]) % 2
     del big  # before the gather to every pair
     lead = lead[:, pair[rep[z], rep[y]]]  # (x, every pair)
     x, p = np.nonzero(lead)

@@ -331,8 +331,10 @@ def window_offset(nu: int) -> int:
     side holds a product by ``v + v**-1`` before it cancels; the outermost
     slot is a guard that :func:`check_window` requires to be zero, which
     proves that no shift pushed a coefficient out of the window.  The
-    canonical-basis pass of :mod:`cellred.klcells` holds one side only,
-    degrees ``-off..+1`` (``off + 2`` slots), with degree +1 its guard.
+    passes of :mod:`cellred.klcells` hold one degree parity per entry, the
+    canonical basis degrees ``-off..+1`` (``(off + 1) // 2 + 1`` slots) and
+    the structure constants degrees ``0..off`` (``off // 2 + 1`` slots),
+    and check that no nonzero term sits at a guard degree.
     """
     return nu + 2
 

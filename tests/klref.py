@@ -3,6 +3,8 @@
 * :func:`from_array`: the polynomial held by one Laurent-array row.
 * :func:`mult`: the group product of two element indices.
 * :func:`bruhat_lower_set`: the Bruhat interval below w, from subwords.
+* :func:`p_pass`: the p_{y,w} by the canonical-basis induction over the
+  full window of degrees -off..off, on the Tt basis.
 * :func:`h_pass`: the structure constants h_{x,y,z} on a left cone, by the
   c-basis induction on the full span{c_z : z in cone}, over the full window
   of degrees -off..off.  With the cone all of W it is the plain definition
@@ -51,6 +53,30 @@ def bruhat_lower_set(g: WeylGroup, w: int) -> frozenset[int]:
     return frozenset(reach)
 
 
+def p_pass(kl: klcells.KLData) -> np.ndarray:
+    """p_{y,w} for all y, w, as an (n, n, D) Laurent array indexed [w, y]:
+    c_x = c_s c_{sx} - sum_z mu(z, sx) c_z with the mu read from ``kl.cs``,
+    and c_s = Tt_s + v^-1 on the Tt basis, over every degree of the window."""
+    g = kl.group
+    n = g.size
+    off = window_offset(g.nu)
+    big = np.zeros((n, n, 2 * off + 1), dtype=np.int64)
+    big[0, 0, off] = 1
+
+    def tt_apply(s: int, x: int, A: np.ndarray) -> np.ndarray:
+        # row y gets A[sy], plus v A[y] where sy < y, else v^-1 A[y]
+        d = kl.desc[s - 1]
+        out = A[g.lmul[:, s - 1]]
+        out[d, 1:] += A[d, :-1]
+        out[~d, :-1] += A[~d, 1:]
+        return out
+
+    for x in range(1, n):
+        klcells._induction_step(g, kl.cs, big, tt_apply, x)
+    check_window(big, "canonical-basis")
+    return big
+
+
 def h_pass(kl: klcells.KLData, cone: np.ndarray, ys: list[int]) -> np.ndarray:
     """h_{x, y, z} for all x, z in ``cone`` and y in ``ys``, as an
     (n, len(cone), len(ys), D) Laurent array.
@@ -65,7 +91,7 @@ def h_pass(kl: klcells.KLData, cone: np.ndarray, ys: list[int]) -> np.ndarray:
     big = np.zeros((n, len(cone), len(ys), 2 * off + 1), dtype=np.int64)
     big[0, np.searchsorted(cone, ys), np.arange(len(ys)), off] = 1
 
-    def cs_apply(s: int, A: np.ndarray) -> np.ndarray:
+    def cs_apply(s: int, x: int, A: np.ndarray) -> np.ndarray:
         # c_s on the c-basis over the full window; the engine's apply keeps degrees >= 0
         rows, src, val = tabs[s - 1]
         out = np.zeros_like(A)

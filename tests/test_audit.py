@@ -200,9 +200,11 @@ def test_no_command_builds_the_kl_polynomial_dict(data_copy, capsys):
     for what in ("klpoly", "cells", "gamma", "cwe", "delta"):
         assert main(["tables", "dump", "--what", what, "--type", "A3"]) == 0
     capsys.readouterr()
-    assert get_context(CartanType.parse("A3")).kl is kl and "_P_kept" not in vars(kl)
+    assert get_context(CartanType.parse("A3")).kl is kl
+    assert "_P_kept" not in vars(kl) and "_mu_kept" not in vars(kl)
     kl.P
-    assert "_P_kept" in vars(kl)  # the key of the P stage
+    kl.mu
+    assert "_P_kept" in vars(kl) and "_mu_kept" in vars(kl)  # the keys of the P and mu stages
 
 
 @pytest.mark.parametrize("argv", [
@@ -264,6 +266,15 @@ def test_a4_kl_stage_peaks_under_2_75_mb_and_kl_data_holds_under_1_mb(data_copy)
     peak_mb = _stage_peaks_mb(ctx, ("kl",), held_mb)
     assert peak_mb["kl"] < 2.75 and held_mb["kl"] < 1.0, (peak_mb, held_mb)
     assert ctx.kl.cs.shape == (ctx.group.rank, ctx.group.size, ctx.group.size)
+
+
+def test_a4_kl_stage_peaks_under_2_mb_and_cells_under_1_5_mb(data_copy):
+    # the canonical basis and the structure-constant state each in one degree
+    # parity (2.42 and 1.77 MB with every degree slot)
+    ctx = get_context(CartanType.parse("A4"))  # fresh: a new data directory
+    ctx.group
+    peak_mb = _stage_peaks_mb(ctx, ("kl", "cells"))
+    assert peak_mb["kl"] < 2.0 and peak_mb["cells"] < 1.5, peak_mb
 
 
 def test_audit_builds_each_stage_once(data_copy, monkeypatch, capsys):

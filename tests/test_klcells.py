@@ -13,7 +13,7 @@ from cellred.rootdata import CartanType
 from conftest import TYPE_NAMES
 from klref import (
     bruhat_lower_set, cone_top, dense_associative, h_pass, h_row, laurent_matmul, left_cones,
-    mult, regular_traces,
+    mult, p_pass, regular_traces,
 )
 
 
@@ -410,11 +410,62 @@ def test_cone_pass_is_bar_invariant(name, ctx):
 
 
 @pytest.mark.parametrize("name", TYPE_NAMES)
+def test_kl_and_structure_constants_live_in_one_degree_parity(name, ctx):
+    # the theorem the engine's layouts rest on, read from full-window
+    # references that hold every degree: p_{y,w} lives in degrees
+    # = l(y) - l(w) and h_{x,y,z} in degrees = l(x) + l(y) + l(z) mod 2
+    kl = ctx(name).kl
+    g = kl.group
+    length = g.length
+    off = klcells.window_offset(g.nu)
+    full = p_pass(kl)
+    w, y, k = np.nonzero(full)
+    assert ((k - off - length[y] + length[w]) % 2 == 0).all()
+    # the rows of p_terms, read back as p_{y,w} = v^(l(y) - l(w)) P_{y,w}(v^2)
+    back = np.zeros_like(full)
+    pw, py, deg, coeffs = kl.p_terms
+    for r, (wi, yi, d) in enumerate(zip(pw.tolist(), py.tolist(), deg.tolist())):
+        back[wi, yi, off + length[yi] - length[wi] + 2 * np.arange(d + 1)] = coeffs[r, :d + 1]
+    assert np.array_equal(back, full)
+    for ys, cone in left_cones(kl.cs):
+        x, c, j, k = np.nonzero(h_pass(kl, cone, ys))
+        assert ((length[x] + length[cone[c]] + length[np.array(ys)[j]] + k - off) % 2 == 0).all()
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
+def test_canonical_basis_state_is_the_full_window_pass_packed(name, ctx, monkeypatch):
+    # cb[w, y, j] of compute_kl is the coefficient of v^(2j - off + r) in
+    # p_{y,w}, r = (l(y) + l(w) + off) mod 2, for degrees -off..+1
+    kl = ctx(name).kl
+    g = kl.group
+    n = g.size
+    step, states = klcells._induction_step, []
+
+    def kept(g, cs, big, apply, x):
+        step(g, cs, big, apply, x)
+        states.append(big)
+
+    monkeypatch.setattr(klcells, "_induction_step", kept)
+    compute_kl(g)
+    cb = states[-1]
+    off = klcells.window_offset(g.nu)
+    top = (off + 1) // 2
+    full = np.zeros((n, n, 2 * off + 3), dtype=np.int64)  # degrees -off..off + 2
+    full[..., :2 * off + 1] = p_pass(kl)
+    par = g.length % 2
+    r = (par[:, None] + par + off) % 2
+    assert cb.shape == (n, n, top + 1)
+    slot = 2 * np.arange(top + 1) + r[..., None]  # degree + off of each slot
+    assert np.array_equal(cb, np.take_along_axis(full, slot, axis=2))
+
+
+@pytest.mark.parametrize("name", TYPE_NAMES)
 def test_pair_state_is_the_nonnegative_half_of_the_cone_pass(name, ctx, monkeypatch):
-    # big[x, p, d] of the pair pass, p = (z, y) of the representative cells in
-    # order of (z, y), is the coefficient of v^d in h_{x,y,z}, d = 0..off, with
-    # the guard slot off zero; a linked cell's cone pass is its
-    # representative's, relabelled
+    # big[x, p, j] of the pair pass, p = (z, y) of the representative cells in
+    # order of (z, y), is the coefficient of v^(2j + sigma) in h_{x,y,z},
+    # sigma = (l(x) + l(y) + l(z)) mod 2, for degrees 0..off, with the guard
+    # degrees >= off zero; a linked cell's cone pass is its representative's,
+    # relabelled
     kl = ctx(name).kl
     g = kl.group
     step, states = klcells._induction_step, []
@@ -428,17 +479,21 @@ def test_pair_state_is_the_nonnegative_half_of_the_cone_pass(name, ctx, monkeypa
     big = states[-1]
     rep = klcells._star_links(g, kl.cs, kl.desc, kl.left_cells)
     off = klcells.window_offset(g.nu)
+    top = off // 2
+    par = g.length % 2
     want, linked = {}, {}
     for ys, cone in left_cones(kl.cs):
         full = h_pass(kl, cone, ys)
         for j, y in enumerate(ys):
             for z in ys:
-                h = full[:, np.searchsorted(cone, z), j, off:]
-                (want if rep[y] == y else linked)[z, y] = h
-    assert big.shape == (g.size, len(want), off + 1)
+                h = np.zeros((g.size, 2 * top + 2), dtype=np.int64)  # degrees 0..2 top + 1
+                h[:, :off + 1] = full[:, np.searchsorted(cone, z), j, off:]
+                degree = 2 * np.arange(top + 1) + ((par + par[y] + par[z]) % 2)[:, None]
+                packed = np.take_along_axis(h, degree, axis=1)
+                (want if rep[y] == y else linked)[z, y] = packed
+    assert big.shape == (g.size, len(want), top + 1)
     for p, key in enumerate(sorted(want)):
         assert np.array_equal(big[:, p], want[key]), key
-    assert not big[..., off].any()
     for (z, y), h in linked.items():
         assert np.array_equal(h, want[rep[z], rep[y]]), (z, y)
     assert len(want) + len(linked) == sum(len(c) ** 2 for c in kl.left_cells)
@@ -656,6 +711,9 @@ def test_magnitude_guards_raise(monkeypatch):
         compute_kl(g).a_values
     with pytest.raises(AssertionError, match="centrality magnitude guard tripped"):
         is_central(g, gamma, {g.parse_word("1"): 2})
+    monkeypatch.setattr(poly, "MAGNITUDE_GUARD", 1)
+    with pytest.raises(AssertionError, match="canonical-basis magnitude guard tripped"):
+        compute_kl(g)
 
 
 def inject_gamma_fault(monkeypatch, edit):
@@ -767,9 +825,17 @@ def test_j_ring_refuses_exactly_what_the_dense_check_refuses(monkeypatch, ctx, n
         assert refusal(changed) == expected, (i, delta)
 
 
+def cb_slot(g, w, y, degree):
+    """The slot of v^degree in p_{y,w} in the canonical-basis state of
+    ``compute_kl``, which holds only the degrees = l(y) - l(w) mod 2."""
+    off = klcells.window_offset(g.nu)
+    r = (g.length[w] + g.length[y] + off) % 2
+    assert (degree + off - r) % 2 == 0, "no slot of that parity"
+    return (degree + off - r) // 2
+
+
 def test_kl_degree_bound_guard_raises(monkeypatch):
     g = _a2()
-    off = klcells.window_offset(g.nu)
     step = klcells._induction_step
     w0 = g.size - 1
     y = int(np.flatnonzero(g.length == 1)[0])  # a simple reflection s
@@ -778,29 +844,30 @@ def test_kl_degree_bound_guard_raises(monkeypatch):
         step(g, cs, big, apply, x)
         if x == w0:  # the last step, so nothing reads it: P_{s,w0} = 1 + q
             # violates deg P <= (l(w0) - l(s) - 1) / 2
-            big[w0, y, off] += 1
+            big[w0, y, cb_slot(g, w0, y, 0)] += 1
 
     monkeypatch.setattr(klcells, "_induction_step", step_with_q_term)
     with pytest.raises(AssertionError, match="KL degree bound violated"):
         compute_kl(g)
 
 
-@pytest.mark.parametrize("slot, message", [
-    (0, "canonical-basis exponent out of range"),  # p_{e,s} gets a v^0 term
+@pytest.mark.parametrize("degree, message", [
+    # P_{e,s} = 1 + q^-1, a term below the constant term; the same term added
+    # at the step to s reaches v^-off, the window guard, in p_{e,w0}
+    (-3, "canonical-basis exponent out of range"),
     (-1, "KL polynomial without constant term 1"),  # P_{e,s} = 2
     # P_{e,s} = 1 + q: the v^+1 slot is the window guard, which so implies
     # the degree bound for every term at v-degree >= +1
     (1, "canonical-basis exponent window exceeded"),
 ])
-def test_kl_coefficient_guards_raise(monkeypatch, slot, message):
+def test_kl_coefficient_guards_raise(monkeypatch, degree, message):
     g = _a2()
-    off = klcells.window_offset(g.nu)
     step = klcells._induction_step
 
     def step_with_extra_term(g, cs, big, apply, x):
         step(g, cs, big, apply, x)
-        if x == 1:
-            big[1, 0, off + slot] += 1
+        if x == g.size - 1:  # the last step, so nothing reads p_{e,s} after it
+            big[1, 0, cb_slot(g, 1, 0, degree)] += 1
 
     monkeypatch.setattr(klcells, "_induction_step", step_with_extra_term)
     with pytest.raises(AssertionError, match=message):
@@ -808,10 +875,10 @@ def test_kl_coefficient_guards_raise(monkeypatch, slot, message):
 
 
 _A_GUARD_CASES = [
-    ("A2", "e", 1, "a\\(e\\) != 0"),
+    ("A2", "e", 2, "a\\(e\\) != 0"),
     ("A2", "121", 4, "a\\(w0\\) != nu"),
     # B2 has no star links: the pair (z, z) is z's own, and z^-1 keeps its a-value
-    ("B2", "12", 3, "not inversion-invariant"),
+    ("B2", "12", 2, "not inversion-invariant"),
 ]
 
 
@@ -829,7 +896,8 @@ def test_a_function_guards_raise(monkeypatch, name, z, exponent, message):
         step(g, cs, big, apply, x)
         if x == g.size - 1:  # add v^exponent to h_{e,z,z}, at the pair of z's representative
             diagonal = np.flatnonzero(big[0, :, 0])  # c_e c_y = c_y, in order of y
-            big[0, diagonal[at], exponent] += 1
+            # h_{e,z,z} holds even degrees only: slot j is v^2j
+            big[0, diagonal[at], exponent // 2] += 1
 
     monkeypatch.setattr(klcells, "_induction_step", step_with_extra_term)
     with pytest.raises(AssertionError, match=message):
