@@ -33,6 +33,9 @@ import os
 import sys
 import tempfile
 
+# no command does floating-point linear algebra, so numpy starts no BLAS pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import audit, sl3lab, weylmod
 from .rootdata import ALL_TYPES, CartanType, UnsupportedType
 from .uniptables import DataIntegrityFailure

@@ -433,10 +433,20 @@ def _compute_top(
     # v^a(z) is slot a(z) // 2 where l(x) + l(y) + l(z) = a(z) mod 2, and
     # absent from h_{x,y,z} elsewhere; its coefficients are gamma
     lead = big[:, np.arange(len(zr)), a[zr] // 2]  # (x, representative pair)
-    lead *= par[:, None] == (sig + a[zr]) % 2
-    del big  # before the gather to every pair
-    lead = lead[:, pair[rep[z], rep[y]]]  # (x, every pair)
-    x, p = np.nonzero(lead)
+    del big
+    x, q = np.nonzero(lead)
+    keep = par[x] == (sig[q] + a[zr[q]]) % 2  # where that slot is v^a(z)
+    x, q = x[keep], q[keep]
+    c = lead[x, q]
+    # each gamma entry (x, q) stands for every pair p whose representative
+    # pair is q: those p are a run of the pairs sorted by representative pair
+    of = pair[rep[z], rep[y]]
+    by = np.argsort(of)
+    count = np.bincount(of, minlength=len(zr))
+    run = count[q]
+    first = np.cumsum(count) - count
+    p = by[np.repeat(first[q] - (np.cumsum(run) - run), run) + np.arange(run.sum())]
+    x, c = np.repeat(x, run), np.repeat(c, run)
     order = np.lexsort((z[p], y[p], x))
     if a[0] != 0:
         raise AssertionError("a(e) != 0: basis convention broken")
@@ -444,7 +454,7 @@ def _compute_top(
         raise AssertionError("a(w0) != nu: basis convention broken")
     if not np.array_equal(a, a[g.inv]):
         raise AssertionError("a-function not inversion-invariant")
-    return tuple(int(v) for v in a), (x[order], y[p][order], z[p][order], lead[x, p][order])
+    return tuple(int(v) for v in a), (x[order], y[p][order], z[p][order], c[order])
 
 # ---------------------------------------------------------------------------
 # Cells

@@ -408,9 +408,12 @@ def equivariance_spot_check(space: IncidenceSpace) -> bool:
     cof(m)^T m must be det(m) I with det(m) != 0 mod p.  Then (cof(m) N) .
     (m L) = det(m) (N . L), so m maps each pair of the incidence that
     ``build_incidence`` certified to an incident pair, and no pair is read.
-    The plane and line maps, placed by the closed form ``_positions``, must
-    be permutations; then m permutes the finite pair set, and so does every
-    product of generators.
+    The line map, placed by the closed form ``_positions``, must be a
+    permutation; then m permutes the finite pair set, and so does every
+    product of generators.  The plane map needs no placement of its own:
+    cof(m) = det(m) m^-T is invertible with m, and ``points`` lists every
+    projective point once, so points cof(m)^T and points m^T are the same
+    point set, and one is a permutation exactly when the other is.
     """
     p, points = space.p, space.points
     for m in _generators(space):
@@ -418,8 +421,7 @@ def equivariance_spot_check(space: IncidenceSpace) -> bool:
         det_eye = cof.T @ m % p  # det(m) I
         if not (det_eye[0, 0] and np.array_equal(det_eye, det_eye[0, 0] * np.eye(3, dtype=int))):
             return False
-        ip, il = (_positions(points @ a.T % p, p) for a in (cof, m))
-        if not (_is_permutation(ip) and _is_permutation(il)):
+        if not _is_permutation(_positions(points @ m.T % p, p)):
             return False
     return True
 

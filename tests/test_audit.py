@@ -277,6 +277,15 @@ def test_a4_kl_stage_peaks_under_2_mb_and_cells_under_1_5_mb(data_copy):
     assert peak_mb["kl"] < 2.0 and peak_mb["cells"] < 1.5, peak_mb
 
 
+def test_a4_cells_stage_peaks_under_1_25_mb(data_copy):
+    # gamma expanded from the nonzero entries of the representative pairs
+    # (1.33 MB with the (n, 120) lead gathered to all 596 pairs)
+    ctx = get_context(CartanType.parse("A4"))  # fresh: a new data directory
+    ctx.kl
+    peak_mb = _stage_peaks_mb(ctx, ("cells",))
+    assert peak_mb["cells"] < 1.25, peak_mb
+
+
 def test_audit_builds_each_stage_once(data_copy, monkeypatch, capsys):
     builders = (
         (klcells, "compute_kl"), (klcells, "_compute_top"),

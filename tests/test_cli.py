@@ -337,3 +337,42 @@ def test_closed_stdout_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def _fresh_python(code, env):
+    """stdout of ``python -c code`` in a fresh interpreter with ``env``."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_fresh_cli_process_runs_on_one_thread():
+    # numpy's OpenBLAS starts one worker per further core at import unless
+    # OPENBLAS_NUM_THREADS is set; no command calls BLAS
+    env = cli_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    out = _fresh_python(
+        "import contextlib, io, os\n"
+        "from cellred.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['sl3']) == 0 and main(['audit', '--type', 'A2']) == 0\n"
+        "print(len(os.listdir('/proc/self/task')))\n",
+        env,
+    )
+    assert out == "1\n"
+
+
+def test_the_callers_blas_thread_count_wins():
+    out = _fresh_python(
+        "import os, cellred.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n",
+        dict(cli_env(), OPENBLAS_NUM_THREADS="2"),
+    )
+    assert out == "2\n"
+
+
+def test_import_cellred_loads_no_numpy():
+    # so that cellred.cli can set the BLAS thread count before numpy loads
+    out = _fresh_python("import sys, cellred\nprint('numpy' in sys.modules)\n", cli_env())
+    assert out == "False\n"

@@ -525,13 +525,13 @@ def test_equivariance_refuses_a_singular_generator(monkeypatch, singular, p):
     assert not equivariance_spot_check(build_incidence(p))
 
 
-def test_equivariance_checks_both_position_maps(monkeypatch):
-    # with det g != 0 the plane and line maps are permutations together, so
+def test_equivariance_checks_each_line_map(monkeypatch):
+    # with det g != 0 the line map of g is a permutation of the points, so
     # only a fault in ``_positions`` shows that each is checked: one entry of
-    # each of the ten maps (two per generator) repeated in turn, then none
+    # each of the five maps (one per generator) repeated in turn, then none
     space = build_incidence(3)
     positions = sl3lab._positions
-    for fault in range(11):
+    for fault in range(6):
         calls = []
 
         def faulty(v, p, calls=calls, fault=fault):
@@ -542,8 +542,8 @@ def test_equivariance_checks_both_position_maps(monkeypatch):
             return at
 
         monkeypatch.setattr(sl3lab, "_positions", faulty)
-        assert equivariance_spot_check(space) is (fault == 10), fault
-    assert len(calls) == 10
+        assert equivariance_spot_check(space) is (fault == 5), fault
+    assert len(calls) == 5
 
 
 def test_sl3_stages_at_p97_peak_under_4_mib():
