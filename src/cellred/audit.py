@@ -66,7 +66,6 @@ _SCOPE_NOTES = (
 class AuditReport:
     type_name: str
     checks: tuple[CheckResult, ...]
-    notes: tuple[str, ...] = _SCOPE_NOTES
 
     @property
     def failed(self) -> bool:
@@ -87,7 +86,7 @@ class AuditReport:
                 {k: v for k, v in asdict(c).items() if v is not None}
                 for c in self.checks
             ],
-            "notes": list(self.notes),
+            "notes": list(_SCOPE_NOTES),
         }
 
 

@@ -130,18 +130,13 @@ def _sl3_entry(p: int, orbits: bool) -> dict:
             entry["orbits_note"] = "principal-series check needs p >= 5"
         else:
             ps = _sl3_stage("principal_series_check", p)
-            entry["orbits"] = [
-                {
-                    "rep": list(o.rep),
-                    "lifts": [list(z) for z in o.lifts],
-                    "dims": list(o.dims),
-                    "total": o.total,
-                    "expected": o.expected,
-                    "ok": o.ok,
-                }
-                for o in ps.orbits
+            totals = ps.dims.sum(axis=1)
+            entry["orbits"] = [  # each residue is its own lift
+                {"rep": m[0], "lifts": m, "dims": d, "total": t,
+                 "expected": ps.expected, "ok": t == ps.expected}
+                for m, d, t in zip(ps.members.tolist(), ps.dims.tolist(), totals.tolist())
             ]
-            entry_ok = entry_ok and ps.all_ok
+            entry_ok = entry_ok and bool((totals == ps.expected).all())
     entry["ok"] = entry_ok
     return entry
 

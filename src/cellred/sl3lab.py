@@ -50,9 +50,9 @@ GL_3(F_p) preserves the incidence: ``equivariance_spot_check`` proves it on
 five generators g of the group by (cof(g) N) . (g L) = det(g) (N . L), det g
 != 0 mod p, with no pair moved.  The principal-series check finds the free
 orbits of the rank-2 Weyl group on weights mod (p-1) as one array
-computation; each regular residue lifts uniquely into coordinates 1..p-2,
-and the lifted dimensions over one orbit must sum to (p+1)(p^2+p+1), the
-index of a Borel subgroup.
+computation; a free orbit's residues have every coordinate in 1..p-2, so
+each is its own lift, and their Weyl dimensions over one orbit must sum to
+(p+1)(p^2+p+1), the index of a Borel subgroup.
 """
 
 from __future__ import annotations
@@ -364,7 +364,6 @@ class KernelReport:
     ``kernel_analysis``), so these are also dim ker tau' and whether
     ker tau' = im tau."""
 
-    p: int
     dim_f1: int
     dim_ker_tau: int
     ker_tau_eq_im_tau_prime: bool
@@ -381,10 +380,9 @@ def kernel_analysis(space: IncidenceSpace) -> KernelReport:
     come from the difference set D and the Singer field (see the module
     docstring).
     """
-    p, dim = space.p, space.n_points - 1
+    dim = space.n_points - 1
     rank, composite_zero = _group_ring_kernel(space)
     return KernelReport(
-        p=p,
         dim_f1=dim,
         dim_ker_tau=dim - rank,
         ker_tau_eq_im_tau_prime=composite_zero and rank == dim - rank,
@@ -430,44 +428,32 @@ def equivariance_spot_check(space: IncidenceSpace) -> bool:
 # Principal series orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitResult:
-    rep: tuple[int, int]
-    members: tuple[tuple[int, int], ...]
-    lifts: tuple[tuple[int, int], ...]
-    dims: tuple[int, ...]
-    total: int
+@dataclass(frozen=True, eq=False)
+class PrincipalSeries:
+    """The free orbits at p: orbit k has the |W| residues ``members[k]``,
+    ascending, and their Weyl dimensions ``dims[k]``, which must sum to
+    ``expected`` = (p+1)(p^2+p+1)."""
+
+    p: int
+    members: np.ndarray  # (orbits, |W|, 2) int64, every coordinate in 1..p-2
+    dims: np.ndarray  # (orbits, |W|) int64
     expected: int
 
-    @property
-    def ok(self) -> bool:
-        return self.total == self.expected
 
-
-@dataclass(frozen=True)
-class PrincipalSeriesReport:
-    p: int
-    orbits: tuple[OrbitResult, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(o.ok for o in self.orbits)
-
-
-def principal_series_check(p: int) -> PrincipalSeriesReport:
+def principal_series_check(p: int) -> PrincipalSeries:
     """Free-orbit dimension sums for the rank-2 symmetric Weyl group at p.
 
     W acts linearly: its |W| integer 2 x 2 matrices map all (p-1)^2 residues
     at once.  An orbit is free iff its |W| images are distinct, and it is
     listed at the residue that is its least image.  Freeness forces every
-    coordinate nonzero mod p-1, which makes the lift into 1..p-2 unique.
+    coordinate nonzero mod p-1, so each residue, in 1..p-2, is its own lift.
     """
     _check_prime(p)
     if p < 5:
         raise ValueError("principal-series check needs p >= 5")
     ct = CartanType.parse("A2")
     g, rs = generate(ct), build_root_system(ct)
-    q, expected = p - 1, (p + 1) * (p * p + p + 1)
+    q = p - 1
     # mats[w] has column i the image of the i-th fundamental weight under w
     mats = np.array([[g.act_on_weight(w, Weight(e)).coords for e in ((1, 0), (0, 1))]
                      for w in range(g.size)], dtype=np.int64).transpose(0, 2, 1)
@@ -478,13 +464,8 @@ def principal_series_check(p: int) -> PrincipalSeriesReport:
     members = np.stack(np.divmod(keys[:, reps].T, q), axis=-1)  # (orbits, |W|, 2)
     if not members.all():
         raise AssertionError("free orbit contains a zero coordinate")
-    lifts = (members - 1) % q + 1
-    dims, rem = np.divmod(((lifts + 1) @ np.array(rs.coroot_pairings).T).prod(axis=-1),
+    dims, rem = np.divmod(((members + 1) @ np.array(rs.coroot_pairings).T).prod(axis=-1),
                           math.prod(rs.weyl_vector_pairings))
     if rem.any():
         raise AssertionError("Weyl dimension quotient is not integral")
-    return PrincipalSeriesReport(p=p, orbits=tuple(
-        OrbitResult(tuple(orbit[0]), tuple(map(tuple, orbit)), tuple(map(tuple, lift)),
-                    tuple(dim), sum(dim), expected)
-        for orbit, lift, dim in zip(members.tolist(), lifts.tolist(), dims.tolist())
-    ))
+    return PrincipalSeries(p, members, dims, (p + 1) * (p * p + p + 1))

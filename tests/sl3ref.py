@@ -10,8 +10,8 @@ O(n^2), against which the zero count of the lab is checked.  The first
 primitive cubic over F_p by the order of its root, from the primes of
 p^3 - 1, against which the Singer field of the lab is checked.  The seeded
 sample of 20 invertible g that checked equivariance before the generators
-did, and the per-residue orbit loop with one ``weyl_dim`` per weight that
-the array orbit search replaced.
+did, and the per-residue orbit loop, with its own lift of each residue and
+one ``weyl_dim`` per lift, that the array orbit search replaced.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import numpy as np
 from cellred.coxeter import generate
 from cellred.rootdata import CartanType, Weight, build_root_system, weyl_dim
 from cellred.sl3lab import (
-    OrbitResult,
-    PrincipalSeriesReport,
     _exactness_guard,
     _is_permutation,
     _positions,
@@ -181,15 +179,17 @@ def sampled_equivariance(space, samples: int = 20) -> bool:
     return True
 
 
-def orbit_loop(p: int) -> PrincipalSeriesReport:
-    """The free W(A2) orbits on weights mod p - 1, one residue at a time:
-    each orbit from ``act_on_weight`` on its least member, free iff it has
-    |W| elements, and each lifted dimension from ``weyl_dim``."""
+def orbit_loop(p: int) -> tuple[list, list, list]:
+    """The free W(A2) orbits on weights mod p - 1, one residue at a time, as
+    lists (members, lifts, dims) with one entry per orbit: each orbit from
+    ``act_on_weight`` on its least member, ascending, free iff it has |W|
+    elements, each residue lifted into 1..p-2 and each lifted dimension from
+    ``weyl_dim``."""
     ct = CartanType.parse("A2")
     g, rs = generate(ct), build_root_system(ct)
     q = p - 1
     seen: set[tuple[int, int]] = set()
-    orbits = []
+    members, lifts, dims = [], [], []
     for a in range(q):
         for b in range(q):
             if (a, b) in seen:
@@ -203,8 +203,8 @@ def orbit_loop(p: int) -> PrincipalSeriesReport:
                 continue
             if any(0 in z for z in orbit):
                 raise AssertionError("free orbit contains a zero coordinate")
-            lifts = [tuple((c - 1) % q + 1 for c in z) for z in orbit]
-            dims = [weyl_dim(rs, Weight(lift)) for lift in lifts]
-            orbits.append(OrbitResult(orbit[0], tuple(orbit), tuple(lifts), tuple(dims),
-                                      sum(dims), (p + 1) * (p * p + p + 1)))
-    return PrincipalSeriesReport(p, tuple(orbits))
+            lift = [[(c - 1) % q + 1 for c in z] for z in orbit]
+            members.append([list(z) for z in orbit])
+            lifts.append(lift)
+            dims.append([weyl_dim(rs, Weight(z)) for z in lift])
+    return members, lifts, dims

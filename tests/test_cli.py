@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cellred import audit, klcells, sl3lab
-from cellred.cli import main
+from cellred.cli import _sl3_entry, main
 
 from conftest import TYPE_NAMES
 
@@ -158,6 +158,20 @@ def test_sl3_single_prime_with_orbits(capsys):
     assert entry["kernel"]["ker_tau_eq_im_tau_prime"]
     totals = {o["total"] for o in entry["orbits"]}
     assert totals == {186}
+
+
+def test_sl3_orbit_entries_hold_plain_ints_and_bools(capsys):
+    # written from the orbit arrays, with each residue its own lift; no numpy
+    # scalar reaches the encoder
+    entry = _sl3_entry(7, True)
+    assert json.loads(run(capsys, "sl3", "--p", "7", "--orbits")[1])["results"] == [entry]
+    assert entry["orbits"] and entry["ok"] is True
+    for o in entry["orbits"]:
+        assert list(o) == ["rep", "lifts", "dims", "total", "expected", "ok"]
+        assert o["rep"] == o["lifts"][0] and o["total"] == sum(o["dims"]) == o["expected"]
+        ints = o["rep"] + [c for z in o["lifts"] for c in z] + o["dims"] + [o["total"], o["expected"]]
+        assert all(type(c) is int for c in ints), o
+        assert o["ok"] is True
 
 
 def test_sl3_default_primes(capsys):

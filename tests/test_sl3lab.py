@@ -547,13 +547,16 @@ def test_equivariance_checks_each_line_map(monkeypatch):
 
 
 def test_sl3_stages_at_p97_peak_under_4_mib():
-    # neither stage forms an n (p + 1) array (7.1 MiB of int64 at p = 97,
-    # n = 9507) nor the (n/3, p + 1) exponent pair of the zero count (4.7 MiB)
+    # neither incidence stage forms an n (p + 1) array (7.1 MiB of int64 at
+    # p = 97, n = 9507) nor the (n/3, p + 1) exponent pair of the zero count
+    # (4.7 MiB), and the orbit search returns its arrays, not one record of
+    # tuples per orbit (5.4 MiB)
     space = build_incidence(97)
-    for stage in (kernel_analysis, equivariance_spot_check):
+    for stage, arg in ((kernel_analysis, space), (equivariance_spot_check, space),
+                       (principal_series_check, 97)):
         tracemalloc.start()
         try:
-            stage(space)
+            stage(arg)
             peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -618,52 +621,47 @@ def test_generators_generate_gl3(p, order):
 
 @pytest.mark.parametrize("p", [q for q in PRIMES_TO_97 if 5 <= q <= 61])
 def test_principal_series_matches_the_orbit_loop(p):
-    got, want = principal_series_check(p), orbit_loop(p)
-    assert got.p == want.p == p
-    assert len(got.orbits) == len(want.orbits)
-    for o, w in zip(got.orbits, want.orbits):
-        for field in ("rep", "members", "lifts", "dims", "total", "expected"):
-            assert getattr(o, field) == getattr(w, field), (field, o.rep)
-            assert type(getattr(o, field)) is type(getattr(w, field)), field
-        assert all(type(d) is int for d in o.dims + o.rep + o.members[0])
+    got = principal_series_check(p)
+    members, lifts, dims = orbit_loop(p)
+    assert got.p == p and got.expected == (p + 1) * (p * p + p + 1)
+    assert got.members.tolist() == members
+    assert lifts == members  # each residue, in 1..p-2, is its own lift
+    assert got.dims.tolist() == dims
 
 
 def test_principal_series_p5_spot_orbit():
-    rep = principal_series_check(5)
-    assert rep.all_ok
-    orbit = next(o for o in rep.orbits if (1, 2) in o.members)
-    assert sorted(orbit.dims) == [8, 15, 15, 42, 42, 64]
-    assert orbit.total == 186 == 6 * 31
+    ps = principal_series_check(5)
+    assert (ps.dims.sum(axis=1) == ps.expected).all()
+    (k,) = np.flatnonzero((ps.members == (1, 2)).all(axis=-1).any(axis=-1))
+    dims = ps.dims[k]
+    assert sorted(dims.tolist()) == [8, 15, 15, 42, 42, 64]
+    assert dims.sum() == 186 == 6 * 31
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_principal_series_sums(p):
-    rep = principal_series_check(p)
-    assert rep.orbits, "expected at least one free orbit"
-    expected = (p + 1) * (p * p + p + 1)
-    for o in rep.orbits:
-        assert len(o.members) == 6
-        assert o.total == expected
-        # free orbits have all coordinates nonzero, and lifts sit in 1..p-2
-        for z, lift in zip(o.members, o.lifts):
-            assert z[0] != 0 and z[1] != 0
-            assert all(1 <= c <= p - 2 for c in lift)
+    ps = principal_series_check(p)
+    assert len(ps.members), "expected at least one free orbit"
+    assert ps.members.shape[1:] == (6, 2) and ps.dims.shape == ps.members.shape[:2]
+    assert ps.expected == (p + 1) * (p * p + p + 1)
+    assert (ps.dims.sum(axis=1) == ps.expected).all()
+    # free orbits have all coordinates nonzero, so they sit in 1..p-2
+    assert ((1 <= ps.members) & (ps.members <= p - 2)).all()
 
 
 def test_weight_fixed_by_a_non_simple_reflection_is_not_free():
     # (1, p-2) has nonzero coordinates but n1 + n2 = 0 mod p-1; the honest
     # stabiliser computation must exclude its orbit
     for p in (5, 7):
-        rep = principal_series_check(p)
-        for o in rep.orbits:
-            assert (1, p - 2) not in o.members
+        ps = principal_series_check(p)
+        assert not (ps.members == (1, p - 2)).all(axis=-1).any()
 
 
 def test_orbit_count_p7():
     # 36 residue classes; free orbits have size 6
-    rep = principal_series_check(7)
-    assert all(o.total == 8 * 57 for o in rep.orbits)
-    covered = sum(len(o.members) for o in rep.orbits)
+    ps = principal_series_check(7)
+    assert (ps.dims.sum(axis=1) == 8 * 57).all()
+    covered = ps.dims.size
     assert covered <= 36 and covered % 6 == 0
 
 
