@@ -26,7 +26,6 @@ Check ids and what they verify:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -320,11 +319,6 @@ def run_checks(ct: CartanType) -> AuditReport:
 
 def run_all(types: tuple[CartanType, ...] = ALL_TYPES) -> list[AuditReport]:
     return [run_checks(ct) for ct in types]
-
-
-def reports_to_json(reports: list[AuditReport]) -> str:
-    payload = [r.to_dict() for r in reports]
-    return json.dumps(payload if len(payload) != 1 else payload[0], indent=2)
 
 
 def reports_to_markdown(reports: list[AuditReport]) -> str:

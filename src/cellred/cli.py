@@ -47,11 +47,12 @@ class UnwritableOutput(ValueError):
     """The ``-o`` path cannot be written, e.g. its directory is missing."""
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(payload, path: str | None) -> None:
+    """Text (the markdown audit) as it is, anything else as indented JSON and
+    a newline, to stdout or atomically to ``path``."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     umask = os.umask(0)
@@ -61,8 +62,6 @@ def _write_output(text: str, path: str | None) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cellred-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file as 0600
         os.replace(tmp, path)
     except BaseException as exc:
@@ -79,10 +78,11 @@ def _cmd_audit(args) -> int:
         types = tuple(CartanType.parse(t) for t in args.type)
     reports = audit.run_all(types)
     if args.format == "md":
-        text = audit.reports_to_markdown(reports)
-    else:
-        text = audit.reports_to_json(reports)
-    _write_output(text, args.output)
+        payload = audit.reports_to_markdown(reports)
+    else:  # one report is an object, several a list
+        payload = [r.to_dict() for r in reports]
+        payload = payload[0] if len(payload) == 1 else payload
+    _write_output(payload, args.output)
     if any(r.internal_error for r in reports):
         return 3
     return 1 if any(r.failed for r in reports) else 0
@@ -151,7 +151,7 @@ def _cmd_sl3(args) -> int:
             results.append(_sl3_entry(p, args.orbits))
         except _StageFailure as exc:
             results.append({"p": p, "ok": False, "error": str(exc)})
-    _write_output(json.dumps({"results": results}, indent=2), args.output)
+    _write_output({"results": results}, args.output)
     if any("error" in entry for entry in results):
         return 3
     return 0 if all(entry["ok"] for entry in results) else 1
@@ -238,7 +238,7 @@ def _cmd_tables(args) -> int:
     except Exception as exc:
         print(f"cellred: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _write_output(json.dumps(payload, indent=2), args.output)
+    _write_output(payload, args.output)
     return 0
 
 

@@ -77,7 +77,7 @@ class WeylGroup:
             return 0
         wi = 0
         for ch in text:
-            if not ch.isdigit() or not 1 <= int(ch) <= self.rank:
+            if not "1" <= ch <= "9" or int(ch) > self.rank:  # not str.isdigit, which takes '²'
                 raise BadGeneratorIndex(
                     f"{ch!r} is not a generator index of {self.type}"
                 )

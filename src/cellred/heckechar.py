@@ -191,35 +191,19 @@ _DIHEDRAL_COS = {
 
 
 def _dihedral_rows(g: WeylGroup, classes: Cells):
-    m = g.nu  # order 2m, rotations (s1 s2)^k
-
-    def tag(c: tuple[int, ...]):
-        # rotation classes tagged by k (length 2k); reflections by generator
-        length = int(g.length[c[0]])
-        if length % 2 == 0:
-            return ("rot", length // 2)
-        return ("refl", 1 if g.rmul[0, 0] in c else 2)  # rmul[0, 0] is s_1
-
-    tags = [tag(c) for c in classes]
+    """Read off each class's canonical word w (Geck and Pfeiffer, ch. 5): a
+    linear character is e1^(#1 in w) e2^(#2 in w), well defined as m is
+    even, and ``refl_k`` is 2 cos(2 pi k j / m) at the rotation (s1 s2)^j,
+    a word of length 2j, and 0 at a reflection, a word of odd length."""
+    m = g.nu  # order 2m
+    words = [g.words[c[0]] for c in classes]
     labels = ["triv", "sgn1", "sgn2", "sign"]
-    rows = []
-    for lab in labels:
-        e1 = -1 if lab in ("sgn1", "sign") else 1
-        e2 = -1 if lab in ("sgn2", "sign") else 1
-        row = []
-        for t in tags:
-            if t[0] == "rot":
-                row.append((e1 * e2) ** t[1])
-            else:
-                row.append(e1 if t[1] == 1 else e2)
-        rows.append(tuple(row))
+    rows = [tuple(e1 ** w.count(1) * e2 ** w.count(2) for w in words)
+            for e1, e2 in ((1, 1), (-1, 1), (1, -1), (-1, -1))]
     ctab = _DIHEDRAL_COS[m]
     for k in range(1, m // 2):
-        lab = "refl" if k == 1 else f"refl{k}"
-        labels.append(lab)
-        rows.append(tuple(
-            ctab[(t[1] * k) % m] if t[0] == "rot" else 0 for t in tags
-        ))
+        labels.append("refl" if k == 1 else f"refl{k}")
+        rows.append(tuple(0 if len(w) % 2 else ctab[len(w) // 2 * k % m] for w in words))
     return tuple(labels), tuple(rows)
 
 

@@ -302,17 +302,20 @@ _Gather = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _gather_tables(cs: np.ndarray, desc: np.ndarray) -> list[_Gather]:
     """Per generator s, ``cs[s - 1]`` as a row gather (rows, src, val).
 
-    ``rows`` are the z with sz < z (``desc[s - 1]``), the only rows c_s
-    reaches.  Row z gets (v + v^-1) times itself plus ``val[r, k]`` times row
-    ``src[r, k]``: the integer entries of row z, padded with zero weights to
-    a common width.
+    The rows are those of whatever basis ``cs`` is given on: the whole group
+    for ``tests/klref.py``, the structure-constant pairs for
+    :func:`_compute_top`.  ``rows`` are the z with sz < z (``desc[s - 1]``),
+    the only rows c_s reaches.  Row z gets (v + v^-1) times itself plus
+    ``val[r, k]`` times row ``src[r, k]``: the integer entries of row z,
+    padded with zero weights to a common width.
     """
     out = []
     for op, down in zip(cs, desc):
         rows = np.flatnonzero(down)
         flat = op[rows]
         width = int((flat != 0).sum(axis=1).max())
-        src = np.argsort(flat == 0, axis=1, kind="stable")[:, :width]
+        # a copy, so the whole argsort is not kept alive by a view of it
+        src = np.argsort(flat == 0, axis=1, kind="stable")[:, :width].copy()
         out.append((rows, src, np.take_along_axis(flat, src, axis=1)))
     return out
 
@@ -406,14 +409,11 @@ def _compute_top(
     top = off // 2
     j = np.arange(top + 1)
     twins = np.array([np.maximum(j - 1, 0), j + 1])  # the twin slots of _cs_apply, by sigma
+    same = yr[:, None] == yr
     tabs = []  # c_s on the pairs: row (z, y) reads the rows (z', y) with z' ~_L y
-    for rows, src, val in _gather_tables(cs, desc):
-        r = np.flatnonzero(np.isin(zr, rows))
-        k = np.searchsorted(rows, zr[r])
-        p = pair[src[k], yr[r, None]]  # -1 where z' is not in the cell of y
-        tab = r, np.maximum(p, 0), val[k] * (p >= 0)
-        flat, sigma = np.arange(len(r))[:, None] * (top + 2), sig[r]
-        tabs.append([(*tab, flat + twins[sigma]), (*tab, flat + twins[1 - sigma])])  # by l(x) mod 2
+    for rows, src, val in _gather_tables((op[zr][:, zr] * same for op in cs), desc[:, zr]):
+        flat, sigma = np.arange(len(rows))[:, None] * (top + 2), sig[rows]
+        tabs.append([(rows, src, val, flat + twins[q]) for q in (sigma, 1 - sigma)])  # by l(x) % 2
     big = np.zeros((n, len(zr), top + 1), dtype=np.int64)
     big[0, zr == yr, 0] = 1  # c_e c_y = c_y
     for x in range(1, n):

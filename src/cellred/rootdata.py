@@ -54,7 +54,7 @@ class CartanType:
     @classmethod
     def parse(cls, name: str) -> "CartanType":
         name = name.strip()
-        if len(name) != 2 or not name[1].isdigit():
+        if len(name) != 2 or not "0" <= name[1] <= "9":  # not str.isdigit, which takes '²'
             raise UnsupportedType(f"cannot parse Cartan type {name!r}")
         return cls(name[0].upper(), int(name[1]))
 

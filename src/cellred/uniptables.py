@@ -2,9 +2,10 @@
 definitions, reduction decompositions and the duality involution.
 
 Each supported type ships as one human-auditable JSON file under
-``cellred/data`` (override the directory with ``CELLRED_DATA_DIR``).  Entries
-carry their source-section annotations as opaque ``ref`` strings so the files
-can be diffed against the text they transcribe.  The loader re-verifies the
+``cellred/data`` (override the directory with ``CELLRED_DATA_DIR``; a relative
+one is read against the working directory of each command).  Entries carry
+their source-section annotations as opaque ``ref`` strings so the files can be
+diffed against the text they transcribe.  The loader re-verifies the
 internal consistency of every file on each load and aborts with the offending
 location on any violation; transcription is the dominant error risk here.
 
@@ -83,10 +84,11 @@ class TypeTables:
 
 
 def data_dir() -> str:
-    """The directory tables are read from: ``CELLRED_DATA_DIR`` or the
-    package data."""
+    """The absolute directory tables are read from: ``CELLRED_DATA_DIR``, a
+    relative one taken against the working directory now, or the package
+    data.  It keys the audit context, so a chdir changes the key."""
     env = os.environ.get("CELLRED_DATA_DIR")
-    return str(Path(env) if env else Path(__file__).parent / "data")
+    return str(Path(env).absolute() if env else Path(__file__).parent / "data")
 
 
 def _fail(ct: CartanType, where: str, msg: str, refs: dict | None = None) -> DataIntegrityFailure:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cellred import audit, klcells, sl3lab
+from cellred import audit, klcells, sl3lab, uniptables
 from cellred.cli import _sl3_entry, main
 
 from conftest import TYPE_NAMES
@@ -51,6 +51,28 @@ def assert_usage_error(capsys, *argv):
 def test_audit_unsupported_type_is_usage_error(capsys):
     assert_usage_error(capsys, "audit", "--type", "E8")
     assert_usage_error(capsys, "audit", "--type", "X9")
+    # a rank that str.isdigit takes but int does not read: '²'
+    assert "cannot parse" in assert_usage_error(capsys, "audit", "--type", "A\u00b2")
+    assert "cannot parse" in assert_usage_error(
+        capsys, "tables", "dump", "--what", "cells", "--type", "B\u00b2")
+
+
+def test_a_relative_data_dir_is_read_against_each_working_directory(
+        tmp_path, monkeypatch, capsys):
+    shipped = Path(uniptables.__file__).with_name("data")
+    for name in ("a", "b"):
+        (tmp_path / name / "data").mkdir(parents=True)
+        text = (shipped / "B2.json").read_text(encoding="utf-8")
+        (tmp_path / name / "data" / "B2.json").write_text(text, encoding="utf-8")
+    bad = tmp_path / "b" / "data" / "B2.json"
+    raw = json.loads(bad.read_text(encoding="utf-8"))
+    raw["unipotent"][1]["degree"] = "t/0"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setenv("CELLRED_DATA_DIR", "data")
+    monkeypatch.chdir(tmp_path / "a")
+    assert run(capsys, "audit", "--type", "B2")[0] == 0
+    monkeypatch.chdir(tmp_path / "b")  # a fresh process here exits 3
+    assert run(capsys, "audit", "--type", "B2")[0] == 3
 
 
 def test_audit_markdown(capsys):

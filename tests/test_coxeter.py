@@ -48,10 +48,10 @@ def test_parse_word_examples():
     a3 = generate(CartanType.parse("A3"))
     w = a3.parse_word("121321")
     assert w == a3.size - 1 and a3.length[w] == 6
-    with pytest.raises(BadGeneratorIndex):
-        a2.parse_word("13")
-    with pytest.raises(BadGeneratorIndex):
-        a2.parse_word("x")
+    # generators are the ASCII digits 1..rank: not '²', Arabic-Indic 1 or 12
+    for text in ("13", "x", "\u00b2", "\u0661", "\u0661\u0662"):
+        with pytest.raises(BadGeneratorIndex):
+            a2.parse_word(text)
 
 
 def test_descent_example_b2():

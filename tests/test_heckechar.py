@@ -49,6 +49,23 @@ def test_g2_table_has_two_2dims():
     assert table.values[table.labels.index("refl")] != table.values[table.labels.index("refl2")]
 
 
+@pytest.mark.parametrize("name, labels, rows", [
+    ("B2", ("triv", "sgn1", "sgn2", "sign", "refl"), (
+        (1, 1, 1, 1, 1), (1, -1, 1, -1, 1), (1, 1, -1, -1, 1), (1, -1, -1, 1, 1),
+        (2, 0, 0, 0, -2),
+    )),
+    ("G2", ("triv", "sgn1", "sgn2", "sign", "refl", "refl2"), (
+        (1, 1, 1, 1, 1, 1), (1, -1, 1, -1, 1, -1), (1, 1, -1, -1, 1, -1),
+        (1, -1, -1, 1, 1, 1), (2, 0, 0, 1, -1, -2), (2, 0, 0, -1, -1, 2),
+    )),
+])
+def test_dihedral_tables_literally(name, labels, rows):
+    # classes by least member: e, the class of s1, that of s2, then the
+    # rotations (s1 s2)^j, j = 1 .. m/2
+    table = w_character_table(generate(CartanType.parse(name)))
+    assert (table.labels, table.values) == (labels, rows)
+
+
 def test_s4_classical_character_values():
     g = generate(CartanType.parse("A3"))
     table = w_character_table(g)

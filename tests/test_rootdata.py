@@ -26,7 +26,8 @@ POSITIVE_COUNTS = {"A1": 1, "A2": 3, "A3": 6, "A4": 10, "B2": 4, "G2": 6}
 
 
 def test_unsupported_types_rejected():
-    for name in ("E8", "B3", "G3", "A5", "D4"):
+    # the rank is an ASCII digit: not 'A²', 'B²' or an Arabic-Indic 'A2'
+    for name in ("E8", "B3", "G3", "A5", "D4", "A\u00b2", "B\u00b2", "A\u0662"):
         with pytest.raises(UnsupportedType):
             CartanType.parse(name)
 
