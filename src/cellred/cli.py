@@ -1,37 +1,38 @@
 """Command-line front end.
 
-Subcommands:
-
-* ``cellred audit --type B2 --format json|md`` / ``cellred audit --all``
-* ``cellred sl3 --p 7 [--orbits] --format json``
-* ``cellred tables dump --what klpoly|cells|gamma|cwe|delta --type T``
+Subcommands: ``cellred audit``, ``cellred sl3`` and ``cellred tables dump``,
+with the options of ``_USAGE``, read by one table, ``_COMMANDS``, as argparse
+read them: ``--opt VALUE``, ``--opt=VALUE``, ``-o PATH`` and any unique prefix
+of a long option (``--ty``, ``--orb``).  ``--type`` and ``--p`` collect every
+value, other options keep the last; ``--p`` takes ASCII digits only.  ``-h``
+or ``--help`` anywhere prints the usage to stdout and exits 0.
 
 Output is deterministic for fixed flags: no timestamps, stable ordering.
 Reports are written atomically when an output path is given, with mode 0666
 less the umask, as a plain ``open`` would create them.  Exit status is 0 iff
 every executed check passed (skips allowed), 1 if a check failed, 2 on usage
-errors (the message goes to stderr), and 3 on an internal failure reported
-in place of a traceback: for ``audit``, a row records a check that crashed
-or a context stage it read that raised, such as a type whose data could not
-be loaded; for ``sl3``, a prime's entry is ``{"p", "ok": false, "error":
-"<stage>: <Class>: <message>"}``, naming the sl3lab stage that raised, and
-the other primes are reported as usual; for ``tables dump``, a data file
-that fails its checks prints ``cellred: <label>`` on stderr and nothing on
-stdout, and so does any other failure, as ``cellred: internal error:
-<Class>: <message>``.  A data file that cannot be read (missing, not UTF-8,
-not JSON) fails the checks of its header.  A reader that closes stdout
-early ends the command with status 141 (128 + SIGPIPE) and nothing on
-stderr.
+errors (the message goes to stderr, after the usage if the command line is
+bad), and 3 on an internal failure reported in place of a traceback: for
+``audit``, a row records a check that crashed or a context stage it read
+that raised, such as a type whose data could not be loaded; for ``sl3``, a
+prime's entry is ``{"p", "ok": false, "error": "<stage>: <Class>:
+<message>"}``, naming the sl3lab stage that raised, and the other primes are
+reported as usual; for ``tables dump``, a data file that fails its checks
+prints ``cellred: <label>`` on stderr and nothing on stdout, and so does any
+other failure, as ``cellred: internal error: <Class>: <message>``.  A data
+file that cannot be read (missing, not UTF-8, not JSON) fails the checks of
+its header.  A reader that closes stdout early ends the command with status
+141 (128 + SIGPIPE) and nothing on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 import tempfile
+import types
 
 # no command does floating-point linear algebra, so numpy starts no BLAS pool
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -242,40 +243,74 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-@functools.cache  # one parser per process; each parse_args fills a new namespace
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cellred",
-        description="exact Weyl-group / Hecke-algebra cell computations and audits",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_USAGE = f"""\
+usage: cellred audit [--type T]... [--all] [--format json|md] [-o PATH]
+       cellred sl3 [--p P]... [--orbits] [--format json] [-o PATH]
+       cellred tables dump --what {"|".join(_DUMPERS)} --type T [-o PATH]
+T is a Cartan type (default: all six), P a prime (default: 2 3 5 7 11)
+"""
 
-    p_audit = sub.add_parser("audit", help="run every check and emit a report")
-    p_audit.add_argument("--type", action="append", metavar="T",
-                         help="Cartan type (repeatable); default: all six")
-    p_audit.add_argument("--all", action="store_true", help="audit all six types")
-    p_audit.add_argument("--format", choices=("json", "md"), default="json")
-    p_audit.add_argument("-o", "--output", metavar="PATH", default=None)
-    p_audit.set_defaults(func=_cmd_audit)
 
-    p_sl3 = sub.add_parser("sl3", help="incidence-module laboratory")
-    p_sl3.add_argument("--p", action="append", type=int, metavar="P",
-                       help="prime (repeatable); default: 2 3 5 7 11")
-    p_sl3.add_argument("--orbits", action="store_true",
-                       help="include principal-series orbit sums (p >= 5)")
-    p_sl3.add_argument("--format", choices=("json",), default="json")
-    p_sl3.add_argument("-o", "--output", metavar="PATH", default=None)
-    p_sl3.set_defaults(func=_cmd_sl3)
+def _decimal(text: str) -> int:  # not int, which also reads '٧', '1_3', ' 7' and '+5'
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)  # which raises ValueError past the interpreter's digit limit
 
-    p_tables = sub.add_parser("tables", help="dump computed tables as JSON")
-    tsub = p_tables.add_subparsers(dest="tables_command", required=True)
-    p_dump = tsub.add_parser("dump")
-    p_dump.add_argument("--what", choices=tuple(_DUMPERS), required=True)
-    p_dump.add_argument("--type", required=True, metavar="T")
-    p_dump.add_argument("-o", "--output", metavar="PATH", default=None)
-    p_dump.set_defaults(func=_cmd_tables)
 
-    return parser
+# command -> (function, options, required options); every command also takes
+# -o/--output PATH.  An option is a switch (True), a tuple of choices or a
+# converter, in a list if it collects every value; else the last value wins.
+_COMMANDS = {
+    "audit": (_cmd_audit, {"--type": [str], "--all": True, "--format": ("json", "md")}, ()),
+    "sl3": (_cmd_sl3, {"--p": [_decimal], "--orbits": True, "--format": ("json",)}, ()),
+    "tables dump": (_cmd_tables, {"--what": tuple(_DUMPERS), "--type": str}, ("--what", "--type")),
+}
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}cellred: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]):
+    """The ``_cmd_*`` function and its arguments for ``argv``, read as argparse
+    read them; ``-h`` or ``--help`` anywhere prints the usage and exits 0."""
+    if any(a == "-h" or len(a) > 2 and "--help".startswith(a) for a in argv):
+        sys.stdout.write(_USAGE)
+        raise SystemExit(0)
+    name = " ".join(argv[:2] if argv[:1] == ["tables"] else argv[:1])
+    if name not in _COMMANDS:
+        _usage_error(f"expected a command (audit, sl3, tables dump), got {name!r}")
+    func, opts, required = _COMMANDS[name]
+    opts = {**opts, "--output": str}
+    args = {o[2:]: False if k is True else None for o, k in opts.items()}
+    rest = iter(argv[len(name.split()):])
+    for arg in rest:
+        if arg[:2] == "-o":  # -o PATH, -oPATH, -o=PATH
+            arg = "--output" + (arg[2:] and "=" + arg[2:].removeprefix("="))
+        opt, eq, value = arg.partition("=")
+        # a long option, or a unique prefix of one (sl3's --o is ambiguous)
+        matches = [opt] if opt in opts else [o for o in opts if len(opt) > 2 and o.startswith(opt)]
+        if len(matches) != 1:
+            _usage_error(f"{arg!r} matches {' and '.join(matches) or 'no option'}")
+        opt, kind = matches[0], opts[matches[0]]
+        if kind is True:  # a switch takes no value
+            args[opt[2:]] = not eq or _usage_error(f"{opt} takes no value, got {value!r}")
+            continue
+        if not eq:  # the next argument, unless it reads as an option, as in argparse
+            value = next(rest, None)
+            if value is None or value[:1] == "-" != value and " " not in value \
+                    and not re.fullmatch(r"-\d+|-\d*\.\d+", value):
+                _usage_error(f"{opt} expects one value")
+        convert = kind[0] if type(kind) is list else kind
+        try:  # a tuple of choices takes only its own
+            value = convert(value) if callable(convert) else convert[convert.index(value)]
+        except ValueError:
+            _usage_error(f"{opt}: invalid value {value!r}")
+        args[opt[2:]] = (args[opt[2:]] or []) + [value] if type(kind) is list else value
+    if any(args[o[2:]] is None for o in required):
+        _usage_error(f"{' and '.join(required)} are required")
+    return func, types.SimpleNamespace(**args)
 
 
 # raised only by flag values a command cannot serve
@@ -286,10 +321,9 @@ _USAGE_ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    func, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = args.func(args)
+        code = func(args)
         sys.stdout.flush()
         return code
     except _USAGE_ERRORS as exc:

@@ -261,7 +261,7 @@ class _Parser:
         out = self.factor()
         while True:
             ch = self.peek()
-            if ch.isdigit() or ch == "t" or ch == "(":
+            if "0" <= ch <= "9" or ch == "t" or ch == "(":
                 out = out * self.factor()
             elif ch == "*":
                 self.pos += 1
@@ -274,7 +274,7 @@ class _Parser:
 
     def factor(self) -> IntPoly:
         ch = self.peek()
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not str.isdigit, which takes '²' and '٢'
             base = IntPoly({0: self.integer()})
         elif ch == "t":
             self.pos += 1
@@ -295,7 +295,7 @@ class _Parser:
     def integer(self) -> int:
         ch = self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected integer")

@@ -270,6 +270,21 @@ def test_tables_dump_over_a_corrupt_data_file_is_exit_3(data_copy, capsys):
     assert "cannot parse 't/0'" in err and "Traceback" not in err
 
 
+def test_a_non_ascii_digit_in_a_data_file_degree_fails_its_type(data_copy, capsys):
+    # str.isdigit read t(t+1)^\u0662/\u0662 as the shipped t(t+1)^2/2: exit 0
+    raw = json.loads((data_copy / "B2.json").read_text(encoding="utf-8"))
+    raw["unipotent"][1]["degree"] = "t(t+1)^\u0662/\u0662"
+    (data_copy / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
+    code, out, _ = run(capsys, "audit", "--type", "B2")
+    assert code == 3
+    rows = json.loads(out)["checks"]
+    assert len(rows) == 6
+    for row in rows:
+        assert row["details"].startswith(
+            "internal error: DataIntegrityFailure: B2 tables, unipotent (ref 1.3): r: ")
+        assert "bad polynomial" in row["details"]
+
+
 def test_an_unreadable_data_file_is_exit_3_naming_its_header(data_copy, capsys):
     path = data_copy / "B2.json"
     path.write_bytes(path.read_bytes()[:500])  # cut short
@@ -341,14 +356,69 @@ def test_usage_error_on_missing_subcommand(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("form, full", [
+    ("audit --type=A1", "audit --type A1"),
+    ("audit --ty A1 --form md", "audit --type A1 --format md"),
+    ("audit --type A1 --format json --format md", "audit --type A1 --format md"),
+    ("sl3 --orb --p 5", "sl3 --orbits --p 5"),
+    ("sl3 --p=5", "sl3 --p 5"),
+])
+def test_a_short_form_reads_as_its_full_spelling(capsys, form, full):
+    assert run(capsys, *form.split()) == run(capsys, *full.split())
+
+
+def test_repeated_type_and_p_collect_every_value_in_order(capsys):
+    code, out, _ = run(capsys, "audit", "--type", "B2", "--type=A1")
+    assert code == 0
+    assert json.loads(out) == [json.loads(run(capsys, "audit", "--type", t)[1]) for t in ("B2", "A1")]
+    code, out, _ = run(capsys, "sl3", "--p", "7", "--p=5")
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        json.loads(run(capsys, "sl3", "--p", p)[1])["results"][0] for p in ("7", "5")]
+
+
+def assert_bad_command_line(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.startswith("usage: cellred ") and "error: " in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    "", "audit --bogus", "audit A1", "audit --all=yes", "sl3 --p", "sl3 --o", "sl3 --p 5 --o x",
+    "audit --format xml", "tables dump --type A1", "tables dump --what cells", "tables",
+    "tables list",
+])
+def test_a_bad_command_line_prints_the_usage_and_exits_2(capsys, argv):
+    assert_bad_command_line(capsys, *argv.split())
+
+
+def test_p_takes_only_ascii_digits(capsys):
+    # int() reads '\u0667' as 7, '1_3' as 13, ' 7' and '+5', and refuses
+    # more digits than its limit with a ValueError of its own
+    for p in ("\u0667", "1_3", " 7", "+5", "-5", "", "9" * 5000):
+        assert_bad_command_line(capsys, "sl3", "--p", p)
+
+
+@pytest.mark.parametrize("argv", ["--help", "-h", "audit --help", "sl3 --p 5 --he",
+                                  "tables dump --what cells -h", "tables --help"])
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out = capsys.readouterr()
+    assert (exc.value.code, out.err) == (0, "")
+    assert out.out.startswith("usage: cellred ")
+
+
 def cli_env():
     """The environment of a fresh ``python -m cellred.cli`` on this checkout."""
     return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 def test_second_main_call_keeps_nothing_of_the_first(tmp_path, capsys):
-    # one parser serves every main call in a process: the first call's
-    # appended --type values and -o path must not reach the second
+    # every main call reads its command line into new arguments: the first
+    # call's --type values and -o path must not reach the second
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "audit", "--type", "A1", "--type", "B2", "-o", str(target))
     assert code == 0 and out == ""
@@ -406,6 +476,19 @@ def test_the_callers_blas_thread_count_wins():
         dict(cli_env(), OPENBLAS_NUM_THREADS="2"),
     )
     assert out == "2\n"
+
+
+def test_a_fresh_cli_process_loads_no_argparse():
+    # building argparse's parsers loads gettext and locale: some 2.5 ms a command
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from cellred.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['sl3']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n",
+        cli_env(),
+    )
+    assert out == "[]\n"
 
 
 def test_import_cellred_loads_no_numpy():

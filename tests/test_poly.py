@@ -136,6 +136,14 @@ def test_intpoly_parse_rejects_junk():
             IntPoly.parse(bad)
 
 
+@pytest.mark.parametrize("text", ["t(t+1)^\u0662/\u0662", "t^\u00b2"])
+def test_intpoly_parse_takes_only_ascii_digits(text):
+    # str.isdigit takes both: the first was read as t(t+1)^2/2, and the
+    # superscript reached int(), which raised its own message
+    with pytest.raises(ValueError, match="^bad polynomial "):
+        IntPoly.parse(text)
+
+
 def test_reverse_at_pairs_from_the_tables():
     # the two transcribed reversal pairs
     f = IntPoly.parse("t(t+1)(t+2)/6")
