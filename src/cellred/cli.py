@@ -27,6 +27,8 @@ its header.  A reader that closes stdout early ends the command with status
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import os
 import re
@@ -41,6 +43,10 @@ from . import audit, sl3lab, weylmod
 from .rootdata import ALL_TYPES, CartanType, UnsupportedType
 from .uniptables import DataIntegrityFailure
 
+# the import's objects live as long as the process: a collection over them
+# would otherwise land in whichever command first allocates enough
+gc.freeze()
+
 DEFAULT_PRIMES = (2, 3, 5, 7, 11)
 
 
@@ -50,10 +56,10 @@ class UnwritableOutput(ValueError):
 
 def _write_output(payload, path: str | None) -> None:
     """Text (the markdown audit) as it is, anything else as indented JSON and
-    a newline, to stdout or atomically to ``path``."""
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+    a newline, written in blocks as it is encoded, to stdout or atomically
+    to ``path``."""
     if path is None:
-        sys.stdout.write(text)
+        _write_to(sys.stdout, payload)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     umask = os.umask(0)
@@ -62,7 +68,7 @@ def _write_output(payload, path: str | None) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cellred-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_to(fh, payload)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file as 0600
         os.replace(tmp, path)
     except BaseException as exc:
@@ -71,6 +77,16 @@ def _write_output(payload, path: str | None) -> None:
         if isinstance(exc, OSError):  # a missing directory, a directory as path, ...
             raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from exc
         raise
+
+
+def _write_to(fh, payload) -> None:
+    if isinstance(payload, str):
+        fh.write(payload)
+        return
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)  # json.dumps's text, in pieces
+    while block := "".join(itertools.islice(chunks, 8192)):
+        fh.write(block)
+    fh.write("\n")
 
 
 def _cmd_audit(args) -> int:

@@ -3,12 +3,15 @@
 Two forms are used throughout the package:
 
 * :class:`IntPoly` -- exact polynomials with integer exponents, negative
-  ones allowed, and ``int`` or ``Fraction`` coefficients.  The variable is
-  ``v`` for Hecke data (``v**2`` plays the role of the Hecke parameter
-  ``u``, so half-integer powers of ``u`` never appear) and ``t`` for
-  dimension polynomials such as ``t(t+1)(2t+1)/6``, which take integer
-  values on integers without having integer coefficients.  Values are
-  immutable; every operation returns a fresh object and is exact.
+  ones allowed, held as integer numerators over one positive denominator.
+  The variable is ``v`` for Hecke data (``v**2`` plays the role of the
+  Hecke parameter ``u``, so half-integer powers of ``u`` never appear) and
+  ``t`` for dimension polynomials such as ``t(t+1)(2t+1)/6``, which take
+  integer values on integers without having integer coefficients.  Values
+  are immutable; every operation returns a fresh object and is exact, and
+  does integer work only.  A ``Fraction`` is made only where a caller asks
+  for a value that is not an integer: a coefficient from :meth:`coeffs` or
+  :meth:`~IntPoly.leading_coefficient`, or a value at a point.
 
 * Laurent arrays -- the bulk form of the ``v`` data: int64 numpy arrays
   whose last axis holds the coefficient of ``v**k`` at index ``k + off``,
@@ -18,10 +21,13 @@ Two forms are used throughout the package:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Mapping, Union
+import numbers
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ZeroPolynomial(ValueError):
@@ -32,98 +38,125 @@ class DegreeExceedsNu(ValueError):
     """reverse_at called with nu smaller than the degree."""
 
 
-Scalar = Union[int, Fraction]
-
-
 # ---------------------------------------------------------------------------
 # Exact polynomials
 # ---------------------------------------------------------------------------
 
 class IntPoly:
-    """Exact polynomial, stored as a map exponent -> nonzero coefficient.
+    """Exact polynomial ``sum(n[k] * t**k) / d``: nonzero integer numerators
+    ``n`` keyed by exponent over one positive denominator ``d``, reduced so
+    that ``gcd(d, *n.values()) == 1``; the zero polynomial has no numerators
+    and ``d == 1``.  The reduced form is unique, so equality and hashing
+    compare it directly.
 
     The name records the dimension polynomials it was made for: integer
     valued on integers even though their coefficients are fractions.  The
     zero polynomial has no degree, because -1 is a real Laurent degree.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        self._c = {int(k): a for k, a in coeffs.items() if a} if coeffs else {}
+    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
+        """The polynomial with ``coeffs[k]``, an int or a ``Fraction``, as
+        its coefficient of ``t**k``."""
+        coeffs = coeffs or {}
+        d = math.lcm(*(int(a.denominator) for a in coeffs.values()))
+        p = _of(
+            {int(k): int(a.numerator) * (d // int(a.denominator)) for k, a in coeffs.items() if a},
+            d,
+        )
+        self._n, self._d = p._n, p._d
+
+    @classmethod
+    def over(cls, numerators: Mapping[int, int], den: int) -> "IntPoly":
+        """``sum(numerators[k] * t**k) / den`` for ints and a nonzero ``den``."""
+        if den == 0:
+            raise ZeroDivisionError("polynomial over a zero denominator")
+        sign = 1 if den > 0 else -1
+        return _of({k: a * sign for k, a in numerators.items() if a}, abs(den))
 
     @classmethod
     def zero(cls) -> "IntPoly":
-        return cls()
+        return _of({}, 1)
 
     @classmethod
     def one(cls) -> "IntPoly":
-        return cls({0: 1})
+        return _of({0: 1}, 1)
 
     @classmethod
-    def monomial(cls, k: int, coeff: Scalar = 1) -> "IntPoly":
+    def monomial(cls, k: int, coeff: int | Fraction = 1) -> "IntPoly":
         return cls({k: coeff})
 
     # -- inspection
 
-    def coeffs(self) -> dict[int, Scalar]:
-        return dict(self._c)
+    def coeffs(self) -> dict[int, int | Fraction]:
+        """Exponent -> coefficient: an int where the denominator divides the
+        numerator, else a ``Fraction``."""
+        return {k: _ratio(a, self._d) for k, a in self._n.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def degree(self) -> int:
-        if not self._c:
+        if not self._n:
             raise ZeroPolynomial("zero polynomial has no degree")
-        return max(self._c)
+        return max(self._n)
 
     def lowest_degree(self) -> int:
-        if not self._c:
+        if not self._n:
             raise ZeroPolynomial("zero polynomial has no lowest degree")
-        return min(self._c)
+        return min(self._n)
 
-    def leading_coefficient(self) -> Scalar:
-        return self._c[self.degree()]
+    def leading_coefficient(self) -> int | Fraction:
+        return _ratio(self._n[self.degree()], self._d)
 
-    def __call__(self, x: Scalar) -> Scalar:
-        """The value at ``x``, exact: at an int it is an int unless a
-        ``Fraction`` coefficient or a negative exponent makes it a fraction."""
-        return sum(a * (x ** k if k >= 0 else Fraction(1, x) ** -k) for k, a in self._c.items())
+    def leading_sign(self) -> int:
+        """1 or -1, the sign of the leading coefficient: that of its
+        numerator, as the denominator is positive."""
+        return 1 if self._n[self.degree()] > 0 else -1
+
+    def __call__(self, x: int | Fraction) -> int | Fraction:
+        """The value at ``x``, exact: an int when it is an integer and ``x``
+        an int with no negative exponent in play, else a ``Fraction``."""
+        if isinstance(x, int) and min(self._n, default=0) >= 0:
+            return _ratio(sum(a * x ** k for k, a in self._n.items()), self._d)
+        from fractions import Fraction
+
+        x = Fraction(x)
+        return Fraction(sum(a * x ** k for k, a in self._n.items()), self._d)
 
     def is_integer_valued(self) -> bool:
-        """Whether every integer maps to an integer; the values at
-        0..deg+1 decide it.  Needs no negative exponent."""
-        if not self._c:
-            return True
-        return all(self(k).denominator == 1 for k in range(self.degree() + 2))
+        """Whether every integer maps to an integer: whether the denominator
+        divides the numerators' value at each of 0..deg+1, which decide it.
+        Needs no negative exponent."""
+        d = self._d
+        return d == 1 or all(
+            sum(a * x ** k for k, a in self._n.items()) % d == 0
+            for x in range(self.degree() + 2)
+        )
 
     # -- arithmetic
 
-    @staticmethod
-    def _coerce(x) -> "IntPoly":
-        if isinstance(x, IntPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return IntPoly({0: x})
-        return NotImplemented  # type: ignore[return-value]
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        c = dict(self._c)
-        for k, a in other._c.items():
-            c[k] = c.get(k, 0) + a
-        return IntPoly(c)
+        d1, d2 = self._d, other._d
+        d = d1 * d2 // math.gcd(d1, d2)
+        s1, s2 = d // d1, d // d2
+        c = {k: a * s1 for k, a in self._n.items()}
+        for k, a in other._n.items():
+            c[k] = c.get(k, 0) + a * s2
+        return _of({k: a for k, a in c.items() if a}, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly({k: -a for k, a in self._c.items()})
+        return _of({k: -a for k, a in self._n.items()}, self._d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -132,24 +165,23 @@ class IntPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return IntPoly({k: a * other for k, a in self._c.items()})
-        if not isinstance(other, IntPoly):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        c: dict[int, Scalar] = {}
-        for k1, a1 in self._c.items():
-            for k2, a2 in other._c.items():
+        c: dict[int, int] = {}
+        for k1, a1 in self._n.items():
+            for k2, a2 in other._n.items():
                 c[k1 + k2] = c.get(k1 + k2, 0) + a1 * a2
-        return IntPoly(c)
+        return _of({k: a for k, a in c.items() if a}, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of polynomial by zero")
-            return IntPoly({k: Fraction(a) / other for k, a in self._c.items()})
-        return NotImplemented
+        if not isinstance(other, numbers.Rational):
+            return NotImplemented
+        if other == 0:
+            raise ZeroDivisionError("division of polynomial by zero")
+        return self * IntPoly.over({0: int(other.denominator)}, int(other.numerator))
 
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
@@ -162,29 +194,31 @@ class IntPoly:
     # -- equality / hashing / display
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((frozenset(self._n.items()), self._d))
 
     def __repr__(self):
-        return f"IntPoly({self._c!r})"
+        if self._d == 1:
+            return f"IntPoly({self._n!r})"
+        return f"IntPoly.over({self._n!r}, {self._d})"
 
     def render(self) -> str:
         """Readable display in ``t``: the t-power and denominator pulled
         out, e.g. ``t^2(5t^2+1)/6``.  Parses back to an equal polynomial
         when no exponent is negative."""
-        if not self._c:
+        if not self._n:
             return "0"
-        den = math.lcm(*(a.denominator for a in self._c.values()))
+        den = self._d
         low = self.lowest_degree()
         prefix = "" if low == 0 else ("t" if low == 1 else f"t^{low}")
         body = []
-        for k in sorted(self._c, reverse=True):
-            n = int(self._c[k] * den)
+        for k in sorted(self._n, reverse=True):
+            n = self._n[k]
             e = k - low
             if e == 0:
                 mono = str(abs(n))
@@ -197,7 +231,7 @@ class IntPoly:
                 body.append(f"+ {mono}" if n > 0 else f"- {mono}")
         text = " ".join(body)
         if len(body) == 1:
-            n = int(self._c[low] * den)
+            n = self._n[low]
             if abs(n) == 1:
                 head = ("-" if n < 0 else "") + (prefix or "1")
             else:
@@ -213,23 +247,64 @@ class IntPoly:
     __str__ = render
 
     @classmethod
-    def parse(cls, text: str) -> "IntPoly":
+    def parse(cls, text: str, max_degree: int | None = None) -> "IntPoly":
         """Parse expressions like ``t(t+1)(2t+1)/6`` or ``t^2(5t^2+1)/6``.
 
         Grammar: sums of terms; a term is a juxtaposed product of integers,
         ``t``/``t^k`` and parenthesised sub-expressions, optionally divided
-        by a trailing integer.
+        by a trailing integer.  Input that would make the reader form a
+        polynomial of degree above ``max_degree`` (if given), or a numerator
+        or denominator at or above :data:`MAGNITUDE_GUARD`, is refused as
+        soon as it is read, so no entry makes the reader stall.
         """
-        return _Parser(text).parse()
+        return _Parser(text, max_degree).parse()
+
+
+def _of(n: dict[int, int], d: int) -> IntPoly:
+    """The IntPoly of nonzero numerators ``n`` over ``d > 0``, reduced."""
+    g = math.gcd(d, *n.values()) if d > 1 else 1
+    if g > 1:
+        n = {k: a // g for k, a in n.items()}
+        d //= g
+    out = object.__new__(IntPoly)
+    out._n, out._d = n, d
+    return out
+
+
+def _coerce(x) -> IntPoly:
+    if isinstance(x, IntPoly):
+        return x
+    if isinstance(x, numbers.Rational):
+        return _of({0: int(x.numerator)} if x else {}, int(x.denominator))
+    return NotImplemented  # type: ignore[return-value]
+
+
+def _ratio(a: int, d: int) -> int | Fraction:
+    """``a / d`` for ``d > 0``: an int if ``d`` divides ``a``, else a Fraction."""
+    if a % d == 0:
+        return a // d
+    from fractions import Fraction
+
+    return Fraction(a, d)
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_degree: int | None):
         self.text = text
         self.pos = 0
+        self.max_degree = max_degree
 
     def error(self, msg: str) -> ValueError:
         return ValueError(f"bad polynomial {self.text!r} at {self.pos}: {msg}")
+
+    def guard(self, p: IntPoly) -> IntPoly:
+        """``p``, unless its degree passes ``max_degree`` or one of its
+        integers reaches :data:`MAGNITUDE_GUARD`."""
+        if self.max_degree is not None and p._n and max(p._n) > self.max_degree:
+            raise self.error(f"degree {max(p._n)} exceeds {self.max_degree}")
+        if p._d >= MAGNITUDE_GUARD or any(abs(a) >= MAGNITUDE_GUARD for a in p._n.values()):
+            raise self.error("a coefficient or denominator reaches the magnitude guard")
+        return p
 
     def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -243,18 +318,14 @@ class _Parser:
         return out
 
     def expr(self) -> IntPoly:
-        sign = 1
-        if self.peek() == "-":
+        op = self.peek()
+        if op and op in "+-":
             self.pos += 1
-            sign = -1
-        elif self.peek() == "+":
-            self.pos += 1
-        out = self.term() * sign
-        while self.peek() and self.peek() in "+-":
-            op = self.peek()
+        out = -self.term() if op == "-" else self.term()
+        while (op := self.peek()) and op in "+-":
             self.pos += 1
             t = self.term()
-            out = out + (t if op == "+" else -t)
+            out = self.guard(out + (t if op == "+" else -t))
         return out
 
     def term(self) -> IntPoly:
@@ -262,23 +333,24 @@ class _Parser:
         while True:
             ch = self.peek()
             if "0" <= ch <= "9" or ch == "t" or ch == "(":
-                out = out * self.factor()
+                out = self.guard(out * self.factor())
             elif ch == "*":
                 self.pos += 1
-                out = out * self.factor()
+                out = self.guard(out * self.factor())
             elif ch == "/":
                 self.pos += 1
-                out = out / self.integer()
+                out = self.guard(out / self.integer())
             else:
                 return out
 
     def factor(self) -> IntPoly:
         ch = self.peek()
         if "0" <= ch <= "9":  # not str.isdigit, which takes '²' and '٢'
-            base = IntPoly({0: self.integer()})
+            value = self.integer()
+            base = _of({0: value} if value else {}, 1)
         elif ch == "t":
             self.pos += 1
-            base = IntPoly.monomial(1)
+            base = _of({1: 1}, 1)
         elif ch == "(":
             self.pos += 1
             base = self.expr()
@@ -289,17 +361,34 @@ class _Parser:
             raise self.error("expected factor")
         if self.peek() == "^":
             self.pos += 1
-            base = base ** self.integer()
+            base = self.power(base, self.integer())
         return base
 
+    def power(self, base: IntPoly, e: int) -> IntPoly:
+        """``base ** e`` by repeated squaring, every product guarded; no step
+        forms a degree or denominator above the result's, so a large power
+        is refused within about 50 squarings."""
+        out = IntPoly.one()
+        while True:
+            if e & 1:
+                out = self.guard(out * base)
+            e >>= 1
+            if not e:
+                return out
+            base = self.guard(base * base)
+
     def integer(self) -> int:
-        ch = self.peek()
+        self.peek()
         start = self.pos
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected integer")
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos].lstrip("0") or "0"
+        value = int(digits) if len(digits) < 20 else MAGNITUDE_GUARD  # no int() of a long run
+        if value >= MAGNITUDE_GUARD:
+            raise self.error("an integer reaches the magnitude guard")
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +401,7 @@ def reverse_at(nu: int, f: IntPoly) -> IntPoly:
         return f
     if f.degree() > nu:
         raise DegreeExceedsNu(f"degree {f.degree()} exceeds nu={nu}")
-    return IntPoly({nu - k: a for k, a in f._c.items()})
+    return _of({nu - k: a for k, a in f._n.items()}, f._d)
 
 
 # ---------------------------------------------------------------------------

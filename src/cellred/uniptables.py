@@ -96,12 +96,13 @@ def _fail(ct: CartanType, where: str, msg: str, refs: dict | None = None) -> Dat
     return DataIntegrityFailure(f"{ct.name} tables, {where}{tag}: {msg}")
 
 
-def _parse(ct: CartanType, where: str, key: str, text, refs: dict) -> IntPoly:
-    """``IntPoly.parse`` of the ``where`` entry ``key``, a JSON string; a
-    malformed polynomial is a :class:`DataIntegrityFailure` at that
+def _parse(ct: CartanType, where: str, key: str, text, refs: dict, nu: int) -> IntPoly:
+    """``IntPoly.parse`` of the ``where`` entry ``key``, a JSON string, of
+    degree at most ``nu``; a malformed polynomial, or one the reader refuses
+    for its degree or size, is a :class:`DataIntegrityFailure` at that
     location."""
     try:
-        return IntPoly.parse(_json(text, str))
+        return IntPoly.parse(_json(text, str), nu)
     except (ValueError, ZeroDivisionError) as exc:
         raise _fail(ct, where, f"{key}: cannot parse {text!r}: {exc}", refs) from exc
 
@@ -190,7 +191,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
         _table(ct, key, raw[key], list if key == "unipotent" else dict, refs)
 
     unip = tuple(_rows(ct, "unipotent", refs, raw["unipotent"], lambda _, u: UnipotentChar(
-        _json(u["label"], str), _parse(ct, "unipotent", u["label"], u["degree"], refs),
+        _json(u["label"], str), _parse(ct, "unipotent", u["label"], u["degree"], refs, g.nu),
     )).values())
     labels = [u.label for u in unip]
     if len(set(labels)) != len(labels):
@@ -201,7 +202,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     if "S" not in by_label or by_label["S"].degree != IntPoly.monomial(g.nu):
         raise _fail(ct, "unipotent", f"degree of 'S' is not t^{g.nu}", refs)
     for u in unip:
-        if u.degree.leading_coefficient() <= 0:
+        if u.degree.leading_sign() < 0:
             raise _fail(ct, "unipotent", f"{u.label}: non-positive leading coefficient", refs)
 
     words: dict[int, str] = {}  # element -> the file's spelling of its row
@@ -247,7 +248,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     m_w = _rows(ct, "m_w", refs, raw["m_w"],
                 lambda w, terms: tuple(m_term(w, term) for term in _json(terms, list)))
     delta = _rows(ct, "delta", refs, raw["delta"],
-                  lambda w, text: _parse(ct, "delta", w, text, refs))
+                  lambda w, text: _parse(ct, "delta", w, text, refs, g.nu))
     if not (set(m_w) == set(index) == set(delta)):
         raise _fail(ct, "m_w/delta", "row keys differ from the r_alpha keys", refs)
 

@@ -2,9 +2,10 @@
 
 ``dim_template`` expands the Weyl dimension formula symbolically, with the
 weight coordinates affine in p, giving an exact polynomial in t (t stands
-for p).  Interpolation is never used to build these polynomials; evaluation
-against the integer dimension formula at a few primes is kept as a redundant
-guard.
+for p): the integer coefficients of the Weyl product over the product of the
+rho pairings.  Interpolation is never used to build these polynomials;
+evaluation against the integer dimension formula at a few primes is kept as
+a redundant guard.
 
 ``delta_table`` assembles the signed template combinations for every row of
 the shipped tables and checks each result against the transcribed closed
@@ -49,21 +50,20 @@ def dim_template(rs: RootSystem, tmpl: WeightTemplate, min_prime: int = 2) -> In
             raise NonDominantTemplate(
                 f"{tmpl} is not dominant for all p >= {min_prime}"
             )
-    num = IntPoly.one()
+    num = [1]  # the Weyl product's integer coefficients, of t^0, t^1, ...
     den = 1
     for row, rho in zip(rs.coroot_pairings, rs.weyl_vector_pairings):
         const = sum(c * (c0 + 1) for c, (c0, _) in zip(row, tmpl.coords))
         slope = sum(c * c1 for c, (_, c1) in zip(row, tmpl.coords))
-        num = num * IntPoly({0: const, 1: slope})
+        num = [a * const + b * slope for a, b in zip(num + [0], [0] + num)]
         den *= rho
-    pi = num / den
     for p in _SPOT_PRIMES:
         lam = tmpl.instantiate(p)
-        if pi(p) != weyl_dim(rs, lam):
+        if sum(a * p ** k for k, a in enumerate(num)) != weyl_dim(rs, lam) * den:
             raise AssertionError(
                 f"symbolic dimension for {tmpl} disagrees with weyl_dim at p={p}"
             )
-    return pi
+    return IntPoly.over(dict(enumerate(num)), den)
 
 
 def delta_table(tables: TypeTables) -> dict[int, IntPoly]:
@@ -89,7 +89,7 @@ def delta_table(tables: TypeTables) -> dict[int, IntPoly]:
                 f"{ct.name} row {word!r}: templates give {pi.render()} "
                 f"but the transcribed polynomial is {expected.render()}"
             )
-        if pi.leading_coefficient() <= 0:
+        if pi.leading_sign() < 0:
             raise DataIntegrityFailure(f"{ct.name} row {word!r}: non-positive leading term")
         if not pi.is_integer_valued():
             raise DataIntegrityFailure(f"{ct.name} row {word!r}: not integer valued")

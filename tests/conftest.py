@@ -1,3 +1,5 @@
+import contextlib
+import signal
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,27 @@ def char_value(table, label: str, w: int) -> int:
     w = 0, the identity, gives its dimension."""
     k = next(k for k, c in enumerate(table.classes) if w in c)
     return table.values[table.labels.index(label)][k]
+
+
+class Overrun(BaseException):
+    """Raised by :func:`deadline`; not an Exception, so that no handler of
+    the code under test turns it into a report row."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise :class:`Overrun` in the body if it runs past ``seconds`` of
+    wall time (SIGALRM: Unix, main thread)."""
+    def expire(signum, frame):
+        raise Overrun(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def by_word(tables, rows: dict) -> dict:

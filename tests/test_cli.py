@@ -10,7 +10,7 @@ import pytest
 from cellred import audit, klcells, sl3lab, uniptables
 from cellred.cli import _sl3_entry, main
 
-from conftest import TYPE_NAMES
+from conftest import TYPE_NAMES, deadline
 
 
 def run(capsys, *argv):
@@ -285,6 +285,25 @@ def test_a_non_ascii_digit_in_a_data_file_degree_fails_its_type(data_copy, capsy
         assert "bad polynomial" in row["details"]
 
 
+@pytest.mark.parametrize("degree", ["(t+1)^100000", "((((2^4)^4)^4)^4)^4"])
+def test_a_huge_power_in_a_data_file_fails_its_type_at_once(data_copy, capsys, degree):
+    # the reader multiplied every power out: (t+1)^20000 held the audit for
+    # minutes; now a degree above B2's nu = 4, or a number at the magnitude
+    # guard, is refused as it is read
+    raw = json.loads((data_copy / "B2.json").read_text(encoding="utf-8"))
+    raw["unipotent"][1]["degree"] = degree
+    (data_copy / "B2.json").write_text(json.dumps(raw), encoding="utf-8")
+    with deadline(1):
+        code, out, _ = run(capsys, "audit", "--type", "B2")
+    assert code == 3
+    rows = json.loads(out)["checks"]
+    assert len(rows) == 6
+    for row in rows:
+        assert row["details"].startswith(
+            "internal error: DataIntegrityFailure: B2 tables, unipotent (ref 1.3): r: ")
+        assert "bad polynomial" in row["details"]
+
+
 def test_an_unreadable_data_file_is_exit_3_naming_its_header(data_copy, capsys):
     path = data_copy / "B2.json"
     path.write_bytes(path.read_bytes()[:500])  # cut short
@@ -489,6 +508,27 @@ def test_a_fresh_cli_process_loads_no_argparse():
         cli_env(),
     )
     assert out == "[]\n"
+
+
+def test_a_fresh_cli_process_loads_no_fractions_and_freezes_its_import():
+    # dimension polynomials hold integer numerators over one denominator;
+    # fractions, which loads decimal, cost each command some 1.6 ms and
+    # 0.5 MB.  The frozen import keeps a collection over its young objects
+    # out of the first command that allocates enough
+    out = _fresh_python(
+        "import contextlib, gc, io, sys\n"
+        "import cellred.cli\n"
+        "print(gc.get_freeze_count() > 0)\n"
+        "from cellred.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['audit', '--all'], ['sl3', '--orbits'],\n"
+        "                 ['tables', 'dump', '--what', 'delta', '--type', 'G2'],\n"
+        "                 ['tables', 'dump', '--what', 'klpoly', '--type', 'G2']):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n",
+        cli_env(),
+    )
+    assert out == "True\n[]\n"
 
 
 def test_import_cellred_loads_no_numpy():

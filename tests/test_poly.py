@@ -15,6 +15,7 @@ from cellred.poly import (
     window_offset,
 )
 
+from conftest import deadline
 from klref import from_array, laurent_matmul
 
 V = IntPoly({1: 1})
@@ -199,3 +200,137 @@ def test_integer_valuedness():
     assert IntPoly.parse("t(t+1)(2t+1)/6").is_integer_valued()
     assert not IntPoly.parse("t/2").is_integer_valued()
     assert IntPoly.zero().is_integer_valued()
+
+
+# -- IntPoly against a reference model: exponent -> nonzero Fraction
+
+def m_norm(c):
+    return {k: Fraction(a) for k, a in c.items() if a}
+
+
+def m_add(a, b):
+    out = dict(a)
+    for k, x in b.items():
+        out[k] = out.get(k, 0) + x
+    return m_norm(out)
+
+
+def m_scale(a, s):
+    return m_norm({k: x * s for k, x in a.items()})
+
+
+def m_mul(a, b):
+    out = {}
+    for k1, x1 in a.items():
+        for k2, x2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + x1 * x2
+    return m_norm(out)
+
+
+def m_pow(a, n):
+    out = {0: Fraction(1)}
+    for _ in range(n):
+        out = m_mul(out, a)
+    return out
+
+
+def m_eval(a, x):
+    return sum((c * Fraction(x) ** k for k, c in a.items()), Fraction(0))
+
+
+def m_integer_valued(a):
+    return all(m_eval(a, x).denominator == 1 for x in range(max(a, default=0) + 2))
+
+
+model_laurents = st.dictionaries(st.integers(-4, 6), scalars, max_size=5)
+model_polys = st.dictionaries(st.integers(0, 6), scalars, max_size=5)
+nonzero_points = st.integers(-9, 9).filter(bool) | st.fractions(-5, 5, max_denominator=7).filter(bool)
+
+
+@given(model_laurents, model_laurents, st.integers(-12, 12).filter(bool), st.integers(0, 4))
+def test_intpoly_arithmetic_matches_the_fraction_model(a, b, k, n):
+    pa, pb = IntPoly(a), IntPoly(b)
+    assert pa.coeffs() == m_norm(a)
+    assert (pa + pb).coeffs() == m_add(a, b)
+    assert (pa - pb).coeffs() == m_add(a, m_scale(b, -1))
+    assert (pa * pb).coeffs() == m_mul(a, b)
+    assert (k * pa).coeffs() == m_scale(a, k)
+    assert (pa / k).coeffs() == m_scale(a, Fraction(1, k))
+    assert (pa ** n).coeffs() == m_pow(a, n)
+    if m_norm(a):
+        top = m_norm(a)[max(m_norm(a))]
+        assert pa.leading_coefficient() == top
+        assert pa.leading_sign() == (1 if top > 0 else -1)
+
+
+@given(model_laurents, nonzero_points)
+def test_intpoly_evaluation_matches_the_fraction_model(a, x):
+    value = IntPoly(a)(x)
+    assert value == m_eval(a, x)
+    if isinstance(x, int) and min(a, default=0) >= 0 and m_eval(a, x).denominator == 1:
+        assert type(value) is int
+
+
+@given(model_polys, st.integers(0, 8))
+def test_intpoly_reverse_render_and_parse_match_the_fraction_model(a, extra):
+    pa = IntPoly(a)
+    nu = max(m_norm(a), default=0) + extra
+    assert reverse_at(nu, pa).coeffs() == {nu - k: c for k, c in m_norm(a).items()}
+    assert IntPoly.parse(pa.render(), nu).coeffs() == m_norm(a)
+
+
+# integer combinations of the binomials C(t, j), over a small divisor: some
+# integer valued, some not
+binomial_combos = st.tuples(st.lists(st.integers(-4, 4), max_size=6), st.integers(1, 4))
+
+
+@given(binomial_combos)
+def test_intpoly_integer_valuedness_matches_the_fraction_model(combo):
+    weights, divisor = combo
+    a, binom = {}, {0: Fraction(1)}
+    for j, w in enumerate(weights):
+        a = m_add(a, m_scale(binom, Fraction(w, divisor)))
+        binom = m_mul(binom, {1: Fraction(1, j + 1), 0: Fraction(-j, j + 1)})
+    assert IntPoly(a).is_integer_valued() == m_integer_valued(a)
+
+
+@given(st.dictionaries(st.integers(-4, 6), st.integers(-9, 9), max_size=5), st.integers(1, 30))
+def test_one_value_built_two_ways_is_equal_with_equal_hash(ints, m):
+    direct = IntPoly(ints)
+    scaled = IntPoly.over({k: c * m for k, c in ints.items()}, m)
+    assert scaled == direct and hash(scaled) == hash(direct)
+    assert scaled.coeffs() == direct.coeffs() == m_norm(ints)
+
+
+def test_a_fraction_given_unreduced_is_the_same_value():
+    half = IntPoly({1: Fraction(1, 2)})
+    for other in (IntPoly({1: Fraction(2, 4)}), IntPoly.over({1: 2}, 4), IntPoly.over({1: -3}, -6),
+                  IntPoly({1: Fraction(1, 6)}) + IntPoly({1: Fraction(1, 3)})):
+        assert other == half and hash(other) == hash(half)
+    assert IntPoly({0: Fraction(1, 2)}) + IntPoly({0: Fraction(1, 2)}) == IntPoly.one()
+    assert hash(IntPoly({0: Fraction(1, 2)}) * 2) == hash(IntPoly.one())
+
+
+@pytest.mark.parametrize("text", ["(t+1)^100000", "((((2^4)^4)^4)^4)^4"])
+def test_intpoly_parse_refuses_a_huge_power_at_once(text):
+    # every power was multiplied out: (t+1)^1200 took 0.5 s, 2^200000 1.5 s
+    for max_degree in (None, 4):
+        with deadline(1), pytest.raises(ValueError, match="^bad polynomial "):
+            IntPoly.parse(text, max_degree)
+
+
+def test_intpoly_parse_degree_bound():
+    assert IntPoly.parse("t(t+1)^2(t^2-t+1)/2", 5).degree() == 5
+    assert IntPoly.parse("t^9 - t^9 + 1", 9) == 1
+    for text in ("t^2(t+1)^2(t^2-t+1)/2", "t^6", "(t^2+1)^3", "t*t*t*t*t*t"):
+        with pytest.raises(ValueError, match=r"^bad polynomial .*: degree 6 exceeds 5"):
+            IntPoly.parse(text, 5)
+
+
+def test_intpoly_parse_magnitude_guard():
+    big = poly.MAGNITUDE_GUARD
+    assert IntPoly.parse(f"{big - 1}t/{big - 1}") == IntPoly.monomial(1)
+    assert IntPoly.parse("0" * 40 + "7") == 7
+    for text in (f"{big}", f"t/{big}", f"{big // 2}t * 2", "9" * 5000, f"t^{10 ** 400}"):
+        with deadline(1), pytest.raises(ValueError, match="^bad polynomial .*magnitude guard"):
+            IntPoly.parse(text)
