@@ -9,9 +9,10 @@ Two forms are used throughout the package:
   ``t`` for dimension polynomials such as ``t(t+1)(2t+1)/6``, which take
   integer values on integers without having integer coefficients.  Values
   are immutable; every operation returns a fresh object and is exact, and
-  does integer work only.  A ``Fraction`` is made only where a caller asks
-  for a value that is not an integer: a coefficient from :meth:`coeffs` or
-  :meth:`~IntPoly.leading_coefficient`, or a value at a point.
+  does integer work only.  Ints go in and ints come out: a coefficient,
+  scalar or evaluation point that is not an int is a TypeError, and a value
+  at a point that is not an integer is a ValueError, so no rational or
+  float is ever formed.
 
 * Laurent arrays -- the bulk form of the ``v`` data: int64 numpy arrays
   whose last axis holds the coefficient of ``v**k`` at index ``k + off``,
@@ -21,17 +22,14 @@ Two forms are used throughout the package:
 from __future__ import annotations
 
 import math
-import numbers
-from typing import TYPE_CHECKING, Mapping
+import operator
+from typing import Mapping
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 
 class ZeroPolynomial(ValueError):
-    """Degree or extreme coefficient requested from the zero polynomial."""
+    """Degree requested from the zero polynomial."""
 
 
 class DegreeExceedsNu(ValueError):
@@ -50,30 +48,26 @@ class IntPoly:
     compare it directly.
 
     The name records the dimension polynomials it was made for: integer
-    valued on integers even though their coefficients are fractions.  The
+    valued on integers even though their coefficients need not be.  The
     zero polynomial has no degree, because -1 is a real Laurent degree.
     """
 
     __slots__ = ("_n", "_d")
 
-    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
-        """The polynomial with ``coeffs[k]``, an int or a ``Fraction``, as
-        its coefficient of ``t**k``."""
-        coeffs = coeffs or {}
-        d = math.lcm(*(int(a.denominator) for a in coeffs.values()))
-        p = _of(
-            {int(k): int(a.numerator) * (d // int(a.denominator)) for k, a in coeffs.items() if a},
-            d,
-        )
-        self._n, self._d = p._n, p._d
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
+        """The polynomial with the int ``coeffs[k]`` as its coefficient of
+        ``t**k``; any other coefficient is a TypeError."""
+        items = (coeffs or {}).items()
+        self._n, self._d = {operator.index(k): a for k, c in items if (a := operator.index(c))}, 1
 
     @classmethod
     def over(cls, numerators: Mapping[int, int], den: int) -> "IntPoly":
-        """``sum(numerators[k] * t**k) / den`` for ints and a nonzero ``den``."""
+        """``sum(numerators[k] * t**k) / den`` for ints and a nonzero int ``den``."""
+        den = operator.index(den)
         if den == 0:
             raise ZeroDivisionError("polynomial over a zero denominator")
         sign = 1 if den > 0 else -1
-        return _of({k: a * sign for k, a in numerators.items() if a}, abs(den))
+        return _of({k: a * sign for k, a in cls(numerators)._n.items()}, abs(den))
 
     @classmethod
     def zero(cls) -> "IntPoly":
@@ -84,15 +78,10 @@ class IntPoly:
         return _of({0: 1}, 1)
 
     @classmethod
-    def monomial(cls, k: int, coeff: int | Fraction = 1) -> "IntPoly":
-        return cls({k: coeff})
+    def monomial(cls, k: int) -> "IntPoly":
+        return _of({k: 1}, 1)
 
     # -- inspection
-
-    def coeffs(self) -> dict[int, int | Fraction]:
-        """Exponent -> coefficient: an int where the denominator divides the
-        numerator, else a ``Fraction``."""
-        return {k: _ratio(a, self._d) for k, a in self._n.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -108,23 +97,24 @@ class IntPoly:
             raise ZeroPolynomial("zero polynomial has no lowest degree")
         return min(self._n)
 
-    def leading_coefficient(self) -> int | Fraction:
-        return _ratio(self._n[self.degree()], self._d)
-
     def leading_sign(self) -> int:
-        """1 or -1, the sign of the leading coefficient: that of its
-        numerator, as the denominator is positive."""
-        return 1 if self._n[self.degree()] > 0 else -1
+        """1, 0 or -1: the sign of the leading coefficient, that of its
+        numerator as the denominator is positive; 0 for the zero polynomial."""
+        if not self._n:
+            return 0
+        return 1 if self._n[max(self._n)] > 0 else -1
 
-    def __call__(self, x: int | Fraction) -> int | Fraction:
-        """The value at ``x``, exact: an int when it is an integer and ``x``
-        an int with no negative exponent in play, else a ``Fraction``."""
-        if isinstance(x, int) and min(self._n, default=0) >= 0:
-            return _ratio(sum(a * x ** k for k, a in self._n.items()), self._d)
-        from fractions import Fraction
-
-        x = Fraction(x)
-        return Fraction(sum(a * x ** k for k, a in self._n.items()), self._d)
+    def __call__(self, x: int) -> int:
+        """The value at the int ``x``.  A negative exponent, checked first so
+        that no float is formed, and a value that is not an integer are each
+        a ValueError."""
+        x = operator.index(x)
+        if min(self._n, default=0) < 0:
+            raise ValueError("no value of a polynomial with a negative exponent")
+        value, rest = divmod(sum(a * x ** k for k, a in self._n.items()), self._d)
+        if rest:
+            raise ValueError(f"the value at {x} is not an integer")
+        return value
 
     def is_integer_valued(self) -> bool:
         """Whether every integer maps to an integer: whether the denominator
@@ -161,9 +151,6 @@ class IntPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -177,19 +164,11 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, numbers.Rational):
+        if not isinstance(other, int):
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of polynomial by zero")
-        return self * IntPoly.over({0: int(other.denominator)}, int(other.numerator))
-
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = IntPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return IntPoly.over(self._n, self._d * other)
 
     # -- equality / hashing / display
 
@@ -200,6 +179,8 @@ class IntPoly:
         return self._d == other._d and self._n == other._n
 
     def __hash__(self):
+        if self._d == 1 and self._n.keys() <= {0}:
+            return hash(self._n.get(0, 0))  # equal to that int, so hashed as it
         return hash((frozenset(self._n.items()), self._d))
 
     def __repr__(self):
@@ -247,15 +228,15 @@ class IntPoly:
     __str__ = render
 
     @classmethod
-    def parse(cls, text: str, max_degree: int | None = None) -> "IntPoly":
+    def parse(cls, text: str, max_degree: int) -> "IntPoly":
         """Parse expressions like ``t(t+1)(2t+1)/6`` or ``t^2(5t^2+1)/6``.
 
         Grammar: sums of terms; a term is a juxtaposed product of integers,
         ``t``/``t^k`` and parenthesised sub-expressions, optionally divided
         by a trailing integer.  Input that would make the reader form a
-        polynomial of degree above ``max_degree`` (if given), or a numerator
-        or denominator at or above :data:`MAGNITUDE_GUARD`, is refused as
-        soon as it is read, so no entry makes the reader stall.
+        polynomial of degree above ``max_degree``, which has no default, or
+        a numerator or denominator at or above :data:`MAGNITUDE_GUARD`, is
+        refused as soon as it is read, so no entry makes the reader stall.
         """
         return _Parser(text, max_degree).parse()
 
@@ -274,22 +255,13 @@ def _of(n: dict[int, int], d: int) -> IntPoly:
 def _coerce(x) -> IntPoly:
     if isinstance(x, IntPoly):
         return x
-    if isinstance(x, numbers.Rational):
-        return _of({0: int(x.numerator)} if x else {}, int(x.denominator))
+    if isinstance(x, int):
+        return _of({0: x} if x else {}, 1)
     return NotImplemented  # type: ignore[return-value]
 
 
-def _ratio(a: int, d: int) -> int | Fraction:
-    """``a / d`` for ``d > 0``: an int if ``d`` divides ``a``, else a Fraction."""
-    if a % d == 0:
-        return a // d
-    from fractions import Fraction
-
-    return Fraction(a, d)
-
-
 class _Parser:
-    def __init__(self, text: str, max_degree: int | None):
+    def __init__(self, text: str, max_degree: int):
         self.text = text
         self.pos = 0
         self.max_degree = max_degree
@@ -300,7 +272,7 @@ class _Parser:
     def guard(self, p: IntPoly) -> IntPoly:
         """``p``, unless its degree passes ``max_degree`` or one of its
         integers reaches :data:`MAGNITUDE_GUARD`."""
-        if self.max_degree is not None and p._n and max(p._n) > self.max_degree:
+        if p._n and max(p._n) > self.max_degree:
             raise self.error(f"degree {max(p._n)} exceeds {self.max_degree}")
         if p._d >= MAGNITUDE_GUARD or any(abs(a) >= MAGNITUDE_GUARD for a in p._n.values()):
             raise self.error("a coefficient or denominator reaches the magnitude guard")
@@ -346,8 +318,7 @@ class _Parser:
     def factor(self) -> IntPoly:
         ch = self.peek()
         if "0" <= ch <= "9":  # not str.isdigit, which takes '²' and '٢'
-            value = self.integer()
-            base = _of({0: value} if value else {}, 1)
+            base = _coerce(self.integer())
         elif ch == "t":
             self.pos += 1
             base = _of({1: 1}, 1)

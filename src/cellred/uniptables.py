@@ -110,6 +110,16 @@ def _parse(ct: CartanType, where: str, key: str, text, refs: dict, nu: int) -> I
 _JSON_NAMES = {int: "integer", str: "string", dict: "object", list: "array"}
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is a ValueError, where a plain
+    ``json.load`` would keep its last value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return out
+
+
 def _json(value, kind: type):
     """``value``, if a JSON ``kind`` (int, str, dict or list); anything
     else, a boolean for an integer too, is a TypeError, never converted."""
@@ -159,11 +169,12 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
 
     The one reader of row words: each is parsed once, here, and the tables
     returned are keyed by element index.  A file that cannot be opened,
-    decoded as UTF-8 or parsed as JSON fails its header."""
+    decoded as UTF-8 or parsed as JSON, or that gives one key twice in an
+    object, fails its header."""
     path = Path(directory or data_dir()) / f"{ct.name}.json"
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_object)
     except (OSError, ValueError) as exc:  # ValueError: JSON and UTF-8 decoding
         raise _fail(ct, "header", f"cannot read {path.name}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -202,7 +213,7 @@ def load_tables(ct: CartanType, directory: str | None = None) -> TypeTables:
     if "S" not in by_label or by_label["S"].degree != IntPoly.monomial(g.nu):
         raise _fail(ct, "unipotent", f"degree of 'S' is not t^{g.nu}", refs)
     for u in unip:
-        if u.degree.leading_sign() < 0:
+        if u.degree.leading_sign() <= 0:
             raise _fail(ct, "unipotent", f"{u.label}: non-positive leading coefficient", refs)
 
     words: dict[int, str] = {}  # element -> the file's spelling of its row

@@ -89,7 +89,7 @@ def delta_table(tables: TypeTables) -> dict[int, IntPoly]:
                 f"{ct.name} row {word!r}: templates give {pi.render()} "
                 f"but the transcribed polynomial is {expected.render()}"
             )
-        if pi.leading_sign() < 0:
+        if pi.leading_sign() <= 0:
             raise DataIntegrityFailure(f"{ct.name} row {word!r}: non-positive leading term")
         if not pi.is_integer_valued():
             raise DataIntegrityFailure(f"{ct.name} row {word!r}: not integer valued")

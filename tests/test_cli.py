@@ -319,6 +319,24 @@ def test_an_unreadable_data_file_is_exit_3_naming_its_header(data_copy, capsys):
     assert err.startswith(f"cellred: {label}") and err.count("\n") == 1
 
 
+def test_a_repeated_key_in_a_data_file_is_exit_3_naming_its_header(data_copy, capsys):
+    # json.load kept the last value of a repeated key, so a wrong first row
+    # under the same word passed the audit with exit 0
+    path = data_copy / "B2.json"
+    text = path.read_text(encoding="utf-8")
+    at = text.index('"121"', text.index('"delta": {'))
+    path.write_text(f'{text[:at]}"121": "t^3 + 999", {text[at:]}', encoding="utf-8")
+    label = "B2 tables, header: cannot read B2.json: ValueError: duplicate key '121'"
+    code, out, _ = run(capsys, "audit", "--type", "B2")
+    assert code == 3
+    rows = json.loads(out)["checks"]
+    assert len(rows) == 6
+    for row in rows:
+        assert row["details"] == f"internal error: DataIntegrityFailure: {label}"
+    code, out, err = run(capsys, "tables", "dump", "--what", "delta", "--type", "B2")
+    assert (code, out, err) == (3, "", f"cellred: {label}\n")
+
+
 def test_tables_dump_internal_failure_is_one_line_and_exit_3(data_copy, monkeypatch, capsys):
     def compute_kl(group):
         raise RuntimeError("kl broke")

@@ -7,7 +7,8 @@ string as a one-element array, an object as the array of its values and as
 the array of its (key, value) pairs, an array as an object keyed by
 position, and null as an empty object and an empty array.  Each word (the
 row keys, the keys of the decomposition rows and the words of the duality)
-gets a generator past the rank, and each polynomial a trailing "+".
+gets a generator past the rank, and each polynomial a trailing "+" and,
+in its place, the zero polynomial "0".
 
 The loader refuses a mutation with a ``DataIntegrityFailure`` naming its
 type, or accepts it; an accepted mutation touches an annotation (``refs``,
@@ -94,6 +95,10 @@ def _edits(path, value, rank: int):
         def unparsable(parent):
             parent[key] = value + "+"
         yield "unparsable polynomial", unparsable
+
+        def zero(parent):
+            parent[key] = "0"
+        yield "zero polynomial", zero
 
 
 def _mutations(name: str, text: str):

@@ -42,7 +42,7 @@ def test_all_files_load(name):
 def test_degree_examples():
     b2 = load_tables(CartanType.parse("B2"))
     degree = {u.label: u.degree for u in b2.unipotent}
-    assert degree["e1"] == IntPoly.parse("t(t^2+1)/2")
+    assert degree["e1"] == IntPoly.parse("t(t^2+1)/2", 4)
     assert degree["1"] == IntPoly.one()
     assert degree["S"] == IntPoly.monomial(4)
     assert "zz" not in degree
@@ -187,6 +187,8 @@ LOADER_FAULTS = [
                  lambda raw: raw["unipotent"][1].update(degree="t+"), id="degree-syntax"),
     pytest.param("unipotent", "r: non-positive leading coefficient",
                  lambda raw: raw["unipotent"][1].update(degree="-t"), id="negative-degree"),
+    pytest.param("unipotent", "e1: non-positive leading coefficient",
+                 lambda raw: raw["unipotent"][2].update(degree="0"), id="zero-degree"),
     pytest.param("r_alpha", "duplicate element for word '2121'",
                  lambda raw: raw["r_alpha"].update({"2121": {"S": 1}}), id="duplicate-element"),
     pytest.param("r_alpha", "empty row for 'e'",
