@@ -9,10 +9,9 @@ Two forms are used throughout the package:
   ``t`` for dimension polynomials such as ``t(t+1)(2t+1)/6``, which take
   integer values on integers without having integer coefficients.  Values
   are immutable; every operation returns a fresh object and is exact, and
-  does integer work only.  Ints go in and ints come out: a coefficient,
-  scalar or evaluation point that is not an int is a TypeError, and a value
-  at a point that is not an integer is a ValueError, so no rational or
-  float is ever formed.
+  does integer work only.  Ints go in and ints come out: a coefficient or
+  scalar that is not an int is a TypeError, so no rational or float is
+  ever formed.
 
 * Laurent arrays -- the bulk form of the ``v`` data: int64 numpy arrays
   whose last axis holds the coefficient of ``v**k`` at index ``k + off``,
@@ -103,18 +102,6 @@ class IntPoly:
         if not self._n:
             return 0
         return 1 if self._n[max(self._n)] > 0 else -1
-
-    def __call__(self, x: int) -> int:
-        """The value at the int ``x``.  A negative exponent, checked first so
-        that no float is formed, and a value that is not an integer are each
-        a ValueError."""
-        x = operator.index(x)
-        if min(self._n, default=0) < 0:
-            raise ValueError("no value of a polynomial with a negative exponent")
-        value, rest = divmod(sum(a * x ** k for k, a in self._n.items()), self._d)
-        if rest:
-            raise ValueError(f"the value at {x} is not an integer")
-        return value
 
     def is_integer_valued(self) -> bool:
         """Whether every integer maps to an integer: whether the denominator

@@ -42,9 +42,9 @@ Information and Control 12, 1968):
 Each zeta^(kd) = lambda^q x^r, (p - 1)(kd mod n) = q n + r, is read off the
 power table.  tau o tau' vanishes iff (x - 1) a(x) a(1/x) = 0 in
 F_p[x]/(x^n - 1), a count over the differences D - D.  The dense
-``tau_maps`` and ``rank_mod`` (a blocked LU whose bulk steps are float64
-products on integers kept below 2**53) are on no command path; the tests
-compare against them.
+``tau_maps`` and ``rank_mod`` (Gaussian elimination in int64 under
+``poly.check_magnitude``) are on no command path; the tests compare
+against them.
 
 GL_3(F_p) preserves the incidence: ``equivariance_spot_check`` proves it on
 five generators g of the group by (cof(g) N) . (g L) = det(g) (N . L), det g
@@ -153,80 +153,35 @@ def build_incidence(p: int) -> IncidenceSpace:
 # Linear algebra mod p
 # ---------------------------------------------------------------------------
 
-# Columns per elimination panel.  A trailing update is one GEMM whose inner
-# dimension is at most this, which sets the exactness bound checked below.
-_PANEL = 128
-_EXACT = 2 ** 53  # float64 represents every integer of smaller magnitude
-
-
-def _exactness_guard(bound: int, what: str) -> None:
-    if bound >= _EXACT:
-        raise AssertionError(f"{what} exactness guard tripped")
-
-
-def _reduce(X: np.ndarray, p: int) -> None:
-    """Replace the integer-valued float64 array X by X mod p, in place.
-
-    The quotient floor(X / p) computed in floating point is off by at most one
-    while |X| + p <= 2**53, so one correction on each side makes it exact.
-    """
-    q = X * (1.0 / p)
-    np.floor(q, out=q)
-    q *= p
-    X -= q
-    np.add(X, p, out=X, where=X < 0)
-    np.subtract(X, p, out=X, where=X >= p)
-
-
 def rank_mod(M: np.ndarray, p: int) -> int:
     """Rank of the integer matrix M over F_p.
 
-    Right-looking blocked LU with row pivoting.  Each panel of _PANEL columns
-    is eliminated column by column with its multipliers stored in place; the
-    panel's pivot rows then take one unit-lower triangular solve and the rows
-    below them one GEMM update.  Entries are integers held in float64 and are
-    reduced mod p before they are multiplied, so between reductions none
-    exceeds _PANEL * (p-1)**2 in magnitude.  The guard keeps that plus the p
-    of slack _reduce needs below 2**53, so every step is exact.
+    Right-looking Gaussian elimination in int64 with row pivoting.  A column
+    is reduced mod p when it is searched for a pivot, and the pivot row once
+    it is chosen; the trailing block is left unreduced.  Each update adds
+    at most (p-1)**2 to an entry, at most min(rows, cols) times, so one
+    magnitude guard makes every step exact.
     """
-    _exactness_guard(_PANEL * (p - 1) ** 2 + p, "rank_mod")
-    A = (np.asarray(M) % p).astype(np.float64)
-    rows, cols = A.shape
+    rows, cols = np.shape(M)
+    poly.check_magnitude(min(rows, cols) * (p - 1) ** 2 + p, "rank_mod")
+    A = np.asarray(M, dtype=np.int64) % p
     r = 0
-    for c0 in range(0, cols, _PANEL):
-        c1 = min(c0 + _PANEL, cols)
-        r0 = r
-        pivots: list[int] = []
-        for c in range(c0, c1):
-            if r == rows:
-                break
-            col = A[r:, c]
-            _reduce(col, p)
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue
-            t = r + int(nz[0])
-            if t != r:  # columns left of the panel are no longer read
-                A[[r, t], c0:] = A[[t, r], c0:]
-            _reduce(A[r, c + 1:c1], p)
-            mult = A[r + 1:, c]
-            mult *= pow(int(A[r, c]), -1, p)
-            _reduce(mult, p)
-            A[r + 1:, c + 1:c1] -= np.outer(mult, A[r, c + 1:c1])
-            pivots.append(c)
-            r += 1
-        if r == rows or c1 == cols:
+    for c in range(cols):
+        if r == rows:
             break
-        if r == r0:
+        col = A[r:, c]
+        col %= p
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
             continue
-        L = A[r0:r, pivots]  # multipliers below the diagonal
-        U = A[r0:r, c1:]
-        for i in range(1, r - r0):
-            U[i] -= L[i, :i] @ U[:i]
-            _reduce(U[i], p)
-        trailing = A[r:, c1:]
-        trailing -= A[r:, pivots] @ U
-        _reduce(trailing, p)
+        t = r + int(nz[0])
+        if t != r:
+            A[[r, t], c:] = A[[t, r], c:]
+        top = A[r, c + 1:]
+        top %= p
+        mult = A[r + 1:, c] * pow(int(A[r, c]), -1, p) % p
+        A[r + 1:, c + 1:] -= np.outer(mult, top)
+        r += 1
     return r
 
 
@@ -341,7 +296,6 @@ class TauMaps:
     matrices have shape (n, n-1) with values in ambient function coordinates.
     """
 
-    space: IncidenceSpace
     tau: np.ndarray
     tau_prime: np.ndarray
 
@@ -355,7 +309,7 @@ def tau_maps(space: IncidenceSpace) -> TauMaps:
     # tau(e_L - e_L0) has plane values inc[:, L] - inc[:, L0]
     tau = (inc[:, 1:] - inc[:, :1]) % p
     tau_prime = (inc.T[:, 1:] - inc.T[:, :1]) % p
-    return TauMaps(space=space, tau=tau, tau_prime=tau_prime)
+    return TauMaps(tau=tau, tau_prime=tau_prime)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 ``dim_template`` expands the Weyl dimension formula symbolically, with the
 weight coordinates affine in p, giving an exact polynomial in t (t stands
 for p): the integer coefficients of the Weyl product over the product of the
-rho pairings.  Interpolation is never used to build these polynomials;
-evaluation against the integer dimension formula at a few primes is kept as
-a redundant guard.
+rho pairings.  Interpolation is never used to build these polynomials; the
+tests check their values against the integer dimension formula at a few
+primes.
 
 ``delta_table`` assembles the signed template combinations for every row of
 the shipped tables and checks each result against the transcribed closed
@@ -109,10 +109,6 @@ class DualityResult:
 
     pairs: dict[int, tuple[int, int]]
     problems: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
 
 
 def find_duality(

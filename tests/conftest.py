@@ -1,5 +1,6 @@
 import contextlib
 import signal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,12 @@ def char_value(table, label: str, w: int) -> int:
     w = 0, the identity, gives its dimension."""
     k = next(k for k, c in enumerate(table.classes) if w in c)
     return table.values[table.labels.index(label)][k]
+
+
+def value_at(f, x: int) -> Fraction:
+    """The value of the ``IntPoly`` f at the int x (nonzero if f has a
+    negative exponent), from its reduced numerators over its denominator."""
+    return sum((a * Fraction(x) ** k for k, a in f._n.items()), Fraction(0)) / f._d
 
 
 class Overrun(BaseException):

@@ -1,7 +1,7 @@
 """References for the sl3 lab, for the primes of the tests.
 
 The incidence of PG(2, p) from all n^2 dot products of normal forms, and
-the test whether tau o tau' vanishes by one exact float64 GEMM.  The
+the test whether tau o tau' vanishes by one exact int64 product.  The
 certificate of the Singer labelling from its n (p + 1) pairs, one dot
 product each, that the Singer cycle of the lab replaced.  Each n x n
 array is O(p^4), so these stay here, off every ``cellred sl3`` path.  The
@@ -21,14 +21,9 @@ import random
 import numpy as np
 
 from cellred.coxeter import generate
+from cellred.poly import check_magnitude
 from cellred.rootdata import CartanType, Weight, build_root_system, weyl_dim
-from cellred.sl3lab import (
-    _exactness_guard,
-    _is_permutation,
-    _positions,
-    _projective_points,
-    _reduce,
-)
+from cellred.sl3lab import _is_permutation, _positions, _projective_points
 
 
 def dense_incidence(p: int) -> np.ndarray:
@@ -59,11 +54,10 @@ def dense_tau(inc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def composite_is_zero(A: np.ndarray, B: np.ndarray, p: int) -> bool:
-    """Whether A @ B vanishes mod p, by one exact float64 GEMM."""
-    _exactness_guard(A.shape[1] * (p - 1) ** 2 + p, "composition")
-    prod = (A % p).astype(np.float64) @ (B % p).astype(np.float64)
-    _reduce(prod, p)
-    return not prod.any()
+    """Whether A @ B vanishes mod p, by one exact int64 product: each of the
+    A.shape[1] terms of an entry is at most (p - 1)**2."""
+    check_magnitude(A.shape[1] * (p - 1) ** 2, "composition")
+    return not ((A % p) @ (B % p) % p).any()
 
 
 def _trim(a: np.ndarray) -> np.ndarray:

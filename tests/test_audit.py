@@ -162,7 +162,7 @@ def test_context_keeps_the_data_directory_it_was_built_for(data_copy, monkeypatc
     ctx = get_context(b2)  # fresh: keyed by the pristine copy
     monkeypatch.setenv("CELLRED_DATA_DIR", str(non_involutive_copy(tmp_path / "bad")))
     assert ctx.tables.duality == want.duality
-    assert weylmod.find_duality(ctx.group, ctx.deltas, ctx.tables.words).ok
+    assert weylmod.find_duality(ctx.group, ctx.deltas, ctx.tables.words).problems == ()
     assert set(ctx.deltas) == set(want.delta)
     with pytest.raises(uniptables.DataIntegrityFailure, match="not involutive"):
         get_context(b2).tables  # a new directory gets a new context

@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import stat
 import subprocess
 import sys
@@ -7,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import cellred
 from cellred import audit, klcells, sl3lab, uniptables
-from cellred.cli import _sl3_entry, main
+from cellred.cli import _DUMPERS, _sl3_entry, main
 
 from conftest import TYPE_NAMES, deadline
 
@@ -553,3 +557,72 @@ def test_import_cellred_loads_no_numpy():
     # so that cellred.cli can set the BLAS thread count before numpy loads
     out = _fresh_python("import sys, cellred\nprint('numpy' in sys.modules)\n", cli_env())
     assert out == "False\n"
+
+
+# Functions of src/cellred that no command runs, each with why it stays
+NEVER_RUN_BY_A_COMMAND = {
+    "klcells.KLData.P": "read by perfbench (entry count) and the tests",
+    "klcells.KLData.mu": "read by perfbench (entry count) and the tests",
+    "klcells.KLData.gamma_tensor": "read by perfbench (nonzero count) and the tests",
+    "sl3lab.IncidenceSpace.incident_pairs": "read by tau_maps and the tests",
+    "sl3lab.rank_mod": "wrapped by perfbench; the tests' dense reference",
+    "sl3lab.tau_maps": "wrapped by perfbench; the tests' dense reference",
+    "cli._usage_error": "runs only on a bad command line",
+    "poly._Parser.error": "runs only on a bad polynomial",
+    "uniptables._fail": "runs only on a bad data file",
+}
+
+
+def _defined_functions():
+    """'module.name' or 'module.Class.name' to the code of each function
+    defined at module or class level in cellred, dunders left out."""
+    def function(obj):
+        obj = inspect.unwrap(obj)  # lru_cache
+        obj = getattr(obj, "__func__", obj)  # classmethod
+        obj = getattr(obj, "fget", obj)  # property
+        obj = getattr(obj, "build", obj)  # klcells.stage
+        return obj if inspect.isfunction(obj) else None
+
+    found = {}
+    for info in pkgutil.iter_modules(cellred.__path__):
+        module = importlib.import_module(f"cellred.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for attr, member in members:
+                qualname = ".".join(filter(None, (info.name, name, attr)))
+                if (fn := function(member)) and not qualname.rpartition(".")[2].startswith("__"):
+                    found[qualname] = fn.__code__
+    return found
+
+
+def test_every_function_runs_in_some_command_or_is_allowlisted():
+    # every command in one fresh process under sys.setprofile: the audit in
+    # both formats, four sl3 forms and the five dumps of each of six types
+    commands = [["audit", "--all"], ["audit", "--all", "--format", "md"],
+                ["sl3"], ["sl3", "--orbits"], ["sl3", "--p", "97"],
+                ["sl3", "--p", "97", "--orbits"]]
+    commands += [["tables", "dump", "--what", what, "--type", name]
+                 for name in TYPE_NAMES for what in _DUMPERS]
+    out = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "ran = set()\n"
+        "def record(frame, event, arg):\n"
+        "    if event == 'call':\n"
+        "        ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))\n"
+        "sys.setprofile(record)\n"
+        "from cellred.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {commands!r}]\n"
+        "sys.setprofile(None)\n"
+        "print(json.dumps([codes, sorted(ran)]))\n",
+        cli_env(),
+    )
+    codes, ran = json.loads(out)
+    # A4 ships no tables, so its delta dump is a usage error
+    assert codes == [2 if argv[-3:] == ["delta", "--type", "A4"] else 0 for argv in commands]
+    ran = {(os.path.realpath(path), line) for path, line in ran}
+    never = {qualname for qualname, code in _defined_functions().items()
+             if (os.path.realpath(code.co_filename), code.co_firstlineno) not in ran}
+    assert never == set(NEVER_RUN_BY_A_COMMAND)

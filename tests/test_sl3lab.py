@@ -1,22 +1,22 @@
 import dataclasses
 import io
+import itertools
 import json
+import math
 import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from cellred import sl3lab
+from cellred import poly, sl3lab
 from cellred.cli import main
 from cellred.sl3lab import (
-    _PANEL,
     _check_prime,
     _generators,
     _group_ring_kernel,
     _positions,
     _projective_points,
-    _reduce,
     _singer_field,
     _singer_labelling,
     _unit_generators,
@@ -134,13 +134,12 @@ def rank_k_product(rng, p, rows, cols, k, pivot_cols=None):
     return (A @ B) % p
 
 
-# column counts around one and two panels; rows exceed a panel, so a
-# full-rank matrix needs pivots from more than one panel
+# column counts below, at and beyond the row count of 133
 @pytest.mark.parametrize("p", [2, 3, 97])
-@pytest.mark.parametrize("cols", [1, _PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 3])
+@pytest.mark.parametrize("cols", [1, 127, 128, 129, 259])
 def test_rank_mod_matches_reference_elimination(p, cols):
     rng = np.random.default_rng(1000 * p + cols)
-    rows = _PANEL + 5
+    rows = 133
     full = min(rows, cols)
     for k in sorted({0, min(5, full), full // 2, full}):
         X = rank_k_product(rng, p, rows, cols, k)
@@ -149,13 +148,14 @@ def test_rank_mod_matches_reference_elimination(p, cols):
 
 @pytest.mark.parametrize("p", [2, 97])
 def test_rank_mod_pivot_free_columns_inside_a_panel(p):
-    # every pivot of the first panel sits at its edges; the columns between
-    # them are multiples of column 0, so the rank comes from later panels
+    # pivots in columns 0, 1 and 127; the columns between them are
+    # multiples of column 0, so the rest of the rank comes from columns
+    # 135..171
     rng = np.random.default_rng(p)
-    cols, k = 2 * _PANEL + 3, 40
-    pivot_cols = [0, 1, _PANEL - 1] + list(range(_PANEL + 7, _PANEL + 44))
+    cols, k = 259, 40
+    pivot_cols = [0, 1, 127] + list(range(135, 172))
     X = rank_k_product(rng, p, 60, cols, k, pivot_cols)
-    X[:, 2:_PANEL - 1] = (X[:, :1] * rng.integers(0, p, _PANEL - 3)) % p
+    X[:, 2:127] = (X[:, :1] * rng.integers(0, p, 125)) % p
     assert rank_mod(X, p) == reference_rank(X, p) == k
 
 
@@ -166,29 +166,35 @@ def test_incidence_p_rank_is_hamadas(p):
     assert rank_mod(dense_incidence(p), p) == p * (p + 1) // 2 + 1
 
 
-@pytest.mark.parametrize("p", [2, 3, 31, 103, 167, 8388593])
-def test_reduce_is_exact_up_to_the_guard(p):
-    # multiples of p and their neighbours, small ones and ones whose magnitude
-    # is just inside |x| + p <= 2**53; at p = 103 and 167 the float quotient
-    # of some small multiples rounds below the true one
-    top = (2 ** 53 - p) // p - 1
-    q = np.concatenate([np.arange(1, 2000), np.arange(top - 2000, top)])
-    x = np.concatenate([q * p + d for d in (-1, 0, 1)])
-    x = np.concatenate([x, -x])
-    X = x.astype(np.float64)
-    _reduce(X, p)
-    assert (X == x % p).all()
+def primes_at_the_guard(bound):
+    """The largest prime p with bound(p) below the magnitude guard, and the
+    next prime, for a bound increasing in p and at least (p - 1)**2."""
+    def is_prime(q):
+        return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+    lo, hi = 2, math.isqrt(poly.MAGNITUDE_GUARD) + 2  # bound(lo) < guard <= bound(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if bound(mid) < poly.MAGNITUDE_GUARD else (lo, mid)
+    below = next(q for q in range(lo, 1, -1) if is_prime(q))
+    above = next(q for q in itertools.count(lo + 1) if is_prime(q))
+    return below, above
 
 
 def test_exactness_guards_raise():
-    with pytest.raises(AssertionError, match="rank_mod exactness guard"):
-        rank_mod(np.eye(2, dtype=np.int64), 2 ** 31 - 1)
-    # p = 8388593 is the largest prime that the elimination guard admits;
-    # tau o tau' with inner dimension 200 would pass 2**53
-    p, n = 8388593, 201
-    zero = np.zeros((n, n - 1), dtype=np.int64)
-    with pytest.raises(AssertionError, match="composition exactness guard"):
-        composite_is_zero(zero, zero[1:], p)
+    # rank_mod on 2 x 2: min(rows, cols) = 2 updates of at most (p - 1)**2,
+    # plus p; the update of [[1, -1], [-1, b]] takes b to b - (p - 1)**2
+    p, q = primes_at_the_guard(lambda p: 2 * (p - 1) ** 2 + p)
+    for b, rank in ((1, 1), (p - 1, 2)):
+        assert rank_mod(np.array([[1, -1], [-1, b]]), p) == rank
+    with pytest.raises(AssertionError, match="rank_mod magnitude guard tripped"):
+        rank_mod(np.eye(2, dtype=np.int64), q)
+    # tau o tau' with inner dimension 200: 200 terms of at most (p - 1)**2
+    zero = np.zeros((201, 200), dtype=np.int64)
+    p, q = primes_at_the_guard(lambda p: 200 * (p - 1) ** 2)
+    assert composite_is_zero(zero, zero.T, p)
+    with pytest.raises(AssertionError, match="composition magnitude guard tripped"):
+        composite_is_zero(zero, zero.T, q)
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_31 + [97])
